@@ -15,17 +15,10 @@
 /// rows are also written to BENCH_encode.json (see docs/benchmarks.md for
 /// the recorded baseline).
 ///
-/// A fifth section pits the pipelined debugger (`RunToCompletionAsync`
-/// with speculation: iteration i+1's train overlapping iteration i's rank
-/// phase on the task graph) against synchronous stepping on the Fig. 5
-/// DBLP workload, verifying the deletion sequences are BITWISE identical
-/// and reporting the speculation commit/replay counts. Rows go to
-/// BENCH_async.json (baseline under bench/baselines/).
-///
-/// A sixth section measures the sharded pipeline (ISSUE 5): per
-/// shard-count wall-clock of the shard-parallel `ScoreAll` (shards fanned
-/// across the pool) and the shard-exact HVP (parallel coefficient pass +
-/// ordered replay) on the Fig. 5 workload, plus a full sharded
+/// A fifth section measures the sharded pipeline: per shard-count
+/// wall-clock of the shard-parallel `ScoreAll` (shards fanned across the
+/// pool) and the shard-exact HVP (parallel coefficient pass + ordered
+/// replay) on the Fig. 5 workload, plus a full sharded
 /// DebugSession run — verifying scores, HVPs, AND deletion sequences are
 /// BITWISE identical to the unsharded sequential path at every shard
 /// count. Rows go to BENCH_shard.json (baseline under bench/baselines/).
@@ -255,69 +248,9 @@ int main() {
   EmitTable("Parallel scaling: batched bind + encode (Adult multi-query)",
             encode_table);
 
-  // Async pipelining: the speculative train/rank overlap must buy wall
-  // clock without changing a single deletion. Small Fig. 5 instance (3
-  // iterations of 10 deletions) so the sync/async pair stays cheap.
+  // Small Fig. 5 instance (3 iterations of 10 deletions) for the sharded
+  // full-session runs below.
   Experiment aexp = DblpCount(0.5, /*train_size=*/2000, /*query_size=*/400);
-  TablePrinter async_table({"threads", "sync_s", "async_s", "speedup", "spec",
-                            "commit", "replay", "overlap"});
-  EmitJson async_json("BENCH_async.json");
-  for (int threads : kThreadCounts) {
-    auto run_session = [&](bool async, AsyncStats* stats,
-                           std::vector<size_t>* deletions) {
-      std::unique_ptr<Query2Pipeline> pipeline = aexp.make_pipeline();
-      RAIN_CHECK(pipeline->Train().ok());
-      auto session = DebugSessionBuilder(pipeline.get())
-                         .ranker("holistic")
-                         .top_k_per_iter(10)
-                         .max_deletions(30)
-                         .set_execution(ExecutionOptions().set_parallelism(threads))
-                         .workload(aexp.workload)
-                         .Build();
-      RAIN_CHECK(session.ok()) << session.status().ToString();
-      Timer timer;
-      if (async) {
-        auto report = (*session)->RunToCompletionAsync().Get();
-        RAIN_CHECK(report.ok()) << report.status().ToString();
-        *deletions = report->deletions;
-      } else {
-        auto report = (*session)->RunToCompletion();
-        RAIN_CHECK(report.ok()) << report.status().ToString();
-        *deletions = report->deletions;
-      }
-      const double seconds = timer.ElapsedSeconds();
-      if (stats != nullptr) *stats = (*session)->async_stats();
-      return seconds;
-    };
-
-    std::vector<size_t> sync_deletions, async_deletions;
-    AsyncStats stats;
-    const double sync_s = run_session(false, nullptr, &sync_deletions);
-    const double async_s = run_session(true, &stats, &async_deletions);
-    RAIN_CHECK(async_deletions == sync_deletions)
-        << "pipelined deletions must be bitwise identical to sync";
-
-    async_table.AddRow(
-        {TablePrinter::Num(threads, 0), TablePrinter::Num(sync_s, 4),
-         TablePrinter::Num(async_s, 4), TablePrinter::Num(sync_s / async_s, 2),
-         TablePrinter::Num(stats.speculations_launched, 0),
-         TablePrinter::Num(stats.speculations_committed, 0),
-         TablePrinter::Num(stats.speculations_replayed, 0),
-         TablePrinter::Num(stats.overlapped_iterations, 0)});
-    async_json.Row(StrFormat(
-        "{\"threads\": %d, \"sync_s\": %.6f, \"async_s\": %.6f, "
-        "\"speedup\": %.3f, \"speculations\": %d, \"committed\": %d, "
-        "\"replayed\": %d, \"overlapped\": %d, \"bitwise_match\": true}",
-        threads, sync_s, async_s, sync_s / async_s, stats.speculations_launched,
-        stats.speculations_committed, stats.speculations_replayed,
-        stats.overlapped_iterations));
-  }
-  if (async_json.ok()) {
-    async_json.Close();
-    std::printf("async pipelining rows written to BENCH_async.json\n");
-  }
-  EmitTable("Parallel scaling: sync vs pipelined session (Fig. 5 DBLP)",
-            async_table);
 
   // Sharded pipeline: shard-count scaling with bitwise verification
   // against the unsharded sequential path (scores, HVPs, deletions).

@@ -10,17 +10,17 @@ namespace rain {
 /// \brief Cooperative cancellation handle shared by long-running kernels.
 ///
 /// A token is a cheap copyable view onto shared state holding a cancel
-/// flag and an optional deadline. Producers (DebugSession, TaskGraph)
+/// flag and an optional deadline. Producers (DebugSession, DebugService)
 /// call `Cancel()` / `set_deadline()`; consumers (the L-BFGS training
 /// loop, the CG solver, per-record influence scoring) poll `ShouldStop()`
 /// between chunks of work and wind down early, leaving partial state
 /// their caller is expected to discard or record as interrupted.
 ///
 /// Tokens form a tree: `MakeChild()` returns a token that stops when it
-/// is cancelled itself OR when any ancestor stops. The async debug
-/// session uses this for speculative work — cancelling a speculation's
-/// child token aborts just that task, while cancelling the session token
-/// stops everything, speculations included.
+/// is cancelled itself OR when any ancestor stops. The debug service
+/// uses this for hosted sessions — cancelling one session's child token
+/// stops just that session, while cancelling the service root token
+/// stops every session.
 ///
 /// Polling is two relaxed atomic loads (plus a clock read only when a
 /// deadline is armed), so it is cheap enough for per-record loops.

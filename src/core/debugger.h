@@ -1,11 +1,9 @@
 #ifndef RAIN_CORE_DEBUGGER_H_
 #define RAIN_CORE_DEBUGGER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/deprecation.h"
 #include "core/complaint.h"
 #include "core/pipeline.h"
 #include "core/ranker.h"
@@ -34,11 +32,11 @@ struct DebugConfig {
   /// (`RelaxedPoly::GradientBatch` + `AccumulateProbaGradients` via
   /// `RankContext::parallelism`), influence scoring, and the CG
   /// solver. Inheritance is resolved in exactly one place —
-  /// `DebugSessionBuilder::Build()` (which the `Debugger` shim also goes
-  /// through): the pipeline's TrainConfig always tracks this value (so 1
-  /// restores the exact sequential path), `influence.parallelism` inherits
-  /// it when left at its default of 1, and `influence.cg.parallelism` in
-  /// turn inherits `influence.parallelism` when left at 1.
+  /// `DebugSessionBuilder::Build()`: the pipeline's TrainConfig always
+  /// tracks this value (so 1 restores the exact sequential path),
+  /// `influence.parallelism` inherits it when left at its default of 1,
+  /// and `influence.cg.parallelism` in turn inherits
+  /// `influence.parallelism` when left at 1.
   int parallelism = 1;
   /// Shard count for the training/influence pipeline; 0 (the default)
   /// keeps the unsharded legacy path. With num_shards >= 1,
@@ -85,35 +83,6 @@ struct DebugReport {
   std::vector<IterationStats> iterations;
   /// True if the last retraining satisfied every complaint.
   bool complaints_resolved = false;
-};
-
-/// \brief Legacy blocking facade over `DebugSession` (see core/session.h).
-///
-/// Each iteration retrains the model on the surviving training records
-/// (warm start), reruns every complained-about query in debug mode,
-/// re-binds the complaints to the fresh provenance, ranks training
-/// records with the configured approach, and deletes the top-k. Deleted
-/// records accumulate into the explanation D.
-///
-/// `Run` executes the whole loop as one opaque call with no stepping,
-/// streaming, cancellation, or workload mutation. New code should build a
-/// `DebugSession` via `DebugSessionBuilder` instead; `Run` is a thin shim
-/// over it and produces identical deletion sequences.
-class Debugger {
- public:
-  /// `pipeline` is borrowed; `ranker` is owned.
-  Debugger(Query2Pipeline* pipeline, std::unique_ptr<Ranker> ranker,
-           DebugConfig config = DebugConfig());
-
-  RAIN_DEPRECATED("use DebugSessionBuilder / DebugSession::RunToCompletion")
-  Result<DebugReport> Run(const std::vector<QueryComplaints>& workload);
-
-  const Ranker& ranker() const { return *ranker_; }
-
- private:
-  Query2Pipeline* pipeline_;
-  std::unique_ptr<Ranker> ranker_;
-  DebugConfig config_;
 };
 
 }  // namespace rain

@@ -40,15 +40,9 @@ class Query2Pipeline {
   /// Recomputes prediction views from the current model without training.
   void RefreshPredictions();
 
-  /// \brief Installs externally trained parameters and refreshes the
-  /// prediction views — the commit half of speculative retraining.
-  ///
-  /// The async debug session trains a `Model::Clone()` on a snapshot of
-  /// the training set while the rank phase still runs; when the
-  /// speculation validates, the clone's parameters are adopted here. For
-  /// parameters produced by `TrainModel` on an identical snapshot this is
-  /// bitwise-equivalent to having called `Train()` synchronously (same
-  /// L-BFGS trajectory, same `PredictProbaMatrix` inputs).
+  /// \brief Installs the given parameters and refreshes the prediction
+  /// views. `DebugSession::ApplyUpdate`'s full-recompute path uses it to
+  /// restore the cold-start parameters captured at session construction.
   void AdoptModelParams(const Vec& params);
 
   /// Drops all provenance accumulated by debug executions.

@@ -72,11 +72,6 @@ struct RankOutput {
   double encode_seconds = 0.0;  // building grad q / solving the ILP
   double rank_seconds = 0.0;    // Hessian-inverse products + scoring
   std::string note;             // e.g. "ilp timed out; using incumbent"
-  /// The CG solution s = (H + damping I)^-1 q_grad behind `scores`, when
-  /// the ranker ran an influence solve (empty otherwise). Cached by the
-  /// session so `ApplyUpdate` can patch scores of delta-touched rows
-  /// without a fresh solve (src/incremental/update.h).
-  Vec cg_solution;
 };
 
 /// \brief Strategy interface for ranking training records (Section 6.1.1).

@@ -248,7 +248,6 @@ class HolisticRanker : public Ranker {
     InfluenceScorer scorer(ctx.model, ctx.train, ctx.influence);
     RAIN_RETURN_NOT_OK(scorer.Prepare(q_grad));
     out.scores = scorer.ScoreAll();
-    out.cg_solution = scorer.solution();
     out.rank_seconds = rank_timer.ElapsedSeconds();
     return out;
   }
@@ -346,7 +345,6 @@ class TwoStepRanker : public Ranker {
     InfluenceScorer scorer(ctx.model, ctx.train, ctx.influence);
     RAIN_RETURN_NOT_OK(scorer.Prepare(q_grad));
     out.scores = scorer.ScoreAll();
-    out.cg_solution = scorer.solution();
     out.rank_seconds = rank_timer.ElapsedSeconds();
     return out;
   }

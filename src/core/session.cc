@@ -1,7 +1,6 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <functional>
 #include <numeric>
 
@@ -71,71 +70,12 @@ void AppendNote(IterationStats* stats, const std::string& note) {
 
 }  // namespace
 
-/// What a speculative train task hands back through its Future.
-struct SpecOutcome {
-  /// Training finished normally (no error, no interruption).
-  bool train_ok = false;
-  /// Training reached the gradient tolerance (feeds the session's exact
-  /// train-skip memo on commit).
-  bool converged = false;
-  /// The task's own wall time — what the train phase costs when the
-  /// speculation commits (already overlapped with the rank phase).
-  double train_seconds = 0.0;
-};
-
-/// In-flight speculative train: a `Model::Clone()` trained on a private
-/// snapshot of the training set (predicted deletions applied) as a task
-/// on the session's `TaskGraph`. Entirely self-contained — the task
-/// touches nothing but this block, which it keeps alive via shared_ptr —
-/// so the session may abandon it and even be destroyed while it drains.
-/// Completion and the outcome flow through the task's Future; only the
-/// started handoff (the fix stage's overlap guarantee) needs bespoke
-/// signalling.
-struct DebugSession::Speculation {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
-  /// Resolves when the task finished (Wait() drains the pool, so waiting
-  /// cannot deadlock even on a single-worker pool).
-  Future<SpecOutcome> done;
-  std::unique_ptr<Model> model;
-  std::unique_ptr<Dataset> snapshot;
-  /// The fix deletions this speculation assumed, in deletion order.
-  std::vector<size_t> predicted;
-  /// report_.deletions.size() at launch; validation compares the suffix
-  /// appended since against `predicted`.
-  size_t deletions_at_launch = 0;
-  /// Child of the session token: cancelling it aborts just this task.
-  CancellationToken token;
-  TrainConfig config;
-  /// Sharded session: the live shard plan rebound over the private
-  /// snapshot, so the speculative train takes the same shard-exact path
-  /// (and therefore produces the same bits) as the synchronous retrain.
-  std::unique_ptr<ShardedDataset> sharded;
-};
-
-const std::array<DebugSession::StageSpec, 4>& DebugSession::Stages() {
-  static const std::array<StageSpec, 4> kStages = {{
-      {DebugPhase::kTrain, "train_set(active), model(warm-start params)",
-       "model(theta), prediction_views"},
-      {DebugPhase::kBind, "workload, prediction_views, catalog",
-       "arena(provenance), bound_complaints, violated_count"},
-      {DebugPhase::kRank, "bound_complaints, model(theta), train_set(active)",
-       "scores, encode/rank timings"},
-      {DebugPhase::kFix, "scores, train_set(active)",
-       "deletions, train_set(active minus top-k)"},
-  }};
-  return kStages;
-}
-
-DebugSession::DebugSession(Query2Pipeline* pipeline,
-                           std::unique_ptr<Ranker> owned_ranker, Ranker* ranker,
+DebugSession::DebugSession(Query2Pipeline* pipeline, std::unique_ptr<Ranker> ranker,
                            DebugConfig config,
                            std::vector<QueryComplaints> workload,
                            ExecutionOptions exec)
     : pipeline_(pipeline),
-      owned_ranker_(std::move(owned_ranker)),
-      ranker_(ranker),
+      ranker_(std::move(ranker)),
       config_(config),
       workload_(std::move(workload)),
       observers_(std::move(exec.observers)),
@@ -160,16 +100,8 @@ DebugSession::DebugSession(Query2Pipeline* pipeline,
   bind_cache_.resize(workload_.size());
 }
 
-DebugSession::~DebugSession() {
-  cancel_token_.Cancel();
-  if (driver_thread_.joinable()) driver_thread_.join();
-  AbandonSpeculation();
-  // graph_'s destructor waits for any still-queued task bodies.
-}
-
 void DebugSession::set_deadline(std::chrono::steady_clock::time_point deadline) {
   CheckNotInObserverCallback("DebugSession::set_deadline");
-  RAIN_CHECK(!async_in_flight()) << "DebugSession::set_deadline during an async drive";
   deadline_ = deadline;
   cancel_token_.set_deadline(deadline);
   if (finished_ && finish_status_ == StepStatus::kDeadlineExceeded &&
@@ -181,8 +113,6 @@ void DebugSession::set_deadline(std::chrono::steady_clock::time_point deadline) 
 
 void DebugSession::clear_deadline() {
   CheckNotInObserverCallback("DebugSession::clear_deadline");
-  RAIN_CHECK(!async_in_flight())
-      << "DebugSession::clear_deadline during an async drive";
   deadline_.reset();
   cancel_token_.clear_deadline();
   if (finished_ && finish_status_ == StepStatus::kDeadlineExceeded) {
@@ -193,8 +123,6 @@ void DebugSession::clear_deadline() {
 
 size_t DebugSession::AddComplaints(QueryComplaints batch) {
   CheckNotInObserverCallback("DebugSession::AddComplaints");
-  RAIN_CHECK(!async_in_flight())
-      << "DebugSession::AddComplaints during an async drive";
   DeltaLogEntry log;
   log.batch.add_queries.push_back(batch);
   workload_.push_back(std::move(batch));
@@ -214,7 +142,6 @@ size_t DebugSession::AddComplaints(QueryComplaints batch) {
 
 bool DebugSession::RemoveQuery(size_t index) {
   CheckNotInObserverCallback("DebugSession::RemoveQuery");
-  RAIN_CHECK(!async_in_flight()) << "DebugSession::RemoveQuery during an async drive";
   if (index >= workload_.size()) return false;
   // Tombstone: the entry's arena nodes stay in place (orphaned roots are
   // unreachable from every surviving complaint, so they are score-neutral
@@ -240,8 +167,6 @@ bool DebugSession::RemoveQuery(size_t index) {
 Result<UpdateReport> DebugSession::ApplyUpdate(const UpdateBatch& batch,
                                                const UpdateOptions& options) {
   CheckNotInObserverCallback("DebugSession::ApplyUpdate");
-  RAIN_CHECK(!async_in_flight())
-      << "DebugSession::ApplyUpdate during an async drive";
   Timer timer;
   Dataset* train = pipeline_->train_data();
   const size_t n = train->size();
@@ -304,13 +229,6 @@ Result<UpdateReport> DebugSession::ApplyUpdate(const UpdateBatch& batch,
       break;
   }
 
-  // A speculation trained against pre-update data can never be valid, and
-  // the snapshot cache's mask-only replay cannot express label edits or
-  // out-of-band activation flips: drop both.
-  AbandonSpeculation();
-  snapshot_cache_.reset();
-  snapshot_deletions_applied_ = 0;
-
   // --- Data deltas. Label edits detach the COW storage on first write
   // (sibling tenants sharing it are unaffected); activation flips route
   // through the shard view when one is installed so per-shard active
@@ -359,19 +277,7 @@ Result<UpdateReport> DebugSession::ApplyUpdate(const UpdateBatch& batch,
     ++arena_generation_;
     pipeline_->AdoptModelParams(initial_params_);
     train_memo_valid_ = false;
-    last_cg_solution_.clear();
-    last_scores_.clear();
     rep.note = "full recompute: caches dropped, cold parameters restored";
-  } else if (options.preview_influence && !last_cg_solution_.empty() &&
-             last_scores_.size() == train->size() && rep.touched_rows > 0) {
-    // Rank-structured influence patch: recompute score(i) for touched
-    // rows only against the cached CG solution — the exact arithmetic a
-    // full rescore with that solution would produce for those rows. This
-    // previews post-update scores (and sharpens the speculation
-    // predictor's input); the next rank turn's fresh solve supersedes it.
-    rep.patched_scores =
-        PatchInfluenceScores(*pipeline_->model(), *train, last_cg_solution_,
-                             batch.TouchedRows(), &last_scores_);
   }
 
   for (const BindCacheEntry& e : bind_cache_) {
@@ -451,9 +357,13 @@ void DebugSession::NotifyDeletion(int iteration, size_t record, double score) {
 void DebugSession::Finish(StepStatus status) {
   finished_ = true;
   finish_status_ = status;
-  // A terminal session never trains again, so an in-flight speculation
-  // can only waste cycles: stop it and take the snapshot back.
-  AbandonSpeculation();
+}
+
+void DebugSession::RecordIteration(IterationStats* stats, StepResult* result) {
+  stats->deletions_after = report_.deletions.size();
+  report_.iterations.push_back(*stats);
+  ++iterations_completed_;
+  result->stats = *stats;
 }
 
 bool DebugSession::CheckInterrupted(DebugPhase last_phase, IterationStats* stats,
@@ -470,19 +380,15 @@ bool DebugSession::CheckInterrupted(DebugPhase last_phase, IterationStats* stats
   // faithful account of the work actually done.
   AppendNote(stats, std::string(StepStatusName(status)) + " after " +
                         DebugPhaseName(last_phase) + " phase");
-  stats->deletions_after = report_.deletions.size();
-  report_.iterations.push_back(*stats);
-  ++iterations_completed_;
+  RecordIteration(stats, result);
   Finish(status);
   result->status = status;
-  result->stats = *stats;
   return true;
 }
 
 // --------------------------------------------------------------- stages
 
 Status DebugSession::TrainPhase(IterationStats* stats) {
-  if (pending_spec_ != nullptr && TryCommitSpeculation(stats)) return Status::OK();
   if (train_memo_valid_) {
     // Exact skip: the parameters are already a converged optimum for the
     // current training data (nothing changed since the train that set the
@@ -766,9 +672,6 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
   stats->encode_seconds = ranked.encode_seconds;
   stats->rank_seconds = ranked.rank_seconds;
   if (!ranked.note.empty()) AppendNote(stats, ranked.note);
-  // Cache the Hessian solve behind the scores: ApplyUpdate patches
-  // touched-row influence previews against it without a fresh CG solve.
-  if (!ranked.cg_solution.empty()) last_cg_solution_ = ranked.cg_solution;
   return ranked;
 }
 
@@ -806,299 +709,10 @@ int DebugSession::FixPhase(const RankOutput& ranked, int iteration,
   return removed;
 }
 
-// ---------------------------------------------------- speculation pipeline
-
-std::vector<size_t> DebugSession::PredictFixDeletions() const {
-  const Dataset* train = pipeline_->train_data();
-  if (last_scores_.size() != train->size()) return {};
-  // Exactly the fix selection rule, replayed on the PREVIOUS iteration's
-  // scores: if the ranking is stable between iterations (the common case
-  // late in a run), the prediction matches and the speculative train
-  // commits.
-  std::vector<size_t> order(train->size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return last_scores_[a] > last_scores_[b];
-  });
-  const int budget =
-      std::min(config_.top_k_per_iter,
-               config_.max_deletions - static_cast<int>(report_.deletions.size()));
-  std::vector<size_t> predicted;
-  for (size_t idx : order) {
-    if (static_cast<int>(predicted.size()) >= budget) break;
-    if (!train->active(idx)) continue;
-    predicted.push_back(idx);
-  }
-  return predicted;
-}
-
-void DebugSession::SyncSnapshotCache() {
-  Dataset* live = pipeline_->train_data();
-  if (snapshot_cache_ == nullptr) {
-    // Features and labels are immutable for the session's lifetime, so
-    // this one deep copy is amortized across every later speculation;
-    // only the active-mask delta is replayed per launch.
-    snapshot_cache_ = std::make_unique<Dataset>(*live);
-    snapshot_deletions_applied_ = report_.deletions.size();
-    return;
-  }
-  for (size_t i = snapshot_deletions_applied_; i < report_.deletions.size(); ++i) {
-    snapshot_cache_->Deactivate(report_.deletions[i]);
-  }
-  snapshot_deletions_applied_ = report_.deletions.size();
-}
-
-void DebugSession::LaunchSpeculation(int next_iteration) {
-  // Profitability gates only — skipping a speculation never changes
-  // results. No speculation when the upcoming fix cannot delete (the
-  // session then ends in kNoProgress), when the iteration cap stops the
-  // next train anyway, or when the predicted fix exhausts the deletion
-  // budget.
-  const int budget =
-      std::min(config_.top_k_per_iter,
-               config_.max_deletions - static_cast<int>(report_.deletions.size()));
-  if (budget <= 0) return;
-  if (next_iteration >= config_.max_iterations) return;
-  std::vector<size_t> predicted = PredictFixDeletions();
-  // An empty prediction (first iteration: no prior scores to predict
-  // from) can never commit — a fix that deletes nothing ends the session
-  // before the next train — so launching would be guaranteed wasted work.
-  if (predicted.empty()) return;
-  if (report_.deletions.size() + predicted.size() >=
-      static_cast<size_t>(config_.max_deletions)) {
-    return;
-  }
-
-  SyncSnapshotCache();
-  auto spec = std::make_shared<Speculation>();
-  spec->predicted = std::move(predicted);
-  spec->deletions_at_launch = report_.deletions.size();
-  spec->snapshot = std::move(snapshot_cache_);
-  for (size_t id : spec->predicted) spec->snapshot->Deactivate(id);
-  // Clone at the post-train(i) parameters: the same warm start the
-  // synchronous train(i+1) would use.
-  spec->model = pipeline_->model()->Clone();
-  spec->config = pipeline_->train_config();
-  spec->token = cancel_token_.MakeChild();
-  spec->config.cancel = &spec->token;
-  // The copied TrainConfig's shard view points at the LIVE training set;
-  // rebind the same plan over the snapshot (mask already predicted-post-fix).
-  if (pipeline_->shards() != nullptr) {
-    spec->sharded = std::make_unique<ShardedDataset>(spec->snapshot.get(),
-                                                     pipeline_->shards()->plan());
-    spec->config.shards = spec->sharded.get();
-  } else {
-    spec->config.shards = nullptr;
-  }
-
-  pending_spec_ = spec;
-  ++async_stats_.speculations_launched;
-  spec->done = graph_.Submit(
-      "speculative-train#" + std::to_string(next_iteration), {},
-      [spec](const CancellationToken&) -> SpecOutcome {
-        {
-          std::lock_guard<std::mutex> lock(spec->mu);
-          spec->started = true;
-        }
-        spec->cv.notify_all();
-        Timer timer;
-        Result<TrainReport> trained =
-            TrainModel(spec->model.get(), *spec->snapshot, spec->config);
-        SpecOutcome outcome;
-        outcome.train_seconds = timer.ElapsedSeconds();
-        outcome.train_ok = trained.ok() && !trained->interrupted;
-        outcome.converged = outcome.train_ok && trained->converged;
-        return outcome;
-      });
-}
-
-void DebugSession::WaitSpecStarted(Speculation* spec) {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(spec->mu);
-      if (spec->started) return;
-    }
-    // Help drain the pool so a single-worker (or saturated) pool cannot
-    // stall the handoff: worst case this thread runs the speculative
-    // train inline, which still starts it before the fix phase.
-    if (!ThreadPool::Global().RunOneTask()) {
-      std::unique_lock<std::mutex> lock(spec->mu);
-      spec->cv.wait(lock, [spec] { return spec->started; });
-      return;
-    }
-  }
-}
-
-SpecOutcome DebugSession::WaitSpecOutcome(Speculation* spec) {
-  try {
-    return spec->done.Get();
-  } catch (...) {
-    // A throwing task body (allocation failure in TrainModel, say) reads
-    // as a failed speculation: the caller replays synchronously.
-    return SpecOutcome{};
-  }
-}
-
-void DebugSession::ReclaimSnapshot(std::shared_ptr<Speculation> spec) {
-  // The task has drained; roll the predicted deletions back so the cache
-  // again mirrors the deletion prefix recorded at launch.
-  for (size_t id : spec->predicted) spec->snapshot->Reactivate(id);
-  snapshot_cache_ = std::move(spec->snapshot);
-  snapshot_deletions_applied_ = spec->deletions_at_launch;
-}
-
-bool DebugSession::TryCommitSpeculation(IterationStats* stats) {
-  std::shared_ptr<Speculation> spec = std::move(pending_spec_);
-  const std::vector<size_t>& deletions = report_.deletions;
-  // Valid iff the deletions appended since launch are exactly the ones
-  // the speculation trained without — element for element, order
-  // included. Anything else (more, fewer, different ids) replays.
-  const bool prediction_matched =
-      deletions.size() == spec->deletions_at_launch + spec->predicted.size() &&
-      std::equal(spec->predicted.begin(), spec->predicted.end(),
-                 deletions.begin() +
-                     static_cast<ptrdiff_t>(spec->deletions_at_launch));
-  SpecOutcome outcome;
-  if (prediction_matched) {
-    outcome = WaitSpecOutcome(spec.get());
-  } else {
-    spec->token.Cancel();  // stop the wasted work within one L-BFGS round
-    outcome = WaitSpecOutcome(spec.get());
-  }
-  bool committed = false;
-  if (prediction_matched && outcome.train_ok) {
-    // Bitwise what the synchronous retrain would produce: same warm
-    // start, same active rows, same deterministic L-BFGS. Publishing
-    // the parameters also refreshes the prediction views.
-    pipeline_->AdoptModelParams(spec->model->params());
-    stats->train_seconds = outcome.train_seconds;
-    AppendNote(stats, "train speculated during previous rank phase");
-    ++async_stats_.speculations_committed;
-    train_memo_valid_ = outcome.converged;
-    committed = true;
-  }
-  if (!committed) ++async_stats_.speculations_replayed;
-  ReclaimSnapshot(std::move(spec));
-  return committed;
-}
-
-void DebugSession::AbandonSpeculation() {
-  if (pending_spec_ == nullptr) return;
-  std::shared_ptr<Speculation> spec = std::move(pending_spec_);
-  spec->token.Cancel();
-  (void)WaitSpecOutcome(spec.get());
-  ReclaimSnapshot(std::move(spec));
-}
-
 // ---------------------------------------------------------- step driving
 
-struct DebugSession::StageScope {
-  int iteration = 0;
-  bool pipelined = false;
-  StepResult* result = nullptr;
-  IterationStats stats;
-  std::vector<BoundComplaint> bound;
-  RankOutput ranked;
-};
-
-Result<DebugSession::StageAction> DebugSession::RunStage(DebugPhase phase,
-                                                         StageScope* scope) {
-  StepResult* result = scope->result;
-  switch (phase) {
-    case DebugPhase::kTrain: {
-      RAIN_RETURN_NOT_OK(TrainPhase(&scope->stats));
-      NotifyPhaseComplete(scope->iteration, DebugPhase::kTrain,
-                          scope->stats.train_seconds);
-      if (CheckInterrupted(DebugPhase::kTrain, &scope->stats, result)) {
-        return StageAction::kStepDone;
-      }
-      return StageAction::kContinue;
-    }
-
-    case DebugPhase::kBind: {
-      RAIN_ASSIGN_OR_RETURN(scope->bound, BindPhase(&scope->stats));
-      NotifyPhaseComplete(scope->iteration, DebugPhase::kBind,
-                          scope->stats.query_seconds);
-      result->complaints_resolved = scope->stats.violated_complaints == 0;
-      if (scope->stats.violated_complaints == 0) {
-        report_.complaints_resolved = true;
-        if (config_.stop_when_resolved) {
-          scope->stats.deletions_after = report_.deletions.size();
-          report_.iterations.push_back(scope->stats);
-          ++iterations_completed_;
-          Finish(StepStatus::kResolved);
-          result->status = StepStatus::kResolved;
-          result->stats = scope->stats;
-          return StageAction::kStepDone;
-        }
-      } else {
-        report_.complaints_resolved = false;
-      }
-      if (CheckInterrupted(DebugPhase::kBind, &scope->stats, result)) {
-        return StageAction::kStepDone;
-      }
-      return StageAction::kContinue;
-    }
-
-    case DebugPhase::kRank: {
-      // Pipelining: the next iteration's speculative train overlaps the
-      // CG solves below (the only cross-iteration edge, broken on a
-      // predicted post-fix snapshot; see class comment).
-      if (scope->pipelined && pending_spec_ == nullptr) {
-        LaunchSpeculation(scope->iteration + 1);
-      }
-      Result<RankOutput> ranked = RankPhase(scope->bound, &scope->stats);
-      if (!ranked.ok()) {
-        if (ranked.status().IsCancelled() &&
-            (cancel_requested() || DeadlinePassed())) {
-          // In-loop cancellation inside the solve: wind down as an
-          // interruption after the last *completed* phase.
-          if (CheckInterrupted(DebugPhase::kBind, &scope->stats, result)) {
-            return StageAction::kStepDone;
-          }
-        }
-        return ranked.status();
-      }
-      scope->ranked = std::move(*ranked);
-      // The predictor's input for the next iteration's speculation.
-      last_scores_ = scope->ranked.scores;
-      NotifyPhaseComplete(scope->iteration, DebugPhase::kRank,
-                          scope->stats.encode_seconds + scope->stats.rank_seconds);
-      if (CheckInterrupted(DebugPhase::kRank, &scope->stats, result)) {
-        return StageAction::kStepDone;
-      }
-      return StageAction::kContinue;
-    }
-
-    case DebugPhase::kFix: {
-      if (scope->pipelined && pending_spec_ != nullptr) {
-        // The pipeline's ordering guarantee: the next train is running
-        // before this fix completes (inline as a last resort on a
-        // saturated pool).
-        WaitSpecStarted(pending_spec_.get());
-        ++async_stats_.overlapped_iterations;
-      }
-      Timer fix_timer;
-      const int removed = FixPhase(scope->ranked, scope->iteration, result);
-      NotifyPhaseComplete(scope->iteration, DebugPhase::kFix,
-                          fix_timer.ElapsedSeconds());
-      scope->stats.deletions_after = report_.deletions.size();
-      report_.iterations.push_back(scope->stats);
-      ++iterations_completed_;
-      result->stats = scope->stats;
-      if (removed == 0) {  // nothing left to delete
-        Finish(StepStatus::kNoProgress);
-        result->status = StepStatus::kNoProgress;
-      } else {
-        result->status = StepStatus::kIterated;
-      }
-      return StageAction::kStepDone;
-    }
-  }
-  return Status::Internal("unknown debug stage");
-}
-
-Result<StepResult> DebugSession::StepImpl(bool pipelined) {
+Result<StepResult> DebugSession::Step() {
+  CheckNotInObserverCallback("DebugSession::Step");
   StepResult result;
   if (finished_) {
     result.status = StepStatus::kAlreadyFinished;
@@ -1127,102 +741,64 @@ Result<StepResult> DebugSession::StepImpl(bool pipelined) {
     return result;
   }
 
-  StageScope scope;
-  scope.iteration = iterations_completed_;
-  scope.pipelined = pipelined;
-  scope.result = &result;
-  NotifyIterationStart(scope.iteration);
-  for (const StageSpec& stage : Stages()) {
-    RAIN_ASSIGN_OR_RETURN(StageAction action, RunStage(stage.phase, &scope));
-    if (action == StageAction::kStepDone) break;
+  const int iteration = iterations_completed_;
+  IterationStats stats;
+  NotifyIterationStart(iteration);
+
+  RAIN_RETURN_NOT_OK(TrainPhase(&stats));
+  NotifyPhaseComplete(iteration, DebugPhase::kTrain, stats.train_seconds);
+  if (CheckInterrupted(DebugPhase::kTrain, &stats, &result)) return result;
+
+  RAIN_ASSIGN_OR_RETURN(std::vector<BoundComplaint> bound, BindPhase(&stats));
+  NotifyPhaseComplete(iteration, DebugPhase::kBind, stats.query_seconds);
+  result.complaints_resolved = stats.violated_complaints == 0;
+  report_.complaints_resolved = result.complaints_resolved;
+  if (result.complaints_resolved && config_.stop_when_resolved) {
+    RecordIteration(&stats, &result);
+    Finish(StepStatus::kResolved);
+    result.status = StepStatus::kResolved;
+    return result;
+  }
+  if (CheckInterrupted(DebugPhase::kBind, &stats, &result)) return result;
+
+  Result<RankOutput> ranked = RankPhase(bound, &stats);
+  if (!ranked.ok()) {
+    // In-loop cancellation inside the solve: wind down as an interruption
+    // after the last *completed* phase.
+    if (ranked.status().IsCancelled() &&
+        CheckInterrupted(DebugPhase::kBind, &stats, &result)) {
+      return result;
+    }
+    return ranked.status();
+  }
+  NotifyPhaseComplete(iteration, DebugPhase::kRank,
+                      stats.encode_seconds + stats.rank_seconds);
+  if (CheckInterrupted(DebugPhase::kRank, &stats, &result)) return result;
+
+  Timer fix_timer;
+  const int removed = FixPhase(*ranked, iteration, &result);
+  NotifyPhaseComplete(iteration, DebugPhase::kFix, fix_timer.ElapsedSeconds());
+  RecordIteration(&stats, &result);
+  if (removed == 0) {  // nothing left to delete
+    Finish(StepStatus::kNoProgress);
+    result.status = StepStatus::kNoProgress;
+  } else {
+    result.status = StepStatus::kIterated;
   }
   return result;
 }
 
-Result<StepResult> DebugSession::Step() {
-  CheckNotInObserverCallback("DebugSession::Step");
-  if (async_in_flight()) {
-    return Status::InvalidArgument(
-        "DebugSession::Step: an async drive is in flight; wait on its future");
-  }
-  return StepImpl(/*pipelined=*/false);
-}
-
 Result<DebugReport> DebugSession::RunToCompletion(const StopCondition& stop) {
   CheckNotInObserverCallback("DebugSession::RunToCompletion");
-  if (async_in_flight()) {
-    return Status::InvalidArgument(
-        "DebugSession::RunToCompletion: an async drive is in flight; wait on "
-        "its future");
-  }
   // The stop condition is consulted BEFORE each step: resuming with an
   // already-satisfied condition must not run (and irreversibly delete
   // records in) an extra iteration.
   while (!finished_) {
     if (stop && stop(report_)) break;
-    RAIN_ASSIGN_OR_RETURN(StepResult step, StepImpl(/*pipelined=*/false));
+    RAIN_ASSIGN_OR_RETURN(StepResult step, Step());
     if (step.status != StepStatus::kIterated) break;
   }
   return report_;
-}
-
-// ------------------------------------------------------------ async drive
-
-void DebugSession::ReapDriverThread() {
-  if (driver_thread_.joinable()) driver_thread_.join();
-}
-
-Result<DebugReport> DebugSession::DriveLoop(const StopCondition& stop,
-                                            AsyncOptions options) {
-  while (!finished_) {
-    if (stop && stop(report_)) break;
-    Result<StepResult> step = StepImpl(options.speculate);
-    RAIN_RETURN_NOT_OK(step.status());
-    if (step->status != StepStatus::kIterated) break;
-  }
-  // A pause (stop condition) keeps any pending speculation alive: the
-  // next drive — or a synchronous Step — validates and consumes it with
-  // the exact same rule. Terminal states abandoned it in Finish().
-  return report_;
-}
-
-Future<Result<StepResult>> DebugSession::StepAsync(AsyncOptions options) {
-  CheckNotInObserverCallback("DebugSession::StepAsync");
-  Promise<Result<StepResult>> promise;
-  Future<Result<StepResult>> future = promise.future();
-  if (async_active_.exchange(true, std::memory_order_acq_rel)) {
-    promise.Set(Status::InvalidArgument(
-        "DebugSession::StepAsync: an async drive is already in flight"));
-    return future;
-  }
-  ReapDriverThread();
-  driver_thread_ = std::thread([this, options, promise]() mutable {
-    Result<StepResult> out = StepImpl(options.speculate);
-    async_active_.store(false, std::memory_order_release);
-    promise.Set(std::move(out));
-  });
-  return future;
-}
-
-Future<Result<DebugReport>> DebugSession::RunToCompletionAsync(
-    StopCondition stop, AsyncOptions options) {
-  CheckNotInObserverCallback("DebugSession::RunToCompletionAsync");
-  Promise<Result<DebugReport>> promise;
-  Future<Result<DebugReport>> future = promise.future();
-  if (async_active_.exchange(true, std::memory_order_acq_rel)) {
-    promise.Set(Status::InvalidArgument(
-        "DebugSession::RunToCompletionAsync: an async drive is already in "
-        "flight"));
-    return future;
-  }
-  ReapDriverThread();
-  driver_thread_ =
-      std::thread([this, stop = std::move(stop), options, promise]() mutable {
-        Result<DebugReport> out = DriveLoop(stop, options);
-        async_active_.store(false, std::memory_order_release);
-        promise.Set(std::move(out));
-      });
-  return future;
 }
 
 // ---------------------------------------------------------------- builder
@@ -1230,8 +806,7 @@ Future<Result<DebugReport>> DebugSession::RunToCompletionAsync(
 DebugSessionBuilder& DebugSessionBuilder::ranker(const std::string& name) {
   auto made = MakeRanker(name);
   if (made.ok()) {
-    owned_ranker_ = std::move(*made);
-    borrowed_ranker_ = nullptr;
+    ranker_ = std::move(*made);
     ranker_status_ = Status::OK();
   } else {
     ranker_status_ = made.status();
@@ -1244,8 +819,7 @@ Result<std::unique_ptr<DebugSession>> DebugSessionBuilder::Build() {
     return Status::InvalidArgument("DebugSessionBuilder: pipeline is required");
   }
   RAIN_RETURN_NOT_OK(ranker_status_);
-  Ranker* ranker = borrowed_ranker_ != nullptr ? borrowed_ranker_ : owned_ranker_.get();
-  if (ranker == nullptr) {
+  if (ranker_ == nullptr) {
     return Status::InvalidArgument(
         "DebugSessionBuilder: a ranker is required (use .ranker(...))");
   }
@@ -1301,7 +875,7 @@ Result<std::unique_ptr<DebugSession>> DebugSessionBuilder::Build() {
   }
 
   return std::unique_ptr<DebugSession>(
-      new DebugSession(pipeline_, std::move(owned_ranker_), ranker, resolved,
+      new DebugSession(pipeline_, std::move(ranker_), resolved,
                        std::move(workload_), std::move(exec)));
 }
 

@@ -1,7 +1,6 @@
 #ifndef RAIN_CORE_SESSION_H_
 #define RAIN_CORE_SESSION_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -14,8 +13,6 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "common/deprecation.h"
-#include "common/task_graph.h"
 #include "core/complaint.h"
 #include "core/debugger.h"
 #include "core/pipeline.h"
@@ -23,9 +20,6 @@
 #include "incremental/update.h"
 
 namespace rain {
-
-/// Result of a speculative train task (defined in session.cc).
-struct SpecOutcome;
 
 /// The phases of one train-rank-fix iteration (Section 5.1), in execution
 /// order. Cancellation and deadlines are checked at every phase boundary
@@ -85,13 +79,9 @@ struct StepResult {
 };
 
 /// Streaming progress interface. Callbacks fire synchronously on the
-/// stepping thread — the caller's thread for `Step()` /
-/// `RunToCompletion()`, the session's driver thread for `StepAsync()` /
-/// `RunToCompletionAsync()` — and always in deterministic phase order
-/// within an iteration, identical between the synchronous and pipelined
-/// paths (speculative work never notifies; its timing is delivered at the
-/// phase's canonical slot when it commits). Delivery is serialized under
-/// a session-level mutex. Observers are borrowed and must outlive the
+/// thread calling `Step()` / `RunToCompletion()`, in deterministic phase
+/// order within an iteration. Delivery is serialized under a
+/// session-level mutex. Observers are borrowed and must outlive the
 /// session.
 ///
 /// ## Re-entrancy contract (enforced)
@@ -100,14 +90,13 @@ struct StepResult {
 /// callback already runs under the session's observer mutex on the
 /// stepping thread, so a nested `Step()` / `RunToCompletion()` /
 /// `AddComplaints()` / `RemoveQuery()` / `set_deadline()` would deadlock
-/// or corrupt in-flight stage state. The session asserts (RAIN_CHECK,
+/// or corrupt in-flight phase state. The session asserts (RAIN_CHECK,
 /// fatal in every build mode) that these entry points are never called
 /// from the notifying thread while a callback is being delivered — which
 /// is what makes service-side per-session metrics observers safe to
 /// register unconditionally. The one sanctioned re-entry is
-/// `DebugSession::Cancel()` (it only sets a flag, honored on the async
-/// path too); reading `report()` state already handed to the callback is
-/// likewise fine.
+/// `DebugSession::Cancel()` (it only sets a flag); reading `report()`
+/// state already handed to the callback is likewise fine.
 class DebugObserver {
  public:
   virtual ~DebugObserver() = default;
@@ -117,9 +106,7 @@ class DebugObserver {
     (void)report;
   }
   /// A phase finished. `seconds` is the phase wall time (for kFix the
-  /// deletion bookkeeping time, not part of the Fig. 5 breakdown). For a
-  /// committed speculative train this is the overlapped task's own wall
-  /// time, delivered at the train slot of its iteration.
+  /// deletion bookkeeping time, not part of the Fig. 5 breakdown).
   virtual void OnPhaseComplete(int iteration, DebugPhase phase, double seconds) {
     (void)iteration;
     (void)phase;
@@ -135,18 +122,11 @@ class DebugObserver {
 };
 
 /// \brief The execution-resource knobs of a debug session, collected into
-/// one value (PR 6 API redesign).
-///
-/// PRs 1-5 accreted these one builder setter at a time (`parallelism`,
-/// `set_num_shards`, `deadline` / `timeout_seconds`, `observer`); this
-/// struct collapses them so the same value can configure a standalone
+/// one value, so the same value configures a standalone
 /// `DebugSessionBuilder` (via `set_execution`) and a `DebugService`
-/// session admission verbatim. The legacy setters survive as
-/// `RAIN_DEPRECATED` shims with identical semantics (bitwise-equal
-/// sessions; tested).
+/// session admission verbatim.
 ///
-/// All fields are plain data; the fluent setters just make call sites
-/// read like the old builder chains.
+/// All fields are plain data; the fluent setters let call sites chain.
 struct ExecutionOptions {
   /// Worker count applied end-to-end across an iteration (see
   /// `DebugConfig::parallelism` for the inheritance rule).
@@ -203,34 +183,6 @@ StopCondition StopAfterIterations(int n);
 /// A StopCondition pausing once the cumulative explanation reaches `n`
 /// deletions.
 StopCondition StopAfterDeletions(size_t n);
-
-/// Knobs for the pipelined stepping modes (`StepAsync`,
-/// `RunToCompletionAsync`).
-struct AsyncOptions {
-  /// Overlap iterations: while iteration *i* runs its rank phase, start
-  /// iteration *i+1*'s train phase speculatively on a snapshot of the
-  /// training set with the *predicted* fix deletions applied. The
-  /// speculation is validated against the actual fix deletions and
-  /// replayed when it was wrong, so the deletion sequence stays bitwise
-  /// identical to synchronous stepping either way. `false` keeps the
-  /// async entry points but steps with strict phase barriers.
-  bool speculate = true;
-};
-
-/// Bookkeeping for the speculation pipeline (cumulative per session).
-struct AsyncStats {
-  /// Speculative train tasks handed to the task graph.
-  int speculations_launched = 0;
-  /// Speculations whose predicted deletions matched the fix phase exactly
-  /// and whose trained parameters were adopted (no synchronous retrain).
-  int speculations_committed = 0;
-  /// Speculations invalidated (or failed) and replayed synchronously.
-  int speculations_replayed = 0;
-  /// Iterations whose fix phase completed only after the *next*
-  /// iteration's speculative train had already started — the observable
-  /// phase overlap the pipeline exists for.
-  int overlapped_iterations = 0;
-};
 
 /// \brief Batched multi-query bind (Section 6.5): executes every
 /// complained-about query in debug mode and binds all complaints against
@@ -290,72 +242,35 @@ struct BindCacheStats {
 
 /// \brief A resumable train-rank-fix debugging session (Section 5.1).
 ///
-/// Where the legacy `Debugger::Run` executed the whole loop as one opaque
-/// blocking call, a session makes the loop a first-class object:
+/// The loop is a first-class object:
 ///
 ///   - `Step()` runs exactly one train-rank-fix iteration and reports what
 ///     happened; stepping a finished session is a safe no-op.
 ///   - `RunToCompletion()` drives `Step()` until a terminal state (or an
 ///     optional `StopCondition` pauses it).
-///   - `StepAsync()` / `RunToCompletionAsync()` run the same loop on a
-///     session-owned driver thread and return futures, pipelining
-///     iterations through the task graph (see below).
 ///   - `Cancel()` (thread-safe) and deadlines stop the loop at the next
 ///     phase boundary — or mid-phase, via the cancellation token plumbed
 ///     into the training and CG loops — leaving a valid partial
 ///     `DebugReport`.
 ///   - `DebugObserver`s stream per-phase progress (the Fig. 5/12 timing
 ///     breakdowns) while the loop runs.
-///   - `AddComplaints` / `RemoveQuery` mutate the workload between steps,
-///     so Section 6.5 multi-complaint workloads can be grown incrementally
-///     instead of re-run from scratch.
+///   - `AddComplaints` / `RemoveQuery` / `ApplyUpdate` mutate the workload
+///     and training data between steps, so Section 6.5 multi-complaint
+///     workloads can be grown incrementally instead of re-run from
+///     scratch.
 ///
-/// ## Stages and the speculation/replay pipeline
-///
-/// An iteration is executed as four explicit stages with declared inputs
-/// and outputs (see `Stages()`): train consumes the active training set
-/// and produces model parameters + fresh prediction views; bind consumes
-/// the workload + views and produces bound complaints over a fresh arena;
-/// rank consumes the bound complaints and produces removal scores; fix
-/// consumes the scores and produces deletions (mutating the active set).
-/// The only cross-iteration edge is fix(i) → train(i+1), and the
-/// pipelined driver breaks it *speculatively*: when rank(i) starts, it
-/// predicts fix(i)'s deletions from the previous iteration's scores
-/// (exactly replaying the fix selection rule; no prior scores = predict
-/// none), applies them to a private snapshot of the training set, and
-/// trains a `Model::Clone()` on that snapshot as a task-graph task
-/// overlapping the CG solves. After fix(i) runs for real, the prediction
-/// is validated against the actual deletion list: on an exact match the
-/// clone's parameters are adopted (bitwise what a synchronous retrain
-/// would have produced — same warm start, same active rows, same
-/// deterministic L-BFGS); on a mismatch the speculation is cancelled,
-/// discarded, and train(i+1) replays synchronously. Either way the
-/// deletion sequence is bitwise-identical to `RunToCompletion`.
-///
-/// While an async drive is in flight, `Step()`/`RunToCompletion()` return
-/// an error and the mutating entry points (`AddComplaints`, `RemoveQuery`,
-/// `set_deadline`, `clear_deadline`) must not be called — only `Cancel()`
-/// stays safe from any thread; everything else waits for the future.
+/// An iteration is the strict sequence the paper describes: train on the
+/// active training set (fresh model parameters and prediction views),
+/// bind the workload's complaints to the queries' provenance under those
+/// predictions, rank the training records, and fix by deleting the top-k
+/// (which the next train then sees).
 ///
 /// Sessions are created by `DebugSessionBuilder`. The pipeline is borrowed
-/// and must outlive the session; the session owns its ranker (unless built
-/// with a borrowed one by the `Debugger` compatibility shim).
+/// and must outlive the session; the session owns its ranker.
 class DebugSession {
  public:
   DebugSession(const DebugSession&) = delete;
   DebugSession& operator=(const DebugSession&) = delete;
-  /// Cancels and joins any in-flight async work.
-  ~DebugSession();
-
-  /// Declared dataflow of one iteration, in execution order.
-  struct StageSpec {
-    DebugPhase phase;
-    const char* inputs;
-    const char* outputs;
-  };
-  /// The four stages `Step()` drives; the strings document each stage's
-  /// consumed/produced state for introspection and tests.
-  static const std::array<StageSpec, 4>& Stages();
 
   /// Runs one train-rank-fix iteration: train -> bind -> rank -> fix, with
   /// observer callbacks after each phase and cancellation/deadline checks
@@ -369,47 +284,24 @@ class DebugSession {
   /// (resume by calling again, or mutate the workload in between).
   Result<DebugReport> RunToCompletion(const StopCondition& stop = StopCondition());
 
-  /// One iteration on the session's driver thread; with
-  /// `options.speculate` it also launches the next iteration's
-  /// speculative train during the rank phase (consumed by whichever step
-  /// runs next). At most one async call may be in flight per session; a
-  /// second call resolves immediately with an error.
-  Future<Result<StepResult>> StepAsync(AsyncOptions options = AsyncOptions());
-
-  /// `RunToCompletion` on the session's driver thread, pipelining
-  /// iterations (see class comment). The deletion sequence is
-  /// bitwise-identical to the synchronous path for every worker count and
-  /// speculation setting.
-  Future<Result<DebugReport>> RunToCompletionAsync(
-      StopCondition stop = StopCondition(), AsyncOptions options = AsyncOptions());
-
-  /// True while an async step/run is executing on the driver thread.
-  bool async_in_flight() const {
-    return async_active_.load(std::memory_order_acquire);
-  }
-  /// Speculation counters (read after the async future resolved).
-  const AsyncStats& async_stats() const { return async_stats_; }
-
   /// Requests cancellation; safe to call from any thread or from observer
   /// callbacks. Observed at the next phase boundary, and inside the
   /// train / rank loops within one optimizer iteration / CG product.
   void Cancel() { cancel_token_.Cancel(); }
   bool cancel_requested() const { return cancel_token_.cancelled(); }
-  /// The session's cancellation token (parent of every token handed to
-  /// phase kernels and speculative tasks).
+  /// The session's cancellation token (the one handed to phase kernels).
   const CancellationToken& cancel_token() const { return cancel_token_; }
 
   /// Sets / replaces the deadline. A future deadline reopens a session
   /// that finished with kDeadlineExceeded. Like the workload mutators,
-  /// must not be called while an async drive is in flight (use `Cancel()`
-  /// for cross-thread interruption).
+  /// must not be called while another thread steps the session (use
+  /// `Cancel()` for cross-thread interruption).
   void set_deadline(std::chrono::steady_clock::time_point deadline);
   void clear_deadline();
 
   /// Appends a query+complaints batch to the workload, returning its slot
   /// index. Reopens a session that finished with kResolved (the new
-  /// complaints may be violated). Must not be called while an async drive
-  /// is in flight.
+  /// complaints may be violated).
   size_t AddComplaints(QueryComplaints batch);
   /// Removes the workload entry at `index` (later slots shift down by
   /// one). Returns false when out of range.
@@ -439,8 +331,8 @@ class DebugSession {
   /// paths to the same optimum (see docs/architecture.md).
   ///
   /// Reopens a session that finished kResolved when the batch is
-  /// non-empty. Like the other mutators: must not be called while an
-  /// async drive is in flight, nor from an observer callback. Errors
+  /// non-empty. Like the other mutators: must not be called while another
+  /// thread steps the session, nor from an observer callback. Errors
   /// (out-of-range rows/labels/indices) leave the session unchanged.
   Result<UpdateReport> ApplyUpdate(const UpdateBatch& batch,
                                    const UpdateOptions& options = UpdateOptions());
@@ -453,10 +345,6 @@ class DebugSession {
   const BindCacheStats& bind_cache_stats() const { return bind_cache_stats_; }
   /// Rank turns that reused the cached relaxed-poly batch structure.
   size_t encode_reuses() const { return encode_cache_.reuses; }
-  /// The last rank turn's CG solution (empty before the first rank turn or
-  /// when the ranker ran no influence solve); what `ApplyUpdate` patches
-  /// touched-row influence previews against.
-  const Vec& last_influence_solution() const { return last_cg_solution_; }
 
   /// The cumulative report: deletion sequence (explanation D), one
   /// IterationStats per (possibly partial) iteration, resolution flag.
@@ -477,32 +365,18 @@ class DebugSession {
   /// `exec` is the RESOLVED execution bundle: `Build()` has already folded
   /// `timeout_seconds` into `deadline` and copied parallelism / shards into
   /// `config`; the ctor consumes only deadline, parent_cancel, observers.
-  DebugSession(Query2Pipeline* pipeline, std::unique_ptr<Ranker> owned_ranker,
-               Ranker* ranker, DebugConfig config,
-               std::vector<QueryComplaints> workload, ExecutionOptions exec);
+  DebugSession(Query2Pipeline* pipeline, std::unique_ptr<Ranker> ranker,
+               DebugConfig config, std::vector<QueryComplaints> workload,
+               ExecutionOptions exec);
 
-  /// Mutable state threaded through one step's stages.
-  struct StageScope;
-  /// In-flight speculative train state (self-contained; the task keeps it
-  /// alive through a shared_ptr even if the session dies first).
-  struct Speculation;
-  enum class StageAction : uint8_t { kContinue, kStepDone };
-
-  /// One iteration through the declared stages. `pipelined` enables the
-  /// speculation hooks (launch during rank, started-before-fix handoff).
-  Result<StepResult> StepImpl(bool pipelined);
-  Result<StageAction> RunStage(DebugPhase phase, StageScope* scope);
-
-  // --- The four stages (split out of the legacy monolithic Debugger::Run;
-  // StepImpl drives them through the declared-stage table).
-  /// (Re)trains on surviving records, warm start. Consumes a pending
-  /// speculation first: commit on an exact deletion-prediction match,
-  /// cancel + replay otherwise.
+  // --- The four phases of one iteration, run in order by Step().
+  /// (Re)trains on surviving records, warm start.
   Status TrainPhase(IterationStats* stats);
-  /// Re-runs every complained-about query in debug mode against a fresh
-  /// arena and binds all complaints to the new provenance. The per-query
-  /// executions are batched through `BindWorkload` at the session's
-  /// parallelism; results are bitwise-independent of the worker count.
+  /// Re-runs every complained-about query in debug mode and binds all
+  /// complaints to the provenance (through the bind cache when enabled).
+  /// The per-query executions are batched through `BindWorkloadEntries`
+  /// at the session's parallelism; results are bitwise-independent of
+  /// the worker count.
   Result<std::vector<BoundComplaint>> BindPhase(IterationStats* stats);
   /// Ranks training records with the configured approach.
   Result<RankOutput> RankPhase(const std::vector<BoundComplaint>& bound,
@@ -511,30 +385,9 @@ class DebugSession {
   /// and streams OnDeletion callbacks.
   int FixPhase(const RankOutput& ranked, int iteration, StepResult* result);
 
-  // --- Speculation pipeline.
-  /// Launches the speculative train for `next_iteration` on the task
-  /// graph (no-op when unprofitable: budget exhausted or iteration cap).
-  void LaunchSpeculation(int next_iteration);
-  /// Replays the fix selection rule on the previous iteration's scores to
-  /// predict the upcoming fix deletions (empty when no scores yet).
-  std::vector<size_t> PredictFixDeletions() const;
-  /// Brings the snapshot dataset cache up to date with the live active
-  /// mask by applying the deletions recorded since the last sync.
-  void SyncSnapshotCache();
-  /// Returns the snapshot to the cache with the predicted deletions
-  /// rolled back.
-  void ReclaimSnapshot(std::shared_ptr<Speculation> spec);
-  /// Validates + commits (or cancels + discards) the pending speculation;
-  /// returns true when the trained parameters were adopted.
-  bool TryCommitSpeculation(IterationStats* stats);
-  /// Cancels and reclaims a pending speculation without consuming it
-  /// (terminal states, destruction).
-  void AbandonSpeculation();
-  static void WaitSpecStarted(Speculation* spec);
-  /// Waits for the task's Future and returns its outcome (a failed /
-  /// throwing task reads as a failed speculation).
-  static SpecOutcome WaitSpecOutcome(Speculation* spec);
-
+  /// Appends `stats` to the report as one (possibly partial) iteration and
+  /// copies it into `result`.
+  void RecordIteration(IterationStats* stats, StepResult* result);
   /// Cancel/deadline check at a phase boundary. When interrupted
   /// mid-iteration, records the partial stats (note says after which
   /// phase) and finishes the session; returns true if interrupted.
@@ -559,13 +412,8 @@ class DebugSession {
   /// notifying thread.
   void CheckNotInObserverCallback(const char* entry) const;
 
-  /// Joins a finished driver thread so a new async call can reuse it.
-  void ReapDriverThread();
-  Result<DebugReport> DriveLoop(const StopCondition& stop, AsyncOptions options);
-
   Query2Pipeline* pipeline_;
-  std::unique_ptr<Ranker> owned_ranker_;
-  Ranker* ranker_;  // == owned_ranker_.get() unless borrowed (shim)
+  std::unique_ptr<Ranker> ranker_;
   DebugConfig config_;
   std::vector<QueryComplaints> workload_;
   std::vector<DebugObserver*> observers_;
@@ -580,21 +428,6 @@ class DebugSession {
   bool finished_ = false;
   StepStatus finish_status_ = StepStatus::kAlreadyFinished;
   CancellationToken cancel_token_;
-
-  // --- Async/pipelining state (touched only by the driving thread, the
-  // guarded entry points, and self-contained speculation tasks).
-  TaskGraph graph_;
-  std::atomic<bool> async_active_{false};
-  std::thread driver_thread_;
-  AsyncStats async_stats_;
-  std::shared_ptr<Speculation> pending_spec_;
-  /// Previous rank phase's scores — the deletion predictor's input.
-  std::vector<double> last_scores_;
-  /// Lazily built copy of the training set reused across speculations;
-  /// `snapshot_deletions_applied_` counts the report_.deletions prefix
-  /// already applied to its active mask.
-  std::unique_ptr<Dataset> snapshot_cache_;
-  size_t snapshot_deletions_applied_ = 0;
 
   // --- Incremental engine state (src/incremental/update.h;
   // docs/architecture.md, "Incremental engine").
@@ -636,8 +469,6 @@ class DebugSession {
   /// parameters untouched, and the prediction refresh recomputes the
   /// identical matrix.
   bool train_memo_valid_ = false;
-  /// The last rank turn's CG solution (see last_influence_solution()).
-  Vec last_cg_solution_;
   /// Model parameters at session construction — the cold-start point the
   /// full-recompute path restores.
   Vec initial_params_;
@@ -667,10 +498,9 @@ class DebugSessionBuilder {
  public:
   explicit DebugSessionBuilder(Query2Pipeline* pipeline) : pipeline_(pipeline) {}
 
-  /// The ranking strategy (required unless `shared_ranker` is used).
+  /// The ranking strategy (required).
   DebugSessionBuilder& ranker(std::unique_ptr<Ranker> ranker) {
-    owned_ranker_ = std::move(ranker);
-    borrowed_ranker_ = nullptr;
+    ranker_ = std::move(ranker);
     ranker_status_ = Status::OK();  // installing a ranker supersedes a
                                     // failed ranker(name) attempt
     return *this;
@@ -678,16 +508,6 @@ class DebugSessionBuilder {
   /// Convenience: ranker by factory name ("loss", "infloss", "twostep",
   /// "holistic", "auto"); unknown names surface as a Build() error.
   DebugSessionBuilder& ranker(const std::string& name);
-  /// A borrowed ranker the caller keeps ownership of (must outlive the
-  /// session). Used by the `Debugger::Run` compatibility shim, whose
-  /// ranker can span multiple Run calls.
-  DebugSessionBuilder& shared_ranker(Ranker* ranker) {
-    borrowed_ranker_ = ranker;
-    owned_ranker_.reset();
-    ranker_status_ = Status::OK();
-    return *this;
-  }
-
   /// Records removed per train-rank-fix iteration (paper: 10).
   DebugSessionBuilder& top_k_per_iter(int v) {
     config_.top_k_per_iter = v;
@@ -711,20 +531,16 @@ class DebugSessionBuilder {
   /// shard count, deadline/timeout, parent cancellation token, observers.
   ///
   /// This is the one knob surface shared with the serve layer — a
-  /// `DebugService` admits sessions from exactly this struct — and the
-  /// replacement for the deprecated per-knob setters below. Field
+  /// `DebugService` admits sessions from exactly this struct. Field
   /// semantics:
   ///
   ///   - `parallelism` / `num_shards` overwrite the corresponding
-  ///     `DebugConfig` fields (same slots the deprecated setters and
-  ///     `config()` write, so mixing old and new calls keeps plain
-  ///     last-write-wins ordering). `Build()` then resolves inheritance
-  ///     and installs the shard plan exactly as before; see the class
-  ///     comment and docs/architecture.md, "Shard plan".
+  ///     `DebugConfig` fields (the same slots `config()` writes, so the
+  ///     later call wins). `Build()` then resolves inheritance and
+  ///     installs the shard plan; see the class comment,
+  ///     `DebugConfig::num_shards` and docs/architecture.md, "Shard plan".
   ///   - `deadline` / `timeout_seconds` / `parent_cancel` / `observers`
-  ///     REPLACE any previously supplied execution bundle wholesale
-  ///     (including observers registered through the deprecated
-  ///     `observer()` shim).
+  ///     REPLACE any previously supplied execution bundle wholesale.
   DebugSessionBuilder& set_execution(ExecutionOptions exec) {
     config_.parallelism = exec.parallelism;
     config_.num_shards = exec.num_shards;
@@ -732,39 +548,6 @@ class DebugSessionBuilder {
     return *this;
   }
 
-  /// \deprecated Use `set_execution(ExecutionOptions().set_parallelism(v))`.
-  /// Worker count applied end-to-end across an iteration; see class
-  /// comment for the inheritance rule.
-  RAIN_DEPRECATED("use set_execution(ExecutionOptions().set_parallelism(...))")
-  DebugSessionBuilder& parallelism(int v) {
-    config_.parallelism = v;
-    exec_.parallelism = v;
-    return *this;
-  }
-  /// \deprecated Use `set_execution(ExecutionOptions().set_num_shards(v))`.
-  ///
-  /// Shard count for the training/influence pipeline. The default
-  /// 0 means "no opinion": `Build()` then adopts whatever plan is already
-  /// installed on the pipeline (none = unsharded). Clear an installed
-  /// plan explicitly with `Query2Pipeline::set_num_shards(0)`.
-  ///
-  /// `Build()` installs a uniform `ShardPlan` over the pipeline's
-  /// training set (`Query2Pipeline::set_num_shards`) and threads the
-  /// resulting `ShardedDataset` view through TrainPhase (shard-exact
-  /// loss/gradient kernels), RankPhase (shard-parallel
-  /// ScoreAll/SelfInfluenceAll and the CG HVP loop; per-shard score
-  /// vectors merge in shard order), and FixPhase (deletions routed to
-  /// the owning shard's bookkeeping). Sharded deletion sequences are
-  /// bitwise-identical to the unsharded sequential path at every shard
-  /// count x worker count; the CG/L-BFGS parameter-dimension vector
-  /// kernels are pinned sequential under sharding to keep that
-  /// worker-invariance. See docs/architecture.md, "Shard plan".
-  RAIN_DEPRECATED("use set_execution(ExecutionOptions().set_num_shards(...))")
-  DebugSessionBuilder& set_num_shards(int v) {
-    config_.num_shards = v;
-    exec_.num_shards = v;
-    return *this;
-  }
   DebugSessionBuilder& influence(const InfluenceOptions& v) {
     config_.influence = v;
     return *this;
@@ -789,33 +572,10 @@ class DebugSessionBuilder {
     config_.bind_cache = v;
     return *this;
   }
-  /// Bulk import of a legacy `DebugConfig` (compatibility shim and
-  /// config-sweeping benches); individual setters may refine it after.
+  /// Bulk import of a whole `DebugConfig` (config-sweeping benches);
+  /// individual setters may refine it after.
   DebugSessionBuilder& config(const DebugConfig& c) {
     config_ = c;
-    return *this;
-  }
-
-  /// \deprecated Use `set_execution(ExecutionOptions().add_observer(obs))`.
-  /// Registers a streaming observer (borrowed; repeatable).
-  RAIN_DEPRECATED("use set_execution(ExecutionOptions().add_observer(...))")
-  DebugSessionBuilder& observer(DebugObserver* obs) {
-    exec_.add_observer(obs);
-    return *this;
-  }
-  /// \deprecated Use `set_execution(ExecutionOptions().set_deadline(tp))`.
-  /// Absolute deadline checked between phases (and inside phase loops).
-  RAIN_DEPRECATED("use set_execution(ExecutionOptions().set_deadline(...))")
-  DebugSessionBuilder& deadline(std::chrono::steady_clock::time_point tp) {
-    exec_.deadline = tp;
-    return *this;
-  }
-  /// \deprecated Use
-  /// `set_execution(ExecutionOptions().set_timeout_seconds(s))`.
-  /// Relative deadline in seconds from Build() time.
-  RAIN_DEPRECATED("use set_execution(ExecutionOptions().set_timeout_seconds(...))")
-  DebugSessionBuilder& timeout_seconds(double seconds) {
-    exec_.timeout_seconds = seconds;
     return *this;
   }
 
@@ -836,15 +596,15 @@ class DebugSessionBuilder {
 
  private:
   Query2Pipeline* pipeline_;
-  std::unique_ptr<Ranker> owned_ranker_;
-  Ranker* borrowed_ranker_ = nullptr;
+  std::unique_ptr<Ranker> ranker_;
   Status ranker_status_;  // deferred error from ranker(name)
   DebugConfig config_;
   std::vector<QueryComplaints> workload_;
   /// The execution bundle handed to the session. `parallelism` /
-  /// `num_shards` are mirrored into `config_` at setter time (so legacy
-  /// setters and `config()` interleave with last-write-wins semantics);
-  /// Build() reads deadline/timeout/parent_cancel/observers from here.
+  /// `num_shards` are mirrored into `config_` at setter time (so
+  /// `set_execution` and `config()` interleave with last-write-wins
+  /// semantics); Build() reads deadline/timeout/parent_cancel/observers
+  /// from here.
   ExecutionOptions exec_;
 };
 

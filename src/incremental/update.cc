@@ -32,33 +32,4 @@ size_t DeltaLog::total_touched() const {
   return total;
 }
 
-size_t PatchInfluenceScores(const Model& model, const Dataset& train,
-                            const Vec& solution,
-                            const std::vector<size_t>& touched,
-                            std::vector<double>* scores) {
-  if (solution.empty() || scores == nullptr) return 0;
-  const size_t coeff_size = model.loss_grad_coeff_size();
-  Vec grad(model.num_params(), 0.0);
-  Vec coeffs(coeff_size, 0.0);
-  size_t patched = 0;
-  for (size_t i : touched) {
-    if (i >= scores->size() || i >= train.size()) continue;
-    if (!train.active(i)) {
-      (*scores)[i] = 0.0;
-      ++patched;
-      continue;
-    }
-    grad.assign(model.num_params(), 0.0);
-    if (coeff_size > 0) {
-      model.LossGradCoeffs(train.row(i), train.label(i), coeffs.data());
-      model.ApplyLossGradCoeffs(train.row(i), coeffs.data(), &grad);
-    } else {
-      model.AddExampleLossGradient(train.row(i), train.label(i), &grad);
-    }
-    (*scores)[i] = -vec::Dot(solution, grad);
-    ++patched;
-  }
-  return patched;
-}
-
 }  // namespace rain

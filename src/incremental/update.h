@@ -5,11 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "core/debugger.h"
-#include "ml/dataset.h"
-#include "ml/model.h"
-#include "tensor/vector_ops.h"
 
 namespace rain {
 
@@ -96,9 +92,6 @@ struct UpdateOptions {
   /// this fraction of the training set. 256 rows on Adult-scale data sit
   /// comfortably below the default.
   double incremental_threshold = 0.25;
-  /// Compute the patched-influence preview (`UpdateReport::patched_*`)
-  /// for touched rows against the last rank turn's CG solution.
-  bool preview_influence = true;
 };
 
 /// What `ApplyUpdate` did. `incremental == false` means the full
@@ -116,9 +109,6 @@ struct UpdateReport {
   size_t tombstoned_complaints = 0;
   /// True when the batch reopened a session that had finished kResolved.
   bool reopened = false;
-  /// Rows whose influence scores were patched in the preview (0 when no
-  /// rank turn has run yet or the preview was disabled).
-  size_t patched_scores = 0;
   double seconds = 0.0;
   std::string note;
 };
@@ -151,30 +141,6 @@ class DeltaLog {
  private:
   std::vector<DeltaLogEntry> entries_;
 };
-
-/// \brief Patch influence scores for `touched` rows only, in place.
-///
-/// `solution` is the CG solution s = (H + damping I)^-1 q_grad cached
-/// from the last rank turn. For each touched row i this recomputes
-/// score(i) = -grad_l(z_i) . s — exactly the arithmetic
-/// `InfluenceScorer::Score(i)` performs against the same solution, via
-/// the shard-exact coefficient kernels (`LossGradCoeffs` /
-/// `ApplyLossGradCoeffs`) when the model implements them and the
-/// sequential `AddExampleLossGradient` loop otherwise (both addend
-/// sequences are bitwise-identical by the kernel contract). Inactive
-/// rows score 0.0, matching the scorer. Rows outside [0, scores->size())
-/// are ignored.
-///
-/// This is O(|touched| * d) — the rank-structured correction the
-/// incremental engine uses to preview post-update scores without a new
-/// Hessian solve. It is exact with respect to the *cached* solution; a
-/// new rank turn (new q_grad, new CG solve) supersedes it.
-///
-/// Returns the number of rows patched.
-size_t PatchInfluenceScores(const Model& model, const Dataset& train,
-                            const Vec& solution,
-                            const std::vector<size_t>& touched,
-                            std::vector<double>* scores);
 
 }  // namespace rain
 

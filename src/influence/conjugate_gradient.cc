@@ -57,17 +57,4 @@ Result<CgReport> ConjugateGradient(const LinearOperator& op, const Vec& b,
   return report;
 }
 
-Future<Result<CgReport>> ConjugateGradientAsync(
-    TaskGraph* graph, const LinearOperator& op, const Vec& b,
-    const CgOptions& options, const std::vector<TaskGraph::TaskId>& deps) {
-  return graph->Submit(
-      "cg-solve", deps,
-      [op, b, options](const CancellationToken& token) -> Result<CgReport> {
-        CgOptions effective = options;
-        if (effective.cancel == nullptr) effective.cancel = &token;
-        return ConjugateGradient(op, b, effective);
-      });
-}
-
 }  // namespace rain
-

@@ -5,7 +5,6 @@
 
 #include "common/cancellation.h"
 #include "common/result.h"
-#include "common/task_graph.h"
 #include "tensor/vector_ops.h"
 
 namespace rain {
@@ -44,19 +43,6 @@ struct CgReport {
 /// needs HVPs, so time and space scale linearly in the parameter count.
 Result<CgReport> ConjugateGradient(const LinearOperator& op, const Vec& b,
                                    const CgOptions& options = CgOptions());
-
-/// \brief The CG solve as a cancellable task on a `TaskGraph`.
-///
-/// Submits the solve to `graph` (optionally after `deps`) and returns a
-/// future for its report. The graph-level token is installed as the
-/// solve's stop handle when `options.cancel` was not set, so
-/// `TaskGraph::Cancel()` aborts in-flight solves within one HVP; an
-/// explicitly provided `options.cancel` takes precedence. `op` and any
-/// state it captures must stay valid until the future resolves.
-Future<Result<CgReport>> ConjugateGradientAsync(
-    TaskGraph* graph, const LinearOperator& op, const Vec& b,
-    const CgOptions& options = CgOptions(),
-    const std::vector<TaskGraph::TaskId>& deps = {});
 
 }  // namespace rain
 

@@ -98,14 +98,12 @@ std::vector<double> InfluenceScorer::ScoreAll() const {
   // interruption before acting on them (DebugSession checks at the rank
   // boundary).
   if (options_.shards != nullptr) {
-    // Shards fan out through ParallelForCancellable directly (used to be
-    // one TaskGraph task per shard; the per-call graph setup/teardown was
-    // pure fixed cost per scoring pass). Each shard writes its slice of
-    // the score vector — the per-shard vectors are "merged" in shard
-    // order by construction — and the chunk count min(parallelism,
-    // num_shards) bounds in-flight shards exactly like the old sliding
-    // dependency window. The token is polled per shard and per record
-    // (ScoreRange); results are slice-disjoint either way.
+    // Shards fan out through ParallelForCancellable. Each shard writes its
+    // slice of the score vector — the per-shard vectors are "merged" in
+    // shard order by construction — and the chunk count
+    // min(parallelism, num_shards) bounds in-flight shards. The token is
+    // polled per shard and per record (ScoreRange); results are
+    // slice-disjoint either way.
     const ShardedDataset& shards = *options_.shards;
     ParallelForCancellable(
         options_.parallelism, shards.num_shards(), options_.cancel,

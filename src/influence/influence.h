@@ -70,12 +70,6 @@ class InfluenceScorer {
   /// Number of CG iterations used by Prepare (runtime accounting).
   int cg_iterations() const { return cg_iterations_; }
 
-  /// The CG solution s = (H + damping I)^-1 q_grad computed by Prepare
-  /// (empty before Prepare). The incremental engine caches this to patch
-  /// scores of delta-touched rows without a new Hessian solve
-  /// (`PatchInfluenceScores`, src/incremental/update.h).
-  const Vec& solution() const { return s_; }
-
   /// Adjusts the scoring worker count after construction (benchmarks sweep
   /// this; the prepared CG solution s is unaffected). When cg.parallelism
   /// was inherited rather than tuned explicitly, it follows this knob —

@@ -70,7 +70,7 @@ class Dataset {
   bool active(size_t i) const { return active_[i] != 0; }
   /// Marks record i as deleted; idempotent.
   void Deactivate(size_t i);
-  /// Undoes a single Deactivate (speculative-execution rollback);
+  /// Undoes a single Deactivate (a reactivate-row update delta);
   /// idempotent.
   void Reactivate(size_t i);
   /// Re-activates every record (fresh debugging run).

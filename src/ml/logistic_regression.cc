@@ -157,8 +157,4 @@ void LogisticRegression::ApplyHvpCoeffs(const double* x, const double* coeffs,
   if (fit_intercept_) (*out)[d_] += coef;
 }
 
-std::unique_ptr<Model> LogisticRegression::Clone() const {
-  return std::make_unique<LogisticRegression>(*this);
-}
-
 }  // namespace rain

@@ -30,7 +30,6 @@ class LogisticRegression : public Model {
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
-  std::unique_ptr<Model> Clone() const override;
 
   // Shard-exact per-row kernels: both the loss gradient and the HVP row
   // body are a single scalar coefficient times [x; 1].

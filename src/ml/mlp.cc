@@ -360,6 +360,4 @@ void Mlp::ApplyHvpCoeffs(const double* x, const double* coeffs, Vec* out) const 
   }
 }
 
-std::unique_ptr<Model> Mlp::Clone() const { return std::make_unique<Mlp>(*this); }
-
 }  // namespace rain

@@ -42,7 +42,6 @@ class Mlp : public Model {
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
-  std::unique_ptr<Model> Clone() const override;
 
   // Shard-exact per-row kernels. The coefficient blocks carry the
   // forward/backward intermediates the accumulation is rank-structured

@@ -64,7 +64,7 @@ class Model {
   /// prediction): partitions active rows into this many deterministic
   /// chunks on the shared thread pool. 1 (the default) is the exact
   /// sequential code path. Plumbed from TrainConfig / DebugConfig by the
-  /// trainer, pipeline, and debugger; Clone() preserves it.
+  /// trainer, pipeline, and debug session.
   int parallelism() const { return parallelism_; }
   void set_parallelism(int parallelism) {
     parallelism_ = parallelism < 1 ? 1 : parallelism;
@@ -103,8 +103,6 @@ class Model {
   /// term included). `out` is overwritten.
   virtual void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                                     Vec* out) const = 0;
-
-  virtual std::unique_ptr<Model> Clone() const = 0;
 
   /// Convenience: n x C probability matrix over every row of `data`
   /// (active or not; querying sets have no active mask semantics).

@@ -213,8 +213,4 @@ void SoftmaxRegression::ApplyHvpCoeffs(const double* x, const double* coeffs,
   }
 }
 
-std::unique_ptr<Model> SoftmaxRegression::Clone() const {
-  return std::make_unique<SoftmaxRegression>(*this);
-}
-
 }  // namespace rain

@@ -30,7 +30,6 @@ class SoftmaxRegression : public Model {
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
-  std::unique_ptr<Model> Clone() const override;
 
   // Shard-exact per-row kernels: both row bodies reduce to one
   // coefficient per class times [x; 1].

@@ -150,7 +150,6 @@ Result<ClientUpdateResult> DebugClient::UpdateCall(const std::string& line) {
   result.entries_cached = JsonGetInt(*response, "entries_cached").value_or(0);
   result.entries_invalidated =
       JsonGetInt(*response, "entries_invalidated").value_or(0);
-  result.patched = JsonGetInt(*response, "patched").value_or(0);
   result.reopened = JsonGetBool(*response, "reopened").value_or(false);
   return result;
 }

@@ -26,7 +26,6 @@ struct ClientUpdateResult {
   int64_t touched_rows = 0;
   int64_t entries_cached = 0;
   int64_t entries_invalidated = 0;
-  int64_t patched = 0;
   bool reopened = false;
 };
 

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "common/task_graph.h"
+#include "common/future.h"
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "core/session.h"

@@ -421,7 +421,6 @@ bool DebugServer::Dispatch(Connection* conn, const std::string& line) {
                             .Add("touched_rows", report->touched_rows)
                             .Add("entries_cached", report->entries_cached)
                             .Add("entries_invalidated", report->entries_invalidated)
-                            .Add("patched", report->patched_scores)
                             .Add("reopened", report->reopened)
                             .Add("seconds", report->seconds)));
     return true;

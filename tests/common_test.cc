@@ -268,17 +268,17 @@ TEST(SplitSeedTest, DeterministicAndStreamSeparated) {
 }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3);
   std::atomic<int> count{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared after the primitives its tasks use, so the pool joins its
+  // workers before `cv` and `mu` are destroyed: the waiter can see the
+  // count reach 100 before the last worker has taken `mu` to notify.
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3);
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&] {
       if (count.fetch_add(1) + 1 == 100) {
-        // Notify under the lock: the waiter cannot re-check its predicate
-        // (and destroy cv on test exit) until this worker is out of
-        // notify_one — keeps ThreadSanitizer's destruction race away.
         std::lock_guard<std::mutex> lock(mu);
         cv.notify_one();
       }

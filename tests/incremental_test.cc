@@ -2,8 +2,8 @@
 /// delta application, auto/incremental/full policy, incremental-vs-full
 /// deletion-sequence equivalence on DBLP and Adult, worker/shard invariance
 /// of the incremental path, delta-proportional bind work, exact train-skip
-/// memoization, tombstoning, influence-score patching, COW label-edit
-/// isolation, and validation atomicity.
+/// memoization, tombstoning, COW label-edit isolation, and validation
+/// atomicity.
 #include <algorithm>
 #include <cstdlib>
 #include <string>
@@ -18,11 +18,9 @@
 #include "data/dblp.h"
 #include "gtest/gtest.h"
 #include "incremental/update.h"
-#include "influence/influence.h"
 #include "ml/logistic_regression.h"
 #include "serve/builtin_datasets.h"
 #include "serve/debug_service.h"
-#include "tensor/vector_ops.h"
 
 namespace rain {
 namespace {
@@ -372,78 +370,12 @@ TEST(UpdatePolicyTest, AutoThresholdsOnTouchedFraction) {
   ASSERT_TRUE(large.ok());
   EXPECT_FALSE(large->incremental);
   EXPECT_EQ(large->entries_cached, 0u);
-  EXPECT_TRUE(session->last_influence_solution().empty());
 
   // Both batches (plus nothing else) are journaled.
   EXPECT_EQ(session->delta_log().size(), 2u);
   EXPECT_EQ(session->delta_log().total_touched(), 201u);
   // The session survives a full reset mid-flight.
   ASSERT_TRUE(session->RunToCompletion().ok());
-}
-
-// ------------------------------------------------- influence patching
-
-/// PatchInfluenceScores reproduces InfluenceScorer's arithmetic exactly:
-/// patching every row against the scorer's own CG solution recovers
-/// ScoreAll() bitwise, and patching a subset touches only that subset.
-TEST(InfluencePatch, MatchesScorerBitwise) {
-  DblpSetup setup = MakeCorruptedDblp();
-  Query2Pipeline* pipeline = setup.pipeline.get();
-  const Model* model = pipeline->model();
-  const Dataset* train = pipeline->train_data();
-
-  InfluenceScorer scorer(model, train);
-  Vec q_grad(model->num_params(), 1.0);
-  ASSERT_TRUE(scorer.Prepare(q_grad).ok());
-  const std::vector<double> reference = scorer.ScoreAll();
-  ASSERT_FALSE(scorer.solution().empty());
-
-  std::vector<size_t> all(train->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  std::vector<double> patched(train->size(), 0.0);
-  EXPECT_EQ(PatchInfluenceScores(*model, *train, scorer.solution(), all,
-                                 &patched),
-            train->size());
-  EXPECT_EQ(patched, reference);  // bitwise, element for element
-
-  // Subset patch after a data delta: touched rows get the fresh value,
-  // untouched rows keep the old one.
-  Dataset mutated = train->View();
-  mutated.set_label(setup.corrupted[0], 1);
-  mutated.Deactivate(setup.corrupted[1]);
-  const std::vector<size_t> touched = {setup.corrupted[0], setup.corrupted[1]};
-  std::vector<double> full_rescore(train->size(), 0.0);
-  PatchInfluenceScores(*model, mutated, scorer.solution(), all, &full_rescore);
-  std::vector<double> subset = reference;
-  EXPECT_EQ(PatchInfluenceScores(*model, mutated, scorer.solution(), touched,
-                                 &subset),
-            2u);
-  for (size_t i = 0; i < subset.size(); ++i) {
-    const bool is_touched =
-        std::find(touched.begin(), touched.end(), i) != touched.end();
-    EXPECT_EQ(subset[i], is_touched ? full_rescore[i] : reference[i]) << i;
-  }
-  EXPECT_EQ(subset[setup.corrupted[1]], 0.0);  // deactivated rows score 0
-}
-
-TEST(InfluencePatch, ApplyUpdatePreviewPatchesTouchedRows) {
-  DblpSetup setup = MakeCorruptedDblp();
-  auto session = BuildSession(setup.pipeline.get(),
-                              static_cast<double>(setup.true_count), 60);
-  ASSERT_TRUE(session->Step().ok());  // a rank turn caches the CG solution
-  ASSERT_FALSE(session->last_influence_solution().empty());
-
-  auto rep = session->ApplyUpdate(RevertCorruptionBatch(setup.corrupted, 5));
-  ASSERT_TRUE(rep.ok());
-  EXPECT_TRUE(rep->incremental);
-  EXPECT_EQ(rep->patched_scores, 5u);
-
-  UpdateOptions no_preview;
-  no_preview.preview_influence = false;
-  auto rep2 = session->ApplyUpdate(RevertCorruptionBatch(setup.corrupted, 5),
-                                   no_preview);
-  ASSERT_TRUE(rep2.ok());
-  EXPECT_EQ(rep2->patched_scores, 0u);
 }
 
 // ------------------------------------------------- COW label isolation

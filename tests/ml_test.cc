@@ -266,15 +266,6 @@ TEST(MlpTest, ProbaGradientMatchesFiniteDifference) {
   CheckProbaGradient(&m, d, 38);
 }
 
-TEST(MlpTest, CloneIsIndependent) {
-  Mlp m(3, 4, 2, 40);
-  auto c = m.Clone();
-  Vec theta = m.params();
-  theta[0] += 1.0;
-  m.set_params(theta);
-  EXPECT_NE(m.params()[0], c->params()[0]);
-}
-
 TEST(LbfgsTest, MinimizesQuadratic) {
   // f(x) = 0.5 (x - a)^T D (x - a), D diagonal positive.
   const Vec a{1.0, -2.0, 3.0};
@@ -398,13 +389,6 @@ TEST(MlpTest, ParallelKernelsMatchSequential) {
   Dataset d = RandomDataset(90, 6, 3, 71);
   Mlp m(6, 8, 3, /*seed=*/72);
   CheckParallelMatchesSequential(&m, d, 1e-3, 73);
-}
-
-TEST(MlpTest, CloneKeepsParallelism) {
-  Mlp m(4, 3, 2);
-  m.set_parallelism(4);
-  std::unique_ptr<Model> clone = m.Clone();
-  EXPECT_EQ(clone->parallelism(), 4);
 }
 
 /// \brief The blocked HVP bodies batch runs of consecutive ACTIVE rows

@@ -1,10 +1,10 @@
 /// End-to-end determinism on a generated scale-N workload
 /// (src/data/scale_gen.h, scale 0.1 = 10^4 Adult training rows): the
 /// debugger's deletion sequence must be bitwise identical to the
-/// 1-worker unsharded sync reference at every worker count x shard
-/// count, sync and async. This is the session-level pin for the
-/// fixed-cost work (grain-size control, scratch reuse, shard fan-out):
-/// none of it may move a single deletion.
+/// 1-worker unsharded reference at every worker count x shard count.
+/// This is the session-level pin for the fixed-cost work (grain-size
+/// control, scratch reuse, shard fan-out): none of it may move a single
+/// deletion.
 #include <cstdlib>
 #include <memory>
 #include <utility>
@@ -59,7 +59,7 @@ std::unique_ptr<Query2Pipeline> MakePipeline(const scale::ScaledWorkload& w) {
 
 /// One full debug run; returns the deletion sequence. `shards` 0 =
 /// unsharded, >= 1 = sharded execution at that count.
-std::vector<size_t> RunOnce(int workers, int shards, bool async) {
+std::vector<size_t> RunOnce(int workers, int shards) {
   const scale::ScaledWorkload& w = Workload();
   auto pipeline = MakePipeline(w);
   RAIN_CHECK(pipeline->Train().ok());
@@ -73,17 +73,16 @@ std::vector<size_t> RunOnce(int workers, int shards, bool async) {
                      .workload(w.workload)
                      .Build();
   RAIN_CHECK(session.ok()) << session.status().ToString();
-  auto report = async ? (*session)->RunToCompletionAsync().Get()
-                      : (*session)->RunToCompletion();
+  auto report = (*session)->RunToCompletion();
   RAIN_CHECK(report.ok()) << report.status().ToString();
   return report->deletions;
 }
 
 class ScaleSessionTest : public ::testing::Test {
  protected:
-  /// Reference: 1 worker, unsharded, synchronous.
+  /// Reference: 1 worker, unsharded.
   static const std::vector<size_t>& Reference() {
-    static const std::vector<size_t> ref = RunOnce(1, 0, /*async=*/false);
+    static const std::vector<size_t> ref = RunOnce(1, 0);
     return ref;
   }
 };
@@ -105,17 +104,9 @@ TEST_F(ScaleSessionTest, SyncDeletionSequenceInvariantAcrossWorkersAndShards) {
     for (int shards : TestShardCounts()) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " shards=" + std::to_string(shards));
-      EXPECT_EQ(RunOnce(workers, shards, /*async=*/false), Reference());
+      EXPECT_EQ(RunOnce(workers, shards), Reference());
     }
   }
-}
-
-TEST_F(ScaleSessionTest, AsyncPipelinedRunMatchesReference) {
-  const std::vector<int> shard_counts = TestShardCounts();
-  // The speculative train/rank overlap must not move a deletion either;
-  // two corners of the grid keep the async runs affordable.
-  EXPECT_EQ(RunOnce(2, shard_counts.front(), /*async=*/true), Reference());
-  EXPECT_EQ(RunOnce(8, shard_counts.back(), /*async=*/true), Reference());
 }
 
 }  // namespace

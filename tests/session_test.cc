@@ -1,15 +1,14 @@
 /// DebugSession semantics: stepping, convergence no-ops, cancellation
-/// between phases, observer ordering, workload mutation, deadline
-/// handling, parallelism inheritance, and equivalence of the legacy
-/// `Debugger::Run` shim with a directly driven session on the Fig. 5
-/// (DBLP 50% corruption) workload.
+/// between phases and mid-train, observer ordering, workload mutation,
+/// deadline handling, parallelism inheritance, and the batched bind on
+/// the Fig. 5 (DBLP 50% corruption) workload.
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <string>
 #include <vector>
 
-#include "common/deprecation.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/complaint.h"
@@ -256,6 +255,109 @@ TEST_F(SessionFixture, DeadlineInThePastStopsBeforeAnyWork) {
   auto resumed = (*session)->Step();
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(resumed->status, StepStatus::kIterated);
+}
+
+// ------------------------------------------------ mid-phase cancellation
+
+/// Forwards everything to an inner LogisticRegression, counting
+/// per-example gradient calls; once the count passes `cancel_after` (and
+/// a session is attached), cancels the session MID-train — the
+/// regression for in-loop token polling.
+class CancellingModel : public Model {
+ public:
+  CancellingModel(std::unique_ptr<Model> inner, int cancel_after,
+                  std::atomic<int>* calls)
+      : inner_(std::move(inner)), cancel_after_(cancel_after), calls_(calls) {}
+
+  void set_session(DebugSession* session) { session_ = session; }
+
+  int num_classes() const override { return inner_->num_classes(); }
+  size_t num_features() const override { return inner_->num_features(); }
+  size_t num_params() const override { return inner_->num_params(); }
+  const Vec& params() const override { return inner_->params(); }
+  void set_params(const Vec& theta) override { inner_->set_params(theta); }
+  void PredictProba(const double* x, double* probs) const override {
+    inner_->PredictProba(x, probs);
+  }
+  double ExampleLoss(const double* x, int y) const override {
+    return inner_->ExampleLoss(x, y);
+  }
+  void AddExampleLossGradient(const double* x, int y, Vec* grad) const override {
+    const int n = ++*calls_;
+    if (session_ != nullptr && n >= cancel_after_) session_->Cancel();
+    inner_->AddExampleLossGradient(x, y, grad);
+  }
+  void AddProbaGradient(const double* x, const Vec& class_weights,
+                        Vec* grad) const override {
+    inner_->AddProbaGradient(x, class_weights, grad);
+  }
+  void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
+                            Vec* out) const override {
+    inner_->HessianVectorProduct(data, v, l2, out);
+  }
+
+ private:
+  std::unique_ptr<Model> inner_;
+  int cancel_after_;
+  std::atomic<int>* calls_;
+  DebugSession* session_ = nullptr;
+};
+
+TEST(SessionCancelTest, CancelMidTrainStopsWithinOneOptimizerRound) {
+  // Fresh (never-trained) pipeline so the first TrainPhase has real work;
+  // the model cancels the session 50 gradient rows into the very first
+  // objective evaluation.
+  DblpConfig cfg;
+  cfg.train_size = 400;
+  cfg.query_size = 200;
+  cfg.seed = 99;
+  DblpData dblp = MakeDblp(cfg);
+  Rng rng(3);
+  CorruptLabels(&dblp.train, IndicesWithLabel(dblp.train, 1), 0.5, 0, &rng);
+  Catalog catalog;
+  RAIN_CHECK(
+      catalog.AddTable("dblp", std::move(dblp.query_table), std::move(dblp.query))
+          .ok());
+  std::atomic<int> calls{0};
+  auto model = std::make_unique<CancellingModel>(
+      std::make_unique<LogisticRegression>(kDblpFeatures), /*cancel_after=*/50,
+      &calls);
+  CancellingModel* raw_model = model.get();
+  auto pipeline = std::make_unique<Query2Pipeline>(std::move(catalog),
+                                                   std::move(model), dblp.train);
+
+  auto session = TestSessionBuilder(pipeline.get())
+                     .ranker("holistic")
+                     .top_k_per_iter(10)
+                     .max_deletions(50)
+                     .workload({CountComplaint(100)})
+                     .Build();
+  ASSERT_TRUE(session.ok());
+  raw_model->set_session(session->get());
+
+  auto step = (*session)->Step();
+  ASSERT_TRUE(step.ok());
+  EXPECT_EQ(step->status, StepStatus::kCancelled);
+  EXPECT_TRUE((*session)->finished());
+
+  // Cancelled mid-evaluation at call 50; the L-BFGS loop polls the token
+  // at the head of the next iteration, so exactly the one in-flight
+  // 400-row evaluation completes — nothing close to a full 300-iteration
+  // train (which costs tens of thousands of gradient calls).
+  EXPECT_LE(calls.load(), 450);
+
+  // The partial iteration is still recorded, and the note pins down both
+  // that training stopped mid-optimization and where the step ended.
+  const DebugReport& report = (*session)->report();
+  ASSERT_EQ(report.iterations.size(), 1u);
+  EXPECT_TRUE(report.deletions.empty());
+  EXPECT_NE(report.iterations[0].note.find("train stopped mid-optimization"),
+            std::string::npos)
+      << "note: " << report.iterations[0].note;
+  EXPECT_NE(report.iterations[0].note.find("cancelled after train phase"),
+            std::string::npos)
+      << "note: " << report.iterations[0].note;
+  EXPECT_GT(report.iterations[0].train_seconds, 0.0);
 }
 
 // -------------------------------------------------------------- observers
@@ -560,117 +662,6 @@ TEST(EncodeParallelismTest, DeletionSequenceBitwiseOnFig5Workload) {
   }
   EXPECT_EQ(seq_deletions.size(), 30u);
   EXPECT_EQ(seq_deletions, par_deletions);
-}
-
-// ------------------------------------------------------- shim equivalence
-
-TEST(DebuggerShimTest, RunMatchesSessionBitwiseOnFig5Workload) {
-  // Two bit-identical pipelines; the legacy blocking call on one, a
-  // directly driven session on the other. The deletion sequences (and
-  // per-iteration bookkeeping) must agree element for element.
-  DblpSetup legacy = MakeCorruptedDblp();
-  DblpSetup modern = MakeCorruptedDblp();
-
-  DebugConfig cfg;
-  cfg.top_k_per_iter = 10;
-  cfg.max_deletions = 50;
-
-  Debugger debugger(legacy.pipeline.get(), MakeHolisticRanker(), cfg);
-  RAIN_SUPPRESS_DEPRECATION_BEGIN
-  auto legacy_report =
-      debugger.Run({CountComplaint(static_cast<double>(legacy.true_count))});
-  RAIN_SUPPRESS_DEPRECATION_END
-  ASSERT_TRUE(legacy_report.ok());
-
-  auto session =
-      DebugSessionBuilder(modern.pipeline.get())
-          .ranker("holistic")
-          .config(cfg)
-          .workload({CountComplaint(static_cast<double>(modern.true_count))})
-          .Build();
-  ASSERT_TRUE(session.ok());
-  auto modern_report = (*session)->RunToCompletion();
-  ASSERT_TRUE(modern_report.ok());
-
-  EXPECT_EQ(legacy_report->deletions, modern_report->deletions);
-  ASSERT_EQ(legacy_report->iterations.size(), modern_report->iterations.size());
-  for (size_t i = 0; i < legacy_report->iterations.size(); ++i) {
-    EXPECT_EQ(legacy_report->iterations[i].violated_complaints,
-              modern_report->iterations[i].violated_complaints)
-        << "iteration " << i;
-    EXPECT_EQ(legacy_report->iterations[i].deletions_after,
-              modern_report->iterations[i].deletions_after)
-        << "iteration " << i;
-  }
-  EXPECT_EQ(legacy_report->complaints_resolved, modern_report->complaints_resolved);
-}
-
-// --------------------------------------------------- ExecutionOptions API
-
-/// The deprecated knob setters are shims over ExecutionOptions; a session
-/// configured through them must be bitwise-identical to one configured
-/// through set_execution with the same bundle.
-TEST(ExecutionOptionsTest, LegacySettersBitwiseEquivalentToSetExecution) {
-  DblpSetup legacy_setup = MakeCorruptedDblp();
-  RecordingObserver legacy_observer;
-  RAIN_SUPPRESS_DEPRECATION_BEGIN
-  auto legacy = DebugSessionBuilder(legacy_setup.pipeline.get())
-                    .ranker("holistic")
-                    .top_k_per_iter(10)
-                    .max_deletions(30)
-                    .parallelism(2)
-                    .set_num_shards(2)
-                    .observer(&legacy_observer)
-                    .workload({CountComplaint(
-                        static_cast<double>(legacy_setup.true_count))})
-                    .Build();
-  RAIN_SUPPRESS_DEPRECATION_END
-  ASSERT_TRUE(legacy.ok());
-  auto legacy_report = (*legacy)->RunToCompletion();
-  ASSERT_TRUE(legacy_report.ok());
-
-  DblpSetup modern_setup = MakeCorruptedDblp();
-  RecordingObserver modern_observer;
-  auto modern = DebugSessionBuilder(modern_setup.pipeline.get())
-                    .ranker("holistic")
-                    .top_k_per_iter(10)
-                    .max_deletions(30)
-                    .set_execution(ExecutionOptions()
-                                       .set_parallelism(2)
-                                       .set_num_shards(2)
-                                       .add_observer(&modern_observer))
-                    .workload({CountComplaint(
-                        static_cast<double>(modern_setup.true_count))})
-                    .Build();
-  ASSERT_TRUE(modern.ok());
-  auto modern_report = (*modern)->RunToCompletion();
-  ASSERT_TRUE(modern_report.ok());
-
-  EXPECT_EQ(legacy_report->deletions, modern_report->deletions);
-  EXPECT_EQ(legacy_report->complaints_resolved,
-            modern_report->complaints_resolved);
-  EXPECT_EQ(legacy_observer.events, modern_observer.events)
-      << "observer streams must match event-for-event";
-}
-
-/// set_execution replaces the whole bundle; later legacy setter calls
-/// still merge field-by-field on top (last write wins per knob).
-TEST(ExecutionOptionsTest, LastWriteWinsAcrossOldAndNewApi) {
-  DblpSetup setup = MakeCorruptedDblp();
-  RAIN_SUPPRESS_DEPRECATION_BEGIN
-  auto session =
-      DebugSessionBuilder(setup.pipeline.get())
-          .ranker("holistic")
-          .max_deletions(10)
-          .parallelism(7)  // overridden by the bundle below
-          .set_execution(ExecutionOptions().set_parallelism(3))
-          .set_num_shards(2)  // merges on top of the bundle
-          .workload({CountComplaint(static_cast<double>(setup.true_count))})
-          .Build();
-  RAIN_SUPPRESS_DEPRECATION_END
-  ASSERT_TRUE(session.ok());
-  EXPECT_EQ((*session)->config().parallelism, 3);
-  EXPECT_EQ((*session)->config().num_shards, 2);
 }
 
 // --------------------------------------------- observer re-entrancy guard

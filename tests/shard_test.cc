@@ -1,10 +1,10 @@
 /// Sharded-pipeline semantics: ShardPlan partitioning, ShardedDataset
 /// deletion routing and in-place bookkeeping, the shard-exact
 /// loss/gradient/HVP kernels of all three models, shard-parallel
-/// influence scoring (TaskGraph task per shard), cancellation mid-shard,
-/// and the end-to-end contract — deletion sequences from sharded
-/// DebugSessions (1/2/4 shards x 1/2/8 workers, sync and async, DBLP +
-/// Adult multi-query) bitwise-identical to the unsharded sequential path.
+/// influence scoring (one ParallelFor chunk per shard), cancellation
+/// mid-shard, and the end-to-end contract — deletion sequences from
+/// sharded DebugSessions (1/2/4 shards x 1/2/8 workers, DBLP + Adult
+/// multi-query) bitwise-identical to the unsharded sequential path.
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -490,35 +490,6 @@ TEST(SessionShardTest, BuilderAdoptsAndReusesThePipelinePlan) {
   EXPECT_EQ((*unsharded)->config().num_shards, 0);
 }
 
-TEST(SessionShardTest, AsyncShardedBitwiseIdenticalToUnshardedSync) {
-  DblpSetup ref_setup = MakeCorruptedDblp();
-  auto ref_session = BuildDblpSession(&ref_setup, /*shards=*/0, /*workers=*/1);
-  ASSERT_TRUE(ref_session.ok());
-  auto ref_report = (*ref_session)->RunToCompletion();
-  ASSERT_TRUE(ref_report.ok());
-
-  for (int shards : {1, 2, 4}) {
-    for (int workers : {1, 8}) {
-      DblpSetup setup = MakeCorruptedDblp();
-      auto session = BuildDblpSession(&setup, shards, workers);
-      ASSERT_TRUE(session.ok());
-      auto report = (*session)->RunToCompletionAsync().Get();
-      ASSERT_TRUE(report.ok()) << report.status().ToString();
-      EXPECT_EQ(report->deletions, ref_report->deletions)
-          << "shards=" << shards << " workers=" << workers;
-      EXPECT_EQ(setup.pipeline->model()->params(),
-                ref_setup.pipeline->model()->params())
-          << "shards=" << shards << " workers=" << workers;
-      // The speculative trains ran over shard views rebound to their
-      // snapshots; they must have been launched and consumed as usual.
-      const AsyncStats& stats = (*session)->async_stats();
-      EXPECT_GE(stats.speculations_launched, 1);
-      EXPECT_EQ(stats.speculations_committed + stats.speculations_replayed,
-                stats.speculations_launched);
-    }
-  }
-}
-
 TEST(SessionShardTest, CancelDuringShardedRankRecordsPartialIteration) {
   /// Cancels the session when the bind phase of iteration 1 completes,
   /// so the stop lands inside the sharded rank phase's CG/scoring loops.
@@ -634,10 +605,10 @@ AdultSetup MakeAdultMultiQuery() {
   return setup;
 }
 
-TEST(SessionShardTest, AdultMultiQueryShardedBitwiseSyncAndAsync) {
+TEST(SessionShardTest, AdultMultiQueryShardedBitwise) {
   AdultSetup setup = MakeAdultMultiQuery();
 
-  auto run = [&](int shards, int workers, bool async) {
+  auto run = [&](int shards, int workers) {
     auto pipeline = setup.make_pipeline();
     RAIN_CHECK(pipeline->Train().ok());
     auto session = DebugSessionBuilder(pipeline.get())
@@ -650,21 +621,18 @@ TEST(SessionShardTest, AdultMultiQueryShardedBitwiseSyncAndAsync) {
                        .workload(setup.workload)
                        .Build();
     RAIN_CHECK(session.ok()) << session.status().ToString();
-    auto report = async ? (*session)->RunToCompletionAsync().Get()
-                        : (*session)->RunToCompletion();
+    auto report = (*session)->RunToCompletion();
     RAIN_CHECK(report.ok()) << report.status().ToString();
     return report->deletions;
   };
 
-  const std::vector<size_t> ref = run(/*shards=*/0, /*workers=*/1, false);
+  const std::vector<size_t> ref = run(/*shards=*/0, /*workers=*/1);
   ASSERT_FALSE(ref.empty());
   for (int shards : {2, 4}) {
     for (int workers : {1, 8}) {
-      EXPECT_EQ(run(shards, workers, /*async=*/false), ref)
+      EXPECT_EQ(run(shards, workers), ref)
           << "sync shards=" << shards << " workers=" << workers;
     }
-    EXPECT_EQ(run(shards, /*workers=*/8, /*async=*/true), ref)
-        << "async shards=" << shards;
   }
 }
 
