@@ -1,8 +1,11 @@
 /// Figure 5: per-iteration runtime breakdown (Train / Encode / Rank) of
 /// each method on DBLP at 50% corruption. Absolute numbers differ from
-/// the paper's GPU testbed; the shape (Loss cheapest, InfLoss dominated
-/// by per-record solves, TwoStep/Holistic dominated by ranking) should
-/// hold.
+/// the paper's GPU testbed. The paper's InfLoss is dominated by one
+/// Hessian solve per record; here DBLP's 18-parameter Hessian passes the
+/// dense size rule (num_params^2 <= num_active * num_features), so
+/// InfLoss factors it once per iteration and its rank time sits with the
+/// other methods'. The per-record-solve cost shows only on models whose
+/// Hessian is not formed (the MLP, a large softmax).
 #include <cstdio>
 
 #include "bench/bench_util.h"

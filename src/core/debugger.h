@@ -71,7 +71,7 @@ struct IterationStats {
   double train_seconds = 0.0;
   double query_seconds = 0.0;   // debug-mode provenance capture
   double encode_seconds = 0.0;  // grad q construction / ILP solve
-  double rank_seconds = 0.0;    // CG Hessian solve + scoring
+  double rank_seconds = 0.0;    // Hessian solve + scoring
   int violated_complaints = 0;
   size_t deletions_after = 0;
   std::string note;

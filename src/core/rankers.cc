@@ -114,6 +114,16 @@ Status CheckContext(const RankContext& ctx, bool needs_complaints) {
   return Status::OK();
 }
 
+/// Flags a ranking built on an unconverged CG solve (one that stopped at
+/// cg.max_iters above tolerance) in the output note, so it reaches
+/// IterationStats::note instead of ranking silently.
+void NoteUnconvergedCg(const InfluenceScorer& scorer, RankOutput* out) {
+  if (scorer.cg_converged()) return;
+  if (!out->note.empty()) out->note += "; ";
+  out->note += StrFormat("cg unconverged (%d iters, residual %.3g)",
+                         scorer.cg_iterations(), scorer.cg_residual_norm());
+}
+
 // ---------------------------------------------------------------------------
 // Loss baseline: per-example training loss, descending.
 // ---------------------------------------------------------------------------
@@ -136,7 +146,8 @@ class LossRanker : public Ranker {
 };
 
 // ---------------------------------------------------------------------------
-// InfLoss baseline: self-influence (one CG solve per record) [35].
+// InfLoss baseline: self-influence [35] (one Cholesky factor of a small
+// Hessian, else one CG solve per record).
 // ---------------------------------------------------------------------------
 class InfLossRanker : public Ranker {
  public:
@@ -154,6 +165,7 @@ class InfLossRanker : public Ranker {
     for (size_t i = 0; i < self.size(); ++i) {
       if (ctx.train->active(i)) out.scores[i] = -self[i];
     }
+    NoteUnconvergedCg(scorer, &out);
     out.rank_seconds = timer.ElapsedSeconds();
     return out;
   }
@@ -248,6 +260,7 @@ class HolisticRanker : public Ranker {
     InfluenceScorer scorer(ctx.model, ctx.train, ctx.influence);
     RAIN_RETURN_NOT_OK(scorer.Prepare(q_grad));
     out.scores = scorer.ScoreAll();
+    NoteUnconvergedCg(scorer, &out);
     out.rank_seconds = rank_timer.ElapsedSeconds();
     return out;
   }
@@ -345,6 +358,7 @@ class TwoStepRanker : public Ranker {
     InfluenceScorer scorer(ctx.model, ctx.train, ctx.influence);
     RAIN_RETURN_NOT_OK(scorer.Prepare(q_grad));
     out.scores = scorer.ScoreAll();
+    NoteUnconvergedCg(scorer, &out);
     out.rank_seconds = rank_timer.ElapsedSeconds();
     return out;
   }

@@ -1,5 +1,7 @@
 #include "influence/influence.h"
 
+#include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,6 +17,14 @@ namespace {
 /// slot writes with no cross-record reduction, so the grain (like the
 /// worker count) can never change a score bitwise.
 constexpr size_t kScoreGrain = 256;
+
+/// Folds one CG outcome into a running summary: the largest iteration
+/// count and residual, converged only while every solve converged.
+void FoldCgReport(const CgReport& report, CgReport* summary) {
+  summary->iterations = std::max(summary->iterations, report.iterations);
+  summary->residual_norm = std::max(summary->residual_norm, report.residual_norm);
+  summary->converged = summary->converged && report.converged;
+}
 
 }  // namespace
 
@@ -63,6 +73,8 @@ Status InfluenceScorer::Prepare(const Vec& q_grad) {
   RAIN_ASSIGN_OR_RETURN(CgReport report, ConjugateGradient(op, q_grad, options_.cg));
   s_ = std::move(report.x);
   cg_iterations_ = report.iterations;
+  cg_residual_norm_ = report.residual_norm;
+  cg_converged_ = report.converged;
   prepared_ = true;
   return Status::OK();
 }
@@ -75,7 +87,7 @@ double InfluenceScorer::Score(size_t i) const {
   return -vec::Dot(s_, grad);
 }
 
-bool InfluenceScorer::ScoreRange(size_t begin, size_t end,
+bool InfluenceScorer::ScoreRange(size_t begin, size_t end, const RowScore& row_score,
                                  std::vector<double>* scores) const {
   Vec grad(model_->num_params(), 0.0);
   for (size_t i = begin; i < end; ++i) {
@@ -83,50 +95,105 @@ bool InfluenceScorer::ScoreRange(size_t begin, size_t end,
     if (!train_->active(i)) continue;
     grad.assign(model_->num_params(), 0.0);
     model_->AddExampleLossGradient(train_->row(i), train_->label(i), &grad);
-    (*scores)[i] = -vec::Dot(s_, grad);
+    (*scores)[i] = row_score(&grad);
   }
   return true;
 }
 
-std::vector<double> InfluenceScorer::ScoreAll() const {
-  RAIN_CHECK(prepared_) << "Prepare() must be called first";
-  std::vector<double> scores(train_->size(), 0.0);
-  // Embarrassingly parallel: each record's grad l(z, θ*)ᵀ s is independent,
-  // so any partition yields scores bitwise identical to the sequential
-  // loop. A stop request makes every chunk/shard bail within one record;
-  // the partial scores are only ever seen by callers that check
-  // interruption before acting on them (DebugSession checks at the rank
-  // boundary).
+bool InfluenceScorer::ScoreRows(const RowScore& row_score,
+                                std::vector<double>* scores) const {
+  // Embarrassingly parallel: each record's score is a pure function of its
+  // own gradient and read-only scorer state, so any partition yields
+  // scores bitwise identical to the sequential loop. A stop request makes
+  // every chunk/shard bail within one record.
+  std::atomic<bool> interrupted{false};
+  bool complete = true;
   if (options_.shards != nullptr) {
     // Shards fan out through ParallelForCancellable. Each shard writes its
     // slice of the score vector — the per-shard vectors are "merged" in
     // shard order by construction — and the chunk count
     // min(parallelism, num_shards) bounds in-flight shards. The token is
-    // polled per shard and per record (ScoreRange); results are
-    // slice-disjoint either way.
+    // polled per shard and per record (ScoreRange).
     const ShardedDataset& shards = *options_.shards;
-    ParallelForCancellable(
+    complete = ParallelForCancellable(
         options_.parallelism, shards.num_shards(), options_.cancel,
-        [this, &scores, &shards](size_t begin, size_t end, size_t) {
+        [&](size_t begin, size_t end, size_t) {
           for (size_t s = begin; s < end; ++s) {
-            if (options_.cancel != nullptr && options_.cancel->ShouldStop()) return;
             const ShardPlan::Range range = shards.shard_range(s);
-            if (!ScoreRange(range.begin, range.end, &scores)) return;
+            if (!ScoreRange(range.begin, range.end, row_score, scores)) {
+              interrupted = true;
+              return;
+            }
           }
         });
-    return scores;
+  } else {
+    complete = ParallelForCancellable(
+        options_.parallelism, train_->size(), kScoreGrain, options_.cancel,
+        [&](size_t begin, size_t end, size_t) {
+          if (!ScoreRange(begin, end, row_score, scores)) interrupted = true;
+        });
   }
-  ParallelForCancellable(options_.parallelism, train_->size(), kScoreGrain,
-                         options_.cancel,
-                         [this, &scores](size_t begin, size_t end, size_t) {
-                           (void)ScoreRange(begin, end, &scores);
-                         });
+  return complete && !interrupted;
+}
+
+std::vector<double> InfluenceScorer::ScoreAll() const {
+  RAIN_CHECK(prepared_) << "Prepare() must be called first";
+  std::vector<double> scores(train_->size(), 0.0);
+  // Partial scores after a stop request are only ever seen by callers
+  // that check interruption before acting on them (DebugSession checks at
+  // the rank boundary).
+  (void)ScoreRows([this](Vec* grad) { return -vec::Dot(s_, *grad); }, &scores);
+  return scores;
+}
+
+Result<std::vector<double>> InfluenceScorer::DenseSelfInfluenceAll() const {
+  const Status cancelled = Status::Cancelled("self-influence scoring interrupted");
+  // H + damping I, one Hessian-vector product per unit vector. Hvp
+  // dispatches to the shard-exact kernels under a shard plan, so the
+  // columns (and the factor) are bitwise the unsharded ones. A product
+  // interrupted by a stop request may be partial: poll after each one.
+  const size_t p = model_->num_params();
+  Matrix hessian(p, p);
+  ShardScratch scratch;
+  Vec unit(p, 0.0);
+  Vec column;
+  for (size_t j = 0; j < p; ++j) {
+    unit[j] = 1.0;
+    Hvp(unit, &column, &scratch);
+    unit[j] = 0.0;
+    if (options_.cancel != nullptr && options_.cancel->ShouldStop()) return cancelled;
+    for (size_t i = 0; i < p; ++i) hessian.At(i, j) = column[i];
+  }
+  // Only the lower triangle is factored; symmetrize it so both halves of
+  // the products count equally.
+  for (size_t j = 0; j < p; ++j) {
+    for (size_t i = j + 1; i < p; ++i) {
+      hessian.At(i, j) = 0.5 * (hessian.At(i, j) + hessian.At(j, i));
+    }
+  }
+  Matrix lower;
+  if (!CholeskyFactor(hessian, &lower)) {
+    return Status::Internal(
+        "self-influence Hessian is not positive definite (Cholesky pivot <= 0); "
+        "increase damping");
+  }
+  // grad^T (L L^T)^{-1} grad = ||L^{-1} grad||^2. The factor is read-only
+  // from here on, shared by every worker.
+  std::vector<double> scores(train_->size(), 0.0);
+  const bool complete = ScoreRows(
+      [&lower](Vec* grad) {
+        ForwardSubstitute(lower, grad);
+        return -vec::NormSq(*grad);
+      },
+      &scores);
+  if (!complete) return cancelled;
   return scores;
 }
 
 Status InfluenceScorer::SelfInfluenceRange(size_t begin, size_t end,
                                            const LinearOperator& op,
-                                           std::vector<double>* scores) const {
+                                           std::vector<double>* scores,
+                                           CgReport* summary) const {
   Vec grad(model_->num_params(), 0.0);
   for (size_t i = begin; i < end; ++i) {
     // Per-record poll: each record is a full CG solve, so this is
@@ -141,64 +208,78 @@ Status InfluenceScorer::SelfInfluenceRange(size_t begin, size_t end,
     Result<CgReport> report = ConjugateGradient(op, grad, options_.cg);
     if (!report.ok()) return report.status();
     (*scores)[i] = -vec::Dot(grad, report->x);
+    FoldCgReport(*report, summary);
   }
   return Status::OK();
 }
 
-Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll() const {
+Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll() {
+  // The fixed size rule: form the Hessian when it is no larger than the
+  // active feature rows the scorer already reads.
+  const size_t p = model_->num_params();
+  if (p * p <= train_->num_active() * train_->num_features()) {
+    return DenseSelfInfluenceAll();
+  }
   std::vector<double> scores(train_->size(), 0.0);
-  // One CG solve per active record (the quadratic InfLoss bottleneck);
-  // solves are independent, so partition records across workers — by
-  // shard (fanned out through ParallelForCancellable, as in ScoreAll)
-  // when a shard plan is installed, by deterministic chunk otherwise.
-  // Each partition owns its own Hessian operator + ShardScratch (its CG
-  // chain is sequential, but partitions run concurrently, so the scratch
-  // cannot be shared) and stops at its first failing solve, recording the
+  // One CG solve per active record; solves are independent, so partition
+  // records across workers — by shard (fanned out through
+  // ParallelForCancellable, as in ScoreAll) when a shard plan is
+  // installed, by deterministic chunk otherwise. Each partition owns its
+  // own Hessian operator + ShardScratch (its CG chain is sequential, but
+  // partitions run concurrently, so the scratch cannot be shared), its own
+  // CG summary, and stops at its first failing solve, recording the
   // status; the lowest-partition (i.e. lowest-record-index) failure is
   // reported, so the returned status matches the sequential loop's
   // regardless of scheduling.
+  CgReport empty;
+  empty.converged = true;
+  size_t partitions = 0;
+  std::vector<Status> status;
+  std::vector<CgReport> summary;
+  auto solve_rows = [&](size_t begin, size_t end, size_t partition) {
+    ShardScratch scratch;
+    LinearOperator op = [this, &scratch](const Vec& v, Vec* out) {
+      Hvp(v, out, &scratch);
+    };
+    status[partition] =
+        SelfInfluenceRange(begin, end, op, &scores, &summary[partition]);
+  };
+  bool complete = true;
   if (options_.shards != nullptr) {
     const ShardedDataset& shards = *options_.shards;
-    std::vector<Status> shard_status(shards.num_shards(), Status::OK());
-    const bool complete = ParallelForCancellable(
-        options_.parallelism, shards.num_shards(), options_.cancel,
+    partitions = shards.num_shards();
+    status.assign(partitions, Status::OK());
+    summary.assign(partitions, empty);
+    complete = ParallelForCancellable(
+        options_.parallelism, partitions, options_.cancel,
         [&](size_t begin, size_t end, size_t) {
-          ShardScratch scratch;
-          LinearOperator op = [this, &scratch](const Vec& v, Vec* out) {
-            Hvp(v, out, &scratch);
-          };
           for (size_t s = begin; s < end; ++s) {
             if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
-              shard_status[s] = Status::Cancelled("self-influence scoring interrupted");
+              status[s] = Status::Cancelled("self-influence scoring interrupted");
               return;
             }
             const ShardPlan::Range range = shards.shard_range(s);
-            shard_status[s] = SelfInfluenceRange(range.begin, range.end, op, &scores);
-            if (!shard_status[s].ok()) return;
+            solve_rows(range.begin, range.end, s);
+            if (!status[s].ok()) return;
           }
         });
-    for (const Status& status : shard_status) {
-      if (!status.ok()) return status;
-    }
-    if (!complete) return Status::Cancelled("self-influence scoring interrupted");
-    return scores;
+  } else {
+    partitions =
+        options_.parallelism < 1 ? 1 : static_cast<size_t>(options_.parallelism);
+    status.assign(partitions, Status::OK());
+    summary.assign(partitions, empty);
+    complete = ParallelForCancellable(options_.parallelism, train_->size(),
+                                      options_.cancel, solve_rows);
   }
-  const size_t max_chunks =
-      options_.parallelism < 1 ? 1 : static_cast<size_t>(options_.parallelism);
-  std::vector<Status> chunk_status(max_chunks, Status::OK());
-  const bool complete = ParallelForCancellable(
-      options_.parallelism, train_->size(), options_.cancel,
-      [&](size_t begin, size_t end, size_t chunk) {
-        ShardScratch scratch;
-        LinearOperator op = [this, &scratch](const Vec& v, Vec* out) {
-          Hvp(v, out, &scratch);
-        };
-        chunk_status[chunk] = SelfInfluenceRange(begin, end, op, &scores);
-      });
-  for (const Status& status : chunk_status) {
-    if (!status.ok()) return status;
+  for (const Status& s : status) {
+    if (!s.ok()) return s;
   }
   if (!complete) return Status::Cancelled("self-influence scoring interrupted");
+  CgReport total = empty;
+  for (const CgReport& r : summary) FoldCgReport(r, &total);
+  cg_iterations_ = total.iterations;
+  cg_residual_norm_ = total.residual_norm;
+  cg_converged_ = total.converged;
   return scores;
 }
 

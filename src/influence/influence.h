@@ -1,6 +1,7 @@
 #ifndef RAIN_INFLUENCE_INFLUENCE_H_
 #define RAIN_INFLUENCE_INFLUENCE_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -48,8 +49,9 @@ struct InfluenceOptions {
 ///     score(z) = -grad q(theta*)^T  H^{-1}  grad l(z, theta*).
 /// Removing a record with a large positive score is predicted to decrease
 /// q the most (i.e., to best address the user complaints). H is the
-/// Hessian of the regularized mean training loss over active records,
-/// and H^{-1} v is computed Hessian-free with conjugate gradient.
+/// Hessian of the regularized mean training loss over active records.
+/// Prepare computes H^{-1} v Hessian-free with conjugate gradient;
+/// SelfInfluenceAll factors H densely when it is small (see there).
 class InfluenceScorer {
  public:
   /// Neither pointer is owned; both must outlive the scorer. `train` rows
@@ -67,8 +69,16 @@ class InfluenceScorer {
   /// Scores for every training record (inactive rows get 0).
   std::vector<double> ScoreAll() const;
 
-  /// Number of CG iterations used by Prepare (runtime accounting).
+  /// CG accounting of the last solving call: Prepare's one solve, or the
+  /// per-record solves of a CG-path SelfInfluenceAll (then the largest
+  /// iteration count and residual over them, converged only when every
+  /// solve converged). The dense SelfInfluenceAll path runs no CG and
+  /// leaves these unchanged. A solve that stops at cg.max_iters above
+  /// tolerance still returns its iterate; rankers flag it in their note.
   int cg_iterations() const { return cg_iterations_; }
+  bool cg_converged() const { return cg_converged_; }
+  /// Final absolute residual norm ||b - A x||.
+  double cg_residual_norm() const { return cg_residual_norm_; }
 
   /// Adjusts the scoring worker count after construction (benchmarks sweep
   /// this; the prepared CG solution s is unaffected). When cg.parallelism
@@ -90,9 +100,20 @@ class InfluenceScorer {
   ///     self(z) = -grad l(z)^T H^{-1} grad l(z)   (always <= 0).
   /// Records whose removal *increases their own loss* the most (largest
   /// negative value) rank at the top, so the baseline sorts ascending.
-  /// Requires one CG solve per active record — this is the quadratic
-  /// bottleneck the paper reports (InfLoss takes 46s/iter vs ~1s).
-  Result<std::vector<double>> SelfInfluenceAll() const;
+  ///
+  /// Dense path, taken when num_params^2 <= num_active * num_features
+  /// (the Hessian is no larger than the active feature rows): forms
+  /// H + damping I from num_params Hessian-vector products against unit
+  /// vectors, symmetrizes it, Cholesky-factors it once (L L^T), and scores
+  /// each record as -||L^{-1} grad l(z)||^2 with one forward substitution.
+  /// A Hessian that is not positive definite fails with Status::Internal.
+  /// The factor is read-only while rows are scored, so scores are bitwise
+  /// invariant to the worker and shard counts.
+  ///
+  /// Otherwise (large softmax, the MLP) it runs one CG solve per active
+  /// record: the per-record-solve cost the paper reports for InfLoss
+  /// (46s/iter vs ~1s) shows only on these models.
+  Result<std::vector<double>> SelfInfluenceAll();
 
  private:
   /// (H + damping I) v. `scratch` (may be null) lends per-shard buffers
@@ -100,13 +121,24 @@ class InfluenceScorer {
   /// CG solve) owns its own scratch, because SelfInfluenceAll runs
   /// solves concurrently.
   void Hvp(const Vec& v, Vec* out, ShardScratch* scratch = nullptr) const;
-  /// Scores rows [begin, end) into their slots of `scores`, polling the
-  /// cancel token per record; returns false when interrupted.
-  bool ScoreRange(size_t begin, size_t end, std::vector<double>* scores) const;
+  /// Per-record score from the record's loss gradient; may overwrite
+  /// the gradient (it is scratch owned by the calling partition).
+  using RowScore = std::function<double(Vec* grad)>;
+  /// Writes row_score(grad l(z_i)) into (*scores)[i] for every active row,
+  /// partitioned across workers (by shard when a shard plan is set, in
+  /// kScoreGrain chunks otherwise) and polling the cancel token per
+  /// record. Returns false when a stop request interrupted scoring.
+  bool ScoreRows(const RowScore& row_score, std::vector<double>* scores) const;
+  /// ScoreRows over rows [begin, end); returns false when interrupted.
+  bool ScoreRange(size_t begin, size_t end, const RowScore& row_score,
+                  std::vector<double>* scores) const;
+  /// Dense SelfInfluenceAll: one Cholesky factor, a triangular solve per row.
+  Result<std::vector<double>> DenseSelfInfluenceAll() const;
   /// Self-influence scores of rows [begin, end) (one CG solve each) into
-  /// `scores`; stops at the first failing solve or stop request.
+  /// `scores`; stops at the first failing solve or stop request. Folds
+  /// each solve's iterations/residual/convergence into `summary`.
   Status SelfInfluenceRange(size_t begin, size_t end, const LinearOperator& op,
-                            std::vector<double>* scores) const;
+                            std::vector<double>* scores, CgReport* summary) const;
 
   const Model* model_;
   const Dataset* train_;
@@ -117,6 +149,8 @@ class InfluenceScorer {
   /// scorer-level knob (set at construction, maintained by set_parallelism).
   bool cg_parallelism_inherited_ = false;
   int cg_iterations_ = 0;
+  double cg_residual_norm_ = 0.0;
+  bool cg_converged_ = true;
 };
 
 }  // namespace rain

@@ -1,6 +1,7 @@
 #include "tensor/matrix.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -69,6 +70,38 @@ Matrix MatMul(const Matrix& a, const Matrix& b, int parallelism) {
                           out.Row(begin));
   });
   return out;
+}
+
+bool CholeskyFactor(const Matrix& a, Matrix* lower) {
+  RAIN_CHECK(a.rows() == a.cols()) << "CholeskyFactor needs a square matrix";
+  const size_t n = a.rows();
+  *lower = Matrix(n, n);
+  Matrix& l = *lower;
+  for (size_t j = 0; j < n; ++j) {
+    double pivot = a.At(j, j);
+    for (size_t k = 0; k < j; ++k) pivot -= l.At(j, k) * l.At(j, k);
+    if (!(pivot > 0.0) || !std::isfinite(pivot)) return false;
+    const double diag = std::sqrt(pivot);
+    l.At(j, j) = diag;
+    for (size_t i = j + 1; i < n; ++i) {
+      double v = a.At(i, j);
+      for (size_t k = 0; k < j; ++k) v -= l.At(i, k) * l.At(j, k);
+      l.At(i, j) = v / diag;
+    }
+  }
+  return true;
+}
+
+void ForwardSubstitute(const Matrix& lower, Vec* b) {
+  RAIN_CHECK(lower.rows() == lower.cols() && b->size() == lower.rows())
+      << "ForwardSubstitute shape mismatch";
+  Vec& y = *b;
+  for (size_t i = 0; i < y.size(); ++i) {
+    const double* row = lower.Row(i);
+    double v = y[i];
+    for (size_t k = 0; k < i; ++k) v -= row[k] * y[k];
+    y[i] = v / row[i];
+  }
 }
 
 }  // namespace rain

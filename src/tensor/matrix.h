@@ -63,6 +63,18 @@ class Matrix {
 /// sequential result for any `parallelism`).
 Matrix MatMul(const Matrix& a, const Matrix& b, int parallelism = 1);
 
+/// Cholesky factor of a symmetric positive-definite matrix: writes the
+/// lower-triangular `lower` with a = lower * lower^T (only the lower
+/// triangle of `a` is read; the strict upper triangle of `lower` is 0).
+/// Sequential scalar arithmetic in a fixed order, so the factor is a pure
+/// function of `a`. Returns false when a pivot is not positive and finite,
+/// i.e. `a` is not numerically positive definite.
+bool CholeskyFactor(const Matrix& a, Matrix* lower);
+
+/// Solves lower * y = b by forward substitution, overwriting `b` with y.
+/// `lower` is a CholeskyFactor output; b.size() must equal its order.
+void ForwardSubstitute(const Matrix& lower, Vec* b);
+
 }  // namespace rain
 
 #endif  // RAIN_TENSOR_MATRIX_H_

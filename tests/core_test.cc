@@ -2,9 +2,11 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/complaint.h"
 #include "core/metrics.h"
 #include "core/pipeline.h"
@@ -14,6 +16,7 @@
 #include "data/dblp.h"
 #include "gtest/gtest.h"
 #include "ml/logistic_regression.h"
+#include "ml/trainer.h"
 
 namespace rain {
 namespace {
@@ -348,6 +351,65 @@ TEST_F(CoreFixture, TwoStepRankerRunsOnCountComplaint) {
   auto report = (*session)->RunToCompletion();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->deletions.size(), 40u);
+}
+
+TEST_F(CoreFixture, UnconvergedCgIsNotedPerIteration) {
+  // One CG iteration cannot reach tolerance on DBLP's 18-parameter
+  // Hessian: the influence rankers still rank, but say so in the note.
+  QueryComplaints qc;
+  qc.query = CountQuery();
+  qc.complaints = {ComplaintSpec::ValueEq("cnt", static_cast<double>(true_count_))};
+  InfluenceOptions influence;
+  influence.l2 = 1e-3;
+  influence.cg.max_iters = 1;
+  for (const char* method : {"holistic", "twostep"}) {
+    pipeline_->train_data()->ReactivateAll();
+    auto session = DebugSessionBuilder(pipeline_.get())
+                       .ranker(method)
+                       .influence(influence)
+                       .top_k_per_iter(10)
+                       .max_deletions(10)
+                       .workload({qc})
+                       .Build();
+    ASSERT_TRUE(session.ok());
+    auto report = (*session)->RunToCompletion();
+    ASSERT_TRUE(report.ok()) << method << ": " << report.status().ToString();
+    ASSERT_FALSE(report->iterations.empty());
+    EXPECT_NE(report->iterations[0].note.find("cg unconverged (1 iters, residual "),
+              std::string::npos)
+        << method << ": " << report->iterations[0].note;
+  }
+}
+
+TEST(InfLossRankerTest, UnconvergedPerRecordCgIsNoted) {
+  // 9 parameters over 6 rows x 8 features: too large a Hessian to form,
+  // so InfLoss takes one CG solve per row, each capped at one iteration.
+  Rng rng(5);
+  Matrix x(6, 8);
+  std::vector<int> y(6);
+  for (size_t i = 0; i < 6; ++i) {
+    for (size_t f = 0; f < 8; ++f) x.At(i, f) = rng.Gaussian();
+    y[i] = static_cast<int>(i % 2);
+  }
+  Dataset train(std::move(x), std::move(y), 2);
+  LogisticRegression model(8);
+  TrainConfig tc;
+  tc.l2 = 1e-2;
+  ASSERT_TRUE(TrainModel(&model, train, tc).ok());
+
+  RankContext ctx;
+  ctx.model = &model;
+  ctx.train = &train;
+  ctx.influence.l2 = tc.l2;
+  auto converged = MakeInfLossRanker()->Rank(ctx);
+  ASSERT_TRUE(converged.ok());
+  EXPECT_EQ(converged->note, "");
+
+  ctx.influence.cg.max_iters = 1;
+  auto capped = MakeInfLossRanker()->Rank(ctx);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped->note.rfind("cg unconverged (1 iters, residual ", 0), 0u)
+      << capped->note;
 }
 
 TEST_F(CoreFixture, DeletionsAreDistinctAndDeactivated) {

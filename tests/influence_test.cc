@@ -1,5 +1,7 @@
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -7,7 +9,9 @@
 #include "influence/conjugate_gradient.h"
 #include "influence/influence.h"
 #include "ml/logistic_regression.h"
+#include "ml/mlp.h"
 #include "ml/sharded_dataset.h"
+#include "ml/softmax_regression.h"
 #include "ml/trainer.h"
 
 namespace rain {
@@ -213,15 +217,197 @@ TEST(InfluenceTest, ParallelSelfInfluenceMatchesSequential) {
   auto sequential = sequential_scorer.SelfInfluenceAll();
   ASSERT_TRUE(sequential.ok());
 
-  opts.parallelism = 4;
-  InfluenceScorer parallel_scorer(&s.model, &s.train, opts);
-  auto parallel = parallel_scorer.SelfInfluenceAll();
-  ASSERT_TRUE(parallel.ok());
-  for (size_t i = 0; i < s.train.size(); ++i) {
-    // Each record's CG solve is independent; only the solver-internal
-    // chunked reductions differ, so agreement is to tight epsilon.
-    EXPECT_NEAR((*parallel)[i], (*sequential)[i], 1e-9) << "i=" << i;
+  for (int par : {1, 2, 4, 8}) {
+    opts.parallelism = par;
+    InfluenceScorer parallel_scorer(&s.model, &s.train, opts);
+    auto parallel = parallel_scorer.SelfInfluenceAll();
+    ASSERT_TRUE(parallel.ok());
+    // 4 parameters over 40 rows: the dense path. Every worker reads the
+    // same Cholesky factor, so the partition cannot change a score.
+    EXPECT_EQ(*parallel, *sequential) << "parallelism=" << par;
   }
+}
+
+/// Self-influence from one CG solve per active row over the model's
+/// Hessian-vector product plus damping: the per-row reference.
+std::vector<double> CgSelfInfluence(const Model& model, const Dataset& train,
+                                    double l2, double damping,
+                                    const CgOptions& cg) {
+  LinearOperator op = [&](const Vec& v, Vec* out) {
+    model.HessianVectorProduct(train, v, l2, out);
+    if (damping != 0.0) vec::Axpy(damping, v, out);
+  };
+  std::vector<double> self(train.size(), 0.0);
+  for (size_t i = 0; i < train.size(); ++i) {
+    if (!train.active(i)) continue;
+    Vec grad(model.num_params(), 0.0);
+    model.AddExampleLossGradient(train.row(i), train.label(i), &grad);
+    auto report = ConjugateGradient(op, grad, cg);
+    RAIN_CHECK(report.ok()) << report.status().ToString();
+    self[i] = -vec::Dot(grad, report->x);
+  }
+  return self;
+}
+
+Dataset RandomDataset(size_t n, size_t d, int classes, uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(n, d);
+  std::vector<int> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (size_t f = 0; f < d; ++f) {
+      x.At(i, f) = rng.Gaussian();
+      s += static_cast<double>(f + 1) * x.At(i, f);
+    }
+    y[i] = static_cast<int>(std::fabs(s + 0.5 * rng.Gaussian()) * 2.0) % classes;
+  }
+  return Dataset(std::move(x), std::move(y), classes);
+}
+
+void ExpectRelativelyNear(const std::vector<double>& got,
+                          const std::vector<double>& want, double rel) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], rel * std::fabs(want[i])) << "i=" << i;
+  }
+}
+
+TEST(InfluenceTest, DenseSelfInfluenceMatchesTightCgOnLogistic) {
+  TrainedSetup s = MakeTrained(80, 5, 23);
+  s.train.Deactivate(4);
+  InfluenceOptions opts;
+  opts.l2 = s.l2;
+  InfluenceScorer scorer(&s.model, &s.train, opts);
+  auto dense = scorer.SelfInfluenceAll();
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  EXPECT_EQ((*dense)[4], 0.0);
+
+  CgOptions tight;
+  tight.tol = 1e-12;
+  tight.max_iters = 1000;
+  ExpectRelativelyNear(*dense, CgSelfInfluence(s.model, s.train, s.l2, 0.0, tight),
+                       1e-9);
+}
+
+TEST(InfluenceTest, DenseSelfInfluenceMatchesTightCgOnSoftmax) {
+  Dataset train = RandomDataset(90, 3, 3, 24);
+  SoftmaxRegression model(3, 3);
+  const double l2 = 1e-2;
+  TrainConfig cfg;
+  cfg.l2 = l2;
+  cfg.max_iters = 100;
+  ASSERT_TRUE(TrainModel(&model, train, cfg).ok());
+  ASSERT_LE(model.num_params() * model.num_params(),
+            train.num_active() * train.num_features());
+
+  InfluenceOptions opts;
+  opts.l2 = l2;
+  opts.damping = 0.01;
+  InfluenceScorer scorer(&model, &train, opts);
+  auto dense = scorer.SelfInfluenceAll();
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+
+  CgOptions tight;
+  tight.tol = 1e-12;
+  tight.max_iters = 1000;
+  ExpectRelativelyNear(*dense, CgSelfInfluence(model, train, l2, 0.01, tight), 1e-9);
+}
+
+TEST(InfluenceTest, LargeHessianKeepsPerRecordCg) {
+  // 13 parameters over 10 rows x 12 features: 169 > 120, so the Hessian
+  // is not formed and every row takes the CG solve it always took.
+  TrainedSetup s = MakeTrained(10, 12, 25);
+  ASSERT_GT(s.model.num_params() * s.model.num_params(),
+            s.train.num_active() * s.train.num_features());
+  InfluenceOptions opts;
+  opts.l2 = s.l2;
+  InfluenceScorer scorer(&s.model, &s.train, opts);
+  auto self = scorer.SelfInfluenceAll();
+  ASSERT_TRUE(self.ok()) << self.status().ToString();
+  EXPECT_EQ(*self, CgSelfInfluence(s.model, s.train, s.l2, 0.0, CgOptions()));
+  EXPECT_TRUE(scorer.cg_converged());
+  EXPECT_GT(scorer.cg_iterations(), 0);
+}
+
+TEST(InfluenceTest, IndefiniteDenseHessianIsAnErrorNotAnAbort) {
+  // An untrained, undamped, unregularized ReLU MLP: its exact Hessian has
+  // negative curvature. 17 parameters over 200 rows x 2 features take
+  // the dense path, whose Cholesky factorization must refuse.
+  Dataset train = RandomDataset(200, 2, 2, 26);
+  Mlp model(2, 3, 2, /*seed=*/5);
+  ASSERT_LE(model.num_params() * model.num_params(),
+            train.num_active() * train.num_features());
+  InfluenceOptions opts;
+  opts.l2 = 0.0;
+  InfluenceScorer scorer(&model, &train, opts);
+  auto self = scorer.SelfInfluenceAll();
+  ASSERT_FALSE(self.ok());
+  EXPECT_NE(self.status().message().find("increase damping"), std::string::npos)
+      << self.status().ToString();
+}
+
+/// Cancels a shared token after a fixed number of per-record gradient
+/// evaluations, i.e. part-way through scoring.
+class CancelAfterNGradients : public LogisticRegression {
+ public:
+  CancelAfterNGradients(const LogisticRegression& base, int n,
+                        CancellationToken token)
+      : LogisticRegression(base), remaining_(n), token_(std::move(token)) {}
+
+  void AddExampleLossGradient(const double* x, int y, Vec* grad) const override {
+    if (remaining_.fetch_sub(1) == 1) token_.Cancel();
+    LogisticRegression::AddExampleLossGradient(x, y, grad);
+  }
+
+ private:
+  mutable std::atomic<int> remaining_;
+  mutable CancellationToken token_;
+};
+
+TEST(InfluenceTest, CancelDuringDenseSelfInfluenceReturnsCancelled) {
+  TrainedSetup s = MakeTrained(300, 4, 27);
+  for (int par : {1, 4}) {
+    CancellationToken token;
+    CancelAfterNGradients model(s.model, /*n=*/20, token);
+    InfluenceOptions opts;
+    opts.l2 = s.l2;
+    opts.parallelism = par;
+    opts.cancel = &token;
+    InfluenceScorer scorer(&model, &s.train, opts);
+    auto self = scorer.SelfInfluenceAll();
+    ASSERT_FALSE(self.ok()) << "parallelism=" << par;
+    EXPECT_TRUE(self.status().IsCancelled()) << self.status().ToString();
+  }
+}
+
+TEST(InfluenceTest, UnconvergedCgIsReported) {
+  TrainedSetup s = MakeTrained(30, 4, 28);
+  InfluenceOptions opts;
+  opts.l2 = s.l2;
+  opts.cg.max_iters = 1;
+  InfluenceScorer scorer(&s.model, &s.train, opts);
+  Vec q_grad(s.model.num_params(), 0.0);
+  Rng rng(29);
+  for (double& g : q_grad) g = rng.Gaussian();
+  ASSERT_TRUE(scorer.Prepare(q_grad).ok());
+  EXPECT_FALSE(scorer.cg_converged());
+  EXPECT_EQ(scorer.cg_iterations(), 1);
+  EXPECT_GT(scorer.cg_residual_norm(), 0.0);
+
+  opts.cg.max_iters = 200;
+  InfluenceScorer converged(&s.model, &s.train, opts);
+  ASSERT_TRUE(converged.Prepare(q_grad).ok());
+  EXPECT_TRUE(converged.cg_converged());
+
+  // The per-record CG path folds every solve into the same accounting.
+  TrainedSetup wide = MakeTrained(10, 12, 30);
+  InfluenceOptions wide_opts;
+  wide_opts.l2 = wide.l2;
+  wide_opts.cg.max_iters = 1;
+  InfluenceScorer per_record(&wide.model, &wide.train, wide_opts);
+  ASSERT_TRUE(per_record.SelfInfluenceAll().ok());
+  EXPECT_FALSE(per_record.cg_converged());
+  EXPECT_EQ(per_record.cg_iterations(), 1);
 }
 
 TEST(InfluenceTest, ShardedScoringBitwiseIdenticalToSequential) {
@@ -256,6 +442,28 @@ TEST(InfluenceTest, ShardedScoringBitwiseIdenticalToSequential) {
   ASSERT_TRUE(self_seq.ok());
   ASSERT_TRUE(self_sharded.ok());
   EXPECT_EQ(*self_sharded, *self_seq);
+}
+
+TEST(InfluenceTest, DenseSelfInfluenceBitwiseAcrossShardsAndWorkers) {
+  TrainedSetup s = MakeTrained(150, 4, 17);
+  s.train.Deactivate(9);
+  InfluenceOptions opts;
+  opts.l2 = s.l2;
+  InfluenceScorer sequential(&s.model, &s.train, opts);
+  auto ref = sequential.SelfInfluenceAll();
+  ASSERT_TRUE(ref.ok());
+  for (int shards : {1, 2, 4}) {
+    ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), shards));
+    for (int par : {1, 2, 4, 8}) {
+      InfluenceOptions sharded_opts = opts;
+      sharded_opts.shards = &view;
+      sharded_opts.parallelism = par;
+      InfluenceScorer scorer(&s.model, &s.train, sharded_opts);
+      auto got = scorer.SelfInfluenceAll();
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, *ref) << "shards=" << shards << " parallelism=" << par;
+    }
+  }
 }
 
 TEST(InfluenceTest, DampingEnablesNonConvexSolves) {

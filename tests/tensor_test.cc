@@ -162,6 +162,52 @@ TEST(MatrixTest, MatMulMatchesNaiveAndIsParallelSafe) {
   }
 }
 
+TEST(MatrixTest, CholeskyFactorAndForwardSubstitution) {
+  // A = M^T M + I: symmetric positive definite.
+  const size_t n = 6;
+  const Matrix m = RandomMatrix(n, n, 51);
+  Matrix a(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      for (size_t k = 0; k < n; ++k) a.At(i, j) += m.At(k, i) * m.At(k, j);
+    }
+    a.At(i, i) += 1.0;
+  }
+  Matrix lower;
+  ASSERT_TRUE(CholeskyFactor(a, &lower));
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_GT(lower.At(i, i), 0.0);
+    for (size_t j = i + 1; j < n; ++j) EXPECT_EQ(lower.At(i, j), 0.0);
+    for (size_t j = 0; j < n; ++j) {
+      double llt = 0.0;
+      for (size_t k = 0; k < n; ++k) llt += lower.At(i, k) * lower.At(j, k);
+      EXPECT_NEAR(llt, a.At(i, j), 1e-12 * (1.0 + std::fabs(a.At(i, j))));
+    }
+  }
+
+  // L y = b, checked by multiplying back.
+  Vec b{1.0, -2.0, 0.5, 3.0, 0.0, -1.5};
+  Vec y = b;
+  ForwardSubstitute(lower, &y);
+  for (size_t i = 0; i < n; ++i) {
+    double ly = 0.0;
+    for (size_t k = 0; k <= i; ++k) ly += lower.At(i, k) * y[k];
+    EXPECT_NEAR(ly, b[i], 1e-12);
+  }
+}
+
+TEST(MatrixTest, CholeskyRejectsIndefiniteAndSingular) {
+  Matrix indefinite(2, 2);
+  indefinite.At(0, 0) = 1.0;
+  indefinite.At(1, 0) = indefinite.At(0, 1) = 2.0;
+  indefinite.At(1, 1) = 1.0;  // eigenvalues 3 and -1
+  Matrix lower;
+  EXPECT_FALSE(CholeskyFactor(indefinite, &lower));
+  EXPECT_FALSE(CholeskyFactor(Matrix(3, 3, 0.0), &lower));
+  Matrix nan_diag(1, 1, std::nan(""));
+  EXPECT_FALSE(CholeskyFactor(nan_diag, &lower));
+}
+
 // ------------------------------------------------- SIMD dispatch (vec)
 
 /// RAII guard restoring the SIMD force-scalar hook.
