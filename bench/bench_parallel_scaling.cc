@@ -15,18 +15,6 @@
 /// rows are also written to BENCH_encode.json (see docs/benchmarks.md for
 /// the recorded baseline).
 ///
-/// A fifth section measures the sharded pipeline: per shard-count
-/// wall-clock of the shard-parallel `ScoreAll` (shards fanned across the
-/// pool) and the shard-exact HVP (parallel coefficient pass + ordered
-/// replay) on the Fig. 5 workload, plus a full sharded
-/// DebugSession run — verifying scores, HVPs, AND deletion sequences are
-/// BITWISE identical to the unsharded sequential path at every shard
-/// count. Rows go to BENCH_shard.json (baseline under bench/baselines/).
-/// Note the shard contract trades reduction parallelism for exactness:
-/// the HVP's ordered replay is sequential, so its speedup ceiling is the
-/// coefficient-pass share of the kernel, while ScoreAll (no cross-record
-/// reduction) scales with the shard count.
-///
 /// Speedups are bounded by the physical core count; on a 1-core container
 /// every column degenerates to ~1x while the correctness checks still run.
 #include <cmath>
@@ -247,100 +235,6 @@ int main() {
   }
   EmitTable("Parallel scaling: batched bind + encode (Adult multi-query)",
             encode_table);
-
-  // Small Fig. 5 instance (3 iterations of 10 deletions) for the sharded
-  // full-session runs below.
-  Experiment aexp = DblpCount(0.5, /*train_size=*/2000, /*query_size=*/400);
-
-  // Sharded pipeline: shard-count scaling with bitwise verification
-  // against the unsharded sequential path (scores, HVPs, deletions).
-  constexpr int kShardCounts[] = {1, 2, 4, 8};
-  Dataset* train_mut = pipeline->train_data();
-
-  // Unsharded sequential session reference for the deletion check.
-  std::vector<size_t> shard_ref_deletions;
-  {
-    std::unique_ptr<Query2Pipeline> ref = aexp.make_pipeline();
-    RAIN_CHECK(ref->Train().ok());
-    auto session = DebugSessionBuilder(ref.get())
-                       .ranker("holistic")
-                       .top_k_per_iter(10)
-                       .max_deletions(30)
-                       .workload(aexp.workload)
-                       .Build();
-    RAIN_CHECK(session.ok()) << session.status().ToString();
-    auto report = (*session)->RunToCompletion();
-    RAIN_CHECK(report.ok()) << report.status().ToString();
-    shard_ref_deletions = report->deletions;
-  }
-
-  TablePrinter shard_table({"shards", "score_all_s", "score_speedup", "hvp_s",
-                            "hvp_speedup", "session_s", "session_speedup"});
-  EmitJson shard_json("BENCH_shard.json");
-  double shard_score_base = 0.0, shard_hvp_base = 0.0, shard_session_base = 0.0;
-  for (int shards : kShardCounts) {
-    ShardedDataset view(train_mut, ShardPlan::Uniform(train_mut->size(), shards));
-    model->set_parallelism(shards);  // one worker per shard task
-    InfluenceOptions sopts = opts;
-    sopts.shards = &view;
-    InfluenceScorer sharded(model, &train, sopts);
-    RAIN_CHECK(sharded.Prepare(q_grad).ok());
-
-    std::vector<double> scores;
-    const double score_s = TimeBest(5, [&] { scores = sharded.ScoreAll(); });
-    RAIN_CHECK(scores == scores_seq)
-        << "sharded ScoreAll must be bitwise identical to sequential";
-
-    Vec hvp;
-    const double hvp_s = TimeBest(
-        5, [&] { model->ShardedHessianVectorProduct(view, v, opts.l2, &hvp); });
-    RAIN_CHECK(hvp == hvp_seq)
-        << "sharded HVP must be bitwise identical to sequential";
-
-    std::unique_ptr<Query2Pipeline> spipe = aexp.make_pipeline();
-    RAIN_CHECK(spipe->Train().ok());
-    auto session = DebugSessionBuilder(spipe.get())
-                       .ranker("holistic")
-                       .top_k_per_iter(10)
-                       .max_deletions(30)
-                       .set_execution(ExecutionOptions()
-                                          .set_num_shards(shards)
-                                          .set_parallelism(shards))
-                       .workload(aexp.workload)
-                       .Build();
-    RAIN_CHECK(session.ok()) << session.status().ToString();
-    Timer session_timer;
-    auto report = (*session)->RunToCompletion();
-    const double session_s = session_timer.ElapsedSeconds();
-    RAIN_CHECK(report.ok()) << report.status().ToString();
-    RAIN_CHECK(report->deletions == shard_ref_deletions)
-        << "sharded deletion sequence must be bitwise identical to unsharded";
-
-    if (shards == 1) {
-      shard_score_base = score_s;
-      shard_hvp_base = hvp_s;
-      shard_session_base = session_s;
-    }
-    shard_table.AddRow(
-        {TablePrinter::Num(shards, 0), TablePrinter::Num(score_s, 5),
-         TablePrinter::Num(shard_score_base / score_s, 2),
-         TablePrinter::Num(hvp_s, 5), TablePrinter::Num(shard_hvp_base / hvp_s, 2),
-         TablePrinter::Num(session_s, 4),
-         TablePrinter::Num(shard_session_base / session_s, 2)});
-    shard_json.Row(StrFormat(
-        "{\"shards\": %d, \"score_all_s\": %.6f, \"score_speedup\": %.3f, "
-        "\"hvp_s\": %.6f, \"hvp_speedup\": %.3f, \"session_s\": %.6f, "
-        "\"session_speedup\": %.3f, \"bitwise_match\": true}",
-        shards, score_s, shard_score_base / score_s, hvp_s,
-        shard_hvp_base / hvp_s, session_s, shard_session_base / session_s));
-  }
-  model->set_parallelism(1);
-  if (shard_json.ok()) {
-    shard_json.Close();
-    std::printf("shard scaling rows written to BENCH_shard.json\n");
-  }
-  EmitTable("Shard scaling: ScoreAll / HVP / full session (Fig. 5 DBLP)",
-            shard_table);
 
   std::printf("score_all 8-thread speedup: %.2fx (max deviation %.3g)\n", score_8x,
               score_dev_max);

@@ -3,7 +3,7 @@
 /// 10^4 Adult training rows) through paper scale (1.0, 10^5) to 100x
 /// (10^7), and every measured configuration is verified against the
 /// sequential reference — bitwise wherever the runtime promises bitwise
-/// (generation, ScoreAll, sharded kernels, encode scores), <= 1e-9 for
+/// (generation, ScoreAll, encode scores), <= 1e-9 for
 /// the chunk-ordered HVP reduction.
 ///
 /// Sections (rows tagged "section" in BENCH_scale.json; recorded
@@ -16,8 +16,6 @@
 ///   - complaints: many-complaints batched bind + Holistic encode per
 ///                 thread count (hundreds of concurrent point complaints
 ///                 next to the grouped-AVG entries), scores bitwise.
-///   - shards:     sharded ScoreAll + shard-exact HVP per shard count,
-///                 both bitwise vs the unsharded sequential kernels.
 ///
 /// Flags: --scale=S (default: RAIN_BENCH_SCALE, else 1.0), --seed=N,
 /// --verify (keep every check, drop timing repeats to 1 — the fast CI
@@ -49,7 +47,6 @@ using namespace rain::bench;  // NOLINT
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
-constexpr int kShardCounts[] = {1, 2, 4, 8};
 
 /// Best-of-`repeats` wall-clock seconds of fn().
 template <typename Fn>
@@ -301,49 +298,6 @@ int main(int argc, char** argv) {
       StrFormat("Scale-N many-complaints bind + encode (%zu complaints)",
                 total_complaints),
       enc_table);
-
-  // Section 4: shard sweep — shard-parallel ScoreAll and the shard-exact
-  // HVP, one worker per shard, both bitwise vs the sequential kernels.
-  Dataset* train_mut = pipeline->train_data();
-  TablePrinter shard_table(
-      {"shards", "score_all_s", "score_speedup", "hvp_s", "hvp_speedup"});
-  double sscore_base = 0.0, shvp_base = 0.0;
-  for (int shards : kShardCounts) {
-    ShardedDataset view(train_mut, ShardPlan::Uniform(train_mut->size(), shards));
-    model->set_parallelism(shards);
-    InfluenceOptions sopts = opts;
-    sopts.shards = &view;
-    sopts.parallelism = shards;  // one worker per shard
-    InfluenceScorer sharded(model, &train, sopts);
-    RAIN_CHECK(sharded.Prepare(q_grad).ok());
-
-    std::vector<double> scores;
-    const double score_s = TimeBest(repeats, [&] { scores = sharded.ScoreAll(); });
-    RAIN_CHECK(scores == scores_seq)
-        << "sharded ScoreAll must be bitwise identical to sequential";
-
-    Vec hvp;
-    const double hvp_s = TimeBest(
-        repeats, [&] { model->ShardedHessianVectorProduct(view, v, opts.l2, &hvp); });
-    RAIN_CHECK(hvp == hvp_seq)
-        << "sharded HVP must be bitwise identical to sequential";
-
-    if (shards == 1) {
-      sscore_base = score_s;
-      shvp_base = hvp_s;
-    }
-    shard_table.AddRow({TablePrinter::Num(shards, 0), TablePrinter::Num(score_s, 5),
-                        TablePrinter::Num(sscore_base / score_s, 2),
-                        TablePrinter::Num(hvp_s, 5),
-                        TablePrinter::Num(shvp_base / hvp_s, 2)});
-    json.Row(StrFormat(
-        "{\"section\": \"shards\", \"shards\": %d, \"score_all_s\": %.6f, "
-        "\"score_speedup\": %.3f, \"hvp_s\": %.6f, \"hvp_speedup\": %.3f, "
-        "\"bitwise_match\": true}",
-        shards, score_s, sscore_base / score_s, hvp_s, shvp_base / hvp_s));
-  }
-  model->set_parallelism(1);
-  EmitTable("Scale-N shard sweep: ScoreAll / shard-exact HVP", shard_table);
 
   if (json.ok()) {
     json.Close();

@@ -84,7 +84,6 @@ MethodRun RunMethod(
   if (ProgressRequested()) {
     builder.set_execution(ExecutionOptions()
                               .set_parallelism(config.parallelism)
-                              .set_num_shards(config.num_shards)
                               .add_observer(&progress));
   }
   auto session = builder.Build();

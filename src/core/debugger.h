@@ -38,16 +38,6 @@ struct DebugConfig {
   /// and `influence.cg.parallelism` in turn inherits
   /// `influence.parallelism` when left at 1.
   int parallelism = 1;
-  /// Shard count for the training/influence pipeline; 0 (the default)
-  /// keeps the unsharded legacy path. With num_shards >= 1,
-  /// `DebugSessionBuilder::Build` installs a uniform `ShardPlan` on the
-  /// pipeline: retraining, the CG Hessian-vector loop, and
-  /// ScoreAll/SelfInfluenceAll run one task per shard with
-  /// ordered-replay reductions, and the fix phase routes deletions to
-  /// the owning shard. Deletion sequences (and every intermediate
-  /// gradient/loss/HVP/score) are bitwise-identical to the sequential
-  /// unsharded path at every shard count x worker count.
-  int num_shards = 0;
   InfluenceOptions influence;
   IlpSolveOptions ilp;
   /// Forwarded to RankContext (ablation knobs).

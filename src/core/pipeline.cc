@@ -1,7 +1,5 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "sql/planner.h"
 
@@ -52,30 +50,6 @@ int Query2Pipeline::set_parallelism(int parallelism) {
   train_config_.parallelism = parallelism;
   model_->set_parallelism(parallelism);
   return parallelism;
-}
-
-int Query2Pipeline::set_num_shards(int num_shards) {
-  if (num_shards <= 0) {
-    sharded_.reset();
-    train_config_.shards = nullptr;
-    return 0;
-  }
-  if (static_cast<size_t>(num_shards) > train_.size()) {
-    RAIN_LOG(Warning) << "Query2Pipeline::set_num_shards(" << num_shards
-                      << "): more shards than training rows; clamping to "
-                      << train_.size();
-  }
-  const size_t clamped =
-      std::min(static_cast<size_t>(num_shards), std::max<size_t>(train_.size(), 1));
-  // Reinstalling the same shard count keeps the existing view (the plan
-  // is a pure function of (n, count)), so pointers handed to an earlier
-  // session remain valid when a new session is built at the same count.
-  if (sharded_ == nullptr || sharded_->num_shards() != clamped) {
-    sharded_ = std::make_unique<ShardedDataset>(
-        &train_, ShardPlan::Uniform(train_.size(), static_cast<int>(clamped)));
-  }
-  train_config_.shards = sharded_.get();
-  return static_cast<int>(sharded_->num_shards());
 }
 
 Result<ExecResult> Query2Pipeline::Execute(const PlanPtr& plan, bool debug) {

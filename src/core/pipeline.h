@@ -80,27 +80,6 @@ class Query2Pipeline {
   /// is visible; returns the value actually installed.
   int set_parallelism(int parallelism);
 
-  /// \brief Installs (num_shards >= 1) or clears (num_shards <= 0) a
-  /// uniform `ShardPlan` over the training set.
-  ///
-  /// With a plan installed the pipeline owns a `ShardedDataset` view (see
-  /// `shards()`), retraining runs through the shard-exact kernels
-  /// (`TrainConfig::shards`), and results are bitwise-identical to
-  /// sequential (`parallelism = 1`) execution at every shard count x
-  /// worker count. `num_shards` is clamped to the training-set size;
-  /// returns the shard count actually installed (0 when cleared).
-  /// Reinstalling the same count keeps the existing view (pointers
-  /// handed out earlier stay valid); installing a different count
-  /// replaces it — a sharded session built against the old view must
-  /// not be stepped afterwards (a pipeline drives one session at a
-  /// time, as its training set and model are shared mutable state).
-  int set_num_shards(int num_shards);
-  /// The installed sharded view, nullptr when sharding is off. Owned by
-  /// the pipeline, valid until the next set_num_shards call.
-  const ShardedDataset* shards() const { return sharded_.get(); }
-  /// Mutable view for deletion routing (`ShardedDataset::Deactivate`).
-  ShardedDataset* mutable_shards() { return sharded_.get(); }
-
  private:
   Catalog catalog_;
   std::unique_ptr<Model> model_;
@@ -108,7 +87,6 @@ class Query2Pipeline {
   TrainConfig train_config_;
   PredictionStore predictions_;
   std::unique_ptr<PolyArena> arena_;
-  std::unique_ptr<ShardedDataset> sharded_;
 };
 
 }  // namespace rain

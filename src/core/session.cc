@@ -230,25 +230,10 @@ Result<UpdateReport> DebugSession::ApplyUpdate(const UpdateBatch& batch,
   }
 
   // --- Data deltas. Label edits detach the COW storage on first write
-  // (sibling tenants sharing it are unaffected); activation flips route
-  // through the shard view when one is installed so per-shard active
-  // counts stay in sync.
-  ShardedDataset* sharded = pipeline_->mutable_shards();
+  // (sibling tenants sharing it are unaffected).
   for (const LabelEdit& e : batch.label_edits) train->set_label(e.row, e.new_label);
-  for (size_t r : batch.deactivate_rows) {
-    if (sharded != nullptr) {
-      sharded->Deactivate(r);
-    } else {
-      train->Deactivate(r);
-    }
-  }
-  for (size_t r : batch.reactivate_rows) {
-    if (sharded != nullptr) {
-      sharded->Reactivate(r);
-    } else {
-      train->Reactivate(r);
-    }
-  }
+  for (size_t r : batch.deactivate_rows) train->Deactivate(r);
+  for (size_t r : batch.reactivate_rows) train->Reactivate(r);
   if (batch.touches_data()) train_memo_valid_ = false;
 
   // --- Workload deltas. Data deltas never invalidate bind-cache entries:
@@ -678,9 +663,6 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
 int DebugSession::FixPhase(const RankOutput& ranked, int iteration,
                            StepResult* result) {
   Dataset* train = pipeline_->train_data();
-  // Under sharding, deletions route through the view so the owning
-  // shard's active bookkeeping is updated in place alongside the mask.
-  ShardedDataset* sharded = pipeline_->mutable_shards();
   std::vector<size_t> order(train->size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -693,11 +675,7 @@ int DebugSession::FixPhase(const RankOutput& ranked, int iteration,
   for (size_t idx : order) {
     if (removed >= budget) break;
     if (!train->active(idx)) continue;
-    if (sharded != nullptr) {
-      sharded->Deactivate(idx);
-    } else {
-      train->Deactivate(idx);
-    }
+    train->Deactivate(idx);
     report_.deletions.push_back(idx);
     result->new_deletions.push_back(idx);
     ++removed;
@@ -833,36 +811,15 @@ Result<std::unique_ptr<DebugSession>> DebugSessionBuilder::Build() {
   if (resolved.influence.parallelism <= 1) {
     resolved.influence.parallelism = resolved.parallelism;
   }
-  // Also the single place the shard plan is installed: the pipeline owns
-  // the ShardedDataset view; train inherits it via TrainConfig::shards
-  // and the rank phase via InfluenceOptions::shards. A builder left at
-  // the default (0) ADOPTS a plan already installed on the pipeline —
-  // via Query2Pipeline::set_num_shards directly or by a previous
-  // session — instead of silently clearing it (and dangling that
-  // session's view); clear explicitly with
-  // pipeline->set_num_shards(0). Under sharding the CG vector kernels
-  // stay sequential (worker-invariant arithmetic), so the cg knob does
-  // not inherit the session parallelism.
-  if (resolved.num_shards <= 0 && pipeline_->shards() != nullptr) {
-    resolved.num_shards = static_cast<int>(pipeline_->shards()->num_shards());
-  }
-  resolved.num_shards = pipeline_->set_num_shards(resolved.num_shards);
-  if (resolved.num_shards > 0) {
-    resolved.influence.shards = pipeline_->shards();
-    resolved.influence.cg.parallelism = 1;
-  } else {
-    resolved.influence.shards = nullptr;
-    if (resolved.influence.cg.parallelism <= 1) {
-      resolved.influence.cg.parallelism = resolved.influence.parallelism;
-    }
+  if (resolved.influence.cg.parallelism <= 1) {
+    resolved.influence.cg.parallelism = resolved.influence.parallelism;
   }
 
   // Resolve the execution bundle: fold the relative timeout into the
-  // absolute deadline (earlier wins) and mirror the resolved parallelism /
-  // shard values back so the session ctor receives one coherent value.
+  // absolute deadline (earlier wins) and mirror the resolved parallelism
+  // back so the session ctor receives one coherent value.
   ExecutionOptions exec = std::move(exec_);
   exec.parallelism = resolved.parallelism;
-  exec.num_shards = resolved.num_shards;
   if (exec.timeout_seconds.has_value()) {
     const auto timeout_deadline =
         std::chrono::steady_clock::now() +

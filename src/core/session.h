@@ -131,9 +131,6 @@ struct ExecutionOptions {
   /// Worker count applied end-to-end across an iteration (see
   /// `DebugConfig::parallelism` for the inheritance rule).
   int parallelism = 1;
-  /// Shard count for the training/influence pipeline; 0 adopts whatever
-  /// plan the pipeline already has installed (none = unsharded).
-  int num_shards = 0;
   /// Absolute deadline checked between phases and inside phase loops.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Relative deadline in seconds from Build() time; combines with
@@ -149,10 +146,6 @@ struct ExecutionOptions {
 
   ExecutionOptions& set_parallelism(int v) {
     parallelism = v;
-    return *this;
-  }
-  ExecutionOptions& set_num_shards(int v) {
-    num_shards = v;
     return *this;
   }
   ExecutionOptions& set_deadline(std::chrono::steady_clock::time_point tp) {
@@ -324,7 +317,7 @@ class DebugSession {
   /// touched-row fraction.
   ///
   /// Determinism contract: for a given post-update state, the incremental
-  /// path's redebug is bitwise-identical at every worker/shard count (the
+  /// path's redebug is bitwise-identical at every worker count (the
   /// standard session discipline). Incremental vs full converge to the
   /// same deletion sequence; their floating-point trajectories may differ
   /// because warm- and cold-started L-BFGS legitimately take different
@@ -363,7 +356,7 @@ class DebugSession {
   friend class DebugSessionBuilder;
 
   /// `exec` is the RESOLVED execution bundle: `Build()` has already folded
-  /// `timeout_seconds` into `deadline` and copied parallelism / shards into
+  /// `timeout_seconds` into `deadline` and copied parallelism into
   /// `config`; the ctor consumes only deadline, parent_cancel, observers.
   DebugSession(Query2Pipeline* pipeline, std::unique_ptr<Ranker> ranker,
                DebugConfig config, std::vector<QueryComplaints> workload,
@@ -528,22 +521,20 @@ class DebugSessionBuilder {
     return *this;
   }
   /// \brief All execution-resource knobs in one value: worker count,
-  /// shard count, deadline/timeout, parent cancellation token, observers.
+  /// deadline/timeout, parent cancellation token, observers.
   ///
   /// This is the one knob surface shared with the serve layer — a
   /// `DebugService` admits sessions from exactly this struct. Field
   /// semantics:
   ///
-  ///   - `parallelism` / `num_shards` overwrite the corresponding
-  ///     `DebugConfig` fields (the same slots `config()` writes, so the
-  ///     later call wins). `Build()` then resolves inheritance and
-  ///     installs the shard plan; see the class comment,
-  ///     `DebugConfig::num_shards` and docs/architecture.md, "Shard plan".
+  ///   - `parallelism` overwrites `DebugConfig::parallelism` (the same
+  ///     slot `config()` writes, so the later call wins). `Build()` then
+  ///     resolves inheritance; see the class comment and
+  ///     `DebugConfig::parallelism`.
   ///   - `deadline` / `timeout_seconds` / `parent_cancel` / `observers`
   ///     REPLACE any previously supplied execution bundle wholesale.
   DebugSessionBuilder& set_execution(ExecutionOptions exec) {
     config_.parallelism = exec.parallelism;
-    config_.num_shards = exec.num_shards;
     exec_ = std::move(exec);
     return *this;
   }
@@ -600,11 +591,10 @@ class DebugSessionBuilder {
   Status ranker_status_;  // deferred error from ranker(name)
   DebugConfig config_;
   std::vector<QueryComplaints> workload_;
-  /// The execution bundle handed to the session. `parallelism` /
-  /// `num_shards` are mirrored into `config_` at setter time (so
-  /// `set_execution` and `config()` interleave with last-write-wins
-  /// semantics); Build() reads deadline/timeout/parent_cancel/observers
-  /// from here.
+  /// The execution bundle handed to the session. `parallelism` is
+  /// mirrored into `config_` at setter time (so `set_execution` and
+  /// `config()` interleave with last-write-wins semantics); Build() reads
+  /// deadline/timeout/parent_cancel/observers from here.
   ExecutionOptions exec_;
 };
 

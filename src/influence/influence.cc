@@ -39,22 +39,10 @@ InfluenceScorer::InfluenceScorer(const Model* model, const Dataset* train,
   // Same rule for the stop handle: one token normally covers the whole
   // scorer, CG solves included.
   if (options_.cg.cancel == nullptr) options_.cg.cancel = options_.cancel;
-  if (options_.shards != nullptr) {
-    RAIN_CHECK(&options_.shards->base() == train_)
-        << "InfluenceOptions::shards must view the scorer's training set";
-    // Sharding's bitwise contract is worker-invariant; chunked CG vector
-    // kernels would break it, so pin them to the sequential path.
-    options_.cg.parallelism = 1;
-  }
 }
 
-void InfluenceScorer::Hvp(const Vec& v, Vec* out, ShardScratch* scratch) const {
-  if (options_.shards != nullptr) {
-    model_->ShardedHessianVectorProduct(*options_.shards, v, options_.l2, out,
-                                        options_.cancel, scratch);
-  } else {
-    model_->HessianVectorProduct(*train_, v, options_.l2, out);
-  }
+void InfluenceScorer::Hvp(const Vec& v, Vec* out) const {
+  model_->HessianVectorProduct(*train_, v, options_.l2, out);
   if (options_.damping != 0.0) vec::Axpy(options_.damping, v, out);
 }
 
@@ -62,14 +50,7 @@ Status InfluenceScorer::Prepare(const Vec& q_grad) {
   if (q_grad.size() != model_->num_params()) {
     return Status::InvalidArgument("q gradient size does not match model parameters");
   }
-  // One CG solve = one sequential chain of HVPs: lend it one scratch so
-  // the per-shard coefficient buffers are allocated once, not per
-  // iteration. The scratch is local to this activation — a member would
-  // be shared with the concurrent CG solves SelfInfluenceAll runs.
-  ShardScratch scratch;
-  LinearOperator op = [this, &scratch](const Vec& v, Vec* out) {
-    Hvp(v, out, &scratch);
-  };
+  LinearOperator op = [this](const Vec& v, Vec* out) { Hvp(v, out); };
   RAIN_ASSIGN_OR_RETURN(CgReport report, ConjugateGradient(op, q_grad, options_.cg));
   s_ = std::move(report.x);
   cg_iterations_ = report.iterations;
@@ -105,34 +86,13 @@ bool InfluenceScorer::ScoreRows(const RowScore& row_score,
   // Embarrassingly parallel: each record's score is a pure function of its
   // own gradient and read-only scorer state, so any partition yields
   // scores bitwise identical to the sequential loop. A stop request makes
-  // every chunk/shard bail within one record.
+  // every chunk bail within one record.
   std::atomic<bool> interrupted{false};
-  bool complete = true;
-  if (options_.shards != nullptr) {
-    // Shards fan out through ParallelForCancellable. Each shard writes its
-    // slice of the score vector — the per-shard vectors are "merged" in
-    // shard order by construction — and the chunk count
-    // min(parallelism, num_shards) bounds in-flight shards. The token is
-    // polled per shard and per record (ScoreRange).
-    const ShardedDataset& shards = *options_.shards;
-    complete = ParallelForCancellable(
-        options_.parallelism, shards.num_shards(), options_.cancel,
-        [&](size_t begin, size_t end, size_t) {
-          for (size_t s = begin; s < end; ++s) {
-            const ShardPlan::Range range = shards.shard_range(s);
-            if (!ScoreRange(range.begin, range.end, row_score, scores)) {
-              interrupted = true;
-              return;
-            }
-          }
-        });
-  } else {
-    complete = ParallelForCancellable(
-        options_.parallelism, train_->size(), kScoreGrain, options_.cancel,
-        [&](size_t begin, size_t end, size_t) {
-          if (!ScoreRange(begin, end, row_score, scores)) interrupted = true;
-        });
-  }
+  const bool complete = ParallelForCancellable(
+      options_.parallelism, train_->size(), kScoreGrain, options_.cancel,
+      [&](size_t begin, size_t end, size_t) {
+        if (!ScoreRange(begin, end, row_score, scores)) interrupted = true;
+      });
   return complete && !interrupted;
 }
 
@@ -148,18 +108,15 @@ std::vector<double> InfluenceScorer::ScoreAll() const {
 
 Result<std::vector<double>> InfluenceScorer::DenseSelfInfluenceAll() const {
   const Status cancelled = Status::Cancelled("self-influence scoring interrupted");
-  // H + damping I, one Hessian-vector product per unit vector. Hvp
-  // dispatches to the shard-exact kernels under a shard plan, so the
-  // columns (and the factor) are bitwise the unsharded ones. A product
-  // interrupted by a stop request may be partial: poll after each one.
+  // H + damping I, one Hessian-vector product per unit vector. Poll
+  // after each one so a stop request costs at most one product.
   const size_t p = model_->num_params();
   Matrix hessian(p, p);
-  ShardScratch scratch;
   Vec unit(p, 0.0);
   Vec column;
   for (size_t j = 0; j < p; ++j) {
     unit[j] = 1.0;
-    Hvp(unit, &column, &scratch);
+    Hvp(unit, &column);
     unit[j] = 0.0;
     if (options_.cancel != nullptr && options_.cancel->ShouldStop()) return cancelled;
     for (size_t i = 0; i < p; ++i) hessian.At(i, j) = column[i];
@@ -222,55 +179,24 @@ Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll() {
   }
   std::vector<double> scores(train_->size(), 0.0);
   // One CG solve per active record; solves are independent, so partition
-  // records across workers — by shard (fanned out through
-  // ParallelForCancellable, as in ScoreAll) when a shard plan is
-  // installed, by deterministic chunk otherwise. Each partition owns its
-  // own Hessian operator + ShardScratch (its CG chain is sequential, but
-  // partitions run concurrently, so the scratch cannot be shared), its own
-  // CG summary, and stops at its first failing solve, recording the
-  // status; the lowest-partition (i.e. lowest-record-index) failure is
-  // reported, so the returned status matches the sequential loop's
-  // regardless of scheduling.
+  // records across deterministic chunks. Each chunk owns its CG summary
+  // and stops at its first failing solve, recording the status; the
+  // lowest-chunk (i.e. lowest-record-index) failure is reported, so the
+  // returned status matches the sequential loop's regardless of
+  // scheduling.
   CgReport empty;
   empty.converged = true;
-  size_t partitions = 0;
-  std::vector<Status> status;
-  std::vector<CgReport> summary;
-  auto solve_rows = [&](size_t begin, size_t end, size_t partition) {
-    ShardScratch scratch;
-    LinearOperator op = [this, &scratch](const Vec& v, Vec* out) {
-      Hvp(v, out, &scratch);
-    };
-    status[partition] =
-        SelfInfluenceRange(begin, end, op, &scores, &summary[partition]);
-  };
-  bool complete = true;
-  if (options_.shards != nullptr) {
-    const ShardedDataset& shards = *options_.shards;
-    partitions = shards.num_shards();
-    status.assign(partitions, Status::OK());
-    summary.assign(partitions, empty);
-    complete = ParallelForCancellable(
-        options_.parallelism, partitions, options_.cancel,
-        [&](size_t begin, size_t end, size_t) {
-          for (size_t s = begin; s < end; ++s) {
-            if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
-              status[s] = Status::Cancelled("self-influence scoring interrupted");
-              return;
-            }
-            const ShardPlan::Range range = shards.shard_range(s);
-            solve_rows(range.begin, range.end, s);
-            if (!status[s].ok()) return;
-          }
-        });
-  } else {
-    partitions =
-        options_.parallelism < 1 ? 1 : static_cast<size_t>(options_.parallelism);
-    status.assign(partitions, Status::OK());
-    summary.assign(partitions, empty);
-    complete = ParallelForCancellable(options_.parallelism, train_->size(),
-                                      options_.cancel, solve_rows);
-  }
+  const size_t partitions =
+      options_.parallelism < 1 ? 1 : static_cast<size_t>(options_.parallelism);
+  std::vector<Status> status(partitions, Status::OK());
+  std::vector<CgReport> summary(partitions, empty);
+  const LinearOperator op = [this](const Vec& v, Vec* out) { Hvp(v, out); };
+  const bool complete = ParallelForCancellable(
+      options_.parallelism, train_->size(), options_.cancel,
+      [&](size_t begin, size_t end, size_t partition) {
+        status[partition] =
+            SelfInfluenceRange(begin, end, op, &scores, &summary[partition]);
+      });
   for (const Status& s : status) {
     if (!s.ok()) return s;
   }

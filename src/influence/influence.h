@@ -29,17 +29,6 @@ struct InfluenceOptions {
   /// SelfInfluenceAll and inherited by `cg.cancel` when that was left
   /// unset, so a stop request also aborts the Hessian solve mid-CG.
   const CancellationToken* cancel = nullptr;
-  /// Optional sharded view over the SAME training set handed to the
-  /// scorer (borrowed; must outlive any call). When set,
-  /// ScoreAll/SelfInfluenceAll fan the shards out across at most
-  /// `parallelism` workers (scores land in the per-shard slices of one
-  /// vector, i.e. merged in shard order by construction; the cancel
-  /// token is polled per shard and per record) and the CG loop's
-  /// Hessian-vector products go through the models' shard-exact kernels. Results are bitwise-identical to the
-  /// sequential scorer at every shard count x worker count; to keep that
-  /// worker-invariance, `cg.parallelism` is pinned to 1 (sequential
-  /// vector kernels) while sharding is on.
-  const ShardedDataset* shards = nullptr;
 };
 
 /// \brief Influence-function scorer (paper Section 4.1, Equation 4).
@@ -82,19 +71,14 @@ class InfluenceScorer {
 
   /// Adjusts the scoring worker count after construction (benchmarks sweep
   /// this; the prepared CG solution s is unaffected). When cg.parallelism
-  /// was inherited rather than tuned explicitly, it follows this knob —
-  /// except under sharding, where the CG vector kernels stay pinned
-  /// sequential (worker-invariance; see InfluenceOptions::shards).
+  /// was inherited rather than tuned explicitly, it follows this knob.
   void set_parallelism(int parallelism) {
     options_.parallelism = parallelism < 1 ? 1 : parallelism;
-    if (cg_parallelism_inherited_ && options_.shards == nullptr) {
+    if (cg_parallelism_inherited_) {
       options_.cg.parallelism = options_.parallelism;
     }
   }
   int parallelism() const { return options_.parallelism; }
-
-  /// The sharded view driving the scorer, nullptr when unsharded.
-  const ShardedDataset* shards() const { return options_.shards; }
 
   /// \brief Self-influence scores for the InfLoss baseline [35]:
   ///     self(z) = -grad l(z)^T H^{-1} grad l(z)   (always <= 0).
@@ -108,7 +92,7 @@ class InfluenceScorer {
   /// each record as -||L^{-1} grad l(z)||^2 with one forward substitution.
   /// A Hessian that is not positive definite fails with Status::Internal.
   /// The factor is read-only while rows are scored, so scores are bitwise
-  /// invariant to the worker and shard counts.
+  /// invariant to the worker count.
   ///
   /// Otherwise (large softmax, the MLP) it runs one CG solve per active
   /// record: the per-record-solve cost the paper reports for InfLoss
@@ -116,18 +100,15 @@ class InfluenceScorer {
   Result<std::vector<double>> SelfInfluenceAll();
 
  private:
-  /// (H + damping I) v. `scratch` (may be null) lends per-shard buffers
-  /// to the sharded HVP kernel; each sequential chain of Hvp calls (one
-  /// CG solve) owns its own scratch, because SelfInfluenceAll runs
-  /// solves concurrently.
-  void Hvp(const Vec& v, Vec* out, ShardScratch* scratch = nullptr) const;
+  /// (H + damping I) v.
+  void Hvp(const Vec& v, Vec* out) const;
   /// Per-record score from the record's loss gradient; may overwrite
   /// the gradient (it is scratch owned by the calling partition).
   using RowScore = std::function<double(Vec* grad)>;
   /// Writes row_score(grad l(z_i)) into (*scores)[i] for every active row,
-  /// partitioned across workers (by shard when a shard plan is set, in
-  /// kScoreGrain chunks otherwise) and polling the cancel token per
-  /// record. Returns false when a stop request interrupted scoring.
+  /// partitioned across workers in kScoreGrain chunks and polling the
+  /// cancel token per record. Returns false when a stop request
+  /// interrupted scoring.
   bool ScoreRows(const RowScore& row_score, std::vector<double>* scores) const;
   /// ScoreRows over rows [begin, end); returns false when interrupted.
   bool ScoreRange(size_t begin, size_t end, const RowScore& row_score,

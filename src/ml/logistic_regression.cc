@@ -38,9 +38,9 @@ void LogisticRegression::set_params(const Vec& theta) {
 }
 
 double LogisticRegression::Margin(const double* x) const {
-  // Every margin consumer (loss, gradients, the HVP body, and the
-  // shard-exact coefficient kernels) routes through this one helper, so
-  // the SIMD reduction stays consistent across paired code paths.
+  // Every margin consumer (loss, gradients, the HVP body) routes through
+  // this one helper, so the SIMD reduction stays consistent across paired
+  // code paths.
   const double z = vec::simd::Dot(theta_.data(), x, d_);
   return fit_intercept_ ? z + theta_[d_] : z;
 }
@@ -91,8 +91,7 @@ void LogisticRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
         // so the two per-row dots batch into Gemv calls over the run.
         // Every Gemv element is the Dot kernel (with the operand order
         // commuted — per-element products are rounding-identical), so the
-        // bits match the former per-row Margin / dot calls exactly, and
-        // HvpCoeffs' sharded replay still reproduces this body.
+        // bits match the former per-row Margin / dot calls exactly.
         constexpr size_t kHvpBlock = 64;
         double z_blk[kHvpBlock];
         double xv_blk[kHvpBlock];
@@ -126,35 +125,6 @@ void LogisticRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;
   vec::Axpy(2.0 * l2, v, out);
-}
-
-void LogisticRegression::LossGradCoeffs(const double* x, int y,
-                                        double* coeffs) const {
-  coeffs[0] = Sigmoid(Margin(x)) - static_cast<double>(y);
-}
-
-void LogisticRegression::ApplyLossGradCoeffs(const double* x, const double* coeffs,
-                                             Vec* grad) const {
-  const double coef = coeffs[0];
-  vec::simd::MulAdd(coef, x, grad->data(), d_);
-  if (fit_intercept_) (*grad)[d_] += coef;
-}
-
-void LogisticRegression::HvpCoeffs(const double* x, int /*y*/, const Vec& v,
-                                   double* coeffs) const {
-  const double p1 = Sigmoid(Margin(x));
-  const double s = p1 * (1.0 - p1);
-  // Same dot + intercept sequence as the HessianVectorProduct body.
-  double xv = vec::simd::Dot(v.data(), x, d_);
-  if (fit_intercept_) xv += v[d_];
-  coeffs[0] = s * xv;
-}
-
-void LogisticRegression::ApplyHvpCoeffs(const double* x, const double* coeffs,
-                                        Vec* out) const {
-  const double coef = coeffs[0];
-  vec::simd::MulAdd(coef, x, out->data(), d_);
-  if (fit_intercept_) (*out)[d_] += coef;
 }
 
 }  // namespace rain

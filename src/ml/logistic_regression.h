@@ -31,18 +31,6 @@ class LogisticRegression : public Model {
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
 
-  // Shard-exact per-row kernels: both the loss gradient and the HVP row
-  // body are a single scalar coefficient times [x; 1].
-  size_t loss_grad_coeff_size() const override { return 1; }
-  size_t hvp_coeff_size() const override { return 1; }
-  void LossGradCoeffs(const double* x, int y, double* coeffs) const override;
-  void ApplyLossGradCoeffs(const double* x, const double* coeffs,
-                           Vec* grad) const override;
-  void HvpCoeffs(const double* x, int y, const Vec& v,
-                 double* coeffs) const override;
-  void ApplyHvpCoeffs(const double* x, const double* coeffs,
-                      Vec* out) const override;
-
   bool fit_intercept() const { return fit_intercept_; }
 
  private:

@@ -75,8 +75,7 @@ void Mlp::Backprop(const double* x, const Forward& f, const Vec& dz2, Vec* grad,
   double* gb2 = grad->data() + OffB2();
 
   // W2 / b2 grads and da1 = W2^T dz2 — ELEMENTWISE MulAdd keeps each
-  // element's rounding identical to the former interleaved statements,
-  // so LossGradCoeffs/ApplyLossGradCoeffs replay this path's bits.
+  // element's rounding identical to the former interleaved statements.
   Vec da1(h_, 0.0);
   for (int k = 0; k < c_; ++k) {
     const double g = dz2[k];
@@ -146,8 +145,7 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
         // the operand order commuted (per-element products are
         // rounding-identical), and the bias adds happen afterwards in the
         // same position, so each row's forward/R-forward values are
-        // bitwise what RunForward and the former per-row loops produced —
-        // HvpCoeffs' sharded replay still reproduces this body exactly.
+        // bitwise what RunForward and the former per-row loops produced.
         constexpr size_t kHvpRows = 16;
         const size_t cc = static_cast<size_t>(c_);
         std::vector<double> z1_blk(kHvpRows * h_);
@@ -194,7 +192,7 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
             for (size_t k = 0; k < cc; ++k) p[k] = b2[k] + z2_blk[r * cc + k];
             SoftmaxInPlace(p.data(), c_);
             // R{z2} keeps the per-row Dot2 kernel (two-operand reduction,
-            // no GEMM shape) — same as HvpCoeffs.
+            // no GEMM shape).
             for (int k = 0; k < c_; ++k) {
               const double* vrow = v_w2 + static_cast<size_t>(k) * h_;
               const double* wrow = w2 + static_cast<size_t>(k) * h_;
@@ -241,123 +239,6 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;
   vec::Axpy(2.0 * l2, v, out);
-}
-
-void Mlp::LossGradCoeffs(const double* x, int y, double* coeffs) const {
-  Forward f;
-  RunForward(x, &f);
-  double* dz2 = coeffs;                      // C
-  double* a1 = coeffs + c_;                  // h
-  double* dz1 = coeffs + c_ + h_;            // h
-  for (int k = 0; k < c_; ++k) dz2[k] = f.p[k];
-  dz2[y] -= 1.0;
-  for (size_t i = 0; i < h_; ++i) a1[i] = f.a1[i];
-  // da1 = W2^T dz2, accumulated with Backprop's exact MulAdd kernel.
-  const double* w2 = theta_.data() + OffW2();
-  Vec da1(h_, 0.0);
-  for (int k = 0; k < c_; ++k) {
-    const double g = dz2[k];
-    const double* wrow = w2 + static_cast<size_t>(k) * h_;
-    vec::simd::MulAdd(g, wrow, da1.data(), h_);
-  }
-  for (size_t i = 0; i < h_; ++i) dz1[i] = f.z1[i] > 0.0 ? da1[i] : 0.0;
-}
-
-void Mlp::ApplyLossGradCoeffs(const double* x, const double* coeffs,
-                              Vec* grad) const {
-  const double* dz2 = coeffs;
-  const double* a1 = coeffs + c_;
-  const double* dz1 = coeffs + c_ + h_;
-  double* gw1 = grad->data() + OffW1();
-  double* gb1 = grad->data() + OffB1();
-  double* gw2 = grad->data() + OffW2();
-  double* gb2 = grad->data() + OffB2();
-  for (int k = 0; k < c_; ++k) {
-    const double g = dz2[k];
-    gb2[k] += g;
-    double* grow = gw2 + static_cast<size_t>(k) * h_;
-    vec::simd::MulAdd(g, a1, grow, h_);
-  }
-  for (size_t i = 0; i < h_; ++i) {
-    const double g = dz1[i];
-    gb1[i] += g;
-    if (g == 0.0) continue;
-    double* grow = gw1 + i * d_;
-    vec::simd::MulAdd(g, x, grow, d_);
-  }
-}
-
-void Mlp::HvpCoeffs(const double* x, int y, const Vec& v, double* coeffs) const {
-  Forward f;
-  RunForward(x, &f);
-  const double* w2 = theta_.data() + OffW2();
-  const double* v_w1 = v.data() + OffW1();
-  const double* v_b1 = v.data() + OffB1();
-  const double* v_w2 = v.data() + OffW2();
-  const double* v_b2 = v.data() + OffB2();
-
-  double* rdz2 = coeffs;                          // C
-  double* dz2 = coeffs + c_;                      // C
-  double* a1 = coeffs + 2 * static_cast<size_t>(c_);            // h
-  double* ra1 = coeffs + 2 * static_cast<size_t>(c_) + h_;      // h
-  double* rdz1 = coeffs + 2 * static_cast<size_t>(c_) + 2 * h_; // h
-
-  // R-forward pass, exactly as in HessianVectorProduct's row body
-  // (same Dot/Dot2 kernels, same intercept-last rounding order).
-  Vec rz1(h_, 0.0);
-  for (size_t i = 0; i < h_; ++i) {
-    const double* vrow = v_w1 + i * d_;
-    rz1[i] = v_b1[i] + vec::simd::Dot(vrow, x, d_);
-  }
-  for (size_t i = 0; i < h_; ++i) {
-    a1[i] = f.a1[i];
-    ra1[i] = f.z1[i] > 0.0 ? rz1[i] : 0.0;
-  }
-  Vec rz2(c_, 0.0);
-  for (int k = 0; k < c_; ++k) {
-    const double* vrow = v_w2 + static_cast<size_t>(k) * h_;
-    const double* wrow = w2 + static_cast<size_t>(k) * h_;
-    rz2[k] = v_b2[k] + vec::simd::Dot2(vrow, a1, wrow, ra1, h_);
-  }
-  for (int k = 0; k < c_; ++k) dz2[k] = f.p[k];
-  dz2[y] -= 1.0;
-  double prz = 0.0;
-  for (int k = 0; k < c_; ++k) prz += f.p[k] * rz2[k];
-  for (int k = 0; k < c_; ++k) rdz2[k] = f.p[k] * (rz2[k] - prz);
-
-  // rda1 accumulated with the R-backward pass's exact MulAdd2 kernel,
-  // so the replay reproduces the same bits.
-  Vec rda1(h_, 0.0);
-  for (int k = 0; k < c_; ++k) {
-    const double* wrow = w2 + static_cast<size_t>(k) * h_;
-    const double* vrow = v_w2 + static_cast<size_t>(k) * h_;
-    vec::simd::MulAdd2(rdz2[k], wrow, dz2[k], vrow, rda1.data(), h_);
-  }
-  for (size_t i = 0; i < h_; ++i) rdz1[i] = f.z1[i] > 0.0 ? rda1[i] : 0.0;
-}
-
-void Mlp::ApplyHvpCoeffs(const double* x, const double* coeffs, Vec* out) const {
-  const double* rdz2 = coeffs;
-  const double* dz2 = coeffs + c_;
-  const double* a1 = coeffs + 2 * static_cast<size_t>(c_);
-  const double* ra1 = coeffs + 2 * static_cast<size_t>(c_) + h_;
-  const double* rdz1 = coeffs + 2 * static_cast<size_t>(c_) + 2 * h_;
-  double* o_w1 = out->data() + OffW1();
-  double* o_b1 = out->data() + OffB1();
-  double* o_w2 = out->data() + OffW2();
-  double* o_b2 = out->data() + OffB2();
-  for (int k = 0; k < c_; ++k) {
-    o_b2[k] += rdz2[k];
-    double* orow = o_w2 + static_cast<size_t>(k) * h_;
-    vec::simd::MulAdd2(rdz2[k], a1, dz2[k], ra1, orow, h_);
-  }
-  for (size_t i = 0; i < h_; ++i) {
-    const double rg = rdz1[i];
-    o_b1[i] += rg;
-    if (rg == 0.0) continue;
-    double* orow = o_w1 + i * d_;
-    vec::simd::MulAdd(rg, x, orow, d_);
-  }
 }
 
 }  // namespace rain

@@ -43,25 +43,6 @@ class Mlp : public Model {
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
 
-  // Shard-exact per-row kernels. The coefficient blocks carry the
-  // forward/backward intermediates the accumulation is rank-structured
-  // over: [dz2 (C), a1 (h), dz1 (h)] for the gradient and
-  // [rdz2 (C), dz2 (C), a1 (h), ra1 (h), rdz1 (h)] for the Pearlmutter
-  // R-op product.
-  size_t loss_grad_coeff_size() const override {
-    return 2 * h_ + static_cast<size_t>(c_);
-  }
-  size_t hvp_coeff_size() const override {
-    return 3 * h_ + 2 * static_cast<size_t>(c_);
-  }
-  void LossGradCoeffs(const double* x, int y, double* coeffs) const override;
-  void ApplyLossGradCoeffs(const double* x, const double* coeffs,
-                           Vec* grad) const override;
-  void HvpCoeffs(const double* x, int y, const Vec& v,
-                 double* coeffs) const override;
-  void ApplyHvpCoeffs(const double* x, const double* coeffs,
-                      Vec* out) const override;
-
  private:
   struct Forward {
     Vec z1, a1, z2, p;  // pre/post hidden, logits, probabilities

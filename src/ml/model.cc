@@ -1,7 +1,5 @@
 #include "ml/model.h"
 
-#include <limits>
-
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -59,196 +57,6 @@ void Model::MeanLossGradient(const Dataset& data, double l2, Vec* grad) const {
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& g : *grad) g *= inv_n;
   vec::Axpy(2.0 * l2, params(), grad);
-}
-
-// ------------------------------------------------- shard-exact kernels
-
-void Model::LossGradCoeffs(const double*, int, double*) const {
-  RAIN_CHECK(false) << "model reports loss_grad_coeff_size() > 0 but does not "
-                       "implement LossGradCoeffs";
-}
-
-void Model::ApplyLossGradCoeffs(const double*, const double*, Vec*) const {
-  RAIN_CHECK(false) << "model reports loss_grad_coeff_size() > 0 but does not "
-                       "implement ApplyLossGradCoeffs";
-}
-
-void Model::HvpCoeffs(const double*, int, const Vec&, double*) const {
-  RAIN_CHECK(false) << "model reports hvp_coeff_size() > 0 but does not "
-                       "implement HvpCoeffs";
-}
-
-void Model::ApplyHvpCoeffs(const double*, const double*, Vec*) const {
-  RAIN_CHECK(false) << "model reports hvp_coeff_size() > 0 but does not "
-                       "implement ApplyHvpCoeffs";
-}
-
-namespace {
-
-/// Runs `per_shard(s)` for every shard, one shard at a time across
-/// `parallelism` workers, polling `cancel` before each shard. Returns
-/// false when interrupted (some shards skipped; outputs are partial and
-/// must be discarded by the caller's own interruption check).
-bool RunShardPass(int parallelism, const ShardedDataset& data,
-                  const CancellationToken* cancel,
-                  const std::function<void(size_t shard)>& per_shard) {
-  bool complete = ParallelForCancellable(
-      parallelism, data.num_shards(), cancel,
-      [&](size_t begin, size_t end, size_t) {
-        for (size_t s = begin; s < end; ++s) {
-          if (cancel != nullptr && cancel->ShouldStop()) return;
-          per_shard(s);
-        }
-      });
-  return complete && (cancel == nullptr || !cancel->ShouldStop());
-}
-
-}  // namespace
-
-double Model::ShardedMeanLoss(const ShardedDataset& data, double l2,
-                              const CancellationToken* cancel,
-                              ShardScratch* scratch) const {
-  const Dataset& base = data.base();
-  RAIN_CHECK(base.num_active() > 0) << "loss over empty dataset";
-  // Per-row losses computed shard-parallel, summed in global row order:
-  // exactly the additions of the sequential loop, in the same order.
-  // Caller-lent scratch keeps the per-shard buffers warm across calls;
-  // without one, per-call buffers (pool-draining waits can re-enter this
-  // function on the calling thread, so no hidden thread_local/member).
-  std::vector<Vec> local;
-  std::vector<Vec>& losses = scratch != nullptr ? scratch->loss : local;
-  losses.resize(data.num_shards());
-  const bool complete = RunShardPass(parallelism(), data, cancel, [&](size_t s) {
-    const ShardPlan::Range range = data.shard_range(s);
-    Vec& buf = losses[s];
-    buf.assign(range.size(), 0.0);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      if (!base.active(i)) continue;
-      buf[i - range.begin] = ExampleLoss(base.row(i), base.label(i));
-    }
-  });
-  // An interrupted pass leaves buffers unfilled. Return +inf rather than
-  // a fabricated finite value: the L-BFGS line search rejects non-finite
-  // objectives, so a cancelled evaluation can never be accepted as a
-  // spuriously "good" iterate (the trainer then reports the run as
-  // interrupted at its own poll).
-  if (!complete) return std::numeric_limits<double>::infinity();
-  double acc = 0.0;
-  for (size_t s = 0; s < data.num_shards(); ++s) {
-    const ShardPlan::Range range = data.shard_range(s);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      if (!base.active(i)) continue;
-      acc += losses[s][i - range.begin];
-    }
-  }
-  acc /= static_cast<double>(base.num_active());
-  acc += l2 * vec::NormSq(params());
-  return acc;
-}
-
-void Model::ShardedMeanLossGradient(const ShardedDataset& data, double l2,
-                                    Vec* grad, const CancellationToken* cancel,
-                                    ShardScratch* scratch) const {
-  const Dataset& base = data.base();
-  RAIN_CHECK(base.num_active() > 0) << "gradient over empty dataset";
-  grad->assign(num_params(), 0.0);
-  const size_t csz = loss_grad_coeff_size();
-  if (csz == 0) {
-    // Model without shard-exact kernels: the sequential loop (bitwise
-    // what MeanLossGradient does at parallelism 1), shards unused. Still
-    // cancellable — poll every block of rows so a stop request does not
-    // stall for a whole data pass (the partial gradient is discarded by
-    // the caller's own interruption check, as in the sharded path).
-    for (size_t i = 0; i < base.size(); ++i) {
-      if (cancel != nullptr && i % kMinParallelRows == 0 && cancel->ShouldStop()) {
-        return;
-      }
-      if (!base.active(i)) continue;
-      AddExampleLossGradient(base.row(i), base.label(i), grad);
-    }
-  } else {
-    // Scratch reuse is safe even across active-mask changes: the replay
-    // below reads exactly the active-row blocks this call's pass wrote.
-    std::vector<Vec> local;
-    std::vector<Vec>& coeffs = scratch != nullptr ? scratch->grad : local;
-    coeffs.resize(data.num_shards());
-    const bool complete = RunShardPass(parallelism(), data, cancel, [&](size_t s) {
-      const ShardPlan::Range range = data.shard_range(s);
-      Vec& buf = coeffs[s];
-      buf.resize(range.size() * csz);
-      for (size_t i = range.begin; i < range.end; ++i) {
-        if (!base.active(i)) continue;
-        LossGradCoeffs(base.row(i), base.label(i),
-                       buf.data() + (i - range.begin) * csz);
-      }
-    });
-    // An interrupted pass leaves coefficient buffers unfilled; the
-    // caller's interruption check discards the output, so skip the
-    // replay rather than read them.
-    if (!complete) return;
-    // Ordered replay: one addend block per row, applied in global row
-    // order — the sequential loop's exact multiply-add sequence.
-    for (size_t s = 0; s < data.num_shards(); ++s) {
-      const ShardPlan::Range range = data.shard_range(s);
-      for (size_t i = range.begin; i < range.end; ++i) {
-        if (!base.active(i)) continue;
-        ApplyLossGradCoeffs(base.row(i),
-                            coeffs[s].data() + (i - range.begin) * csz, grad);
-      }
-    }
-  }
-  const double inv_n = 1.0 / static_cast<double>(base.num_active());
-  for (double& g : *grad) g *= inv_n;
-  vec::Axpy(2.0 * l2, params(), grad);
-}
-
-void Model::ShardedHessianVectorProduct(const ShardedDataset& data, const Vec& v,
-                                        double l2, Vec* out,
-                                        const CancellationToken* cancel,
-                                        ShardScratch* scratch) const {
-  const Dataset& base = data.base();
-  RAIN_CHECK(v.size() == num_params()) << "HVP size mismatch";
-  RAIN_CHECK(base.num_active() > 0) << "HVP over empty dataset";
-  const size_t csz = hvp_coeff_size();
-  if (csz == 0) {
-    // Fallback for models without shard-exact kernels: the model's own
-    // HVP (deterministic per its parallelism knob, but not shard-exact).
-    HessianVectorProduct(base, v, l2, out);
-    return;
-  }
-  out->assign(num_params(), 0.0);
-  // Buffer ownership sits with the caller (or this frame) by design:
-  // pool-draining waits can re-enter this function on the calling thread
-  // (a blocked ParallelFor helps run queued tasks, which may themselves
-  // score/solve), so a thread_local or member scratch would be live in
-  // two frames at once. This is the hottest fixed cost in a CG solve —
-  // one allocation pass per Hessian-vector product — so callers in
-  // iterative loops should lend a ShardScratch.
-  std::vector<Vec> local;
-  std::vector<Vec>& coeffs = scratch != nullptr ? scratch->hvp : local;
-  coeffs.resize(data.num_shards());
-  const bool complete = RunShardPass(parallelism(), data, cancel, [&](size_t s) {
-    const ShardPlan::Range range = data.shard_range(s);
-    Vec& buf = coeffs[s];
-    buf.resize(range.size() * csz);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      if (!base.active(i)) continue;
-      HvpCoeffs(base.row(i), base.label(i), v, buf.data() + (i - range.begin) * csz);
-    }
-  });
-  // Interrupted: buffers may be unfilled and the caller discards the
-  // output at its own poll — skip the replay.
-  if (!complete) return;
-  for (size_t s = 0; s < data.num_shards(); ++s) {
-    const ShardPlan::Range range = data.shard_range(s);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      if (!base.active(i)) continue;
-      ApplyHvpCoeffs(base.row(i), coeffs[s].data() + (i - range.begin) * csz, out);
-    }
-  }
-  const double inv_n = 1.0 / static_cast<double>(base.num_active());
-  for (double& o : *out) o *= inv_n;
-  vec::Axpy(2.0 * l2, v, out);
 }
 
 }  // namespace rain

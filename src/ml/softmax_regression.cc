@@ -10,8 +10,8 @@ namespace rain {
 namespace {
 
 /// w . x over d features plus the trailing intercept — the one dot
-/// sequence shared by Logits, the HVP body, and the shard-exact
-/// coefficient kernels (paired paths must round identically).
+/// sequence shared by Logits and the HVP body (paired paths must round
+/// identically).
 inline double DotIntercept(const double* w, const double* x, size_t d,
                            bool fit_intercept) {
   const double z = vec::simd::Dot(w, x, d);
@@ -115,8 +115,7 @@ void SoftmaxRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
         // element is the Dot kernel behind DotIntercept (operand order
         // commuted — per-element products are rounding-identical), and
         // the intercept add happens afterwards in the same position, so
-        // the bits match the former per-row calls exactly and HvpCoeffs'
-        // sharded replay still reproduces this body.
+        // the bits match the former per-row calls exactly.
         constexpr size_t kHvpRows = 32;
         const size_t cc = static_cast<size_t>(c_);
         std::vector<double> logit_blk(kHvpRows * cc);
@@ -164,53 +163,6 @@ void SoftmaxRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;
   vec::Axpy(2.0 * l2, v, out);
-}
-
-void SoftmaxRegression::LossGradCoeffs(const double* x, int y,
-                                       double* coeffs) const {
-  std::vector<double> p(c_);
-  PredictProba(x, p.data());
-  for (int c = 0; c < c_; ++c) {
-    coeffs[c] = p[c] - (c == y ? 1.0 : 0.0);
-  }
-}
-
-void SoftmaxRegression::ApplyLossGradCoeffs(const double* x, const double* coeffs,
-                                            Vec* grad) const {
-  const size_t bs = BlockSize();
-  for (int c = 0; c < c_; ++c) {
-    const double coef = coeffs[c];
-    double* g = grad->data() + static_cast<size_t>(c) * bs;
-    vec::simd::MulAdd(coef, x, g, d_);
-    if (fit_intercept_) g[d_] += coef;
-  }
-}
-
-void SoftmaxRegression::HvpCoeffs(const double* x, int /*y*/, const Vec& v,
-                                  double* coeffs) const {
-  const size_t bs = BlockSize();
-  std::vector<double> p(c_);
-  std::vector<double> a(c_);
-  PredictProba(x, p.data());
-  // Same dot + intercept sequence as the HessianVectorProduct body.
-  for (int c = 0; c < c_; ++c) {
-    const double* vc = v.data() + static_cast<size_t>(c) * bs;
-    a[c] = DotIntercept(vc, x, d_, fit_intercept_);
-  }
-  double s = 0.0;
-  for (int c = 0; c < c_; ++c) s += p[c] * a[c];
-  for (int c = 0; c < c_; ++c) coeffs[c] = p[c] * (a[c] - s);
-}
-
-void SoftmaxRegression::ApplyHvpCoeffs(const double* x, const double* coeffs,
-                                       Vec* out) const {
-  const size_t bs = BlockSize();
-  for (int c = 0; c < c_; ++c) {
-    const double coef = coeffs[c];
-    double* o = out->data() + static_cast<size_t>(c) * bs;
-    vec::simd::MulAdd(coef, x, o, d_);
-    if (fit_intercept_) o[d_] += coef;
-  }
 }
 
 }  // namespace rain

@@ -31,18 +31,6 @@ class SoftmaxRegression : public Model {
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
 
-  // Shard-exact per-row kernels: both row bodies reduce to one
-  // coefficient per class times [x; 1].
-  size_t loss_grad_coeff_size() const override { return static_cast<size_t>(c_); }
-  size_t hvp_coeff_size() const override { return static_cast<size_t>(c_); }
-  void LossGradCoeffs(const double* x, int y, double* coeffs) const override;
-  void ApplyLossGradCoeffs(const double* x, const double* coeffs,
-                           Vec* grad) const override;
-  void HvpCoeffs(const double* x, int y, const Vec& v,
-                 double* coeffs) const override;
-  void ApplyHvpCoeffs(const double* x, const double* coeffs,
-                      Vec* out) const override;
-
  private:
   size_t BlockSize() const { return d_ + (fit_intercept_ ? 1 : 0); }
   /// logits[c] = W_c . x + b_c

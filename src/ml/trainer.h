@@ -24,15 +24,6 @@ struct TrainConfig {
   /// iteration. On a stop request training returns the best iterate so
   /// far with `TrainReport::interrupted = true` instead of erroring.
   const CancellationToken* cancel = nullptr;
-  /// Optional sharded view over the SAME dataset handed to TrainModel
-  /// (borrowed; must outlive the call). When set, loss/gradient
-  /// evaluation runs shard-parallel with the models' exact ordered
-  /// replay — bitwise-identical to sequential (`parallelism = 1`)
-  /// training at every shard count x worker count — and the L-BFGS
-  /// parameter-dimension vector kernels are pinned to their sequential
-  /// path so the worker count never changes arithmetic. `parallelism`
-  /// then only bounds how many shard tasks run concurrently.
-  const ShardedDataset* shards = nullptr;
 };
 
 struct TrainReport {

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -36,17 +37,47 @@ bool ParseI64(const std::string& s, int64_t* out) {
 }
 
 /// Applies an integer `key=value` option to `*out`; false (with a
-/// response-ready status in *err) on malformed values.
+/// response-ready status in *err) on malformed values or values outside
+/// the `int` range every consumer narrows to.
 bool IntOption(const std::vector<std::string>& args, std::string_view key,
                int64_t* out, Status* err) {
   const std::optional<std::string> raw = FindOption(args, key);
   if (!raw.has_value()) return true;
-  if (!ParseI64(*raw, out)) {
+  int64_t v = 0;
+  if (!ParseI64(*raw, &v)) {
     *err = Status::InvalidArgument("option " + std::string(key) +
                                    " wants an integer, got '" + *raw + "'");
     return false;
   }
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    *err = Status::InvalidArgument("option " + std::string(key) +
+                                   " is out of range, got '" + *raw + "'");
+    return false;
+  }
+  *out = v;
   return true;
+}
+
+/// The `key=value` options the `open` verb understands.
+constexpr std::string_view kOpenOptions[] = {
+    "ranker", "parallelism", "top_k", "max_deletions", "max_iterations", "timeout"};
+
+/// Rejects any `key=value` argument outside `kOpenOptions`, so a misspelt
+/// or retired option fails loudly instead of being silently ignored.
+Status CheckOpenOptions(const std::vector<std::string>& args) {
+  for (size_t i = 1; i < args.size(); ++i) {
+    const size_t eq = args[i].find('=');
+    if (eq == std::string::npos) continue;
+    const std::string_view key = std::string_view(args[i]).substr(0, eq);
+    bool known = false;
+    for (std::string_view option : kOpenOptions) known = known || key == option;
+    if (!known) {
+      return Status::InvalidArgument("open: unknown option '" + std::string(key) +
+                                     "'");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -215,25 +246,27 @@ bool DebugServer::Dispatch(Connection* conn, const std::string& line) {
                          Status::InvalidArgument("open wants: open <dataset>")));
       return true;
     }
+    const Status options_status = CheckOpenOptions(args);
+    if (!options_status.ok()) {
+      SendLine(conn, ErrorResponse(options_status));
+      return true;
+    }
     SessionSpec spec;
     spec.dataset = args[0];
     if (auto ranker = FindOption(args, "ranker")) spec.ranker = *ranker;
     int64_t parallelism = spec.exec.parallelism;
-    int64_t shards = spec.exec.num_shards;
     int64_t top_k = spec.top_k_per_iter;
     int64_t max_deletions = spec.max_deletions;
     int64_t max_iterations = spec.max_iterations;
     Status err = Status::OK();
     if (!IntOption(args, "parallelism", &parallelism, &err) ||
-        !IntOption(args, "shards", &shards, &err) ||
         !IntOption(args, "top_k", &top_k, &err) ||
         !IntOption(args, "max_deletions", &max_deletions, &err) ||
         !IntOption(args, "max_iterations", &max_iterations, &err)) {
       SendLine(conn, ErrorResponse(err));
       return true;
     }
-    spec.exec.set_parallelism(static_cast<int>(parallelism))
-        .set_num_shards(static_cast<int>(shards));
+    spec.exec.set_parallelism(static_cast<int>(parallelism));
     spec.top_k_per_iter = static_cast<int>(top_k);
     spec.max_deletions = static_cast<int>(max_deletions);
     spec.max_iterations = static_cast<int>(max_iterations);

@@ -19,7 +19,7 @@ namespace serve {
 /// Requests are a verb plus whitespace-separated arguments (`key=value`
 /// options allowed where a verb documents them):
 ///
-///   open <dataset> [parallelism=N] [shards=N] [timeout=SECONDS]
+///   open <dataset> [ranker=NAME] [parallelism=N] [timeout=SECONDS]
 ///                  [top_k=N] [max_deletions=N] [max_iterations=N]
 ///   step <sid> [n]
 ///   complain <sid> point <table> <row> <class>

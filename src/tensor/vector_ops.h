@@ -64,8 +64,8 @@ constexpr size_t kGatherSimdCutoff = 16;
 ///    every output element is computed with the exact rounding sequence
 ///    of the scalar loop (separate multiply and add roundings, no fusion,
 ///    no cross-lane ops), so every tier is bitwise identical. These carry
-///    the shard-exact "replay the sequential multiply-add sequence"
-///    contracts in src/ml.
+///    the per-row multiply-add accumulations in src/ml, whose addends
+///    must not depend on the tier.
 ///  * FUSED-ELEMENTWISE (Axpy): one fused rounding per element on the
 ///    SIMD tiers, two roundings on scalar — scalar differs at rounding
 ///    level but each tier is chunk-invariant (an element's bits never

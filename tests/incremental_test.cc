@@ -1,11 +1,10 @@
 /// Incremental engine semantics (src/incremental/, DebugSession::ApplyUpdate):
 /// delta application, auto/incremental/full policy, incremental-vs-full
-/// deletion-sequence equivalence on DBLP and Adult, worker/shard invariance
+/// deletion-sequence equivalence on DBLP and Adult, worker invariance
 /// of the incremental path, delta-proportional bind work, exact train-skip
 /// memoization, tombstoning, COW label-edit isolation, and validation
 /// atomicity.
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -84,27 +83,15 @@ QueryComplaints TriviallySatisfiedComplaint() {
   return qc;
 }
 
-/// Suite-wide shard count: RAIN_TEST_SHARDS when set (the CI sharded leg
-/// runs this suite at 4), else 0. Sharded execution is bitwise-identical
-/// to unsharded, so every assertion must hold for any value.
-int TestShards() {
-  const char* env = std::getenv("RAIN_TEST_SHARDS");
-  return env != nullptr ? std::atoi(env) : 0;
-}
-
 std::unique_ptr<DebugSession> BuildSession(Query2Pipeline* pipeline,
                                            double target, int max_deletions,
-                                           int parallelism = 1,
-                                           int num_shards = -1) {
-  if (num_shards < 0) num_shards = TestShards();
+                                           int parallelism = 1) {
   auto built = DebugSessionBuilder(pipeline)
                    .ranker("holistic")
                    .top_k_per_iter(10)
                    .max_deletions(max_deletions)
                    .max_iterations(100)
-                   .set_execution(ExecutionOptions()
-                                      .set_parallelism(parallelism)
-                                      .set_num_shards(num_shards))
+                   .set_execution(ExecutionOptions().set_parallelism(parallelism))
                    .workload({CountComplaint(target)})
                    .Build();
   RAIN_CHECK(built.ok()) << built.status().ToString();
@@ -201,31 +188,26 @@ TEST(IncrementalVsFull, SameDeletionSequenceAfterLabelDeltaAdult) {
   EXPECT_EQ(inc->report().deletions, full->report().deletions);
 }
 
-/// Within the incremental path, results are bitwise-invariant across
-/// worker and shard counts (the deterministic-chunk + ordered-replay
-/// contracts extend to the delta machinery).
-TEST(IncrementalVsFull, IncrementalPathInvariantAcrossWorkersAndShards) {
+/// Within the incremental path, deletion sequences are invariant across
+/// worker counts (the deterministic-chunk contract extends to the delta
+/// machinery).
+TEST(IncrementalVsFull, IncrementalPathInvariantAcrossWorkers) {
   std::vector<size_t> reference;
-  for (int shards : {1, 4}) {
-    for (int workers : {1, 2, 8}) {
-      DblpSetup setup = MakeCorruptedDblp();
-      auto session = BuildSession(setup.pipeline.get(),
-                                  static_cast<double>(setup.true_count), 60,
-                                  workers, shards);
-      ASSERT_TRUE(session->Step().ok());
-      UpdateOptions opts;
-      opts.policy = UpdatePolicy::kIncremental;
-      ASSERT_TRUE(
-          session->ApplyUpdate(RevertCorruptionBatch(setup.corrupted, 8), opts)
-              .ok());
-      ASSERT_TRUE(session->RunToCompletion().ok());
-      if (reference.empty()) {
-        reference = session->report().deletions;
-        ASSERT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(session->report().deletions, reference)
-            << "workers=" << workers << " shards=" << shards;
-      }
+  for (int workers : {1, 2, 8}) {
+    DblpSetup setup = MakeCorruptedDblp();
+    auto session = BuildSession(setup.pipeline.get(),
+                                static_cast<double>(setup.true_count), 60, workers);
+    ASSERT_TRUE(session->Step().ok());
+    UpdateOptions opts;
+    opts.policy = UpdatePolicy::kIncremental;
+    ASSERT_TRUE(
+        session->ApplyUpdate(RevertCorruptionBatch(setup.corrupted, 8), opts).ok());
+    ASSERT_TRUE(session->RunToCompletion().ok());
+    if (reference.empty()) {
+      reference = session->report().deletions;
+      ASSERT_FALSE(reference.empty());
+    } else {
+      EXPECT_EQ(session->report().deletions, reference) << "workers=" << workers;
     }
   }
 }

@@ -1,6 +1,5 @@
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "common/logging.h"
@@ -10,7 +9,6 @@
 #include "influence/influence.h"
 #include "ml/logistic_regression.h"
 #include "ml/mlp.h"
-#include "ml/sharded_dataset.h"
 #include "ml/softmax_regression.h"
 #include "ml/trainer.h"
 
@@ -410,41 +408,62 @@ TEST(InfluenceTest, UnconvergedCgIsReported) {
   EXPECT_EQ(per_record.cg_iterations(), 1);
 }
 
-TEST(InfluenceTest, ShardedScoringBitwiseIdenticalToSequential) {
-  // Honors RAIN_TEST_SHARDS (the CI sharded leg sets 4) so the suite's
-  // sharded run exercises this shard count; defaults to 3.
-  int shards = 3;
-  if (const char* env = std::getenv("RAIN_TEST_SHARDS")) {
-    const int s = std::atoi(env);
-    if (s >= 1) shards = s;
-  }
-  TrainedSetup s = MakeTrained(120, 4, 20);
-  s.train.Deactivate(7);
-  ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), shards));
-
-  InfluenceOptions opts;
-  opts.l2 = s.l2;
-  InfluenceScorer sequential(&s.model, &s.train, opts);
+TEST(InfluenceTest, CancelMidScoreAllStopsWithinOneRecordPerWorker) {
+  TrainedSetup s = MakeTrained(600, 4, 27);
+  s.train.Deactivate(11);
   Vec q_grad(s.model.num_params(), 0.0);
-  Rng rng(21);
+  Rng rng(44);
   for (double& g : q_grad) g = rng.Gaussian();
-  ASSERT_TRUE(sequential.Prepare(q_grad).ok());
 
-  opts.shards = &view;
-  InfluenceScorer sharded(&s.model, &s.train, opts);
-  ASSERT_TRUE(sharded.Prepare(q_grad).ok());
-  // The prepared CG solutions (sharded HVPs, pinned vector kernels) and
-  // the per-record scores are bit-for-bit the sequential ones.
-  EXPECT_EQ(sharded.ScoreAll(), sequential.ScoreAll());
+  // Uncancelled reference: every active row scores nonzero for this
+  // workload (generic q_grad, no degenerate gradients).
+  InfluenceOptions ref_opts;
+  ref_opts.l2 = s.l2;
+  InfluenceScorer reference(&s.model, &s.train, ref_opts);
+  ASSERT_TRUE(reference.Prepare(q_grad).ok());
+  const std::vector<double> full = reference.ScoreAll();
+  size_t active_nonzero = 0;
+  for (size_t i = 0; i < full.size(); ++i) {
+    if (s.train.active(i) && full[i] != 0.0) ++active_nonzero;
+  }
+  ASSERT_EQ(active_nonzero, s.train.num_active());
 
-  auto self_seq = sequential.SelfInfluenceAll();
-  auto self_sharded = sharded.SelfInfluenceAll();
-  ASSERT_TRUE(self_seq.ok());
-  ASSERT_TRUE(self_sharded.ok());
-  EXPECT_EQ(*self_sharded, *self_seq);
+  constexpr int kGradientsBeforeCancel = 5;
+  for (int par : {1, 4}) {
+    CancellationToken token;
+    CancelAfterNGradients model(s.model, kGradientsBeforeCancel, token);
+    InfluenceOptions opts;
+    opts.l2 = s.l2;
+    opts.parallelism = par;
+    opts.cancel = &token;
+    InfluenceScorer scorer(&model, &s.train, opts);
+    ASSERT_TRUE(scorer.Prepare(q_grad).ok());
+    const std::vector<double> partial = scorer.ScoreAll();
+
+    // Every chunk polls per record, so after the token fires each worker
+    // finishes at most the record it is on; everything that was scored
+    // matches the uncancelled run exactly (per-record independence).
+    size_t scored = 0;
+    for (size_t i = 0; i < partial.size(); ++i) {
+      if (partial[i] != 0.0) {
+        EXPECT_EQ(partial[i], full[i]) << "parallelism=" << par << " i=" << i;
+        ++scored;
+      }
+    }
+    EXPECT_GE(scored, static_cast<size_t>(kGradientsBeforeCancel))
+        << "parallelism=" << par;
+    EXPECT_LE(scored, static_cast<size_t>(kGradientsBeforeCancel + par - 1))
+        << "parallelism=" << par;
+
+    // A stop request surfaces as Status::Cancelled from the Result-bearing
+    // entry point.
+    auto self = scorer.SelfInfluenceAll();
+    ASSERT_FALSE(self.ok()) << "parallelism=" << par;
+    EXPECT_TRUE(self.status().IsCancelled()) << self.status().ToString();
+  }
 }
 
-TEST(InfluenceTest, DenseSelfInfluenceBitwiseAcrossShardsAndWorkers) {
+TEST(InfluenceTest, DenseSelfInfluenceBitwiseAcrossWorkers) {
   TrainedSetup s = MakeTrained(150, 4, 17);
   s.train.Deactivate(9);
   InfluenceOptions opts;
@@ -452,17 +471,13 @@ TEST(InfluenceTest, DenseSelfInfluenceBitwiseAcrossShardsAndWorkers) {
   InfluenceScorer sequential(&s.model, &s.train, opts);
   auto ref = sequential.SelfInfluenceAll();
   ASSERT_TRUE(ref.ok());
-  for (int shards : {1, 2, 4}) {
-    ShardedDataset view(&s.train, ShardPlan::Uniform(s.train.size(), shards));
-    for (int par : {1, 2, 4, 8}) {
-      InfluenceOptions sharded_opts = opts;
-      sharded_opts.shards = &view;
-      sharded_opts.parallelism = par;
-      InfluenceScorer scorer(&s.model, &s.train, sharded_opts);
-      auto got = scorer.SelfInfluenceAll();
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(*got, *ref) << "shards=" << shards << " parallelism=" << par;
-    }
+  for (int par : {2, 4, 8}) {
+    InfluenceOptions par_opts = opts;
+    par_opts.parallelism = par;
+    InfluenceScorer scorer(&s.model, &s.train, par_opts);
+    auto got = scorer.SelfInfluenceAll();
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, *ref) << "parallelism=" << par;
   }
 }
 

@@ -1,5 +1,4 @@
 #include <cmath>
-#include <cstring>
 #include <memory>
 
 #include "common/rng.h"
@@ -346,8 +345,17 @@ TEST(TrainerTest, WarmStartConvergesFasterOrEqual) {
 
 /// Parallel loss / gradient / HVP must agree with the sequential path for
 /// every model family (deterministic chunked reductions, ε from reordering).
-void CheckParallelMatchesSequential(Model* model, const Dataset& data, double l2,
+///
+/// `data` must have 200 rows. The blocked HVP bodies batch runs of
+/// consecutive ACTIVE rows into Gemv/GemmNT projections, so the holes are
+/// chosen against their block caps (64 logistic, 32 softmax, 16 MLP): a
+/// hole at row 0, a short run, a run of exactly 64, a triple hole, a run
+/// longer than every cap (block restarts mid-run), and a hole at the last
+/// row.
+void CheckParallelMatchesSequential(Model* model, Dataset data, double l2,
                                     uint64_t seed) {
+  ASSERT_EQ(data.size(), 200u);
+  for (size_t hole : {0u, 5u, 70u, 71u, 72u, 127u, 199u}) data.Deactivate(hole);
   Rng rng(seed);
   Vec v(model->num_params());
   for (double& x : v) x = rng.Gaussian();
@@ -371,80 +379,23 @@ void CheckParallelMatchesSequential(Model* model, const Dataset& data, double l2
 }
 
 TEST(LogisticTest, ParallelKernelsMatchSequential) {
-  Dataset d = RandomDataset(120, 5, 2, 61);
-  d.Deactivate(7);
+  Dataset d = RandomDataset(200, 5, 2, 61);
   LogisticRegression m(5);
   RandomizeParams(&m, 62);
   CheckParallelMatchesSequential(&m, d, 1e-3, 63);
 }
 
 TEST(SoftmaxTest, ParallelKernelsMatchSequential) {
-  Dataset d = RandomDataset(120, 5, 3, 67);
+  Dataset d = RandomDataset(200, 5, 3, 67);
   SoftmaxRegression m(5, 3);
   RandomizeParams(&m, 68);
   CheckParallelMatchesSequential(&m, d, 1e-3, 69);
 }
 
 TEST(MlpTest, ParallelKernelsMatchSequential) {
-  Dataset d = RandomDataset(90, 6, 3, 71);
+  Dataset d = RandomDataset(200, 6, 3, 71);
   Mlp m(6, 8, 3, /*seed=*/72);
   CheckParallelMatchesSequential(&m, d, 1e-3, 73);
-}
-
-/// \brief The blocked HVP bodies batch runs of consecutive ACTIVE rows
-/// into Gemv/GemmNT projections; the per-row HvpCoeffs + ApplyHvpCoeffs
-/// replay must still reproduce the direct path BITWISE (the sharded
-/// debugging paths depend on it).
-///
-/// The hole pattern is chosen against the block caps (64 logistic, 32
-/// softmax, 16 MLP): a hole at row 0, a short run, a run of exactly 64,
-/// a triple hole, a run longer than every cap (block restarts mid-run),
-/// and a hole at the last row.
-void CheckHvpMatchesCoeffReplayBitwise(Model* model, uint64_t seed) {
-  Dataset data = RandomDataset(200, 7, model->num_classes(), seed);
-  for (size_t hole : {0u, 5u, 70u, 71u, 72u, 127u, 199u}) data.Deactivate(hole);
-  Rng rng(seed + 1);
-  Vec v(model->num_params());
-  for (double& x : v) x = rng.Gaussian();
-  const double l2 = 1e-3;
-
-  Vec direct;
-  model->HessianVectorProduct(data, v, l2, &direct);
-
-  ASSERT_GT(model->hvp_coeff_size(), 0u);
-  Vec coeffs(model->hvp_coeff_size());
-  Vec replay(model->num_params(), 0.0);
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (!data.active(i)) continue;
-    model->HvpCoeffs(data.row(i), data.label(i), v, coeffs.data());
-    model->ApplyHvpCoeffs(data.row(i), coeffs.data(), &replay);
-  }
-  // Same mean + regularizer statements as HessianVectorProduct.
-  const double inv_n = 1.0 / static_cast<double>(data.num_active());
-  for (double& o : replay) o *= inv_n;
-  vec::Axpy(2.0 * l2, v, &replay);
-
-  ASSERT_EQ(replay.size(), direct.size());
-  EXPECT_EQ(std::memcmp(replay.data(), direct.data(),
-                        direct.size() * sizeof(double)),
-            0);
-}
-
-TEST(LogisticTest, HvpMatchesCoeffReplayBitwiseWithHoles) {
-  LogisticRegression m(7);
-  RandomizeParams(&m, 91);
-  CheckHvpMatchesCoeffReplayBitwise(&m, 92);
-}
-
-TEST(SoftmaxTest, HvpMatchesCoeffReplayBitwiseWithHoles) {
-  SoftmaxRegression m(7, 4);
-  RandomizeParams(&m, 93);
-  CheckHvpMatchesCoeffReplayBitwise(&m, 94);
-}
-
-TEST(MlpTest, HvpMatchesCoeffReplayBitwiseWithHoles) {
-  Mlp m(7, 9, 4, /*seed=*/95);
-  CheckHvpMatchesCoeffReplayBitwise(&m, 96);
 }
 
 TEST(TrainerTest, ParallelTrainingReachesSequentialLoss) {

@@ -1,11 +1,9 @@
 /// End-to-end determinism on a generated scale-N workload
 /// (src/data/scale_gen.h, scale 0.1 = 10^4 Adult training rows): the
-/// debugger's deletion sequence must be bitwise identical to the
-/// 1-worker unsharded reference at every worker count x shard count.
-/// This is the session-level pin for the fixed-cost work (grain-size
-/// control, scratch reuse, shard fan-out): none of it may move a single
-/// deletion.
-#include <cstdlib>
+/// debugger's deletion sequence must be identical to the 1-worker
+/// reference at every worker count. This is the session-level pin for the
+/// fixed-cost work (grain-size control, scratch reuse): none of it may
+/// move a single deletion.
 #include <memory>
 #include <utility>
 #include <vector>
@@ -19,16 +17,6 @@
 
 namespace rain {
 namespace {
-
-/// Shard counts for the sync sweep: RAIN_TEST_SHARDS when set (the CI
-/// sharded leg runs the suite at exactly that count), else {1, 4}.
-std::vector<int> TestShardCounts() {
-  if (const char* env = std::getenv("RAIN_TEST_SHARDS")) {
-    const int s = std::atoi(env);
-    if (s >= 1) return {s};
-  }
-  return {1, 4};
-}
 
 /// The scale-0.1 Adult workload, generated once for the whole suite
 /// (generation itself is pinned worker-invariant by scale_gen_test).
@@ -57,9 +45,8 @@ std::unique_ptr<Query2Pipeline> MakePipeline(const scale::ScaledWorkload& w) {
                                           w.train, tc);
 }
 
-/// One full debug run; returns the deletion sequence. `shards` 0 =
-/// unsharded, >= 1 = sharded execution at that count.
-std::vector<size_t> RunOnce(int workers, int shards) {
+/// One full debug run at `workers`; returns the deletion sequence.
+std::vector<size_t> RunOnce(int workers) {
   const scale::ScaledWorkload& w = Workload();
   auto pipeline = MakePipeline(w);
   RAIN_CHECK(pipeline->Train().ok());
@@ -67,9 +54,7 @@ std::vector<size_t> RunOnce(int workers, int shards) {
                      .ranker("holistic")
                      .top_k_per_iter(10)
                      .max_deletions(20)
-                     .set_execution(ExecutionOptions()
-                                        .set_parallelism(workers)
-                                        .set_num_shards(shards))
+                     .set_execution(ExecutionOptions().set_parallelism(workers))
                      .workload(w.workload)
                      .Build();
   RAIN_CHECK(session.ok()) << session.status().ToString();
@@ -80,9 +65,9 @@ std::vector<size_t> RunOnce(int workers, int shards) {
 
 class ScaleSessionTest : public ::testing::Test {
  protected:
-  /// Reference: 1 worker, unsharded.
+  /// Reference: 1 worker.
   static const std::vector<size_t>& Reference() {
-    static const std::vector<size_t> ref = RunOnce(1, 0);
+    static const std::vector<size_t> ref = RunOnce(1);
     return ref;
   }
 };
@@ -99,13 +84,10 @@ TEST_F(ScaleSessionTest, ReferenceRunDeletesCorruptedRows) {
   EXPECT_GT(hits, 0u) << "no deleted row was a corrupted row";
 }
 
-TEST_F(ScaleSessionTest, SyncDeletionSequenceInvariantAcrossWorkersAndShards) {
-  for (int workers : {1, 2, 8}) {
-    for (int shards : TestShardCounts()) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " shards=" + std::to_string(shards));
-      EXPECT_EQ(RunOnce(workers, shards), Reference());
-    }
+TEST_F(ScaleSessionTest, SyncDeletionSequenceInvariantAcrossWorkers) {
+  for (int workers : {2, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    EXPECT_EQ(RunOnce(workers), Reference());
   }
 }
 

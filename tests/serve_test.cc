@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -520,6 +521,37 @@ TEST_F(ServeSocketTest, WireErrorsCarryServiceStatusCodes) {
   auto garbage = client->Call("frobnicate 1 2 3");
   ASSERT_TRUE(garbage.ok());
   EXPECT_EQ(StatusFromResponse(*garbage).code(), StatusCode::kInvalidArgument);
+  client->Quit();
+}
+
+TEST_F(ServeSocketTest, OpenRejectsUnknownAndOutOfRangeOptions) {
+  auto client = DebugClient::Connect(socket_path_);
+  ASSERT_TRUE(client.ok());
+  // Misspelt (and retired) options must fail loudly, naming the key.
+  const std::pair<const char*, const char*> unknown[] = {
+      {"paralelism=8", "paralelism"},
+      {"parallelism=2 shardz=3", "shardz"},
+      {"shards=2", "shards"}};
+  for (const auto& [options, key] : unknown) {
+    auto sid = client->Open("adult", options);
+    ASSERT_FALSE(sid.ok()) << options;
+    EXPECT_EQ(sid.status().code(), StatusCode::kInvalidArgument) << options;
+    EXPECT_NE(sid.status().message().find(key), std::string::npos)
+        << sid.status().ToString();
+  }
+  // Integers outside the int range must not wrap (2^32 + 1 would read 1).
+  for (const char* options : {"parallelism=4294967297", "top_k=-2147483649",
+                              "max_deletions=9223372036854775807"}) {
+    auto sid = client->Open("adult", options);
+    ASSERT_FALSE(sid.ok()) << options;
+    EXPECT_EQ(sid.status().code(), StatusCode::kInvalidArgument) << options;
+  }
+  // Every documented option is still accepted.
+  auto sid = client->Open("adult",
+                          "ranker=holistic parallelism=1 top_k=5 max_deletions=10 "
+                          "max_iterations=2 timeout=30");
+  ASSERT_TRUE(sid.ok()) << sid.status().ToString();
+  EXPECT_TRUE(client->Close(*sid).ok());
   client->Quit();
 }
 

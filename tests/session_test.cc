@@ -1,10 +1,12 @@
 /// DebugSession semantics: stepping, convergence no-ops, cancellation
 /// between phases and mid-train, observer ordering, workload mutation,
-/// deadline handling, parallelism inheritance, and the batched bind on
-/// the Fig. 5 (DBLP 50% corruption) workload.
+/// deadline handling, parallelism inheritance, the batched bind on the
+/// Fig. 5 (DBLP 50% corruption) workload, and worker-count invariance of
+/// deletion sequences (DBLP Fig. 5 and the Adult multi-query workload).
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -16,10 +18,12 @@
 #include "core/pipeline.h"
 #include "core/ranker.h"
 #include "core/session.h"
+#include "data/adult.h"
 #include "data/corruption.h"
 #include "data/dblp.h"
 #include "gtest/gtest.h"
 #include "ml/logistic_regression.h"
+#include "sql/planner.h"
 
 namespace rain {
 namespace {
@@ -73,24 +77,6 @@ QueryComplaints CountComplaint(double target) {
   return qc;
 }
 
-/// Shard count applied to the session flows under test: RAIN_TEST_SHARDS
-/// when set (the CI sharded leg runs this suite at 4), else 0 (unsharded).
-/// Sharded execution is bitwise-identical to the sequential unsharded
-/// path, so every assertion below must hold for any value.
-int TestShards() {
-  const char* env = std::getenv("RAIN_TEST_SHARDS");
-  return env != nullptr ? std::atoi(env) : 0;
-}
-
-/// A DebugSessionBuilder with the suite-wide shard setting applied.
-/// Tests that assert specific knob inheritance (which sharding overrides
-/// by design) construct DebugSessionBuilder directly instead.
-DebugSessionBuilder TestSessionBuilder(Query2Pipeline* pipeline) {
-  DebugSessionBuilder builder(pipeline);
-  builder.set_execution(ExecutionOptions().set_num_shards(TestShards()));
-  return builder;
-}
-
 class SessionFixture : public ::testing::Test {
  protected:
   void SetUp() override { setup_ = MakeCorruptedDblp(); }
@@ -102,7 +88,7 @@ class SessionFixture : public ::testing::Test {
 // ---------------------------------------------------------------- stepping
 
 TEST_F(SessionFixture, StepDrivesOneIterationAtATime) {
-  auto session = TestSessionBuilder(pipeline())
+  auto session = DebugSessionBuilder(pipeline())
                      .ranker("holistic")
                      .top_k_per_iter(10)
                      .max_deletions(30)
@@ -130,7 +116,7 @@ TEST_F(SessionFixture, StepAfterConvergenceIsNoop) {
   // A trivially satisfied complaint resolves on the first step.
   QueryComplaints qc = CountComplaint(0);
   qc.complaints[0].op = ComplaintOp::kGe;
-  auto session = TestSessionBuilder(pipeline())
+  auto session = DebugSessionBuilder(pipeline())
                      .ranker("holistic")
                      .max_deletions(50)
                      .stop_when_resolved()
@@ -155,7 +141,7 @@ TEST_F(SessionFixture, StepAfterConvergenceIsNoop) {
 }
 
 TEST_F(SessionFixture, RunToCompletionPausesOnStopConditionAndResumes) {
-  auto session = TestSessionBuilder(pipeline())
+  auto session = DebugSessionBuilder(pipeline())
                      .ranker("holistic")
                      .top_k_per_iter(10)
                      .max_deletions(30)
@@ -198,13 +184,11 @@ class CancelAfterPhase : public DebugObserver {
 TEST_F(SessionFixture, CancelBetweenPhasesYieldsValidPartialReport) {
   DebugSession* raw = nullptr;
   CancelAfterPhase canceller(&raw, DebugPhase::kTrain);
-  auto session = TestSessionBuilder(pipeline())
+  auto session = DebugSessionBuilder(pipeline())
                      .ranker("holistic")
                      .top_k_per_iter(10)
                      .max_deletions(50)
-                     .set_execution(ExecutionOptions()
-                                        .set_num_shards(TestShards())
-                                        .add_observer(&canceller))
+                     .set_execution(ExecutionOptions().add_observer(&canceller))
                      .workload({CountComplaint(static_cast<double>(setup_.true_count))})
                      .Build();
   ASSERT_TRUE(session.ok());
@@ -232,11 +216,10 @@ TEST_F(SessionFixture, CancelBetweenPhasesYieldsValidPartialReport) {
 }
 
 TEST_F(SessionFixture, DeadlineInThePastStopsBeforeAnyWork) {
-  auto session = TestSessionBuilder(pipeline())
+  auto session = DebugSessionBuilder(pipeline())
                      .ranker("holistic")
                      .max_deletions(50)
                      .set_execution(ExecutionOptions()
-                                        .set_num_shards(TestShards())
                                         .set_deadline(std::chrono::steady_clock::now() -
                                                       std::chrono::seconds(1)))
                      .workload({CountComplaint(static_cast<double>(setup_.true_count))})
@@ -326,7 +309,7 @@ TEST(SessionCancelTest, CancelMidTrainStopsWithinOneOptimizerRound) {
   auto pipeline = std::make_unique<Query2Pipeline>(std::move(catalog),
                                                    std::move(model), dblp.train);
 
-  auto session = TestSessionBuilder(pipeline.get())
+  auto session = DebugSessionBuilder(pipeline.get())
                      .ranker("holistic")
                      .top_k_per_iter(10)
                      .max_deletions(50)
@@ -381,13 +364,11 @@ class RecordingObserver : public DebugObserver {
 
 TEST_F(SessionFixture, ObserverCallbacksFireInPhaseOrder) {
   RecordingObserver recorder;
-  auto session = TestSessionBuilder(pipeline())
+  auto session = DebugSessionBuilder(pipeline())
                      .ranker("holistic")
                      .top_k_per_iter(5)
                      .max_deletions(10)
-                     .set_execution(ExecutionOptions()
-                                        .set_num_shards(TestShards())
-                                        .add_observer(&recorder))
+                     .set_execution(ExecutionOptions().add_observer(&recorder))
                      .workload({CountComplaint(static_cast<double>(setup_.true_count))})
                      .Build();
   ASSERT_TRUE(session.ok());
@@ -414,7 +395,7 @@ TEST_F(SessionFixture, AddComplaintsReopensResolvedSession) {
   // Start with a satisfied complaint: resolves immediately.
   QueryComplaints satisfied = CountComplaint(0);
   satisfied.complaints[0].op = ComplaintOp::kGe;
-  auto session = TestSessionBuilder(pipeline())
+  auto session = DebugSessionBuilder(pipeline())
                      .ranker("holistic")
                      .top_k_per_iter(10)
                      .max_deletions(20)
@@ -598,6 +579,133 @@ TEST_F(SessionFixture, BindWorkloadSurfacesFirstErrorInWorkloadOrder) {
     // A failed bind must not leak partial provenance into the shared arena.
     EXPECT_EQ(pipeline()->arena()->num_nodes(), nodes_before)
         << "threads " << threads;
+  }
+}
+
+// ------------------------------------------------ worker-count invariance
+//
+// Final parameters agree to about one ulp across worker counts (chunked
+// reductions reassociate), so these sweeps pin the deletion sequence: the
+// debugger's observable output must not depend on the worker count.
+
+TEST(WorkerInvarianceTest, DblpFig5HolisticDeletionsAcrossWorkers) {
+  auto run = [](int workers) {
+    DblpSetup setup = MakeCorruptedDblp();
+    auto session =
+        DebugSessionBuilder(setup.pipeline.get())
+            .ranker("holistic")
+            .top_k_per_iter(10)
+            .max_deletions(30)
+            .set_execution(ExecutionOptions().set_parallelism(workers))
+            .workload({CountComplaint(static_cast<double>(setup.true_count))})
+            .Build();
+    RAIN_CHECK(session.ok()) << session.status().ToString();
+    auto report = (*session)->RunToCompletion();
+    RAIN_CHECK(report.ok()) << report.status().ToString();
+    return report->deletions;
+  };
+  const std::vector<size_t> ref = run(1);
+  ASSERT_EQ(ref.size(), 30u);
+  for (int workers : {2, 3, 4, 8}) {
+    EXPECT_EQ(run(workers), ref) << "workers=" << workers;
+  }
+}
+
+/// The Section 6.5 Adult multi-query workload: two AVG group-by
+/// complaints plus two point complaints over one pipeline.
+struct AdultSetup {
+  std::vector<QueryComplaints> workload;
+  std::function<std::unique_ptr<Query2Pipeline>()> make_pipeline;
+};
+
+double GroupValue(Query2Pipeline* pipeline, const std::string& sql,
+                  const Value& key) {
+  auto r = pipeline->ExecuteSql(sql, /*debug=*/false);
+  RAIN_CHECK(r.ok()) << r.status().ToString();
+  for (const auto& row : r->table.rows) {
+    if (row[0] == key) return *row[1].ToNumeric();
+  }
+  RAIN_CHECK(false) << "group not found";
+  return 0.0;
+}
+
+AdultSetup MakeAdultMultiQuery() {
+  AdultConfig cfg;
+  cfg.train_size = 600;
+  cfg.query_size = 400;
+  cfg.seed = 13;
+  AdultData data = MakeAdult(cfg);
+
+  const std::string gender_sql =
+      "SELECT gender, AVG(predict(*)) AS avg_income FROM adult GROUP BY gender";
+  const std::string age_sql =
+      "SELECT agedecade, AVG(predict(*)) AS avg_income FROM adult GROUP BY "
+      "agedecade";
+
+  auto factory = [](const AdultData& d) {
+    return [table = d.query_table, query = d.query, train = d.train]() {
+      Catalog catalog;
+      RAIN_CHECK(catalog.AddTable("adult", table, query).ok());
+      TrainConfig tc;
+      tc.l2 = 1e-3;
+      return std::make_unique<Query2Pipeline>(
+          std::move(catalog), std::make_unique<LogisticRegression>(kAdultFeatures),
+          train, tc);
+    };
+  };
+
+  double male_target = 0.0;
+  double aged_target = 0.0;
+  {
+    auto clean = factory(data)();
+    RAIN_CHECK(clean->Train().ok());
+    male_target = GroupValue(clean.get(), gender_sql, Value(std::string("Male")));
+    aged_target = GroupValue(clean.get(), age_sql, Value(int64_t{4}));
+  }
+
+  Rng rng(cfg.seed + 1);
+  CorruptLabels(&data.train, AdultCorruptionCandidates(data), 0.3, 1, &rng);
+
+  AdultSetup setup;
+  setup.make_pipeline = factory(data);
+  auto planning = setup.make_pipeline();
+
+  QueryComplaints gender_qc;
+  gender_qc.query = *sql::PlanQuery(gender_sql, planning->catalog());
+  gender_qc.complaints = {ComplaintSpec::ValueEq("avg_income", male_target,
+                                                 {Value(std::string("Male"))})};
+  QueryComplaints age_qc;
+  age_qc.query = *sql::PlanQuery(age_sql, planning->catalog());
+  age_qc.complaints = {
+      ComplaintSpec::ValueEq("avg_income", aged_target, {Value(int64_t{4})})};
+  QueryComplaints points;
+  points.complaints = {ComplaintSpec::Point("adult", 3, 0),
+                       ComplaintSpec::Point("adult", 11, 0)};
+  setup.workload = {gender_qc, age_qc, points};
+  return setup;
+}
+
+TEST(WorkerInvarianceTest, AdultMultiQueryDeletionsAcrossWorkers) {
+  AdultSetup setup = MakeAdultMultiQuery();
+  auto run = [&](int workers) {
+    auto pipeline = setup.make_pipeline();
+    RAIN_CHECK(pipeline->Train().ok());
+    auto session = DebugSessionBuilder(pipeline.get())
+                       .ranker("holistic")
+                       .top_k_per_iter(10)
+                       .max_deletions(20)
+                       .set_execution(ExecutionOptions().set_parallelism(workers))
+                       .workload(setup.workload)
+                       .Build();
+    RAIN_CHECK(session.ok()) << session.status().ToString();
+    auto report = (*session)->RunToCompletion();
+    RAIN_CHECK(report.ok()) << report.status().ToString();
+    return report->deletions;
+  };
+  const std::vector<size_t> ref = run(1);
+  ASSERT_FALSE(ref.empty());
+  for (int workers : {2, 3, 4, 8}) {
+    EXPECT_EQ(run(workers), ref) << "workers=" << workers;
   }
 }
 
