@@ -1,8 +1,9 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
-#include <numeric>
+#include <string>
 
 #include "relational/plan.h"
 
@@ -654,6 +655,21 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
     ctx.arena_generation = arena_generation_;
   }
   RAIN_ASSIGN_OR_RETURN(RankOutput ranked, ranker_->Rank(ctx));
+  // FixPhase indexes scores by row and orders them: a short vector or a
+  // NaN (no strict weak ordering) from a custom ranker must not reach it.
+  if (ranked.scores.size() != ctx.train->size()) {
+    return Status::InvalidArgument(
+        "ranker '" + ranker_->name() + "' returned " +
+        std::to_string(ranked.scores.size()) + " scores for " +
+        std::to_string(ctx.train->size()) + " training rows");
+  }
+  for (size_t i = 0; i < ranked.scores.size(); ++i) {
+    if (ctx.train->active(i) && !std::isfinite(ranked.scores[i])) {
+      return Status::InvalidArgument(
+          "ranker '" + ranker_->name() + "' returned a non-finite score for "
+          "active training row " + std::to_string(i));
+    }
+  }
   stats->encode_seconds = ranked.encode_seconds;
   stats->rank_seconds = ranked.rank_seconds;
   if (!ranked.note.empty()) AppendNote(stats, ranked.note);
@@ -663,18 +679,26 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
 int DebugSession::FixPhase(const RankOutput& ranked, int iteration,
                            StepResult* result) {
   Dataset* train = pipeline_->train_data();
-  std::vector<size_t> order(train->size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return ranked.scores[a] > ranked.scores[b];
-  });
-  int removed = 0;
   const int budget =
       std::min(config_.top_k_per_iter,
                config_.max_deletions - static_cast<int>(report_.deletions.size()));
+  // The `budget` best active rows by (score desc, index asc) — the order a
+  // stable descending sort of every row visits them in — selected in
+  // O(n + k log k).
+  std::vector<size_t> order = train->ActiveIndices();
+  const auto before = [&ranked](size_t a, size_t b) {
+    const double sa = ranked.scores[a];
+    const double sb = ranked.scores[b];
+    return sa > sb || (sa == sb && a < b);
+  };
+  const size_t k = std::min(order.size(), static_cast<size_t>(std::max(budget, 0)));
+  if (k < order.size()) {
+    std::nth_element(order.begin(), order.begin() + k, order.end(), before);
+    order.resize(k);
+  }
+  std::sort(order.begin(), order.end(), before);
+  int removed = 0;
   for (size_t idx : order) {
-    if (removed >= budget) break;
-    if (!train->active(idx)) continue;
     train->Deactivate(idx);
     report_.deletions.push_back(idx);
     result->new_deletions.push_back(idx);

@@ -24,6 +24,7 @@ LbfgsResult LbfgsMinimize(const Objective& objective, Vec x0,
 
   Vec grad(n, 0.0);
   double fx = objective(result.x, &grad);
+  result.evaluations = 1;
 
   struct Pair {
     Vec s, y;
@@ -91,6 +92,7 @@ LbfgsResult LbfgsMinimize(const Objective& objective, Vec x0,
       x_new = result.x;
       vec::Axpy(step, direction, &x_new);
       fx_new = objective(x_new, &grad_new);
+      ++result.evaluations;
       if (std::isfinite(fx_new) && fx_new <= fx + options.armijo_c1 * step * dg) {
         accepted = true;
         break;

@@ -40,6 +40,8 @@ struct LbfgsResult {
   double fx = 0.0;
   double grad_norm = 0.0;  // infinity norm at the final point
   int iterations = 0;
+  /// Objective calls, line-search trials included.
+  int evaluations = 0;
   bool converged = false;
   /// True when the run ended on a cancellation/deadline rather than on
   /// convergence or the iteration cap; `x` is the last accepted iterate.

@@ -65,6 +65,50 @@ void LogisticRegression::AddExampleLossGradient(const double* x, int y,
   if (fit_intercept_) (*grad)[d_] += coef;
 }
 
+double LogisticRegression::LossAndGradientAtMargin(double margin, const double* x,
+                                                   int y, Vec* grad) const {
+  // The statements of ExampleLoss and AddExampleLossGradient, sharing one
+  // sigmoid.
+  const double p1 = Sigmoid(margin);
+  const double coef = p1 - static_cast<double>(y);
+  vec::simd::MulAdd(coef, x, grad->data(), d_);
+  if (fit_intercept_) (*grad)[d_] += coef;
+  return -std::log(ClampProb(y == 1 ? p1 : 1.0 - p1));
+}
+
+double LogisticRegression::AddExampleLossAndGradient(const double* x, int y,
+                                                     Vec* grad) const {
+  return LossAndGradientAtMargin(Margin(x), x, y, grad);
+}
+
+double LogisticRegression::AddRangeLossAndGradient(const Dataset& data, size_t begin,
+                                                   size_t end, Vec* grad) const {
+  // Runs of consecutive active rows batch their margins into one Gemv, as
+  // the HVP body does; every Gemv element is the Dot kernel behind Margin,
+  // so each row's loss and gradient keep their bits.
+  constexpr size_t kBlock = 64;
+  double z_blk[kBlock];
+  double loss = 0.0;
+  size_t i = begin;
+  while (i < end) {
+    if (!data.active(i)) {
+      ++i;
+      continue;
+    }
+    size_t r1 = i;
+    while (r1 < end && r1 - i < kBlock && data.active(r1)) ++r1;
+    const size_t nb = r1 - i;
+    const double* xb = data.row(i);
+    vec::simd::Gemv(xb, nb, d_, theta_.data(), z_blk);
+    for (size_t r = 0; r < nb; ++r) {
+      const double margin = fit_intercept_ ? z_blk[r] + theta_[d_] : z_blk[r];
+      loss += LossAndGradientAtMargin(margin, xb + r * d_, data.label(i + r), grad);
+    }
+    i = r1;
+  }
+  return loss;
+}
+
 void LogisticRegression::AddProbaGradient(const double* x, const Vec& class_weights,
                                           Vec* grad) const {
   RAIN_CHECK(class_weights.size() == 2) << "binary model expects 2 class weights";
@@ -121,6 +165,7 @@ void LogisticRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
           }
           i = r1;
         }
+        return 0.0;
       });
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;

@@ -26,6 +26,7 @@ class LogisticRegression : public Model {
   void PredictProba(const double* x, double* probs) const override;
   double ExampleLoss(const double* x, int y) const override;
   void AddExampleLossGradient(const double* x, int y, Vec* grad) const override;
+  double AddExampleLossAndGradient(const double* x, int y, Vec* grad) const override;
   void AddProbaGradient(const double* x, const Vec& class_weights,
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
@@ -33,9 +34,16 @@ class LogisticRegression : public Model {
 
   bool fit_intercept() const { return fit_intercept_; }
 
+ protected:
+  double AddRangeLossAndGradient(const Dataset& data, size_t begin, size_t end,
+                                 Vec* grad) const override;
+
  private:
   /// w . x + b
   double Margin(const double* x) const;
+  /// AddExampleLossAndGradient given the row's margin.
+  double LossAndGradientAtMargin(double margin, const double* x, int y,
+                                 Vec* grad) const;
 
   size_t d_;
   bool fit_intercept_;

@@ -99,11 +99,16 @@ void Mlp::Backprop(const double* x, const Forward& f, const Vec& dz2, Vec* grad,
 }
 
 void Mlp::AddExampleLossGradient(const double* x, int y, Vec* grad) const {
+  AddExampleLossAndGradient(x, y, grad);
+}
+
+double Mlp::AddExampleLossAndGradient(const double* x, int y, Vec* grad) const {
   Forward f;
   RunForward(x, &f);
   Vec dz2 = f.p;
   dz2[y] -= 1.0;
   Backprop(x, f, dz2, grad);
+  return -std::log(std::max(f.p[y], 1e-12));
 }
 
 void Mlp::AddProbaGradient(const double* x, const Vec& class_weights,
@@ -235,6 +240,7 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
           }
           n = r1;
         }
+        return 0.0;
       });
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;

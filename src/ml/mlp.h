@@ -38,6 +38,7 @@ class Mlp : public Model {
   void PredictProba(const double* x, double* probs) const override;
   double ExampleLoss(const double* x, int y) const override;
   void AddExampleLossGradient(const double* x, int y, Vec* grad) const override;
+  double AddExampleLossAndGradient(const double* x, int y, Vec* grad) const override;
   void AddProbaGradient(const double* x, const Vec& class_weights,
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,

@@ -27,36 +27,36 @@ Matrix Model::PredictProbaMatrix(const Dataset& data) const {
   return out;
 }
 
-double Model::MeanLoss(const Dataset& data, double l2) const {
-  RAIN_CHECK(data.num_active() > 0) << "loss over empty dataset";
-  double acc = ParallelSum(
-      RowParallelism(data.size()), data.size(), [this, &data](size_t begin, size_t end) {
-        double chunk_acc = 0.0;
-        for (size_t i = begin; i < end; ++i) {
-          if (!data.active(i)) continue;
-          chunk_acc += ExampleLoss(data.row(i), data.label(i));
-        }
-        return chunk_acc;
-      });
-  acc /= static_cast<double>(data.num_active());
-  acc += l2 * vec::NormSq(params());
-  return acc;
+double Model::AddExampleLossAndGradient(const double* x, int y, Vec* grad) const {
+  const double loss = ExampleLoss(x, y);
+  AddExampleLossGradient(x, y, grad);
+  return loss;
 }
 
-void Model::MeanLossGradient(const Dataset& data, double l2, Vec* grad) const {
-  RAIN_CHECK(data.num_active() > 0) << "gradient over empty dataset";
+double Model::AddRangeLossAndGradient(const Dataset& data, size_t begin, size_t end,
+                                      Vec* grad) const {
+  double loss = 0.0;
+  for (size_t i = begin; i < end; ++i) {
+    if (!data.active(i)) continue;
+    loss += AddExampleLossAndGradient(data.row(i), data.label(i), grad);
+  }
+  return loss;
+}
+
+double Model::MeanLossAndGradient(const Dataset& data, double l2, Vec* grad) const {
+  RAIN_CHECK(data.num_active() > 0) << "loss over empty dataset";
   grad->assign(num_params(), 0.0);
-  vec::ParallelAccumulate(
+  double loss = vec::ParallelAccumulate(
       RowParallelism(data.size()), data.size(), grad,
       [this, &data](size_t begin, size_t end, Vec* acc) {
-        for (size_t i = begin; i < end; ++i) {
-          if (!data.active(i)) continue;
-          AddExampleLossGradient(data.row(i), data.label(i), acc);
-        }
+        return AddRangeLossAndGradient(data, begin, end, acc);
       });
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& g : *grad) g *= inv_n;
   vec::Axpy(2.0 * l2, params(), grad);
+  loss /= static_cast<double>(data.num_active());
+  loss += l2 * vec::NormSq(params());
+  return loss;
 }
 
 }  // namespace rain

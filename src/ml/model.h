@@ -69,6 +69,12 @@ class Model {
   /// grad += grad_theta of ExampleLoss(x, y).
   virtual void AddExampleLossGradient(const double* x, int y, Vec* grad) const = 0;
 
+  /// grad += grad_theta of ExampleLoss(x, y); returns ExampleLoss(x, y).
+  /// The per-row hook of the fused training pass: overrides run the
+  /// forward pass once for both, and must reproduce the two separate
+  /// calls' bits. The default makes those two calls.
+  virtual double AddExampleLossAndGradient(const double* x, int y, Vec* grad) const;
+
   /// grad += grad_theta sum_c class_weights[c] * p_c(x; theta).
   virtual void AddProbaGradient(const double* x, const Vec& class_weights,
                                 Vec* grad) const = 0;
@@ -83,11 +89,25 @@ class Model {
   /// (active or not; querying sets have no active mask semantics).
   Matrix PredictProbaMatrix(const Dataset& data) const;
 
-  /// Regularized mean loss over active rows.
-  double MeanLoss(const Dataset& data, double l2) const;
+  /// Regularized mean loss over active rows, L = (1/n) sum_i l(z_i) +
+  /// l2 ||theta||^2, returned; its gradient overwrites `grad`. One chunked
+  /// pass over the data: per-chunk losses and gradients are reduced in
+  /// chunk order (vec::ParallelAccumulate), so the result is a pure
+  /// function of (data, params, parallelism).
+  double MeanLossAndGradient(const Dataset& data, double l2, Vec* grad) const;
 
-  /// grad_theta of MeanLoss; overwrites `grad`.
-  void MeanLossGradient(const Dataset& data, double l2, Vec* grad) const;
+  /// grad_theta of the regularized mean loss; overwrites `grad`.
+  void MeanLossGradient(const Dataset& data, double l2, Vec* grad) const {
+    MeanLossAndGradient(data, l2, grad);
+  }
+
+ protected:
+  /// grad += the loss gradients of the active rows in [begin, end); returns
+  /// the sum of their losses, added in row order. One chunk of
+  /// MeanLossAndGradient. The default calls AddExampleLossAndGradient per
+  /// row; batched overrides must keep every per-row value's bits.
+  virtual double AddRangeLossAndGradient(const Dataset& data, size_t begin,
+                                         size_t end, Vec* grad) const;
 
  private:
   int parallelism_ = 1;

@@ -69,15 +69,37 @@ double SoftmaxRegression::ExampleLoss(const double* x, int y) const {
 
 void SoftmaxRegression::AddExampleLossGradient(const double* x, int y,
                                                Vec* grad) const {
-  std::vector<double> p(c_);
-  PredictProba(x, p.data());
+  AddExampleLossAndGradient(x, y, grad);
+}
+
+double SoftmaxRegression::LossAndGradientInto(const double* x, int y, double* probs,
+                                              Vec* grad) const {
+  PredictProba(x, probs);
   const size_t bs = BlockSize();
   for (int c = 0; c < c_; ++c) {
-    const double coef = p[c] - (c == y ? 1.0 : 0.0);
+    const double coef = probs[c] - (c == y ? 1.0 : 0.0);
     double* g = grad->data() + static_cast<size_t>(c) * bs;
     vec::simd::MulAdd(coef, x, g, d_);
     if (fit_intercept_) g[d_] += coef;
   }
+  return -std::log(std::max(probs[y], 1e-12));
+}
+
+double SoftmaxRegression::AddExampleLossAndGradient(const double* x, int y,
+                                                    Vec* grad) const {
+  std::vector<double> p(c_);
+  return LossAndGradientInto(x, y, p.data(), grad);
+}
+
+double SoftmaxRegression::AddRangeLossAndGradient(const Dataset& data, size_t begin,
+                                                  size_t end, Vec* grad) const {
+  std::vector<double> p(c_);  // chunk-local: no per-row allocation
+  double loss = 0.0;
+  for (size_t i = begin; i < end; ++i) {
+    if (!data.active(i)) continue;
+    loss += LossAndGradientInto(data.row(i), data.label(i), p.data(), grad);
+  }
+  return loss;
 }
 
 void SoftmaxRegression::AddProbaGradient(const double* x, const Vec& class_weights,
@@ -159,6 +181,7 @@ void SoftmaxRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
           }
           i = r1;
         }
+        return 0.0;
       });
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& o : *out) o *= inv_n;

@@ -26,15 +26,24 @@ class SoftmaxRegression : public Model {
   void PredictProba(const double* x, double* probs) const override;
   double ExampleLoss(const double* x, int y) const override;
   void AddExampleLossGradient(const double* x, int y, Vec* grad) const override;
+  double AddExampleLossAndGradient(const double* x, int y, Vec* grad) const override;
   void AddProbaGradient(const double* x, const Vec& class_weights,
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
 
+ protected:
+  double AddRangeLossAndGradient(const Dataset& data, size_t begin, size_t end,
+                                 Vec* grad) const override;
+
  private:
   size_t BlockSize() const { return d_ + (fit_intercept_ ? 1 : 0); }
   /// logits[c] = W_c . x + b_c
   void Logits(const double* x, double* logits) const;
+  /// AddExampleLossAndGradient with `probs` (c_ doubles) as scratch for
+  /// the row's class probabilities.
+  double LossAndGradientInto(const double* x, int y, double* probs,
+                             Vec* grad) const;
 
   size_t d_;
   int c_;

@@ -19,8 +19,7 @@ Result<TrainReport> TrainModel(Model* model, const Dataset& data,
 
   Objective objective = [&](const Vec& theta, Vec* grad) {
     model->set_params(theta);
-    model->MeanLossGradient(data, config.l2, grad);
-    return model->MeanLoss(data, config.l2);
+    return model->MeanLossAndGradient(data, config.l2, grad);
   };
 
   LbfgsOptions opts;
@@ -35,6 +34,7 @@ Result<TrainReport> TrainModel(Model* model, const Dataset& data,
 
   TrainReport report;
   report.iterations = res.iterations;
+  report.evaluations = res.evaluations;
   report.final_loss = res.fx;
   report.grad_norm = res.grad_norm;
   report.converged = res.converged;

@@ -28,6 +28,8 @@ struct TrainConfig {
 
 struct TrainReport {
   int iterations = 0;
+  /// Objective evaluations (one fused loss-and-gradient data pass each).
+  int evaluations = 0;
   double final_loss = 0.0;
   double grad_norm = 0.0;
   bool converged = false;

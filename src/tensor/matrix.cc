@@ -52,6 +52,7 @@ Vec Matrix::MatTVec(const Vec& x, int parallelism) const {
       parallelism, rows_, &out, [this, &x](size_t begin, size_t end, Vec* acc) {
         vec::simd::GemvT(Row(begin), end - begin, cols_, x.data() + begin,
                          acc->data());
+        return 0.0;
       });
   return out;
 }

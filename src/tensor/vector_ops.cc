@@ -1159,20 +1159,23 @@ double NormSq(const Vec& x, int parallelism) {
   });
 }
 
-void ParallelAccumulate(int parallelism, size_t n, Vec* out,
-                        const std::function<void(size_t begin, size_t end, Vec* acc)>& body) {
-  if (n == 0) return;
+double ParallelAccumulate(
+    int parallelism, size_t n, Vec* out,
+    const std::function<double(size_t begin, size_t end, Vec* acc)>& body) {
+  if (n == 0) return 0.0;
   size_t chunks = parallelism < 1 ? 1 : static_cast<size_t>(parallelism);
   if (chunks > n) chunks = n;
-  if (chunks <= 1) {
-    body(0, n, out);
-    return;
-  }
+  if (chunks <= 1) return body(0, n, out);
   std::vector<Vec> partial(chunks, Vec(out->size(), 0.0));
-  ParallelFor(parallelism, n, [&body, &partial](size_t begin, size_t end, size_t chunk) {
-    body(begin, end, &partial[chunk]);
-  });
+  std::vector<double> scalar(chunks, 0.0);
+  ParallelFor(parallelism, n,
+              [&body, &partial, &scalar](size_t begin, size_t end, size_t chunk) {
+                scalar[chunk] = body(begin, end, &partial[chunk]);
+              });
   for (const Vec& p : partial) Axpy(1.0, p, out);
+  double sum = 0.0;
+  for (double s : scalar) sum += s;
+  return sum;
 }
 
 Vec Sub(const Vec& x, const Vec& y) {

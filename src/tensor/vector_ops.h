@@ -261,8 +261,13 @@ double NormSq(const Vec& x, int parallelism);
 /// chunk order. With parallelism <= 1 the body writes straight into *out —
 /// bitwise identical to the pre-parallel sequential loops. This is the
 /// reduction primitive behind every parallel gradient / HVP in src/ml.
-void ParallelAccumulate(int parallelism, size_t n, Vec* out,
-                        const std::function<void(size_t begin, size_t end, Vec* acc)>& body);
+///
+/// The body also returns a scalar partial (a chunk's loss; bodies with
+/// nothing to sum return 0). The partials are added in chunk order — the
+/// ParallelSum(parallelism, n) grouping — and the sum is returned.
+double ParallelAccumulate(
+    int parallelism, size_t n, Vec* out,
+    const std::function<double(size_t begin, size_t end, Vec* acc)>& body);
 
 /// out = x - y
 Vec Sub(const Vec& x, const Vec& y);

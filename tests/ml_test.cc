@@ -1,7 +1,9 @@
+#include <atomic>
 #include <cmath>
 #include <memory>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "ml/dataset.h"
 #include "ml/eval.h"
@@ -36,17 +38,17 @@ void RandomizeParams(Model* model, uint64_t seed, double scale = 0.3) {
 /// Finite-difference check of the mean-loss gradient.
 void CheckLossGradient(Model* model, const Dataset& data, double l2) {
   const double eps = 1e-6;
-  Vec grad;
-  model->MeanLossGradient(data, l2, &grad);
+  Vec grad, unused;
+  model->MeanLossAndGradient(data, l2, &grad);
   Vec theta = model->params();
   for (size_t j = 0; j < theta.size(); j += std::max<size_t>(1, theta.size() / 13)) {
     Vec tp = theta, tm = theta;
     tp[j] += eps;
     tm[j] -= eps;
     model->set_params(tp);
-    const double fp = model->MeanLoss(data, l2);
+    const double fp = model->MeanLossAndGradient(data, l2, &unused);
     model->set_params(tm);
-    const double fm = model->MeanLoss(data, l2);
+    const double fm = model->MeanLossAndGradient(data, l2, &unused);
     model->set_params(theta);
     const double fd = (fp - fm) / (2 * eps);
     EXPECT_NEAR(grad[j], fd, 1e-4) << "param " << j;
@@ -298,6 +300,25 @@ TEST(LbfgsTest, MinimizesRosenbrock) {
   EXPECT_NEAR(r.x[1], 1.0, 1e-4);
 }
 
+TEST(LbfgsTest, CountsEveryObjectiveEvaluation) {
+  int calls = 0;
+  Objective f = [&calls](const Vec& x, Vec* g) {
+    ++calls;
+    const double a = 1.0 - x[0];
+    const double b = x[1] - x[0] * x[0];
+    (*g)[0] = -2.0 * a - 400.0 * x[0] * b;
+    (*g)[1] = 200.0 * b;
+    return a * a + 100.0 * b * b;
+  };
+  LbfgsOptions opts;
+  opts.max_iters = 50;
+  LbfgsResult r = LbfgsMinimize(f, Vec{-1.2, 1.0}, opts);
+  EXPECT_EQ(r.evaluations, calls);
+  // One initial evaluation plus at least one line-search trial per
+  // iteration; Rosenbrock's valley forces some backtracking.
+  EXPECT_GT(r.evaluations, r.iterations + 1);
+}
+
 TEST(TrainerTest, LearnsSeparableProblem) {
   // Linearly separable data: y = [x0 + x1 > 0].
   Rng rng(50);
@@ -343,8 +364,41 @@ TEST(TrainerTest, WarmStartConvergesFasterOrEqual) {
   EXPECT_LE(second->iterations, first->iterations);
 }
 
+/// The two calls per row that MeanLossAndGradient fuses: a per-row
+/// ExampleLoss sum and AddExampleLossGradient, each chunk of the
+/// min(parallelism, n) ParallelAccumulate layout reduced on its own and the
+/// chunks added in order, then the same 1/n scaling and L2 terms.
+double TwoPassLossAndGradient(const Model& model, const Dataset& data, double l2,
+                              Vec* grad) {
+  const size_t n = data.size();
+  const size_t chunks = ParallelChunkCount(model.RowParallelism(n), n, 1);
+  grad->assign(model.num_params(), 0.0);
+  double loss = 0.0;
+  size_t begin = 0;
+  for (size_t c = 0; c < chunks; ++c) {
+    const size_t end = begin + n / chunks + (c < n % chunks ? 1 : 0);
+    double chunk_loss = 0.0;
+    Vec chunk_grad(model.num_params(), 0.0);
+    for (size_t i = begin; i < end; ++i) {
+      if (!data.active(i)) continue;
+      chunk_loss += model.ExampleLoss(data.row(i), data.label(i));
+      model.AddExampleLossGradient(data.row(i), data.label(i), &chunk_grad);
+    }
+    loss += chunk_loss;
+    vec::Axpy(1.0, chunk_grad, grad);
+    begin = end;
+  }
+  const double inv_n = 1.0 / static_cast<double>(data.num_active());
+  for (double& g : *grad) g *= inv_n;
+  vec::Axpy(2.0 * l2, model.params(), grad);
+  loss /= static_cast<double>(data.num_active());
+  return loss + l2 * vec::NormSq(model.params());
+}
+
 /// Parallel loss / gradient / HVP must agree with the sequential path for
-/// every model family (deterministic chunked reductions, ε from reordering).
+/// every model family (deterministic chunked reductions, ε from reordering),
+/// and the fused loss and gradient must be bitwise the two-pass reference
+/// at every parallelism.
 ///
 /// `data` must have 200 rows. The blocked HVP bodies batch runs of
 /// consecutive ACTIVE rows into Gemv/GemmNT projections, so the holes are
@@ -361,16 +415,18 @@ void CheckParallelMatchesSequential(Model* model, Dataset data, double l2,
   for (double& x : v) x = rng.Gaussian();
 
   model->set_parallelism(1);
-  const double loss_seq = model->MeanLoss(data, l2);
   Vec grad_seq, hvp_seq;
-  model->MeanLossGradient(data, l2, &grad_seq);
+  const double loss_seq = model->MeanLossAndGradient(data, l2, &grad_seq);
   model->HessianVectorProduct(data, v, l2, &hvp_seq);
 
-  for (int par : {2, 4, 8}) {
+  for (int par : {1, 2, 3, 4, 8}) {
     model->set_parallelism(par);
-    EXPECT_NEAR(model->MeanLoss(data, l2), loss_seq, 1e-10) << "parallelism=" << par;
-    Vec grad_par, hvp_par;
-    model->MeanLossGradient(data, l2, &grad_par);
+    Vec grad_par, grad_ref, hvp_par;
+    const double loss_par = model->MeanLossAndGradient(data, l2, &grad_par);
+    const double loss_ref = TwoPassLossAndGradient(*model, data, l2, &grad_ref);
+    EXPECT_EQ(loss_par, loss_ref) << "parallelism=" << par;
+    EXPECT_EQ(grad_par, grad_ref) << "parallelism=" << par;
+    EXPECT_NEAR(loss_par, loss_seq, 1e-10) << "parallelism=" << par;
     model->HessianVectorProduct(data, v, l2, &hvp_par);
     EXPECT_LT(vec::MaxAbsDiff(grad_par, grad_seq), 1e-10) << "parallelism=" << par;
     EXPECT_LT(vec::MaxAbsDiff(hvp_par, hvp_seq), 1e-10) << "parallelism=" << par;
@@ -414,6 +470,68 @@ TEST(TrainerTest, ParallelTrainingReachesSequentialLoss) {
   EXPECT_EQ(par.parallelism(), 4) << "trainer must install the knob on the model";
   EXPECT_NEAR(par_report->final_loss, seq_report->final_loss, 1e-6);
   EXPECT_LT(vec::MaxAbsDiff(par.params(), seq.params()), 1e-4);
+}
+
+/// Forwards to an inner model, counting the per-row loss hooks.
+class CountingModel : public Model {
+ public:
+  explicit CountingModel(std::unique_ptr<Model> inner) : inner_(std::move(inner)) {}
+
+  int num_classes() const override { return inner_->num_classes(); }
+  size_t num_features() const override { return inner_->num_features(); }
+  size_t num_params() const override { return inner_->num_params(); }
+  const Vec& params() const override { return inner_->params(); }
+  void set_params(const Vec& theta) override { inner_->set_params(theta); }
+  void PredictProba(const double* x, double* probs) const override {
+    inner_->PredictProba(x, probs);
+  }
+  double ExampleLoss(const double* x, int y) const override {
+    ++loss_calls;
+    return inner_->ExampleLoss(x, y);
+  }
+  void AddExampleLossGradient(const double* x, int y, Vec* grad) const override {
+    ++gradient_calls;
+    inner_->AddExampleLossGradient(x, y, grad);
+  }
+  double AddExampleLossAndGradient(const double* x, int y, Vec* grad) const override {
+    ++fused_calls;
+    return inner_->AddExampleLossAndGradient(x, y, grad);
+  }
+  void AddProbaGradient(const double* x, const Vec& class_weights,
+                        Vec* grad) const override {
+    inner_->AddProbaGradient(x, class_weights, grad);
+  }
+  void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
+                            Vec* out) const override {
+    inner_->HessianVectorProduct(data, v, l2, out);
+  }
+
+  mutable std::atomic<long> loss_calls{0};
+  mutable std::atomic<long> gradient_calls{0};
+  mutable std::atomic<long> fused_calls{0};
+
+ private:
+  std::unique_ptr<Model> inner_;
+};
+
+TEST(TrainerTest, OneFusedDataPassPerEvaluation) {
+  Dataset d = RandomDataset(200, 4, 2, 83);
+  for (size_t hole : {3u, 50u, 51u, 199u}) d.Deactivate(hole);
+  for (int par : {1, 4}) {
+    CountingModel m(std::make_unique<LogisticRegression>(4));
+    TrainConfig cfg;
+    cfg.parallelism = par;
+    auto report = TrainModel(&m, d, cfg);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->converged);
+    EXPECT_GE(report->evaluations, report->iterations + 1);
+    EXPECT_EQ(m.fused_calls.load(),
+              static_cast<long>(report->evaluations) *
+                  static_cast<long>(d.num_active()))
+        << "parallelism=" << par;
+    EXPECT_EQ(m.loss_calls.load(), 0) << "parallelism=" << par;
+    EXPECT_EQ(m.gradient_calls.load(), 0) << "parallelism=" << par;
+  }
 }
 
 TEST(DatasetCowTest, CopiesAndViewsShareStorage) {

@@ -1,10 +1,12 @@
 /// DebugSession semantics: stepping, convergence no-ops, cancellation
 /// between phases and mid-train, observer ordering, workload mutation,
-/// deadline handling, parallelism inheritance, the batched bind on the
-/// Fig. 5 (DBLP 50% corruption) workload, and worker-count invariance of
-/// deletion sequences (DBLP Fig. 5 and the Adult multi-query workload).
+/// deadline handling, parallelism inheritance, fix-phase selection and
+/// ranker-output validation, the batched bind on the Fig. 5 (DBLP 50%
+/// corruption) workload, and worker-count invariance of deletion
+/// sequences (DBLP Fig. 5 and the Adult multi-query workload).
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -479,6 +481,125 @@ TEST_F(SessionFixture, BuilderRejectsMissingRankerAndBadNames) {
                   .ranker("loss")
                   .Build()
                   .ok());
+}
+
+// ------------------------------------------------- fix-phase selection
+
+/// Returns whatever `scores_for` makes of the context, every iteration.
+class StubRanker : public Ranker {
+ public:
+  explicit StubRanker(std::function<std::vector<double>(const RankContext&)> scores_for)
+      : scores_for_(std::move(scores_for)) {}
+  std::string name() const override { return "stub"; }
+  Result<RankOutput> Rank(const RankContext& ctx) override {
+    RankOutput out;
+    out.scores = scores_for_(ctx);
+    return out;
+  }
+
+ private:
+  std::function<std::vector<double>(const RankContext&)> scores_for_;
+};
+
+TEST_F(SessionFixture, FixPhaseMatchesStableSortWithTiesAndInactiveRows) {
+  Dataset* train = pipeline()->train_data();
+  const size_t n = train->size();
+  // Eleven distinct values, so every score is tied with ~n/11 others; the
+  // zeros alternate sign. Rows deleted in earlier iterations keep their
+  // (high) scores, and a few rows are inactive before the session starts.
+  std::vector<double> scores(n);
+  for (size_t i = 0; i < n; ++i) {
+    scores[i] = static_cast<double>((i * 37) % 11) - 3.0;
+    if (scores[i] == 0.0 && i % 2 == 0) scores[i] = -0.0;
+  }
+  for (size_t i : {0u, 11u, 22u, 121u, 242u}) train->Deactivate(i);
+  std::vector<uint8_t> active(n);
+  for (size_t i = 0; i < n; ++i) active[i] = train->active(i) ? 1 : 0;
+
+  const int max_deletions = 40;
+  auto session =
+      DebugSessionBuilder(pipeline())
+          .ranker(std::make_unique<StubRanker>(
+              [&scores](const RankContext&) { return scores; }))
+          .top_k_per_iter(13)
+          .max_deletions(max_deletions)
+          .stop_when_resolved(false)
+          .workload({CountComplaint(static_cast<double>(setup_.true_count))})
+          .Build();
+  ASSERT_TRUE(session.ok());
+  auto report = (*session)->RunToCompletion();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  // Reference: the former full stable sort, skipping inactive rows.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return scores[a] > scores[b]; });
+  std::vector<size_t> expected;
+  for (size_t idx : order) {
+    if (active[idx] && static_cast<int>(expected.size()) < max_deletions) {
+      expected.push_back(idx);
+    }
+  }
+  EXPECT_EQ(report->deletions, expected);
+  EXPECT_EQ(report->iterations.size(), 4u);  // 13 + 13 + 13 + 1
+}
+
+TEST_F(SessionFixture, RankerScoreCountMismatchIsAnError) {
+  auto session =
+      DebugSessionBuilder(pipeline())
+          .ranker(std::make_unique<StubRanker>([](const RankContext& ctx) {
+            return std::vector<double>(ctx.train->size() - 1, 1.0);
+          }))
+          .stop_when_resolved(false)
+          .workload({CountComplaint(static_cast<double>(setup_.true_count))})
+          .Build();
+  ASSERT_TRUE(session.ok());
+  auto step = (*session)->Step();
+  ASSERT_FALSE(step.ok());
+  EXPECT_TRUE(step.status().IsInvalidArgument()) << step.status().ToString();
+  EXPECT_NE(step.status().message().find("stub"), std::string::npos);
+  EXPECT_TRUE((*session)->report().deletions.empty());
+}
+
+TEST_F(SessionFixture, RankerNonFiniteScoreOnActiveRowIsAnError) {
+  Dataset* train = pipeline()->train_data();
+  train->Deactivate(4);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    auto session =
+        DebugSessionBuilder(pipeline())
+            .ranker(std::make_unique<StubRanker>([bad](const RankContext& ctx) {
+              std::vector<double> scores(ctx.train->size(), 1.0);
+              scores[4] = std::nan("");  // inactive: ignored
+              scores[7] = bad;
+              return scores;
+            }))
+            .stop_when_resolved(false)
+            .workload({CountComplaint(static_cast<double>(setup_.true_count))})
+            .Build();
+    ASSERT_TRUE(session.ok());
+    auto step = (*session)->Step();
+    ASSERT_FALSE(step.ok()) << "score " << bad;
+    EXPECT_TRUE(step.status().IsInvalidArgument()) << step.status().ToString();
+    EXPECT_NE(step.status().message().find("stub"), std::string::npos);
+    EXPECT_NE(step.status().message().find("row 7"), std::string::npos);
+    EXPECT_TRUE((*session)->report().deletions.empty());
+  }
+  // The inactive row's NaN alone is fine.
+  auto session =
+      DebugSessionBuilder(pipeline())
+          .ranker(std::make_unique<StubRanker>([](const RankContext& ctx) {
+            std::vector<double> scores(ctx.train->size(), 1.0);
+            scores[4] = std::nan("");
+            return scores;
+          }))
+          .stop_when_resolved(false)
+          .workload({CountComplaint(static_cast<double>(setup_.true_count))})
+          .Build();
+  ASSERT_TRUE(session.ok());
+  auto step = (*session)->Step();
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_EQ(step->status, StepStatus::kIterated);
 }
 
 // --------------------------------------------------------- batched bind
