@@ -1,7 +1,7 @@
 /// Microbenchmarks of the vec::simd dispatch layer and the kernels built
 /// on it: scalar-vs-SIMD timings for Dot/Axpy/GEMV/GEMM (packed and
 /// unpacked), the ml coefficient passes (logistic/softmax/MLP HVPs), the
-/// relaxed polynomial sweeps, and the batched multi-root GradientBatch.
+/// and the relaxed polynomial sweeps.
 /// Self-driven (no external benchmark framework): each row times the same
 /// closure under a baseline configuration (usually ForceScalar(true)) and
 /// under the dispatched backend, and reports the speedup. A per-backend
@@ -26,10 +26,9 @@
 ///     per-row Dot loop BITWISE;
 ///   * the row-partitioned Matrix paths (MatVec, MatMul) must be BITWISE
 ///     identical across 1/2/8 workers;
-///   * RelaxedPoly::GradientBatch — built entirely from ELEMENTWISE and
+///   * RelaxedPoly::SeededGradient — built entirely from ELEMENTWISE and
 ///     SHAPED-REDUCTION kernels — must be BITWISE identical across
-///     backends, across 1/2/8 sweep workers, and to the single-root
-///     Gradient path.
+///     backends.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -175,9 +174,8 @@ PolyId MakeJoinPoly(PolyArena* arena, int side) {
 /// at construction). That gives the DAG fan-in in both directions: each
 /// AND gathers `arity` shared vars (forward GatherProd runs the SIMD
 /// path) and each var's CSR parent list spans ~pool*arity/512 ANDs, each
-/// AND's list ~half the roots (the batched reverse sweep's GatherDot
-/// runs the SIMD gathers). The shared edge-weight pass is amortized
-/// across all roots — the case the batched adjoint tape is built for.
+/// AND's list ~half the roots (the seeded reverse sweep's GatherDot
+/// runs the SIMD gathers).
 std::vector<PolyId> MakeSharedComplaints(PolyArena* arena, size_t num_roots,
                                          size_t pool, size_t per_root,
                                          size_t arity) {
@@ -327,22 +325,6 @@ int RunTimings() {
       g_sink = poly.Gradient(probs, &grad);
     }));
   }
-  {
-    // Batched multi-root reverse sweep over shared high-fan-in structure
-    // (one shared forward + edge-weight pass, per-root GatherDot sweeps).
-    PolyArena arena;
-    const std::vector<PolyId> roots =
-        MakeSharedComplaints(&arena, /*num_roots=*/48, /*pool=*/384,
-                             /*per_root=*/160, /*arity=*/32);
-    RelaxedPoly poly(&arena, roots);
-    Vec probs = RandomVec(arena.num_vars(), 30);
-    for (double& p : probs) p = 0.5 + 0.4 * std::tanh(p);
-    std::vector<Vec> grads;
-    rows.push_back(
-        TimeKernel("gradient_batch", static_cast<int64_t>(roots.size()), [&] {
-          poly.GradientBatch(probs, &grads, /*parallelism=*/1);
-        }));
-  }
 
   // Per-backend sweep: the same hot kernels re-timed under every tier the
   // CPU supports, so a recorded baseline shows the whole ladder (and a
@@ -450,8 +432,10 @@ void PrintContractTable() {
   t.AddRow({"SHAPED-REDUCTION",
             "Dot2 GatherSum GatherProd GatherProdOneMinus GatherDot",
             "bitwise identical on every tier (shaped scalar fallback)"});
-  t.AddRow({"(composites)", "MatVec MatMul GradientBatch",
+  t.AddRow({"(composites)", "MatVec MatMul",
             "bitwise invariant across 1/2/8 workers and backends"});
+  t.AddRow({"(composites)", "SeededGradient",
+            "bitwise invariant across backends"});
   std::printf("%s\n", t.ToText().c_str());
 }
 
@@ -676,9 +660,8 @@ void RunVerifyOnce(const std::string& tier) {
           "MatMul bitwise across 1/2/8 workers" + tag);
   }
 
-  // GradientBatch composes only ELEMENTWISE + SHAPED-REDUCTION kernels,
-  // so the whole pass is bitwise invariant: across backends, across
-  // sweep worker counts, and vs the single-root Gradient path.
+  // The seeded reverse sweep composes only ELEMENTWISE + SHAPED-REDUCTION
+  // kernels, so its gradient is bitwise the scalar fallback's.
   {
     PolyArena arena;
     const std::vector<PolyId> roots =
@@ -687,27 +670,18 @@ void RunVerifyOnce(const std::string& tier) {
     RelaxedPoly poly(&arena, roots);
     Vec probs2 = RandomVec(arena.num_vars(), 31);
     for (double& p : probs2) p = 0.5 + 0.4 * std::tanh(p);
-    std::vector<Vec> g1, g2, g8, gs;
-    const std::vector<double> v1 = poly.GradientBatch(probs2, &g1, 1);
-    const std::vector<double> v2 = poly.GradientBatch(probs2, &g2, 2);
-    const std::vector<double> v8 = poly.GradientBatch(probs2, &g8, 8);
+    const std::vector<double> seeds = RandomVec(roots.size(), 32);
+    auto seeded = [&] {
+      Vec values, grad;
+      poly.EvaluateBatch(probs2, &values);
+      poly.SeededGradient(values, seeds, &grad);
+      return grad;
+    };
+    const Vec g = seeded();
     const bool prev = vec::simd::ForceScalar(true);
-    const std::vector<double> vs = poly.GradientBatch(probs2, &gs, 1);
+    const Vec gs = seeded();
     vec::simd::ForceScalar(prev);
-    bool ok = v1 == v2 && v1 == v8 && v1 == vs;
-    for (size_t r = 0; ok && r < roots.size(); ++r) {
-      ok = BitwiseEq(g1[r], g2[r]) && BitwiseEq(g1[r], g8[r]) &&
-           BitwiseEq(g1[r], gs[r]);
-    }
-    Check(ok, "GradientBatch bitwise: workers 1/2/8 + scalar" + tag);
-    // Gradient on the SAME object shares the tape (and so the GatherDot
-    // lane shapes) with the batch path — bitwise equal to entry 0. A
-    // separately constructed single-root tape has narrower parent lists,
-    // so it is only 1e-12-near (relax_test covers that).
-    Vec grad;
-    const double val = poly.Gradient(probs2, &grad);
-    Check(val == v1[0] && BitwiseEq(grad, g1[0]),
-          "Gradient == GradientBatch entry 0 (bitwise)" + tag);
+    Check(BitwiseEq(g, gs), "SeededGradient bitwise vs scalar" + tag);
   }
 
   // The blocked logistic HVP under the dispatched SIMD backend stays

@@ -5,15 +5,15 @@
 /// loop), and full L-BFGS retraining — and verifies that parallel results
 /// match the sequential ones (ScoreAll bitwise, reductions within 1e-9).
 ///
-/// A fourth section measures the batched encode phase on a Section
-/// 6.5-style multi-complaint Adult workload (two grouped-AVG queries plus
-/// a batch of point complaints): per-thread-count wall-clock of the
-/// batched `BindWorkload` (parallel per-query provenance capture, ordered
-/// splice) and of the Holistic encode (`RelaxedPoly::GradientBatch` +
-/// `AccumulateProbaGradients`), verifying that the resulting scores are
-/// BITWISE identical to the sequential path at every worker count. The
-/// rows are also written to BENCH_encode.json (see docs/benchmarks.md for
-/// the recorded baseline).
+/// A fourth section measures the batched bind on a Section 6.5-style
+/// multi-complaint Adult workload (two grouped-AVG queries plus a batch of
+/// point complaints): per-thread-count wall-clock of the batched
+/// `BindWorkload` (parallel per-query provenance capture, ordered splice)
+/// and of the sequential Holistic encode that follows it (one seeded
+/// reverse sweep + `AccumulateProbaGradients`; its column is a control),
+/// verifying that the resulting scores are BITWISE identical to the
+/// sequential bind at every worker count. The rows are also written to
+/// BENCH_encode.json (see docs/benchmarks.md for the recorded baseline).
 ///
 /// Speedups are bounded by the physical core count; on a 1-core container
 /// every column degenerates to ~1x while the correctness checks still run.
@@ -163,7 +163,7 @@ int main() {
   }
   EmitTable("Parallel scaling: blocked GEMV / GEMM", tensor_table);
 
-  // Encode-phase scaling: the batched bind + encode on a Section 6.5-style
+  // Bind-phase scaling: the batched bind + encode on a Section 6.5-style
   // multi-complaint workload — two grouped-AVG Adult queries plus a batch
   // of point complaints, all sharing one provenance pass.
   Experiment menc = AdultMultiQuery("both", 0.3, /*train_size=*/3000,
@@ -181,7 +181,7 @@ int main() {
   std::vector<double> encode_scores_ref;
   TablePrinter encode_table({"threads", "bind_s", "bind_speedup", "encode_s",
                              "encode_speedup"});
-  double bind_base = 0.0, encode_base = 0.0, encode_2x = 0.0;
+  double bind_base = 0.0, encode_base = 0.0;
   EmitJson json("BENCH_encode.json");
   for (int threads : kThreadCounts) {
     const double bind_s = TimeBest(3, [&] {
@@ -201,7 +201,6 @@ int main() {
     ctx.predictions = &mpipe->predictions();
     ctx.complaints = &*bound;
     ctx.influence.l2 = mpipe->train_config().l2;
-    ctx.parallelism = threads;  // bind+encode knob; influence stays at 1
     double encode_s = 1e100;
     std::vector<double> scores;
     for (int rep = 0; rep < 3; ++rep) {
@@ -216,9 +215,8 @@ int main() {
       encode_base = encode_s;
     } else {
       RAIN_CHECK(scores == encode_scores_ref)
-          << "parallel encode must be bitwise identical to sequential";
+          << "scores after a parallel bind must be bitwise identical to sequential";
     }
-    if (threads == 2) encode_2x = encode_base / encode_s;
     encode_table.AddRow({TablePrinter::Num(threads, 0),
                          TablePrinter::Num(bind_s, 5),
                          TablePrinter::Num(bind_base / bind_s, 2),
@@ -238,7 +236,5 @@ int main() {
 
   std::printf("score_all 8-thread speedup: %.2fx (max deviation %.3g)\n", score_8x,
               score_dev_max);
-  std::printf("encode 2-thread speedup: %.2fx (bitwise match at all counts)\n",
-              encode_2x);
   return 0;
 }

@@ -13,9 +13,10 @@
 ///   - influence:  ScoreAll / HVP / Prepare (CG solve) per thread count
 ///                 on the scaled Adult workload — the acceptance rows:
 ///                 8-worker ScoreAll speedup over 1-worker, bitwise.
-///   - complaints: many-complaints batched bind + Holistic encode per
-///                 thread count (hundreds of concurrent point complaints
-///                 next to the grouped-AVG entries), scores bitwise.
+///   - complaints: many-complaints batched bind per thread count, then
+///                 the (sequential) Holistic encode (hundreds of
+///                 concurrent point complaints next to the grouped-AVG
+///                 entries), scores bitwise.
 ///
 /// Flags: --scale=S (default: RAIN_BENCH_SCALE, else 1.0), --seed=N,
 /// --verify (keep every check, drop timing repeats to 1 — the fast CI
@@ -237,8 +238,8 @@ int main(int argc, char** argv) {
 
   // Section 3: many-complaints bind + encode. The generated workload
   // carries two grouped-AVG entries plus dims.point_complaints concurrent
-  // point complaints — the batched bind and the Holistic encode must stay
-  // bitwise across worker counts.
+  // point complaints — the scores after the batched bind and the
+  // sequential Holistic encode must stay bitwise across bind worker counts.
   size_t total_complaints = 0;
   for (const QueryComplaints& qc : exp.workload) {
     total_complaints += qc.complaints.size();
@@ -266,7 +267,6 @@ int main(int argc, char** argv) {
     ctx.predictions = &pipeline->predictions();
     ctx.complaints = &*bound;
     ctx.influence.l2 = pipeline->train_config().l2;
-    ctx.parallelism = threads;  // bind+encode knob; influence stays at 1
     double encode_s = 1e100;
     std::vector<double> scores;
     for (int rep = 0; rep < repeats; ++rep) {
@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
       encode_base = encode_s;
     } else {
       RAIN_CHECK(scores == encode_ref)
-          << "parallel encode must be bitwise identical to sequential";
+          << "scores after a parallel bind must be bitwise identical to sequential";
     }
     enc_table.AddRow({TablePrinter::Num(threads, 0), TablePrinter::Num(bind_s, 4),
                       TablePrinter::Num(bind_base / bind_s, 2),

@@ -4,6 +4,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -142,6 +143,18 @@ void EmitTable(const std::string& title, const TablePrinter& table) {
   std::printf("\n== %s ==\n%s", title.c_str(), table.ToText().c_str());
   std::printf("-- csv --\n%s", table.ToCsv().c_str());
   std::fflush(stdout);
+}
+
+bool QualityGate::Requested(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) return true;
+  }
+  return false;
+}
+
+void QualityGate::Expect(bool ok, const std::string& what) {
+  std::printf("check %-64s %s\n", what.c_str(), ok ? "PASS" : "FAIL");
+  if (!ok) ++failures_;
 }
 
 EmitJson::EmitJson(std::string path) : path_(std::move(path)) {

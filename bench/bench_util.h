@@ -97,6 +97,23 @@ PhaseMeans MeanPhases(const MethodRun& run);
 /// Prints the table as text and appends its CSV to stdout (tagged).
 void EmitTable(const std::string& title, const TablePrinter& table);
 
+/// \brief Pass/fail bookkeeping for a driver's `--check` quality gate:
+/// the paper's qualitative claims asserted on the printed numbers. The
+/// checks print after the tables, so a run without `--check` keeps its
+/// stdout unchanged.
+class QualityGate {
+ public:
+  /// True when `--check` is among the arguments.
+  static bool Requested(int argc, char** argv);
+  /// Prints one "check ... PASS|FAIL" line and records a failure.
+  void Expect(bool ok, const std::string& what);
+  /// Process exit status: 0 when every expectation held, else 1.
+  int ExitCode() const { return failures_ == 0 ? 0 : 1; }
+
+ private:
+  int failures_ = 0;
+};
+
 /// \brief Streaming writer for the BENCH_*.json row arrays.
 ///
 /// Every bench driver records machine-readable rows next to its printed

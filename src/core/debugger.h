@@ -28,10 +28,9 @@ struct DebugConfig {
   bool stop_when_resolved = false;
   /// Worker count applied end-to-end across a train-rank-fix iteration:
   /// retraining (pipeline TrainConfig), the batched bind phase
-  /// (`BindWorkload` per-query staging), the encode phase
-  /// (`RelaxedPoly::GradientBatch` + `AccumulateProbaGradients` via
-  /// `RankContext::parallelism`), influence scoring, and the CG
-  /// solver. Inheritance is resolved in exactly one place —
+  /// (`BindWorkload` per-query staging), influence scoring, and the CG
+  /// solver. The Holistic encode (one seeded reverse sweep plus the
+  /// q-gradient fold) is sequential and does not read it. Inheritance is resolved in exactly one place —
   /// `DebugSessionBuilder::Build()`: the pipeline's TrainConfig always
   /// tracks this value (so 1 restores the exact sequential path),
   /// `influence.parallelism` inherits it when left at its default of 1,

@@ -1,7 +1,6 @@
 #ifndef RAIN_CORE_RANKER_H_
 #define RAIN_CORE_RANKER_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +14,10 @@
 #include "relax/relaxed_poly.h"
 
 namespace rain {
+
+/// A Holistic batch relaxation plus the (table, row) grouping of its
+/// prediction variables; defined in rankers.cc.
+struct HolisticEncoding;
 
 /// Everything a ranking strategy may consult for one train-rank-fix
 /// iteration. Pointers are borrowed and valid for the duration of the
@@ -36,25 +39,20 @@ struct RankContext {
   /// TwoStep q encoding: marked mispredictions only (paper default) or
   /// every queried row the ILP touched (ablation knob, Section 5.2).
   bool twostep_encode_all = false;
-  /// Worker count for the encode phase: the per-complaint reverse sweeps
-  /// of `RelaxedPoly::GradientBatch` and the chunked q-gradient
-  /// accumulation of `AccumulateProbaGradients`. Plumbed from
-  /// `DebugSessionBuilder::parallelism` by `DebugSession::RankPhase`; 1
-  /// (the default) is the exact sequential path, and every value obeys the
-  /// deterministic-chunk contract (bitwise-stable results).
-  int parallelism = 1;
   /// Optional cross-iteration encode cache owned by the caller (the
-  /// session). When non-null, rankers that build a `RelaxedPoly` batch
-  /// may reuse the cached batch when the root set, relax mode, and arena
+  /// session). When non-null, rankers that build a Holistic encoding may
+  /// reuse the cached one when the root set, relax mode, and arena
   /// generation all match — the reuse is bitwise-neutral because the
-  /// batch is a pure function of (arena, roots, mode) and the arena is
+  /// encoding is a pure function of (arena, roots, mode) and the arena is
   /// append-only between generations (see `EncodeCache`).
   struct EncodeCache {
     uint64_t arena_generation = 0;
     RelaxMode mode = RelaxMode::kIndependent;
     std::vector<PolyId> roots;
-    std::shared_ptr<const RelaxedPoly> relax;
-    /// Cumulative count of Rank calls that reused `relax` (stats).
+    /// The batch relaxation over `roots` and its prediction variables
+    /// grouped by queried (table, row), built together once per root set.
+    std::shared_ptr<const HolisticEncoding> encoding;
+    /// Cumulative count of Rank calls that reused `encoding` (stats).
     size_t reuses = 0;
   };
   EncodeCache* encode_cache = nullptr;
@@ -97,29 +95,27 @@ std::unique_ptr<Ranker> MakeAutoRanker();
 /// Factory by name ("loss", "infloss", "twostep", "holistic", "auto").
 Result<std::unique_ptr<Ranker>> MakeRanker(const std::string& name);
 
+/// One queried row's class-weight seed for `AccumulateProbaGradients`.
+struct RowSeed {
+  int32_t table_id = 0;
+  int64_t row = 0;
+  /// One weight per class of the row's table.
+  Vec class_weights;
+};
+
 /// \brief Shared helper: accumulates grad_theta of
-///   sum_{(table,row)} sum_c weights[(table,row)][c] * p_c(x_row; theta)
+///   sum_{seed} sum_c seed.class_weights[c] * p_c(x_seed.row; theta)
 /// by backpropagating each row's class-weight seed through the model
-/// (the chain rule of Equation 4's grad q term).
+/// (the chain rule of Equation 4's grad q term), one row at a time in
+/// `seeds` order.
 ///
 /// All (table,row) keys are validated against the catalog up front, so a
 /// failure never leaves `grad` partially accumulated and error messages
 /// name the offending table id / row for multi-query attribution.
 ///
-/// \param weights per-(table,row) class-weight seeds, in map (= sorted
-///        key) order.
 /// \param grad accumulated into, not overwritten; sized num_params.
-/// \param parallelism worker count. <= 1 accumulates in place exactly as
-///        the sequential code always has; > 1 computes per-row partial
-///        gradients concurrently and reduces them in row order. Because
-///        every model's `AddProbaGradient` touches a gradient element at
-///        most once per row, the reduction reproduces the sequential bit
-///        pattern for every worker count — the encode phase feeds the
-///        deletion ranking, which must not depend on the knob.
-Status AccumulateProbaGradients(
-    const Catalog& catalog, const Model& model,
-    const std::map<std::pair<int32_t, int64_t>, Vec>& weights, Vec* grad,
-    int parallelism = 1);
+Status AccumulateProbaGradients(const Catalog& catalog, const Model& model,
+                                const std::vector<RowSeed>& seeds, Vec* grad);
 
 /// \brief The Section 5.1 optimizer heuristic: TwoStep is preferred only
 /// when the complaint set pins down a unique prediction repair (all

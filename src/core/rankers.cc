@@ -1,9 +1,10 @@
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/ranker.h"
 #include "ilp/tiresias.h"
@@ -11,75 +12,38 @@
 
 namespace rain {
 
-Status AccumulateProbaGradients(
-    const Catalog& catalog, const Model& model,
-    const std::map<std::pair<int32_t, int64_t>, Vec>& weights, Vec* grad,
-    int parallelism) {
-  // Validate and resolve every (table,row) key first, in map order: error
-  // messages are deterministic regardless of parallelism, name the
-  // offending table/row so multi-query failures are attributable, and a
-  // failure never leaves `grad` partially accumulated.
-  struct Row {
-    const double* x;
-    const Vec* class_weights;
-  };
-  std::vector<Row> rows;
-  rows.reserve(weights.size());
-  for (const auto& [key, class_weights] : weights) {
-    const Catalog::Entry* entry = catalog.FindById(key.first);
+Status AccumulateProbaGradients(const Catalog& catalog, const Model& model,
+                                const std::vector<RowSeed>& seeds, Vec* grad) {
+  // Validate and resolve every (table,row) key first, in seed order: error
+  // messages are deterministic, name the offending table/row so
+  // multi-query failures are attributable, and a failure never leaves
+  // `grad` partially accumulated.
+  std::vector<const double*> rows;
+  rows.reserve(seeds.size());
+  for (const RowSeed& seed : seeds) {
+    const Catalog::Entry* entry = catalog.FindById(seed.table_id);
     if (entry == nullptr) {
       return Status::Internal(StrFormat(
           "complaint gradient references unknown table id=%d (row %lld)",
-          key.first, static_cast<long long>(key.second)));
+          seed.table_id, static_cast<long long>(seed.row)));
     }
     if (!entry->features.has_value()) {
       return Status::Internal(StrFormat(
           "queried table '%s' (id=%d) lacks a feature dataset needed to "
           "backpropagate the complaint gradient for row %lld",
-          entry->name.c_str(), key.first, static_cast<long long>(key.second)));
+          entry->name.c_str(), seed.table_id, static_cast<long long>(seed.row)));
     }
-    if (key.second < 0 ||
-        static_cast<size_t>(key.second) >= entry->features->size()) {
+    if (seed.row < 0 || static_cast<size_t>(seed.row) >= entry->features->size()) {
       return Status::OutOfRange(StrFormat(
           "queried row %lld out of range for table '%s' (id=%d, %zu feature "
           "rows)",
-          static_cast<long long>(key.second), entry->name.c_str(), key.first,
+          static_cast<long long>(seed.row), entry->name.c_str(), seed.table_id,
           entry->features->size()));
     }
-    rows.push_back(
-        {entry->features->row(static_cast<size_t>(key.second)), &class_weights});
+    rows.push_back(entry->features->row(static_cast<size_t>(seed.row)));
   }
-
-  if (parallelism <= 1 || rows.size() <= 1) {
-    // Exact sequential path: accumulate straight into `grad`, row by row.
-    for (const Row& row : rows) {
-      model.AddProbaGradient(row.x, *row.class_weights, grad);
-    }
-    return Status::OK();
-  }
-  // Parallel path: per-ROW partial gradients computed concurrently, then
-  // reduced into `grad` in row order. Every in-tree model's
-  // AddProbaGradient touches each gradient element at most once per row,
-  // so a row's partial (accumulated into zeros) is the exact addend the
-  // sequential loop would have applied — the reduction reproduces the
-  // sequential bit pattern for EVERY parallelism value, a stronger
-  // guarantee than the chunk-ordered reductions elsewhere (required
-  // because the encode phase feeds the deletion ranking, which must not
-  // depend on the worker count). Rows are processed in bounded blocks so
-  // the partial buffers stay small.
-  const size_t block = std::min<size_t>(rows.size(), 128);
-  std::vector<Vec> partial(block);
-  for (size_t base = 0; base < rows.size(); base += block) {
-    const size_t count = std::min(block, rows.size() - base);
-    ParallelForEach(parallelism, count, [&](size_t i) {
-      partial[i].assign(grad->size(), 0.0);
-      model.AddProbaGradient(rows[base + i].x, *rows[base + i].class_weights,
-                             &partial[i]);
-    });
-    for (size_t i = 0; i < count; ++i) {
-      const Vec& p = partial[i];
-      for (size_t j = 0; j < grad->size(); ++j) (*grad)[j] += p[j];
-    }
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    model.AddProbaGradient(rows[i], seeds[i].class_weights, grad);
   }
   return Status::OK();
 }
@@ -97,6 +61,72 @@ Approach SelectApproach(const PolyArena& arena,
   }
   return Approach::kTwoStep;
 }
+
+struct HolisticEncoding {
+  HolisticEncoding(const PolyArena& arena, const PredictionStore& predictions,
+                   std::vector<PolyId> roots, RelaxMode mode)
+      : relax(&arena, std::move(roots), mode) {
+    // Group the reachable variables by (table, row). `variables()` is
+    // sorted by VarId and the sort is stable, so each row's entries keep
+    // ascending VarId order.
+    struct Entry {
+      int32_t table_id;
+      int64_t row;
+      VarId var;
+      int32_t cls;
+    };
+    std::vector<Entry> entries;
+    entries.reserve(relax.variables().size());
+    for (const VarId v : relax.variables()) {
+      const PredVar& pv = arena.var(v);
+      entries.push_back({pv.table_id, pv.row, v, pv.cls});
+    }
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return std::tie(a.table_id, a.row) <
+                              std::tie(b.table_id, b.row);
+                     });
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const Entry& e = entries[i];
+      if (i == 0 || e.table_id != entries[i - 1].table_id ||
+          e.row != entries[i - 1].row) {
+        group_start.push_back(i);
+        rows.push_back({e.table_id, e.row});
+        num_classes.push_back(predictions.NumClasses(e.table_id));
+      }
+      group_var.push_back(e.var);
+      group_cls.push_back(e.cls);
+    }
+    group_start.push_back(entries.size());
+  }
+
+  /// Folds a per-variable gradient into per-(table, row) class weights,
+  /// in (table, row) order, skipping rows whose weights are all zero.
+  std::vector<RowSeed> RowSeeds(const Vec& var_grad) const {
+    std::vector<RowSeed> seeds;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      RowSeed seed{rows[r].first, rows[r].second, Vec(num_classes[r], 0.0)};
+      bool any = false;
+      for (size_t e = group_start[r]; e < group_start[r + 1]; ++e) {
+        const double g = var_grad[group_var[e]];
+        seed.class_weights[group_cls[e]] += g;
+        any = any || g != 0.0;
+      }
+      if (any) seeds.push_back(std::move(seed));
+    }
+    return seeds;
+  }
+
+  RelaxedPoly relax;
+  /// Distinct queried (table, row) pairs the relaxation reaches, sorted.
+  std::vector<std::pair<int32_t, int64_t>> rows;
+  std::vector<int> num_classes;
+  /// Row r's variables are group_var[group_start[r] .. group_start[r+1]),
+  /// with classes group_cls over the same range.
+  std::vector<size_t> group_start;
+  std::vector<VarId> group_var;
+  std::vector<int32_t> group_cls;
+};
 
 namespace {
 
@@ -185,9 +215,6 @@ class HolisticRanker : public Ranker {
     Timer encode_timer;
     const Vec probs = ctx.predictions->RelaxedAssignment(*ctx.arena);
 
-    // One batched relaxation over every ranked complaint: a single shared
-    // forward sweep plus per-complaint reverse sweeps dispatched across
-    // ctx.parallelism workers (bitwise-stable for any worker count).
     std::vector<PolyId> roots;
     std::vector<double> targets;
     for (const BoundComplaint& c : *ctx.complaints) {
@@ -202,58 +229,49 @@ class HolisticRanker : public Ranker {
       out.encode_seconds = encode_timer.ElapsedSeconds();
       return out;
     }
-    // The batch is a pure function of (arena, roots, mode); the session's
-    // encode cache replays it across iterations while the arena generation
-    // and root set are unchanged (bitwise-neutral: same topological order,
-    // same sweeps — only `probs` varies per iteration).
-    std::shared_ptr<const RelaxedPoly> batch_holder;
-    if (ctx.encode_cache != nullptr && ctx.encode_cache->relax != nullptr &&
+    // The encoding is a pure function of (arena, roots, mode); the
+    // session's encode cache replays it across iterations while the arena
+    // generation and root set are unchanged (bitwise-neutral: same
+    // topological order, same grouping — only `probs` varies per
+    // iteration).
+    std::shared_ptr<const HolisticEncoding> holder;
+    if (ctx.encode_cache != nullptr && ctx.encode_cache->encoding != nullptr &&
         ctx.encode_cache->arena_generation == ctx.arena_generation &&
         ctx.encode_cache->mode == ctx.relax_mode &&
         ctx.encode_cache->roots == roots) {
-      batch_holder = ctx.encode_cache->relax;
+      holder = ctx.encode_cache->encoding;
       ++ctx.encode_cache->reuses;
     } else {
-      batch_holder =
-          std::make_shared<const RelaxedPoly>(ctx.arena, roots, ctx.relax_mode);
+      holder = std::make_shared<const HolisticEncoding>(
+          *ctx.arena, *ctx.predictions, roots, ctx.relax_mode);
       if (ctx.encode_cache != nullptr) {
         ctx.encode_cache->arena_generation = ctx.arena_generation;
         ctx.encode_cache->mode = ctx.relax_mode;
         ctx.encode_cache->roots = roots;
-        ctx.encode_cache->relax = batch_holder;
+        ctx.encode_cache->encoding = holder;
       }
     }
-    const RelaxedPoly& batch = *batch_holder;
-    std::vector<Vec> var_grads;
-    const std::vector<double> rq =
-        batch.GradientBatch(probs, &var_grads, ctx.parallelism);
+    const HolisticEncoding& enc = *holder;
 
-    // Per-(table,row) class-weight seeds accumulated over complaints, in
-    // complaint order (sequential: the merge is cheap and order fixes the
-    // floating-point accumulation).
-    std::map<std::pair<int32_t, int64_t>, Vec> weights;
-    for (size_t k = 0; k < roots.size(); ++k) {
-      // q_c = (rq - X)^2  =>  dq_c/dp_v = 2 (rq - X) * d rq / d p_v.
-      const double outer = 2.0 * (rq[k] - targets[k]);
-      if (outer == 0.0) continue;
-      const Vec& var_grad = var_grads[k];
-      for (VarId v : batch.variables()) {
-        if (var_grad[v] == 0.0) continue;
-        const PredVar& pv = ctx.arena->var(v);
-        Vec& w = weights[{pv.table_id, pv.row}];
-        if (w.empty()) w.assign(ctx.predictions->NumClasses(pv.table_id), 0.0);
-        w[pv.cls] += outer * var_grad[v];
-      }
-    }
-    if (weights.empty()) {
+    // One forward sweep for every rq, then one reverse sweep seeded with
+    // dq/drq_k = 2 (rq_k - X_k) at each root: the gradient of q for every
+    // prediction variable at once.
+    Vec node_values;
+    const std::vector<double> rq = enc.relax.EvaluateBatch(probs, &node_values);
+    std::vector<double> seeds(roots.size());
+    for (size_t k = 0; k < roots.size(); ++k) seeds[k] = 2.0 * (rq[k] - targets[k]);
+    Vec var_grad;
+    enc.relax.SeededGradient(node_values, seeds, &var_grad);
+    const std::vector<RowSeed> row_seeds = enc.RowSeeds(var_grad);
+    if (row_seeds.empty()) {
       out.note = "no violated complaints";
       out.encode_seconds = encode_timer.ElapsedSeconds();
       return out;
     }
 
     Vec q_grad(ctx.model->num_params(), 0.0);
-    RAIN_RETURN_NOT_OK(AccumulateProbaGradients(*ctx.catalog, *ctx.model, weights,
-                                                &q_grad, ctx.parallelism));
+    RAIN_RETURN_NOT_OK(
+        AccumulateProbaGradients(*ctx.catalog, *ctx.model, row_seeds, &q_grad));
     out.encode_seconds = encode_timer.ElapsedSeconds();
 
     Timer rank_timer;
@@ -349,9 +367,14 @@ class TwoStepRanker : public Ranker {
       out.encode_seconds = encode_timer.ElapsedSeconds();
       return out;
     }
+    std::vector<RowSeed> row_seeds;
+    row_seeds.reserve(weights.size());
+    for (auto& [key, w] : weights) {
+      row_seeds.push_back({key.first, key.second, std::move(w)});
+    }
     Vec q_grad(ctx.model->num_params(), 0.0);
-    RAIN_RETURN_NOT_OK(AccumulateProbaGradients(*ctx.catalog, *ctx.model, weights,
-                                                &q_grad, ctx.parallelism));
+    RAIN_RETURN_NOT_OK(
+        AccumulateProbaGradients(*ctx.catalog, *ctx.model, row_seeds, &q_grad));
     out.encode_seconds = encode_timer.ElapsedSeconds();
 
     Timer rank_timer;

@@ -534,7 +534,7 @@ void DebugSession::InvalidateBindCache() {
     e.bound.clear();
   }
   bind_cache_primed_ = false;
-  encode_cache_.relax.reset();
+  encode_cache_.encoding.reset();
   encode_cache_.roots.clear();
 }
 
@@ -575,7 +575,7 @@ Result<std::vector<BoundComplaint>> DebugSession::BindPhase(IterationStats* stat
         std::vector<std::vector<BoundComplaint>> entries,
         BindWorkloadEntries(pipeline_, workload_, config_.parallelism));
     ++arena_generation_;
-    encode_cache_.relax.reset();
+    encode_cache_.encoding.reset();
     std::vector<BoundComplaint> bound;
     for (size_t i = 0; i < entries.size(); ++i) {
       BindCacheEntry& e = bind_cache_[i];
@@ -645,7 +645,6 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
   ctx.ilp = config_.ilp;
   ctx.relax_mode = config_.relax_mode;
   ctx.twostep_encode_all = config_.twostep_encode_all;
-  ctx.parallelism = config_.parallelism;
   if (config_.bind_cache) {
     // Incremental re-encode: while the arena generation and root set are
     // unchanged, the ranker replays the cached relaxed-poly batch

@@ -117,8 +117,7 @@ void LogisticRegression::AddProbaGradient(const double* x, const Vec& class_weig
   const double coef = (class_weights[1] - class_weights[0]) * p1 * (1.0 - p1);
   if (coef == 0.0) return;
   // ELEMENTWISE MulAdd keeps the per-row addend bitwise identical across
-  // backends — AccumulateProbaGradients' parallel == sequential pin
-  // depends on the addend being exactly the sequential statement.
+  // backends, so the q-gradient is one bit pattern on every SIMD tier.
   vec::simd::MulAdd(coef, x, grad->data(), d_);
   if (fit_intercept_) (*grad)[d_] += coef;
 }

@@ -116,7 +116,7 @@ void SoftmaxRegression::AddProbaGradient(const double* x, const Vec& class_weigh
     if (coef == 0.0) continue;
     double* g = grad->data() + static_cast<size_t>(c) * bs;
     // ELEMENTWISE MulAdd: the per-row addend stays bitwise identical
-    // across backends, preserving AccumulateProbaGradients' pin.
+    // across backends, so the q-gradient is too.
     vec::simd::MulAdd(coef, x, g, d_);
     if (fit_intercept_) g[d_] += coef;
   }

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace rain {
 
@@ -231,30 +230,44 @@ void RelaxedPoly::ComputeEdgeWeights(const Vec& values, Vec* w_csr) const {
   vec::simd::Gather(w.data(), parent_wpos_.data(), w_csr->data(), num_edges);
 }
 
-void RelaxedPoly::ReverseSweep(const Vec& w_csr, int32_t root_local,
+void RelaxedPoly::ReverseSweep(const Vec& values, const int32_t* roots_local,
+                               const double* seeds, size_t count,
                                Vec* var_grad) const {
-  const size_t m = tape_op_.size();
-  Vec adjoint(m, 0.0);
-  adjoint[root_local] = 1.0;
+  var_grad->assign(arena_->num_vars(), 0.0);
+  // The sweep covers [lo, hi]: nothing above the highest seeded root has a
+  // nonzero adjoint, and nothing below the lowest index a seeded root
+  // reaches can receive one.
+  int32_t hi = -1;
+  int32_t lo = 0;
+  for (size_t j = 0; j < count; ++j) {
+    if (seeds[j] == 0.0) continue;
+    const int32_t r = roots_local[j];
+    lo = hi < 0 ? minreach_[r] : std::min(lo, minreach_[r]);
+    hi = std::max(hi, r);
+  }
+  if (hi < 0) return;
+  Vec w_csr;
+  ComputeEdgeWeights(values, &w_csr);
+  Vec adjoint(tape_op_.size(), 0.0);
+  for (size_t j = 0; j < count; ++j) adjoint[roots_local[j]] += seeds[j];
   // Children-first topological order puts every parent at a higher tape
   // index than its child, so one descending pass sees all of a node's
   // parent adjoints before it fills the node: adjoint[i] is a single
   // batched gather over the CSR parent list instead of k scatters from
-  // each parent. Nodes above the root keep adjoint 0 and contribute
-  // nothing, exactly like the scatter formulation's zero-skip.
+  // each parent. The gather adds onto the node's own seed, so a root
+  // nested under another root gets both. Unseeded nodes start at 0 and
+  // 0 + x == x, so a single seeded root gives the plain single-root bits.
   const double* w = w_csr.data();
-  const size_t lo = static_cast<size_t>(minreach_[root_local]);
-  for (size_t i = static_cast<size_t>(root_local); i-- > lo;) {
+  for (size_t i = static_cast<size_t>(hi); i-- > static_cast<size_t>(lo);) {
     const int32_t ps = parent_start_[i];
     const size_t np = static_cast<size_t>(parent_start_[i + 1] - ps);
     if (np == 0) continue;
-    adjoint[i] = vec::simd::GatherDot(adjoint.data(), parent_node_.data() + ps,
-                                      w + ps, np);
+    adjoint[i] += vec::simd::GatherDot(adjoint.data(), parent_node_.data() + ps,
+                                       w + ps, np);
   }
   // Writeback: gather the var-node adjoints into a contiguous block, then
   // scatter-add onto the dense gradient (+= 1.0 * adjoint is exact, and
   // duplicate VarIds accumulate in ascending tape order).
-  var_grad->assign(arena_->num_vars(), 0.0);
   const size_t nv = var_nodes_.size();
   if (nv == 0) return;
   Vec vadj(nv);
@@ -275,43 +288,32 @@ double RelaxedPoly::Gradient(const Vec& var_values, Vec* var_grad) const {
   RAIN_CHECK(var_values.size() >= arena_->num_vars());
   Vec values;
   Forward(var_values, &values);
-  Vec w_csr;
-  ComputeEdgeWeights(values, &w_csr);
-  ReverseSweep(w_csr, local_[roots_[0]], var_grad);
-  return values[local_[roots_[0]]];
+  const int32_t root = local_[roots_[0]];
+  const double seed = 1.0;
+  ReverseSweep(values, &root, &seed, 1, var_grad);
+  return values[root];
 }
 
-std::vector<double> RelaxedPoly::EvaluateBatch(const Vec& var_values) const {
+std::vector<double> RelaxedPoly::EvaluateBatch(const Vec& var_values,
+                                               Vec* node_values) const {
   RAIN_CHECK(var_values.size() >= arena_->num_vars());
-  if (roots_.empty()) return {};
-  Vec values;
-  Forward(var_values, &values);
+  Vec local_values;
+  Vec* values = node_values != nullptr ? node_values : &local_values;
+  Forward(var_values, values);
   std::vector<double> out(roots_.size());
-  for (size_t k = 0; k < roots_.size(); ++k) out[k] = values[local_[roots_[k]]];
+  for (size_t k = 0; k < roots_.size(); ++k) out[k] = (*values)[local_[roots_[k]]];
   return out;
 }
 
-std::vector<double> RelaxedPoly::GradientBatch(const Vec& var_values,
-                                               std::vector<Vec>* var_grads,
-                                               int parallelism) const {
-  RAIN_CHECK(var_values.size() >= arena_->num_vars());
-  var_grads->resize(roots_.size());
-  if (roots_.empty()) return {};
-  Vec values;
-  Forward(var_values, &values);
-  // One edge-weight pass shared by every root: the expensive per-node
-  // leave-one-out products are root-independent, so a batch of R roots
-  // pays for them once instead of R times.
-  Vec w_csr;
-  ComputeEdgeWeights(values, &w_csr);
-  std::vector<double> out(roots_.size());
-  // Per-root reverse sweeps are independent (each writes only its own
-  // slot), so any chunking of the root range produces identical results.
-  ParallelForEach(parallelism, roots_.size(), [&](size_t k) {
-    ReverseSweep(w_csr, local_[roots_[k]], &(*var_grads)[k]);
-    out[k] = values[local_[roots_[k]]];
-  });
-  return out;
+void RelaxedPoly::SeededGradient(const Vec& node_values,
+                                 const std::vector<double>& seeds,
+                                 Vec* var_grad) const {
+  RAIN_CHECK(seeds.size() == roots_.size());
+  RAIN_CHECK(node_values.size() == tape_op_.size());
+  std::vector<int32_t> roots_local(roots_.size());
+  for (size_t k = 0; k < roots_.size(); ++k) roots_local[k] = local_[roots_[k]];
+  ReverseSweep(node_values, roots_local.data(), seeds.data(), seeds.size(),
+               var_grad);
 }
 
 }  // namespace rain

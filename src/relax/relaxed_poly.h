@@ -30,17 +30,14 @@ enum class RelaxMode : uint8_t {
 /// reachable from the root set, after which:
 ///   - `Evaluate` / `Gradient` serve the classic single-root case (a
 ///     forward sweep, resp. a forward+reverse sweep yielding
-///     d(root)/d(var) for every prediction variable — the seed that
-///     `HolisticRanker` chains into model probability gradients);
-///   - `EvaluateBatch` / `GradientBatch` serve a whole complaint set at
-///     once: node values are computed by ONE shared forward sweep (a node
-///     feeding five complaints is evaluated once, not five times), the
-///     local edge derivatives (the prefix/suffix leave-one-out products
-///     for MUL/OR nodes) are computed ONCE per call and shared by every
-///     root, and the per-root reverse sweeps — mutually independent
-///     batched adjoint gathers over the CSR parent tape — are dispatched
-///     across the thread pool. Results are merged in root order, so they
-///     are bitwise-independent of the worker count.
+///     d(root)/d(var) for every prediction variable);
+///   - `EvaluateBatch` / `SeededGradient` serve a whole complaint set at
+///     once: node values come from ONE shared forward sweep (a node
+///     feeding five complaints is evaluated once, not five times), and the
+///     gradient of any weighted sum of the roots, Σₖ seedₖ · rootₖ, comes
+///     from ONE reverse sweep seeded at every root. `HolisticRanker` seeds
+///     root k with 2(rqₖ − Xₖ), so one sweep yields the gradient of the
+///     paper's q = Σₖ (rqₖ − Xₖ)² for every prediction variable.
 class RelaxedPoly {
  public:
   /// Single-root relaxation. `arena` must outlive this object and must not
@@ -63,9 +60,9 @@ class RelaxedPoly {
 
   /// Writes d(first root)/d(var_values[v]) into (*var_grad)[v] for every
   /// variable (zero for unreachable ones) and returns the forward value.
-  /// var_grad is resized to arena->num_vars(). Shares the tape-reverse
-  /// code path with GradientBatch, so the result is bitwise identical to
-  /// batch entry k when roots[k] == this root.
+  /// var_grad is resized to arena->num_vars(). Runs the same reverse sweep
+  /// as `SeededGradient` with seed 1 on the first root, so on the same
+  /// object the two are bitwise equal.
   double Gradient(const Vec& var_values, Vec* var_grad) const;
 
   /// \brief Forward values of every root under `var_values`, from one
@@ -73,31 +70,28 @@ class RelaxedPoly {
   ///
   /// Entry `k` is bitwise-identical to `RelaxedPoly(arena, roots[k],
   /// mode).Evaluate(var_values)`: node values depend only on child values,
-  /// never on sweep order.
-  std::vector<double> EvaluateBatch(const Vec& var_values) const;
+  /// never on sweep order. When `node_values` is non-null it receives the
+  /// value of every tape node, the input `SeededGradient` differentiates
+  /// at (opaque to callers; valid for this object only).
+  std::vector<double> EvaluateBatch(const Vec& var_values,
+                                    Vec* node_values = nullptr) const;
 
-  /// \brief Per-root gradients with one shared forward sweep, one shared
-  /// edge-weight pass, and parallel batched-gather reverse sweeps.
+  /// \brief Gradient of Σₖ seeds[k] · roots[k] with respect to every
+  /// prediction variable, by one seeded reverse sweep.
   ///
-  /// Writes d(roots[k])/d(var) into (*var_grads)[k] (each resized dense to
-  /// arena->num_vars(); zero for variables the root does not reach) and
-  /// returns the forward value of every root.
-  ///
-  /// The local derivative of every tape edge (parent, child) depends only
-  /// on the forward values — never on the root — so the prefix/suffix
-  /// leave-one-out products behind the MUL/OR derivatives are computed
-  /// once per call and amortized across all roots; each root's reverse
-  /// sweep is then a descending pass that fills adjoint[i] with one
-  /// GatherDot over the CSR parent list (SHAPED-REDUCTION: bitwise
-  /// identical across backends). The sweeps are independent per root and
-  /// dispatched over `parallelism` workers; because each root's sweep
-  /// touches only its own output slot, the result is a pure function of
-  /// (arena, roots, var_values) — bitwise identical for every
-  /// `parallelism` value, with <= 1 running the sweeps inline on the
-  /// calling thread.
-  std::vector<double> GradientBatch(const Vec& var_values,
-                                    std::vector<Vec>* var_grads,
-                                    int parallelism = 1) const;
+  /// `node_values` is the `EvaluateBatch` output of the point to
+  /// differentiate at; `seeds` has one entry per root. The sweep seeds
+  /// adjoint[root_k] += seeds[k] (duplicate roots accumulate in root
+  /// order; a root nested under another root also receives its parent's
+  /// adjoint), computes every tape edge's local derivative once, fills
+  /// adjoint[i] by one descending GatherDot over the CSR parent list, and
+  /// writes the var-node adjoints into `var_grad` (resized dense to
+  /// arena->num_vars(); zero for unreached variables) by Gather +
+  /// ScatterAxpy. Zero seeds add nothing, and all-zero or empty seeds
+  /// yield an all-zero gradient. Every kernel on the path is ELEMENTWISE
+  /// or SHAPED-REDUCTION, so the bits are the same on every SIMD tier.
+  void SeededGradient(const Vec& node_values, const std::vector<double>& seeds,
+                      Vec* var_grad) const;
 
   /// The root set, in construction order.
   const std::vector<PolyId>& roots() const { return roots_; }
@@ -112,14 +106,17 @@ class RelaxedPoly {
   /// Writes the local derivative d(node)/d(child) of every tape edge into
   /// `w_csr`, ordered by the CSR *parent* layout (entry e weights the
   /// edge (parent_node_[e] -> its child)). `values` is a Forward()
-  /// result. Root-independent: computed once per gradient call.
+  /// result. Root-independent: computed once per reverse sweep.
   void ComputeEdgeWeights(const Vec& values, Vec* w_csr) const;
-  /// Reverse sweep seeded at tape index `root_local`: descending over the
-  /// tape, adjoint[i] = GatherDot(adjoint, parents(i), w_csr) — parents
-  /// always have higher tape indices in the children-first order — then
-  /// the var-node adjoints are written back into `var_grad` (assigned
-  /// dense-zero first) via Gather + ScatterAxpy.
-  void ReverseSweep(const Vec& w_csr, int32_t root_local, Vec* var_grad) const;
+  /// Reverse sweep seeded with seeds[j] at tape index roots_local[j]
+  /// (j < count): descending over the tape from the highest seeded root to
+  /// the lowest index any seeded root reaches, adjoint[i] += GatherDot(
+  /// adjoint, parents(i), w) — parents always have higher tape indices in
+  /// the children-first order — then the var-node adjoints are written
+  /// back into `var_grad` (assigned dense-zero first) via Gather +
+  /// ScatterAxpy. `values` is a Forward() result.
+  void ReverseSweep(const Vec& values, const int32_t* roots_local,
+                    const double* seeds, size_t count, Vec* var_grad) const;
 
   const PolyArena* arena_;
   std::vector<PolyId> roots_;
@@ -156,9 +153,9 @@ class RelaxedPoly {
   std::vector<int32_t> var_nodes_;
   std::vector<int32_t> var_ids_;
   /// minreach_[i] = smallest tape index reachable from node i. Every
-  /// descendant of i lies in [minreach_[i], i], so a root's reverse sweep
-  /// stops there instead of scanning to 0 — for a batch of structurally
-  /// disjoint complaints each sweep only walks its own contiguous block.
+  /// descendant of i lies in [minreach_[i], i], so a reverse sweep stops
+  /// at the smallest minreach_ of its seeded roots instead of scanning
+  /// to 0.
   std::vector<int32_t> minreach_;
 };
 

@@ -1166,7 +1166,18 @@ double ParallelAccumulate(
   size_t chunks = parallelism < 1 ? 1 : static_cast<size_t>(parallelism);
   if (chunks > n) chunks = n;
   if (chunks <= 1) return body(0, n, out);
-  std::vector<Vec> partial(chunks, Vec(out->size(), 0.0));
+  // Each chunk's buffer reserves one cache line of capacity past its
+  // written range. Heap blocks never overlap, so any two chunks' written
+  // ranges lie at least kCacheLineBytes apart and share no line: a body
+  // that updates its buffer once per row (the logistic HVP and the fused
+  // training pass write a 19-double partial per row) never false-shares
+  // with another worker, whatever the allocator's block layout.
+  constexpr size_t kPad = kCacheLineBytes / sizeof(double);
+  std::vector<Vec> partial(chunks);
+  for (Vec& p : partial) {
+    p.reserve(out->size() + kPad);
+    p.assign(out->size(), 0.0);
+  }
   std::vector<double> scalar(chunks, 0.0);
   ParallelFor(parallelism, n,
               [&body, &partial, &scalar](size_t begin, size_t end, size_t chunk) {

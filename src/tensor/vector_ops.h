@@ -255,6 +255,9 @@ double Norm2(const Vec& x);
 double NormSq(const Vec& x);
 double NormSq(const Vec& x, int parallelism);
 
+/// Cache-line size the parallel reductions pad their per-chunk buffers to.
+inline constexpr size_t kCacheLineBytes = 64;
+
 /// \brief Deterministic parallel accumulation: splits [0, n) into
 /// min(parallelism, n) chunks, hands each chunk a zeroed buffer of
 /// out->size() via body(begin, end, acc), then adds the buffers into *out in
@@ -265,6 +268,10 @@ double NormSq(const Vec& x, int parallelism);
 /// The body also returns a scalar partial (a chunk's loss; bodies with
 /// nothing to sum return 0). The partials are added in chunk order — the
 /// ParallelSum(parallelism, n) grouping — and the sum is returned.
+///
+/// The chunk buffers are cache-line-private: the acc->data() ranges of any
+/// two chunks are at least kCacheLineBytes apart. Bodies must not resize
+/// `acc`.
 double ParallelAccumulate(
     int parallelism, size_t n, Vec* out,
     const std::function<double(size_t begin, size_t end, Vec* acc)>& body);

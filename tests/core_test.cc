@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -175,11 +174,11 @@ TEST_F(CoreFixture, PointComplaintRangeChecks) {
 // missing feature dataset / out-of-range row names the table and row
 // instead of the old anonymous "queried table lacks a feature dataset".
 TEST_F(CoreFixture, AccumulateProbaGradientsErrorsNameTableAndRow) {
-  std::map<std::pair<int32_t, int64_t>, Vec> weights;
+  std::vector<RowSeed> weights;
   Vec grad(pipeline_->model()->num_params(), 0.0);
 
   // Unknown table id.
-  weights[{42, 7}] = Vec{1.0, 0.0};
+  weights.push_back({42, 7, Vec{1.0, 0.0}});
   Status unknown = AccumulateProbaGradients(pipeline_->catalog(),
                                             *pipeline_->model(), weights, &grad);
   ASSERT_FALSE(unknown.ok());
@@ -188,7 +187,7 @@ TEST_F(CoreFixture, AccumulateProbaGradientsErrorsNameTableAndRow) {
 
   // Row out of range on a real table: names the table and both numbers.
   weights.clear();
-  weights[{0, 123456}] = Vec{1.0, 0.0};
+  weights.push_back({0, 123456, Vec{1.0, 0.0}});
   Status oor = AccumulateProbaGradients(pipeline_->catalog(), *pipeline_->model(),
                                         weights, &grad);
   ASSERT_FALSE(oor.ok());
@@ -206,8 +205,7 @@ TEST_F(CoreFixture, AccumulateProbaGradientsErrorNamesTableWithoutFeatures) {
   Catalog catalog;
   Table plain;  // empty relational table, no feature dataset
   ASSERT_TRUE(catalog.AddTable("no_features", std::move(plain)).ok());
-  std::map<std::pair<int32_t, int64_t>, Vec> weights;
-  weights[{0, 5}] = Vec{1.0};
+  std::vector<RowSeed> weights = {{0, 5, Vec{1.0}}};
   Vec grad(pipeline_->model()->num_params(), 0.0);
   Status s =
       AccumulateProbaGradients(catalog, *pipeline_->model(), weights, &grad);
@@ -215,31 +213,6 @@ TEST_F(CoreFixture, AccumulateProbaGradientsErrorNamesTableWithoutFeatures) {
   EXPECT_TRUE(s.IsInternal());
   EXPECT_NE(s.message().find("no_features"), std::string::npos) << s.message();
   EXPECT_NE(s.message().find("row 5"), std::string::npos) << s.message();
-}
-
-TEST_F(CoreFixture, AccumulateProbaGradientsParallelMatchesSequentialBitwise) {
-  // Seeds over several hundred rows (crossing the internal row-block
-  // size): the per-row-partial parallel reduction must reproduce the
-  // sequential accumulation bit for bit at every worker count.
-  std::map<std::pair<int32_t, int64_t>, Vec> weights;
-  const int64_t num_rows =
-      static_cast<int64_t>(pipeline_->catalog().FindById(0)->features->size());
-  for (int64_t row = 0; row < num_rows; ++row) {
-    weights[{0, row}] = Vec{0.01 * static_cast<double>(row + 1),
-                            -0.02 * static_cast<double>(row + 1)};
-  }
-  ASSERT_GT(num_rows, 128) << "must cross the internal row-block size";
-  Vec seq(pipeline_->model()->num_params(), 0.5);  // nonzero start: accumulate
-  ASSERT_TRUE(AccumulateProbaGradients(pipeline_->catalog(), *pipeline_->model(),
-                                       weights, &seq, 1)
-                  .ok());
-  for (int threads : {2, 4, 8}) {
-    Vec par(pipeline_->model()->num_params(), 0.5);
-    ASSERT_TRUE(AccumulateProbaGradients(pipeline_->catalog(), *pipeline_->model(),
-                                         weights, &par, threads)
-                    .ok());
-    EXPECT_EQ(par, seq) << "threads " << threads;
-  }
 }
 
 TEST_F(CoreFixture, SelectApproachHeuristic) {

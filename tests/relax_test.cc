@@ -134,6 +134,37 @@ TEST(RelaxedPolyTest, SharedSubexpressionAccumulatesAdjoint) {
   EXPECT_DOUBLE_EQ(grad[1], 0.2);
 }
 
+/// Grows a random polynomial DAG over `nv` variables (plus one constant)
+/// for `steps` steps; returns every node in creation order.
+std::vector<PolyId> GrowRandomDag(Rng* rng, PolyArena* a, int nv, int steps) {
+  std::vector<PolyId> pool;
+  for (int v = 0; v < nv; ++v) pool.push_back(a->Var(PredVar{0, v, 1}));
+  pool.push_back(a->Const(0.5));
+  for (int step = 0; step < steps; ++step) {
+    const int op = static_cast<int>(rng->UniformInt(5));
+    const PolyId c1 = pool[rng->UniformInt(pool.size())];
+    const PolyId c2 = pool[rng->UniformInt(pool.size())];
+    switch (op) {
+      case 0:
+        pool.push_back(a->And({c1, c2}));
+        break;
+      case 1:
+        pool.push_back(a->Or({c1, c2}));
+        break;
+      case 2:
+        pool.push_back(a->Not(c1));
+        break;
+      case 3:
+        pool.push_back(a->Add({c1, c2}));
+        break;
+      case 4:
+        pool.push_back(a->Mul({c1, c2}));
+        break;
+    }
+  }
+  return pool;
+}
+
 /// Builds a random polynomial DAG over `nv` variables and checks the
 /// reverse-mode gradient against central finite differences — the
 /// property-based sweep for the AD engine.
@@ -143,33 +174,7 @@ TEST_P(RelaxGradientPropertyTest, MatchesFiniteDifference) {
   Rng rng(GetParam());
   PolyArena a;
   const int nv = 6;
-  std::vector<PolyId> pool;
-  for (int v = 0; v < nv; ++v) pool.push_back(a.Var(PredVar{0, v, 1}));
-  pool.push_back(a.Const(0.5));
-  // Random DAG growth.
-  for (int step = 0; step < 25; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(5));
-    const PolyId c1 = pool[rng.UniformInt(pool.size())];
-    const PolyId c2 = pool[rng.UniformInt(pool.size())];
-    switch (op) {
-      case 0:
-        pool.push_back(a.And({c1, c2}));
-        break;
-      case 1:
-        pool.push_back(a.Or({c1, c2}));
-        break;
-      case 2:
-        pool.push_back(a.Not(c1));
-        break;
-      case 3:
-        pool.push_back(a.Add({c1, c2}));
-        break;
-      case 4:
-        pool.push_back(a.Mul({c1, c2}));
-        break;
-    }
-  }
-  const PolyId root = pool.back();
+  const PolyId root = GrowRandomDag(&rng, &a, nv, 25).back();
   RelaxedPoly p(&a, root);
 
   Vec vals(nv);
@@ -184,6 +189,51 @@ TEST_P(RelaxGradientPropertyTest, MatchesFiniteDifference) {
     vm[v] -= eps;
     const double fd = (p.Evaluate(vp) - p.Evaluate(vm)) / (2 * eps);
     EXPECT_NEAR(grad[v], fd, 1e-5 * std::max(1.0, std::fabs(fd))) << "var " << v;
+  }
+}
+
+TEST_P(RelaxGradientPropertyTest, SeededGradientIsSeedWeightedSumOfRootGradients) {
+  // One seeded reverse sweep must equal sum_k seed_k * Gradient(root_k),
+  // each Gradient from its own single-root tape. The root set covers a
+  // duplicated root, a root nested under another root (a child of the
+  // last node), a zero seed, and otherwise random tail nodes.
+  Rng rng(GetParam());
+  PolyArena a;
+  const int nv = 6;
+  const std::vector<PolyId> pool = GrowRandomDag(&rng, &a, nv, 25);
+  std::vector<PolyId> roots = {pool.back()};
+  const std::vector<PolyId>& kids = a.node(pool.back()).children;
+  roots.push_back(kids.empty() ? pool.back() : kids[0]);
+  for (int r = 0; r < 4; ++r) {
+    roots.push_back(pool[pool.size() - 1 - static_cast<size_t>(rng.UniformInt(10))]);
+  }
+  roots.push_back(roots[2]);
+  std::vector<double> seeds(roots.size());
+  for (double& s : seeds) s = rng.Uniform(-2.0, 2.0);
+  seeds[3] = 0.0;
+
+  Vec vals(nv);
+  for (double& v : vals) v = rng.Uniform(0.05, 0.95);
+  RelaxedPoly batch(&a, roots);
+  Vec node_values;
+  const std::vector<double> rq = batch.EvaluateBatch(vals, &node_values);
+  Vec grad;
+  batch.SeededGradient(node_values, seeds, &grad);
+  ASSERT_EQ(grad.size(), a.num_vars());
+
+  Vec expect(a.num_vars(), 0.0);
+  Vec scale(a.num_vars(), 0.0);  // sum of |term|: the rounding scale
+  for (size_t k = 0; k < roots.size(); ++k) {
+    RelaxedPoly single(&a, roots[k]);
+    Vec g;
+    EXPECT_EQ(single.Gradient(vals, &g), rq[k]) << "root " << k;
+    for (size_t v = 0; v < g.size(); ++v) {
+      expect[v] += seeds[k] * g[v];
+      scale[v] += std::fabs(seeds[k] * g[v]);
+    }
+  }
+  for (size_t v = 0; v < expect.size(); ++v) {
+    EXPECT_NEAR(grad[v], expect[v], 1e-12 * scale[v]) << "var " << v;
   }
 }
 
@@ -266,50 +316,6 @@ TEST(RelaxedPolyBatchTest, EvaluateBatchMatchesSingleRootBitwise) {
   }
 }
 
-TEST(RelaxedPolyBatchTest, GradientBatchMatchesSingleRootGradients) {
-  for (uint64_t seed : {31u, 32u, 33u}) {
-    BatchCase c = MakeBatchCase(seed);
-    RelaxedPoly batch(&c.arena, c.roots);
-    std::vector<Vec> grads;
-    const std::vector<double> vals = batch.GradientBatch(c.vals, &grads);
-    ASSERT_EQ(grads.size(), c.roots.size());
-    for (size_t k = 0; k < c.roots.size(); ++k) {
-      RelaxedPoly single(&c.arena, c.roots[k]);
-      Vec g;
-      const double v = single.Gradient(c.vals, &g);
-      EXPECT_DOUBLE_EQ(vals[k], v);
-      ASSERT_EQ(grads[k].size(), g.size());
-      for (size_t i = 0; i < g.size(); ++i) {
-        // The batch reverse sweep runs over the union topological order;
-        // adjoint contributions at shared nodes may sum in a different
-        // order than the standalone sweep, so compare numerically.
-        EXPECT_NEAR(grads[k][i], g[i], 1e-12 * std::max(1.0, std::fabs(g[i])))
-            << "seed " << seed << " root " << k << " var " << i;
-      }
-    }
-  }
-}
-
-TEST(RelaxedPolyBatchTest, GradientBatchBitwiseStableAcrossThreadCounts) {
-  // The deterministic-chunk contract: per-root sweeps are independent, so
-  // any worker count produces the exact same bits.
-  for (uint64_t seed : {41u, 42u}) {
-    BatchCase c = MakeBatchCase(seed, /*nv=*/8, /*num_roots=*/9);
-    RelaxedPoly batch(&c.arena, c.roots);
-    std::vector<Vec> ref_grads;
-    const std::vector<double> ref_vals = batch.GradientBatch(c.vals, &ref_grads, 1);
-    for (int threads : {2, 8}) {
-      std::vector<Vec> grads;
-      const std::vector<double> vals = batch.GradientBatch(c.vals, &grads, threads);
-      EXPECT_EQ(vals, ref_vals) << "threads " << threads;
-      ASSERT_EQ(grads.size(), ref_grads.size());
-      for (size_t k = 0; k < grads.size(); ++k) {
-        EXPECT_EQ(grads[k], ref_grads[k]) << "threads " << threads << " root " << k;
-      }
-    }
-  }
-}
-
 TEST(RelaxedPolyBatchTest, LinearOrModeAppliesToBatch) {
   PolyArena a;
   const PolyId x = a.Var(PredVar{0, 0, 1});
@@ -325,110 +331,114 @@ TEST(RelaxedPolyBatchTest, EmptyAndDuplicateRoots) {
   PolyArena a;
   const PolyId x = a.Var(PredVar{0, 0, 1});
   RelaxedPoly empty(&a, std::vector<PolyId>{});
-  std::vector<Vec> grads;
-  EXPECT_TRUE(empty.EvaluateBatch({0.5}).empty());
-  EXPECT_TRUE(empty.GradientBatch({0.5}, &grads).empty());
-  EXPECT_TRUE(grads.empty());
+  Vec empty_values;
+  EXPECT_TRUE(empty.EvaluateBatch({0.5}, &empty_values).empty());
   EXPECT_EQ(empty.num_reachable_nodes(), 0u);
+  Vec grad = {7.0};
+  empty.SeededGradient(empty_values, {}, &grad);
+  EXPECT_EQ(grad, Vec({0.0}));
 
-  // Duplicate roots stay positional: both entries carry the full result.
+  // Duplicate roots stay positional: both entries carry the full result,
+  // and their seeds accumulate.
   RelaxedPoly dup(&a, std::vector<PolyId>{x, x});
-  const std::vector<double> vals = dup.EvaluateBatch({0.25});
+  Vec values;
+  const std::vector<double> vals = dup.EvaluateBatch({0.25}, &values);
   ASSERT_EQ(vals.size(), 2u);
   EXPECT_EQ(vals[0], vals[1]);
-  std::vector<Vec> dup_grads;
-  dup.GradientBatch({0.25}, &dup_grads, 2);
-  ASSERT_EQ(dup_grads.size(), 2u);
-  EXPECT_EQ(dup_grads[0], dup_grads[1]);
-  EXPECT_DOUBLE_EQ(dup_grads[0][0], 1.0);
+  dup.SeededGradient(values, {1.5, 0.25}, &grad);
+  EXPECT_EQ(grad, Vec({1.75}));
+  dup.SeededGradient(values, {0.0, 0.0}, &grad);
+  EXPECT_EQ(grad, Vec({0.0}));
 }
 
-TEST(RelaxedPolyBatchTest, GradientBatchBitwiseAcrossBackends) {
-  // The whole batched gradient path — shared forward sweep, shared
-  // edge-weight pass, per-root GatherDot reverse sweeps, Gather +
-  // ScatterAxpy writeback — composes only ELEMENTWISE and
-  // SHAPED-REDUCTION kernels, so the results are one bit pattern on
-  // every SIMD tier and under the scalar fallback.
+TEST(RelaxedPolyBatchTest, SeededGradientBitwiseAcrossBackends) {
+  // The seeded sweep — shared forward sweep, edge-weight pass, GatherDot
+  // reverse sweep, Gather + ScatterAxpy writeback — composes only
+  // ELEMENTWISE and SHAPED-REDUCTION kernels, so the result is one bit
+  // pattern on every SIMD tier and under the scalar fallback.
   for (uint64_t seed : {51u, 52u}) {
     BatchCase c = MakeBatchCase(seed, /*nv=*/8, /*num_roots=*/7);
     RelaxedPoly batch(&c.arena, c.roots);
-    std::vector<Vec> ref_grads;
-    const std::vector<double> ref_vals =
-        batch.GradientBatch(c.vals, &ref_grads, 1);
+    std::vector<double> seeds(c.roots.size());
+    for (size_t k = 0; k < seeds.size(); ++k) seeds[k] = 0.5 - 0.3 * static_cast<double>(k);
+    auto run = [&] {
+      Vec values, grad;
+      batch.EvaluateBatch(c.vals, &values);
+      batch.SeededGradient(values, seeds, &grad);
+      return grad;
+    };
+    const Vec ref = run();
     for (const char* tier : {"scalar", "avx2", "avx512"}) {
       if (!vec::simd::ForceBackend(tier)) continue;
-      std::vector<Vec> grads;
-      const std::vector<double> vals = batch.GradientBatch(c.vals, &grads, 1);
-      EXPECT_EQ(vals, ref_vals) << tier;
-      ASSERT_EQ(grads.size(), ref_grads.size());
-      for (size_t k = 0; k < grads.size(); ++k) {
-        EXPECT_EQ(grads[k], ref_grads[k]) << tier << " root " << k;
-      }
+      EXPECT_EQ(run(), ref) << tier;
     }
     vec::simd::ForceBackend(nullptr);
     const bool prev = vec::simd::ForceScalar(true);
-    std::vector<Vec> grads;
-    const std::vector<double> vals = batch.GradientBatch(c.vals, &grads, 1);
+    const Vec scalar = run();
     vec::simd::ForceScalar(prev);
-    EXPECT_EQ(vals, ref_vals) << "ForceScalar";
-    for (size_t k = 0; k < grads.size(); ++k) {
-      EXPECT_EQ(grads[k], ref_grads[k]) << "ForceScalar root " << k;
-    }
+    EXPECT_EQ(scalar, ref) << "ForceScalar";
   }
 }
 
-TEST(RelaxedPolyBatchTest, GradientSharesTapeReverseWithBatchEntryZero) {
-  // Gradient and GradientBatch run the same ComputeEdgeWeights +
-  // ReverseSweep code on the same tape, so on the SAME object the
-  // single-root result is bitwise equal to batch entry 0 (a separately
-  // constructed single-root tape has narrower parent lists and is only
-  // 1e-12-near; GradientBatchMatchesSingleRootGradients covers that).
+TEST(RelaxedPolyBatchTest, GradientEqualsUnitSeedOnFirstRoot) {
+  // Gradient runs the seeded sweep with seed 1 on the first root, so on
+  // the SAME object it is bitwise equal to SeededGradient with seeds
+  // (1, 0, ..., 0) (a separately constructed single-root tape has
+  // narrower parent lists and is only 1e-12-near; the RandomDags property
+  // test covers that).
   for (uint64_t seed : {55u, 56u, 57u}) {
     BatchCase c = MakeBatchCase(seed);
     RelaxedPoly batch(&c.arena, c.roots);
-    std::vector<Vec> grads;
-    const std::vector<double> vals = batch.GradientBatch(c.vals, &grads);
+    Vec values, seeded;
+    const std::vector<double> vals = batch.EvaluateBatch(c.vals, &values);
+    std::vector<double> seeds(c.roots.size(), 0.0);
+    seeds[0] = 1.0;
+    batch.SeededGradient(values, seeds, &seeded);
     Vec g;
     const double v = batch.Gradient(c.vals, &g);
     EXPECT_EQ(v, vals[0]) << "seed " << seed;
-    EXPECT_EQ(g, grads[0]) << "seed " << seed;
+    EXPECT_EQ(g, seeded) << "seed " << seed;
   }
 }
 
-TEST(RelaxedPolyBatchTest, Fig5CountWorkloadBatchGradients) {
+TEST(RelaxedPolyBatchTest, Fig5CountWorkloadSeededGradient) {
   // The Fig. 5 DBLP encode shape: COUNT(*) complaints relax to ADD over
-  // per-row prediction vars, several complaints sharing rows. The batched
-  // gradient of an ADD root is the 0/1 reachability indicator — and
-  // shared rows must get it from ONE edge-weight pass.
+  // per-row prediction vars, several complaints sharing rows. The seeded
+  // gradient of ADD roots is, per row, the sum of the seeds of the
+  // queries whose window holds it (small integers: exact).
   PolyArena a;
   std::vector<PolyId> vars;
   for (int64_t r = 0; r < 300; ++r) {
     vars.push_back(a.Var(PredVar{0, r, 1}));
   }
   std::vector<PolyId> roots;
+  std::vector<double> seeds;
   for (int q = 0; q < 6; ++q) {
     // Query q counts rows [25*q, 25*q + 150): adjacent queries overlap.
     std::vector<PolyId> terms(vars.begin() + 25 * q,
                               vars.begin() + 25 * q + 150);
     roots.push_back(a.Add(std::move(terms)));
+    seeds.push_back(static_cast<double>(q + 1));
   }
   RelaxedPoly batch(&a, roots);
   Rng rng(58);
   Vec vals(a.num_vars());
   for (double& v : vals) v = rng.Uniform(0.05, 0.95);
-  std::vector<Vec> grads;
-  const std::vector<double> sums = batch.GradientBatch(vals, &grads, 4);
+  Vec values, grad;
+  const std::vector<double> sums = batch.EvaluateBatch(vals, &values);
+  batch.SeededGradient(values, seeds, &grad);
   ASSERT_EQ(sums.size(), roots.size());
   for (int q = 0; q < 6; ++q) {
     double expect = 0.0;
     for (int r = 25 * q; r < 25 * q + 150; ++r) expect += vals[static_cast<size_t>(r)];
     EXPECT_NEAR(sums[static_cast<size_t>(q)], expect, 1e-9) << "query " << q;
-    for (int r = 0; r < 300; ++r) {
-      const bool in_window = r >= 25 * q && r < 25 * q + 150;
-      EXPECT_EQ(grads[static_cast<size_t>(q)][static_cast<size_t>(r)],
-                in_window ? 1.0 : 0.0)
-          << "query " << q << " row " << r;
+  }
+  for (int r = 0; r < 300; ++r) {
+    double expect = 0.0;
+    for (int q = 0; q < 6; ++q) {
+      if (r >= 25 * q && r < 25 * q + 150) expect += seeds[static_cast<size_t>(q)];
     }
+    EXPECT_EQ(grad[static_cast<size_t>(r)], expect) << "row " << r;
   }
 }
 

@@ -830,13 +830,14 @@ TEST(WorkerInvarianceTest, AdultMultiQueryDeletionsAcrossWorkers) {
   }
 }
 
-// ----------------------------------------------- encode-phase parallelism
+// ------------------------------------------------- bind-phase parallelism
 
-TEST(EncodeParallelismTest, DeletionSequenceBitwiseOnFig5Workload) {
+TEST(BindParallelismTest, DeletionSequenceBitwiseOnFig5Workload) {
   // Drives the train-rank-fix loop manually on twin pipelines so ONLY the
-  // bind+encode worker count differs (training and the CG/influence solve
-  // stay at 1 worker on both sides): the batched parallel encode must
-  // reproduce the sequential deletion sequence bit for bit.
+  // bind worker count differs (training, the Holistic encode and the
+  // CG/influence solve stay sequential on both sides): the batched
+  // parallel bind must reproduce the sequential deletion sequence bit for
+  // bit.
   DblpSetup seq = MakeCorruptedDblp();
   DblpSetup par = MakeCorruptedDblp();
   const std::vector<QueryComplaints> seq_workload =
@@ -850,10 +851,10 @@ TEST(EncodeParallelismTest, DeletionSequenceBitwiseOnFig5Workload) {
   for (int iter = 0; iter < 3; ++iter) {
     auto run_side = [&](Query2Pipeline* pipeline,
                         const std::vector<QueryComplaints>& workload,
-                        int encode_threads) -> std::vector<double> {
+                        int bind_threads) -> std::vector<double> {
       EXPECT_TRUE(pipeline->Train().ok());
       pipeline->ResetDebugState();
-      auto bound = BindWorkload(pipeline, workload, encode_threads);
+      auto bound = BindWorkload(pipeline, workload, bind_threads);
       EXPECT_TRUE(bound.ok());
       RankContext ctx;
       ctx.model = pipeline->model();
@@ -863,7 +864,6 @@ TEST(EncodeParallelismTest, DeletionSequenceBitwiseOnFig5Workload) {
       ctx.predictions = &pipeline->predictions();
       ctx.complaints = &*bound;
       ctx.influence.l2 = 1e-3;
-      ctx.parallelism = encode_threads;  // bind+encode only; influence stays 1
       auto out = ranker->Rank(ctx);
       EXPECT_TRUE(out.ok());
       return out->scores;

@@ -1,7 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -111,6 +116,92 @@ TEST(VectorOpsTest, ParallelReductionsMatchSequential) {
   Vec par_out = y;
   vec::Axpy(0.25, x, &par_out, 4);
   EXPECT_EQ(par_out, seq);
+}
+
+/// A ParallelAccumulate body of the gradient-pass shape: every row adds a
+/// row-dependent term into every accumulator element and contributes a
+/// scalar. Rows of mixed magnitude make the sums order-sensitive.
+struct AccumulateCase {
+  size_t n = 0;
+  size_t width = 0;
+  Vec x;
+
+  AccumulateCase(size_t rows, size_t cols, uint64_t seed) : n(rows), width(cols) {
+    Rng rng(seed);
+    x.resize(n * width);
+    for (double& v : x) v = rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.Uniform(-6.0, 6.0));
+  }
+
+  double Body(size_t begin, size_t end, Vec* acc) const {
+    double loss = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t j = 0; j < width; ++j) (*acc)[j] += x[i * width + j];
+      loss += x[i * width];
+    }
+    return loss;
+  }
+};
+
+TEST(VectorOpsTest, ParallelAccumulateBitsMatchChunkOrderedReduction) {
+  // The reference is the chunk-ordered reduction spelled out: the
+  // [0, n) range split into min(parallelism, n) near-equal chunks (the
+  // first n % chunks one row longer), each chunk summed into zeros, the
+  // chunk buffers then added into `out` in chunk order and the scalar
+  // partials summed in chunk order. Parallelism 1 writes straight into
+  // `out`. Padding the chunk buffers must not move a bit.
+  const AccumulateCase c(1003, 19, 61);
+  const Vec start(c.width, 0.125);
+  for (int par : {1, 2, 3, 4, 8}) {
+    const size_t chunks = std::min<size_t>(static_cast<size_t>(par), c.n);
+    Vec expect = start;
+    double expect_sum = 0.0;
+    if (chunks == 1) {
+      expect_sum = c.Body(0, c.n, &expect);
+    } else {
+      size_t begin = 0;
+      for (size_t k = 0; k < chunks; ++k) {
+        const size_t end = begin + c.n / chunks + (k < c.n % chunks ? 1 : 0);
+        Vec partial(c.width, 0.0);
+        expect_sum += c.Body(begin, end, &partial);
+        for (size_t j = 0; j < c.width; ++j) expect[j] += partial[j];
+        begin = end;
+      }
+    }
+    Vec out = start;
+    const double sum = vec::ParallelAccumulate(
+        par, c.n, &out,
+        [&c](size_t begin, size_t end, Vec* acc) { return c.Body(begin, end, acc); });
+    EXPECT_EQ(out, expect) << "parallelism " << par;
+    EXPECT_EQ(sum, expect_sum) << "parallelism " << par;
+  }
+}
+
+TEST(VectorOpsTest, ParallelAccumulateChunkBuffersShareNoCacheLine) {
+  // Every chunk's written range must sit at least one cache line away
+  // from every other chunk's, by construction (not by heap layout), so a
+  // body that writes its buffer once per row never false-shares.
+  for (size_t width : {size_t{1}, size_t{8}, size_t{19}}) {
+    const AccumulateCase c(400, width, 62);
+    for (int par : {2, 3, 4, 8}) {
+      std::mutex mu;
+      std::vector<std::pair<uintptr_t, uintptr_t>> ranges;
+      Vec out(width, 0.0);
+      vec::ParallelAccumulate(par, c.n, &out, [&](size_t begin, size_t end, Vec* acc) {
+        const uintptr_t lo = reinterpret_cast<uintptr_t>(acc->data());
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ranges.emplace_back(lo, lo + acc->size() * sizeof(double));
+        }
+        return c.Body(begin, end, acc);
+      });
+      ASSERT_EQ(ranges.size(), static_cast<size_t>(par));
+      std::sort(ranges.begin(), ranges.end());
+      for (size_t k = 1; k < ranges.size(); ++k) {
+        EXPECT_GE(ranges[k].first, ranges[k - 1].second + vec::kCacheLineBytes)
+            << "width " << width << " parallelism " << par << " chunk " << k;
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, ParallelMatVecBitwiseIdentical) {
