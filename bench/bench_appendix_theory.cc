@@ -84,7 +84,7 @@ void TheoremA1() {
       IlpSolveOptions opts;
       opts.randomize = true;
       opts.seed = 1000 + trial;
-      opts.coupling_constraint = enc->coupling_constraint;
+      opts.coupling_constraints = enc->complaint_constraints;
       auto sol = SolveIlp(enc->problem, opts);
       RAIN_CHECK(sol.ok());
       auto marked = DecodeMarkedPredictions(*enc, *sol);

@@ -1,9 +1,8 @@
 /// Microbenchmarks of the vec::simd dispatch layer and the kernels built
-/// on it: scalar-vs-SIMD timings for Dot/Axpy/GEMV/GEMM (packed and
-/// unpacked), the ml coefficient passes (logistic/softmax/MLP HVPs), the
-/// and the relaxed polynomial sweeps.
+/// on it: scalar-vs-SIMD timings for Dot/Axpy/GEMV, the ml coefficient
+/// passes (logistic/softmax/MLP HVPs), and the relaxed polynomial sweeps.
 /// Self-driven (no external benchmark framework): each row times the same
-/// closure under a baseline configuration (usually ForceScalar(true)) and
+/// closure under a baseline configuration (ForceScalar(true)) and
 /// under the dispatched backend, and reports the speedup. A per-backend
 /// sweep re-times the hottest kernels under every tier the CPU supports
 /// (ForceBackend). Rows stream to BENCH_micro.json (baseline under
@@ -15,17 +14,14 @@
 /// checks under EVERY available backend tier (fast enough for the CI
 /// scale-smoke leg, which runs it under RAIN_SIMD=scalar and
 /// RAIN_SIMD=avx2 in addition to the unconstrained pass):
-///   * ELEMENTWISE kernels (MulAdd, MulAdd2, MulAdd4, Mul, Gather,
-///     ScatterAxpy, GemvT, Gemm, GemmPacked) must match the scalar
-///     fallback BITWISE;
+///   * ELEMENTWISE kernels (MulAdd, MulAdd2, Mul, Gather, ScatterAxpy)
+///     must match the scalar fallback BITWISE;
 ///   * SHAPED-REDUCTION kernels (Dot2, GatherSum, GatherProd,
 ///     GatherProdOneMinus, GatherDot) must match the shaped scalar
 ///     fallback BITWISE, including at every n around kGatherSimdCutoff;
 ///   * REDUCTION kernels (Dot, Gemv, GemmNT) must be deterministic per
 ///     backend and within 1e-9 relative of scalar; GemmNT must equal the
 ///     per-row Dot loop BITWISE;
-///   * the row-partitioned Matrix paths (MatVec, MatMul) must be BITWISE
-///     identical across 1/2/8 workers;
 ///   * RelaxedPoly::SeededGradient — built entirely from ELEMENTWISE and
 ///     SHAPED-REDUCTION kernels — must be BITWISE identical across
 ///     backends.
@@ -81,9 +77,7 @@ struct KernelRow {
   int64_t n = 0;
   double base_s = 0.0;
   double simd_s = 0.0;
-  /// What base_s measured: "scalar" (ForceScalar) unless a row compares
-  /// against a different reference (gemm_packed measures against the
-  /// unpacked Gemm under the SAME backend).
+  /// What base_s measured: "scalar" (the ForceScalar fallback).
   std::string baseline = "scalar";
   /// Backend the simd_s column ran under (the dispatched one, or the
   /// per-backend sweep's forced tier).
@@ -237,50 +231,6 @@ int RunTimings() {
     rows.push_back(TimeKernel("gemv", static_cast<int64_t>(r * c), [&] {
       vec::simd::Gemv(a.data(), r, c, x.data(), out.data());
     }));
-    rows.push_back(TimeKernel("gemv_t", static_cast<int64_t>(r * c), [&] {
-      std::fill(out.begin(), out.end(), 0.0);
-      vec::simd::GemvT(a.data(), r, c, x.data(), out.data());
-    }));
-  }
-  {
-    const size_t m = 128, k = 128, n2 = 128;
-    const Vec a = RandomVec(m * k, 7), b = RandomVec(k * n2, 8);
-    Vec out(m * n2);
-    rows.push_back(TimeKernel("gemm", static_cast<int64_t>(m * k * n2), [&] {
-      std::fill(out.begin(), out.end(), 0.0);
-      vec::simd::Gemm(a.data(), m, k, b.data(), n2, out.data());
-    }));
-  }
-  // Packed vs unpacked GEMM under the SAME (dispatched) backend: the row
-  // isolates the cache-blocking/packing win, not the SIMD win. Sized so
-  // the B operand (k x n doubles) overflows L2 — that is where the
-  // unpacked kernel starts re-streaming B from L3/DRAM every a-row pass
-  // and packing pays for itself (below L2 size the packing memcpy is pure
-  // overhead and the unpacked kernel is the right call — Gemm stays
-  // available for that reason).
-  struct GemmShape {
-    size_t m, k, n;
-  };
-  for (const GemmShape s : {GemmShape{256, 256, 4096},
-                            GemmShape{192, 384, 8192}}) {
-    const size_t m = s.m, k = s.k, n2 = s.n;
-    const Vec a = RandomVec(m * k, 7), b = RandomVec(k * n2, 8);
-    Vec out(m * n2);
-    KernelRow row;
-    row.kernel = "gemm_packed";
-    row.n = static_cast<int64_t>(m * k * n2);
-    row.baseline = "gemm_unpacked";
-    row.backend = vec::simd::Backend();
-    std::tie(row.base_s, row.simd_s) = TimePair(
-        [&] {
-          std::fill(out.begin(), out.end(), 0.0);
-          vec::simd::Gemm(a.data(), m, k, b.data(), n2, out.data());
-        },
-        [&] {
-          std::fill(out.begin(), out.end(), 0.0);
-          vec::simd::GemmPacked(a.data(), m, k, b.data(), n2, out.data());
-        });
-    rows.push_back(row);
   }
   {
     Dataset d = RandomDataset(2000, 17, 2, 1);
@@ -326,52 +276,28 @@ int RunTimings() {
     }));
   }
 
-  // Per-backend sweep: the same hot kernels re-timed under every tier the
-  // CPU supports, so a recorded baseline shows the whole ladder (and a
-  // host where a tier regresses shows up as a row, not a mystery).
+  // Per-backend sweep: Dot re-timed under every tier the CPU supports, so
+  // a recorded baseline shows the whole ladder (and a host where a tier
+  // regresses shows up as a row, not a mystery).
   for (const char* tier : {"scalar", "avx2", "avx512"}) {
     if (!vec::simd::ForceBackend(tier)) continue;
-    {
-      const size_t n = 16384;
-      const Vec x = RandomVec(n, 1), y = RandomVec(n, 2);
-      KernelRow row;
-      row.kernel = "dot_backend";
-      row.n = static_cast<int64_t>(n);
-      row.backend = vec::simd::Backend();
-      std::tie(row.base_s, row.simd_s) = TimePair(
-          [&] {
-            vec::simd::ForceScalar(true);
-            g_sink = vec::simd::Dot(x.data(), y.data(), n);
-          },
-          [&] {
-            vec::simd::ForceScalar(false);
-            g_sink = vec::simd::Dot(x.data(), y.data(), n);
-          });
-      vec::simd::ForceScalar(false);
-      rows.push_back(row);
-    }
-    {
-      const size_t m = 192, k = 192, n2 = 192;
-      const Vec a = RandomVec(m * k, 7), b = RandomVec(k * n2, 8);
-      Vec out(m * n2);
-      KernelRow row;
-      row.kernel = "gemm_packed_backend";
-      row.n = static_cast<int64_t>(m * k * n2);
-      row.backend = vec::simd::Backend();
-      std::tie(row.base_s, row.simd_s) = TimePair(
-          [&] {
-            vec::simd::ForceScalar(true);
-            std::fill(out.begin(), out.end(), 0.0);
-            vec::simd::GemmPacked(a.data(), m, k, b.data(), n2, out.data());
-          },
-          [&] {
-            vec::simd::ForceScalar(false);
-            std::fill(out.begin(), out.end(), 0.0);
-            vec::simd::GemmPacked(a.data(), m, k, b.data(), n2, out.data());
-          });
-      vec::simd::ForceScalar(false);
-      rows.push_back(row);
-    }
+    const size_t n = 16384;
+    const Vec x = RandomVec(n, 1), y = RandomVec(n, 2);
+    KernelRow row;
+    row.kernel = "dot_backend";
+    row.n = static_cast<int64_t>(n);
+    row.backend = vec::simd::Backend();
+    std::tie(row.base_s, row.simd_s) = TimePair(
+        [&] {
+          vec::simd::ForceScalar(true);
+          g_sink = vec::simd::Dot(x.data(), y.data(), n);
+        },
+        [&] {
+          vec::simd::ForceScalar(false);
+          g_sink = vec::simd::Dot(x.data(), y.data(), n);
+        });
+    vec::simd::ForceScalar(false);
+    rows.push_back(row);
   }
   vec::simd::ForceBackend(nullptr);
 
@@ -422,8 +348,7 @@ bool BitwiseEq(const Vec& a, const Vec& b) {
 void PrintContractTable() {
   TablePrinter t({"class", "kernels", "cross-backend contract"});
   t.AddRow({"ELEMENTWISE",
-            "MulAdd MulAdd2 MulAdd4 Mul Gather ScatterAxpy GemvT Gemm "
-            "GemmPacked",
+            "MulAdd MulAdd2 Mul Gather ScatterAxpy",
             "bitwise identical on every tier"});
   t.AddRow({"FUSED-ELEMENTWISE", "Axpy",
             "per-tier deterministic; avx512 == avx2-fma"});
@@ -432,8 +357,6 @@ void PrintContractTable() {
   t.AddRow({"SHAPED-REDUCTION",
             "Dot2 GatherSum GatherProd GatherProdOneMinus GatherDot",
             "bitwise identical on every tier (shaped scalar fallback)"});
-  t.AddRow({"(composites)", "MatVec MatMul",
-            "bitwise invariant across 1/2/8 workers and backends"});
   t.AddRow({"(composites)", "SeededGradient",
             "bitwise invariant across backends"});
   std::printf("%s\n", t.ToText().c_str());
@@ -475,27 +398,6 @@ void RunVerifyOnce(const std::string& tier) {
     Check(BitwiseEq(a, b), "MulAdd2 scalar == simd (bitwise)" + tag);
   }
   {
-    const Vec b0 = RandomVec(kN, 41), b1 = RandomVec(kN, 42),
-              b2 = RandomVec(kN, 43), b3 = RandomVec(kN, 44);
-    const double coef[4] = {1.1, -0.3, 0.0, 2.7};  // zero exercises no-skip
-    Vec a = y, b = y;
-    const bool prev = vec::simd::ForceScalar(true);
-    vec::simd::MulAdd4(coef, b0.data(), b1.data(), b2.data(), b3.data(),
-                       a.data(), kN);
-    vec::simd::ForceScalar(false);
-    vec::simd::MulAdd4(coef, b0.data(), b1.data(), b2.data(), b3.data(),
-                       b.data(), kN);
-    vec::simd::ForceScalar(prev);
-    // MulAdd4 must also equal four sequential MulAdds (its contract).
-    Vec c = y;
-    for (int j = 0; j < 4; ++j) {
-      const double* bs[4] = {b0.data(), b1.data(), b2.data(), b3.data()};
-      vec::simd::MulAdd(coef[j], bs[j], c.data(), kN);
-    }
-    Check(BitwiseEq(a, b) && BitwiseEq(a, c),
-          "MulAdd4 scalar == simd == 4x MulAdd (bitwise)" + tag);
-  }
-  {
     Vec a(kN), b(kN);
     const bool prev = vec::simd::ForceScalar(true);
     vec::simd::Mul(x.data(), y.data(), a.data(), kN);
@@ -524,27 +426,6 @@ void RunVerifyOnce(const std::string& tier) {
           "ScatterAxpy scalar == simd (bitwise, dup idx)" + tag);
   }
 
-  // GEMM family: Gemm, GemmPacked and the scalar fallback must agree
-  // bitwise — including zero-laden A (the zero-skip contract).
-  {
-    const size_t m = 37, k = 53, n2 = 41;
-    Vec a = RandomVec(m * k, 45);
-    {
-      Rng rng(46);  // ~25% exact zeros, in-run and at block edges
-      for (double& v : a) {
-        if (rng.UniformInt(4) == 0) v = 0.0;
-      }
-    }
-    const Vec b = RandomVec(k * n2, 47);
-    Vec o1(m * n2, 0.1), o2(m * n2, 0.1), o3(m * n2, 0.1);
-    vec::simd::Gemm(a.data(), m, k, b.data(), n2, o1.data());
-    vec::simd::GemmPacked(a.data(), m, k, b.data(), n2, o2.data());
-    const bool prev = vec::simd::ForceScalar(true);
-    vec::simd::GemmPacked(a.data(), m, k, b.data(), n2, o3.data());
-    vec::simd::ForceScalar(prev);
-    Check(BitwiseEq(o1, o2) && BitwiseEq(o1, o3),
-          "GemmPacked == Gemm == scalar (bitwise, zeros)" + tag);
-  }
   // GemmNT must equal the per-row Dot loop bitwise (it IS the Dot kernel
   // per element — this is what lets the model HVPs batch their
   // projections without changing a bit).
@@ -630,34 +511,6 @@ void RunVerifyOnce(const std::string& tier) {
     vec::simd::ForceScalar(prev);
     Check(std::fabs(d1 - ds) <= 1e-9 * (1.0 + std::fabs(ds)),
           "Dot scalar ~= simd (1e-9 relative)" + tag);
-  }
-
-  // Worker-count invariance of the row-partitioned Matrix paths.
-  {
-    const size_t r = 97, c = 61;
-    Matrix m(r, c);
-    {
-      Rng rng(15);
-      for (size_t i = 0; i < r; ++i) {
-        for (size_t j = 0; j < c; ++j) m.At(i, j) = rng.Gaussian();
-      }
-    }
-    const Vec v = RandomVec(c, 16);
-    const Vec seq = m.MatVec(v);
-    Check(BitwiseEq(seq, m.MatVec(v, 2)) && BitwiseEq(seq, m.MatVec(v, 8)),
-          "MatVec bitwise across 1/2/8 workers" + tag);
-    Matrix b(c, r);
-    {
-      Rng rng(17);
-      for (size_t i = 0; i < c; ++i) {
-        for (size_t j = 0; j < r; ++j) b.At(i, j) = rng.Gaussian();
-      }
-    }
-    const Matrix p1 = MatMul(m, b, 1);
-    const Matrix p2 = MatMul(m, b, 2);
-    const Matrix p8 = MatMul(m, b, 8);
-    Check(BitwiseEq(p1.data(), p2.data()) && BitwiseEq(p1.data(), p8.data()),
-          "MatMul bitwise across 1/2/8 workers" + tag);
   }
 
   // The seeded reverse sweep composes only ELEMENTWISE + SHAPED-REDUCTION

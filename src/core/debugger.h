@@ -28,14 +28,14 @@ struct DebugConfig {
   bool stop_when_resolved = false;
   /// Worker count applied end-to-end across a train-rank-fix iteration:
   /// retraining (pipeline TrainConfig), the batched bind phase
-  /// (`BindWorkload` per-query staging), influence scoring, and the CG
-  /// solver. The Holistic encode (one seeded reverse sweep plus the
-  /// q-gradient fold) is sequential and does not read it. Inheritance is resolved in exactly one place —
-  /// `DebugSessionBuilder::Build()`: the pipeline's TrainConfig always
-  /// tracks this value (so 1 restores the exact sequential path),
-  /// `influence.parallelism` inherits it when left at its default of 1,
-  /// and `influence.cg.parallelism` in turn inherits
-  /// `influence.parallelism` when left at 1.
+  /// (`BindWorkload` per-query staging), and influence scoring. The CG and
+  /// L-BFGS vector arithmetic over the parameter dimension and the
+  /// Holistic encode (one seeded reverse sweep plus the q-gradient fold)
+  /// are sequential and do not read it. Inheritance is resolved in exactly
+  /// one place — `DebugSessionBuilder::Build()`: the pipeline's
+  /// TrainConfig always tracks this value (so 1 restores the exact
+  /// sequential path), and `influence.parallelism` inherits it when left
+  /// at its default of 1.
   int parallelism = 1;
   InfluenceOptions influence;
   IlpSolveOptions ilp;

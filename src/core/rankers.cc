@@ -322,13 +322,9 @@ class TwoStepRanker : public Ranker {
         TiresiasEncoding enc,
         EncodeTiresias(ctx.arena, *ctx.predictions, ilp_complaints));
     IlpSolveOptions ilp_opts = ctx.ilp;
-    if (ilp_opts.coupling_constraint < 0) {
-      ilp_opts.coupling_constraint = enc.coupling_constraint;
-    }
-    // Multi-complaint encodings: hand every complaint constraint to the
-    // solver so the multi-coupling decomposition can fix all their slacks
-    // at once, and seed branch-and-bound with a greedily repaired warm
-    // start in case decomposition is inapplicable.
+    // Hand every complaint constraint to the solver so the decomposition
+    // can fix all their slacks at once, and seed branch-and-bound with a
+    // greedily repaired warm start in case decomposition is inapplicable.
     if (ilp_opts.coupling_constraints.empty()) {
       ilp_opts.coupling_constraints = enc.complaint_constraints;
     }

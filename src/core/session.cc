@@ -827,15 +827,12 @@ Result<std::unique_ptr<DebugSession>> DebugSessionBuilder::Build() {
 
   // The single place where the session-level parallelism fans out: the
   // pipeline's TrainConfig always tracks it (so 1 restores the exact
-  // sequential path), while the finer-grained influence / CG knobs
-  // inherit it only when left at their default of 1.
+  // sequential path), while the influence-level knob inherits it only
+  // when left at its default of 1.
   DebugConfig resolved = config_;
   resolved.parallelism = pipeline_->set_parallelism(resolved.parallelism);
   if (resolved.influence.parallelism <= 1) {
     resolved.influence.parallelism = resolved.parallelism;
-  }
-  if (resolved.influence.cg.parallelism <= 1) {
-    resolved.influence.cg.parallelism = resolved.influence.parallelism;
   }
 
   // Resolve the execution bundle: fold the relative timeout into the

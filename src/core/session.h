@@ -484,9 +484,9 @@ class DebugSession {
 ///
 /// `Build()` is also the single place where the session-level
 /// `parallelism` value is inherited by the finer-grained knobs: it fans
-/// out to the pipeline's TrainConfig (via `Query2Pipeline::set_parallelism`),
-/// to `InfluenceOptions::parallelism`, and to `CgOptions::parallelism`,
-/// each only when the finer knob was left at its default of 1.
+/// out to the pipeline's TrainConfig (via `Query2Pipeline::set_parallelism`)
+/// and to `InfluenceOptions::parallelism`, the latter only when it was
+/// left at its default of 1.
 class DebugSessionBuilder {
  public:
   explicit DebugSessionBuilder(Query2Pipeline* pipeline) : pipeline_(pipeline) {}

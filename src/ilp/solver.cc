@@ -200,9 +200,7 @@ bool TryDecomposition(const IlpProblem& problem, int k,
     for (size_t t = 0; t < width; ++t) {
       if (dp[t] == kInf) continue;
       for (const auto& [c, e] : entries) {
-        // Saturating for >= (any surplus above cap counts as cap).
-        int64_t nt = static_cast<int64_t>(t) + c;
-        if (coupling.sense == ConstraintSense::kGe) nt = std::min(nt, cap);
+        const int64_t nt = static_cast<int64_t>(t) + c;
         if (nt >= static_cast<int64_t>(width)) continue;
         const double cost = dp[t] + e->min_cost;
         if (cost < next[nt] - kEps ||
@@ -226,17 +224,12 @@ bool TryDecomposition(const IlpProblem& problem, int k,
       final_t = target;
       best_cost = dp[target];
     }
-  } else if (coupling.sense == ConstraintSense::kLe) {
+  } else {  // kLe
     for (int64_t t = 0; t <= cap; ++t) {
       if (dp[t] < best_cost - kEps) {
         best_cost = dp[t];
         final_t = t;
       }
-    }
-  } else {  // kGe: saturated at cap
-    if (dp[cap] < kInf) {
-      final_t = cap;
-      best_cost = dp[cap];
     }
   }
   out->used_decomposition = true;
@@ -262,16 +255,7 @@ bool TryDecomposition(const IlpProblem& problem, int k,
     for (size_t i = 0; i < table.vars.size(); ++i) {
       out->values[table.vars[i]] = pick.assignment[i];
     }
-    if (coupling.sense == ConstraintSense::kGe && t == cap) {
-      // Saturation: contribution may exceed the step; recompute exactly.
-      int64_t contrib = 0;
-      for (size_t i = 0; i < table.vars.size(); ++i) {
-        if (pick.assignment[i]) contrib += std::llround(coupling_coef[table.vars[i]]);
-      }
-      t = std::max<int64_t>(0, t - contrib);
-    } else {
-      t -= c;
-    }
+    t -= c;
   }
   out->objective = problem.ObjectiveValue(out->values);
   out->feasible = true;
@@ -926,16 +910,13 @@ Result<IlpSolution> SolveIlp(const IlpProblem& raw_problem,
   Rng rng(options.seed);
   IlpSolution sol;
 
-  // Resolve the coupling set: the list supersedes the legacy single index.
+  // Resolve the coupling set: in-range indices, first occurrence kept.
   std::vector<int> couplings;
   for (const int k : options.coupling_constraints) {
     if (k >= 0 && static_cast<size_t>(k) < problem.num_constraints() &&
         std::find(couplings.begin(), couplings.end(), k) == couplings.end()) {
       couplings.push_back(k);
     }
-  }
-  if (couplings.empty() && options.coupling_constraint >= 0) {
-    couplings.push_back(options.coupling_constraint);
   }
 
   bool decomposed = false;

@@ -25,14 +25,11 @@ struct IlpSolveOptions {
   bool randomize = true;
   uint64_t seed = 1;
 
-  /// Index of a single "coupling" constraint (e.g. the complaint
-  /// cardinality constraint) that the decomposition fast path may remove
-  /// to split the problem into independent components; -1 disables.
-  int coupling_constraint = -1;
-
-  /// Generalized coupling set: when non-empty it supersedes
-  /// `coupling_constraint`. With one entry the classic single-coupling
-  /// decomposition runs; with several (e.g. two overlapping complaint
+  /// Indices of the "coupling" constraints (e.g. the complaint
+  /// cardinality constraints) that the decomposition fast path may remove
+  /// to split the problem into independent components; empty disables.
+  /// With one entry the single-coupling decomposition runs (kEq/kLe
+  /// couplings only); with several (e.g. two overlapping complaint
   /// cardinalities) the grouped multi-coupling DP fixes the slack of every
   /// listed constraint at once and still solves each component exactly.
   std::vector<int> coupling_constraints;
@@ -60,9 +57,9 @@ struct IlpSolution {
 
 /// \brief Solves a binary ILP.
 ///
-/// Strategy: if `coupling_constraint` is set and removing it splits the
-/// problem into small independent components, an exact
-/// enumerate-components + DP-over-contributions method is used (this
+/// Strategy: if `coupling_constraints` is non-empty and removing those
+/// constraints splits the problem into small independent components, an
+/// exact enumerate-components + DP-over-contributions method is used (this
 /// covers the Tiresias encodings of COUNT/SUM complaints over
 /// filter-style queries, where rows are independent). Otherwise a
 /// depth-first branch-and-bound with bounds propagation runs under the

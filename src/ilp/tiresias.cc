@@ -79,9 +79,6 @@ class Encoder {
       out_->problem.AddConstraint(std::move(lc));
       const int ci = static_cast<int>(out_->problem.num_constraints() - 1);
       out_->complaint_constraints.push_back(ci);
-      // Coupling hint: a single kEq/kLe complaint constraint.
-      out_->coupling_constraint =
-          complaints.size() == 1 && c.sense != ConstraintSense::kGe ? ci : -1;
     }
     return Status::OK();
   }

@@ -43,10 +43,6 @@ struct TiresiasEncoding {
   /// arena VarId -> ILP var (-1 when the class var was not created).
   std::vector<int> ilp_var_of;
 
-  /// Hint for the decomposition fast path: index of the (single)
-  /// complaint constraint, or -1.
-  int coupling_constraint = -1;
-
   /// Indices of every complaint's main linear constraint, in complaint
   /// order. Feeds IlpSolveOptions::coupling_constraints so the
   /// multi-coupling decomposition can fix all complaint slacks at once.

@@ -15,9 +15,8 @@ Result<CgReport> ConjugateGradient(const LinearOperator& op, const Vec& b,
   Vec p = r;
   Vec ap(b.size(), 0.0);
 
-  const int par = options.parallelism;
-  double rs = vec::NormSq(r, par);
-  const double b_norm = std::sqrt(vec::NormSq(b, par));
+  double rs = vec::NormSq(r);
+  const double b_norm = std::sqrt(vec::NormSq(b));
   if (b_norm == 0.0) {
     report.converged = true;
     return report;
@@ -37,16 +36,16 @@ Result<CgReport> ConjugateGradient(const LinearOperator& op, const Vec& b,
                                std::to_string(iter) + " iterations");
     }
     op(p, &ap);
-    const double pap = vec::Dot(p, ap, par);
+    const double pap = vec::Dot(p, ap);
     if (pap <= 0.0 || !std::isfinite(pap)) {
       return Status::Internal(
           "CG encountered a non-positive-definite operator (p^T A p <= 0); "
           "increase damping");
     }
     const double alpha = rs / pap;
-    vec::Axpy(alpha, p, &report.x, par);
-    vec::Axpy(-alpha, ap, &r, par);
-    const double rs_new = vec::NormSq(r, par);
+    vec::Axpy(alpha, p, &report.x);
+    vec::Axpy(-alpha, ap, &r);
+    const double rs_new = vec::NormSq(r);
     const double beta = rs_new / rs;
     for (size_t i = 0; i < p.size(); ++i) p[i] = r[i] + beta * p[i];
     rs = rs_new;

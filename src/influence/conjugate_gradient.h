@@ -16,10 +16,6 @@ struct CgOptions {
   int max_iters = 200;
   /// Relative residual tolerance ||r|| <= tol * ||b||.
   double tol = 1e-8;
-  /// Chunk count for the solver's own vector kernels (dot/axpy over the
-  /// parameter dimension). The operator `op` parallelizes over data rows
-  /// independently of this. <= 1 keeps exact sequential arithmetic.
-  int parallelism = 1;
   /// Optional cooperative stop handle (borrowed; must outlive the call).
   /// Polled once per CG iteration — i.e. once per Hessian-vector
   /// product, the unit of work that dominates a solve — so a stuck solve

@@ -32,12 +32,7 @@ InfluenceScorer::InfluenceScorer(const Model* model, const Dataset* train,
                                  InfluenceOptions options)
     : model_(model), train_(train), options_(options) {
   RAIN_CHECK(model_ != nullptr && train_ != nullptr);
-  // A single parallelism knob is the common case: let it drive the CG
-  // solver's vector kernels too unless the caller tuned them separately.
-  cg_parallelism_inherited_ = options_.cg.parallelism <= 1;
-  if (cg_parallelism_inherited_) options_.cg.parallelism = options_.parallelism;
-  // Same rule for the stop handle: one token normally covers the whole
-  // scorer, CG solves included.
+  // One stop handle normally covers the whole scorer, CG solves included.
   if (options_.cg.cancel == nullptr) options_.cg.cancel = options_.cancel;
 }
 

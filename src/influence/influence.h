@@ -21,8 +21,7 @@ struct InfluenceOptions {
   /// training records are partitioned across this many chunks, each worker
   /// computing its grad l(z, θ*)ᵀ s dot products independently. Per-record
   /// scores have no cross-record reduction, so parallel ScoreAll is bitwise
-  /// identical to sequential for any value. Also inherited by cg.parallelism
-  /// when that is left at 1.
+  /// identical to sequential for any value.
   int parallelism = 1;
   /// Optional cooperative stop handle (borrowed; must outlive any call
   /// made with these options). Polled per record inside ScoreAll /
@@ -70,13 +69,9 @@ class InfluenceScorer {
   double cg_residual_norm() const { return cg_residual_norm_; }
 
   /// Adjusts the scoring worker count after construction (benchmarks sweep
-  /// this; the prepared CG solution s is unaffected). When cg.parallelism
-  /// was inherited rather than tuned explicitly, it follows this knob.
+  /// this; the prepared CG solution s is unaffected).
   void set_parallelism(int parallelism) {
     options_.parallelism = parallelism < 1 ? 1 : parallelism;
-    if (cg_parallelism_inherited_) {
-      options_.cg.parallelism = options_.parallelism;
-    }
   }
   int parallelism() const { return options_.parallelism; }
 
@@ -126,9 +121,6 @@ class InfluenceScorer {
   InfluenceOptions options_;
   Vec s_;  // (H + damping)^-1 grad q
   bool prepared_ = false;
-  /// True when cg.parallelism was left at its default and tracks the
-  /// scorer-level knob (set at construction, maintained by set_parallelism).
-  bool cg_parallelism_inherited_ = false;
   int cg_iterations_ = 0;
   double cg_residual_norm_ = 0.0;
   bool cg_converged_ = true;

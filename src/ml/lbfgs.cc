@@ -48,35 +48,34 @@ LbfgsResult LbfgsMinimize(const Objective& objective, Vec x0,
     }
 
     // Two-loop recursion: d = -H_k grad.
-    const int par = options.parallelism;
     Vec q = grad;
     std::vector<double> alpha(history.size());
     for (size_t i = history.size(); i-- > 0;) {
       const Pair& p = history[i];
-      alpha[i] = p.rho * vec::Dot(p.s, q, par);
-      vec::Axpy(-alpha[i], p.y, &q, par);
+      alpha[i] = p.rho * vec::Dot(p.s, q);
+      vec::Axpy(-alpha[i], p.y, &q);
     }
     if (!history.empty()) {
       const Pair& last = history.back();
       const double gamma =
-          vec::Dot(last.s, last.y, par) / vec::Dot(last.y, last.y, par);
+          vec::Dot(last.s, last.y) / vec::Dot(last.y, last.y);
       vec::Scale(gamma, &q);
     }
     for (size_t i = 0; i < history.size(); ++i) {
       const Pair& p = history[i];
-      const double beta = p.rho * vec::Dot(p.y, q, par);
-      vec::Axpy(alpha[i] - beta, p.s, &q, par);
+      const double beta = p.rho * vec::Dot(p.y, q);
+      vec::Axpy(alpha[i] - beta, p.s, &q);
     }
     Vec direction = q;
     vec::Scale(-1.0, &direction);
 
-    double dg = vec::Dot(direction, grad, par);
+    double dg = vec::Dot(direction, grad);
     if (dg >= 0.0) {
       // Not a descent direction (can happen with stale curvature on
       // non-convex objectives): fall back to steepest descent.
       direction = grad;
       vec::Scale(-1.0, &direction);
-      dg = -vec::NormSq(grad, par);
+      dg = -vec::NormSq(grad);
       history.clear();
     }
 
@@ -107,7 +106,7 @@ LbfgsResult LbfgsMinimize(const Objective& objective, Vec x0,
     Pair pair;
     pair.s = vec::Sub(x_new, result.x);
     pair.y = vec::Sub(grad_new, grad);
-    const double sy = vec::Dot(pair.s, pair.y, par);
+    const double sy = vec::Dot(pair.s, pair.y);
     if (sy > 1e-12) {
       pair.rho = 1.0 / sy;
       history.push_back(std::move(pair));

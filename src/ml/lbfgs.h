@@ -24,10 +24,6 @@ struct LbfgsOptions {
   double backtrack = 0.5;
   /// Give up on the line search below this step.
   double min_step = 1e-20;
-  /// Chunk count for the two-loop recursion's vector kernels (dot/axpy over
-  /// num_params elements). <= 1 keeps the exact sequential arithmetic; the
-  /// objective callback parallelizes over data rows independently of this.
-  int parallelism = 1;
   /// Optional cooperative stop handle (borrowed; must outlive the call).
   /// Polled once per L-BFGS iteration: a stop request ends the minimize
   /// within one iteration, returning the best iterate so far with

@@ -145,7 +145,7 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
       [&](size_t begin, size_t end, Vec* acc) {
         // Runs of consecutive active rows batch the three per-row matrix
         // projections — z1 = X W1^T, R{z1} = X V1^T and z2 = A1 W2^T —
-        // into GemmNT calls over the run (the packed-GEMM layer's batched
+        // into GemmNT calls over the run (the tensor layer's batched
         // projection kernel). Every GemmNT element is the Dot kernel with
         // the operand order commuted (per-element products are
         // rounding-identical), and the bias adds happen afterwards in the

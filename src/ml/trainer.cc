@@ -26,7 +26,6 @@ Result<TrainReport> TrainModel(Model* model, const Dataset& data,
   opts.max_iters = config.max_iters;
   opts.grad_tol = config.grad_tol;
   opts.memory = config.lbfgs_memory;
-  opts.parallelism = config.parallelism;
   opts.cancel = config.cancel;
 
   LbfgsResult res = LbfgsMinimize(objective, model->params(), opts);

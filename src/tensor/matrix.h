@@ -36,32 +36,11 @@ class Matrix {
   const Vec& data() const { return data_; }
   Vec& data() { return data_; }
 
-  /// out = this * x (rows() results), via the vec::simd::Gemv
-  /// micro-kernel (REDUCTION class: per-row dots, deterministic per
-  /// backend). The parallel overload partitions output rows across
-  /// `parallelism` chunks — disjoint writes and per-row-pure values, so
-  /// the result is bitwise identical to the sequential kernel.
-  Vec MatVec(const Vec& x) const;
-  Vec MatVec(const Vec& x, int parallelism) const;
-  /// out = this^T * x (cols() results), via vec::simd::GemvT
-  /// (ELEMENTWISE class: bitwise identical across backends). The parallel
-  /// overload reduces per-chunk column accumulators in chunk order
-  /// (deterministic for a fixed `parallelism`, ε-close to sequential).
-  Vec MatTVec(const Vec& x) const;
-  Vec MatTVec(const Vec& x, int parallelism) const;
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
   Vec data_;
 };
-
-/// out = a * b, via the packed cache-blocked vec::simd::GemmPacked
-/// micro-kernel (ELEMENTWISE class: bitwise identical across backends,
-/// and to the unpacked Gemm reference); the parallel path partitions rows
-/// of `a` across chunks (disjoint output blocks, bitwise identical to the
-/// sequential result for any `parallelism`).
-Matrix MatMul(const Matrix& a, const Matrix& b, int parallelism = 1);
 
 /// Cholesky factor of a symmetric positive-definite matrix: writes the
 /// lower-triangular `lower` with a = lower * lower^T (only the lower

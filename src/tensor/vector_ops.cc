@@ -122,18 +122,6 @@ void MulAddScalar(double alpha, const double* x, double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void MulAdd4Scalar(const double* a, const double* b0, const double* b1,
-                   const double* b2, const double* b3, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    // Separate statements keep each term's mul and add distinct
-    // roundings — the exact chain of four sequential MulAdd calls.
-    y[i] += a[0] * b0[i];
-    y[i] += a[1] * b1[i];
-    y[i] += a[2] * b2[i];
-    y[i] += a[3] * b3[i];
-  }
-}
-
 void MulScalar(const double* a, const double* b, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
@@ -244,8 +232,7 @@ __attribute__((target("avx2,fma"))) double DotAvx2(const double* x,
 
 /// AVX2/FMA axpy. Every element — vector body and tail alike — is
 /// computed with a single fused rounding, so an element's bits never
-/// depend on which chunk (and hence which position within a chunk) it
-/// landed in: chunked Axpy stays bitwise-identical to sequential.
+/// depend on its position in the range.
 __attribute__((target("avx2,fma"))) void AxpyAvx2(double alpha, const double* x,
                                                   double* y, size_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
@@ -273,39 +260,6 @@ __attribute__((target("avx2"))) void MulAddAvx2(double alpha, const double* x,
     _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-/// Four chained multiply-adds per pass over y, for the GEMM inner loop:
-/// y[i] receives round(y + round(a0*b0)), then a1*b1, a2*b2, a3*b3 — the
-/// identical per-element rounding sequence as four sequential MulAdd
-/// calls, but with one load/store of y instead of four.
-__attribute__((target("avx2"))) void MulAdd4Avx2(const double* alpha,
-                                                 const double* b0,
-                                                 const double* b1,
-                                                 const double* b2,
-                                                 const double* b3, double* y,
-                                                 size_t n) {
-  const __m256d va0 = _mm256_set1_pd(alpha[0]);
-  const __m256d va1 = _mm256_set1_pd(alpha[1]);
-  const __m256d va2 = _mm256_set1_pd(alpha[2]);
-  const __m256d va3 = _mm256_set1_pd(alpha[3]);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d acc = _mm256_loadu_pd(y + i);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(va0, _mm256_loadu_pd(b0 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(va1, _mm256_loadu_pd(b1 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(va2, _mm256_loadu_pd(b2 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(va3, _mm256_loadu_pd(b3 + i)));
-    _mm256_storeu_pd(y + i, acc);
-  }
-  for (; i < n; ++i) {
-    // Separate statements keep each term's mul and add distinct
-    // roundings, exactly like the sequential MulAdd tail.
-    y[i] += alpha[0] * b0[i];
-    y[i] += alpha[1] * b1[i];
-    y[i] += alpha[2] * b2[i];
-    y[i] += alpha[3] * b3[i];
-  }
 }
 
 __attribute__((target("avx2"))) void MulAdd2Avx2(double a0, const double* x0,
@@ -558,25 +512,6 @@ __attribute__((target(RAIN_TARGET_AVX512))) void MulAdd2_512(
   if (i < n) MulAdd2Avx2(a0, x0 + i, a1, x1 + i, y + i, n - i);
 }
 
-__attribute__((target(RAIN_TARGET_AVX512))) void MulAdd4_512(
-    const double* alpha, const double* b0, const double* b1, const double* b2,
-    const double* b3, double* y, size_t n) {
-  const __m512d va0 = _mm512_set1_pd(alpha[0]);
-  const __m512d va1 = _mm512_set1_pd(alpha[1]);
-  const __m512d va2 = _mm512_set1_pd(alpha[2]);
-  const __m512d va3 = _mm512_set1_pd(alpha[3]);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m512d acc = _mm512_loadu_pd(y + i);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(va0, _mm512_loadu_pd(b0 + i)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(va1, _mm512_loadu_pd(b1 + i)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(va2, _mm512_loadu_pd(b2 + i)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(va3, _mm512_loadu_pd(b3 + i)));
-    _mm512_storeu_pd(y + i, acc);
-  }
-  if (i < n) MulAdd4Avx2(alpha, b0 + i, b1 + i, b2 + i, b3 + i, y + i, n - i);
-}
-
 __attribute__((target(RAIN_TARGET_AVX512))) void Mul512(const double* a,
                                                         const double* b,
                                                         double* out, size_t n) {
@@ -735,43 +670,6 @@ __attribute__((target(RAIN_TARGET_AVX512))) void Gather512(const double* v,
 
 #endif  // RAIN_SIMD_X86
 
-/// Dispatches the MulAdd4 register tile for a known tier (hoisted out of
-/// the GEMM inner loops so the atomic reads happen once per call).
-inline void MulAdd4Tier(int tier, const double* a, const double* b0,
-                        const double* b1, const double* b2, const double* b3,
-                        double* y, size_t n) {
-#ifdef RAIN_SIMD_X86
-  if (tier >= kTierAvx512) {
-    MulAdd4_512(a, b0, b1, b2, b3, y, n);
-    return;
-  }
-  if (tier >= kTierAvx2) {
-    MulAdd4Avx2(a, b0, b1, b2, b3, y, n);
-    return;
-  }
-#else
-  (void)tier;
-#endif
-  MulAdd4Scalar(a, b0, b1, b2, b3, y, n);
-}
-
-inline void MulAddTier(int tier, double alpha, const double* x, double* y,
-                       size_t n) {
-#ifdef RAIN_SIMD_X86
-  if (tier >= kTierAvx512) {
-    MulAdd512(alpha, x, y, n);
-    return;
-  }
-  if (tier >= kTierAvx2) {
-    MulAddAvx2(alpha, x, y, n);
-    return;
-  }
-#else
-  (void)tier;
-#endif
-  MulAddScalar(alpha, x, y, n);
-}
-
 }  // namespace
 
 namespace simd {
@@ -834,7 +732,18 @@ void Axpy(double alpha, const double* x, double* y, size_t n) {
 }
 
 void MulAdd(double alpha, const double* x, double* y, size_t n) {
-  MulAddTier(ActiveTier(), alpha, x, y, n);
+#ifdef RAIN_SIMD_X86
+  const int tier = ActiveTier();
+  if (tier >= kTierAvx512) {
+    MulAdd512(alpha, x, y, n);
+    return;
+  }
+  if (tier >= kTierAvx2) {
+    MulAddAvx2(alpha, x, y, n);
+    return;
+  }
+#endif
+  MulAddScalar(alpha, x, y, n);
 }
 
 void MulAdd2(double a0, const double* x0, double a1, const double* x1, double* y,
@@ -851,11 +760,6 @@ void MulAdd2(double a0, const double* x0, double a1, const double* x1, double* y
   }
 #endif
   for (size_t i = 0; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
-}
-
-void MulAdd4(const double* a, const double* b0, const double* b1,
-             const double* b2, const double* b3, double* y, size_t n) {
-  MulAdd4Tier(ActiveTier(), a, b0, b1, b2, b3, y, n);
 }
 
 void Mul(const double* a, const double* b, double* out, size_t n) {
@@ -896,111 +800,6 @@ void Gemv(const double* a, size_t rows, size_t cols, const double* x, double* ou
   }
 #endif
   for (size_t r = 0; r < rows; ++r) out[r] = DotScalar(a + r * cols, x, cols);
-}
-
-void GemvT(const double* a, size_t rows, size_t cols, const double* x, double* out) {
-  const int tier = ActiveTier();
-  for (size_t r = 0; r < rows; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    MulAddTier(tier, xr, a + r * cols, out, cols);
-  }
-}
-
-void Gemm(const double* a, size_t a_rows, size_t k, const double* b, size_t n,
-          double* out) {
-  // Block sizes chosen so one a-block row plus the touched b-rows stay in
-  // L1. The loop order (k-block outer, then a-row, then k) matches the
-  // pre-SIMD Matrix kernel exactly; with the ELEMENTWISE MulAdd row
-  // update the output bits match it too.
-  constexpr size_t kBlockK = 64;
-  const int tier = ActiveTier();
-  for (size_t k0 = 0; k0 < k; k0 += kBlockK) {
-    const size_t k1 = std::min(k, k0 + kBlockK);
-    for (size_t r = 0; r < a_rows; ++r) {
-      const double* arow = a + r * k;
-      double* orow = out + r * n;
-      size_t kk = k0;
-      if (tier >= kTierAvx2) {
-        // Fuse four k-steps per pass over the output row: each element
-        // still receives the same separate-mul-then-add sequence in the
-        // same kk order, so the bits match the sequential loop below,
-        // while the row is loaded/stored once instead of four times. A
-        // zero coefficient drops to the sequential loop (which skips it,
-        // as the pre-SIMD kernel did) — rare in dense products.
-        for (; kk + 4 <= k1; kk += 4) {
-          const double* alpha = arow + kk;
-          if (alpha[0] == 0.0 || alpha[1] == 0.0 || alpha[2] == 0.0 ||
-              alpha[3] == 0.0) {
-            break;
-          }
-          MulAdd4Tier(tier, alpha, b + kk * n, b + (kk + 1) * n, b + (kk + 2) * n,
-                      b + (kk + 3) * n, orow, n);
-        }
-      }
-      for (; kk < k1; ++kk) {
-        const double av = arow[kk];
-        if (av == 0.0) continue;
-        MulAddTier(tier, av, b + kk * n, orow, n);
-      }
-    }
-  }
-}
-
-void GemmPacked(const double* a, size_t a_rows, size_t k, const double* b,
-                size_t n, double* out) {
-  if (a_rows == 0 || k == 0 || n == 0) return;
-  // Panel sizes: a KC x NC B-panel (kGemmKc * kGemmNc doubles = 384 KiB)
-  // stays L2-resident while every row of `a` sweeps over it, and the
-  // MulAdd4 inner pass touches 4 panel rows + 1 output row segment
-  // (5 * NC doubles = 10 KiB), comfortably L1-resident. Per output
-  // element the k-terms still accumulate in ascending k order (k0 blocks
-  // ascending, kk ascending inside), so the bits equal Gemm's — and the
-  // scalar reference's — exactly.
-  constexpr size_t kGemmKc = 192;
-  constexpr size_t kGemmNc = 256;
-  thread_local std::vector<double> panel;
-  panel.resize(kGemmKc * kGemmNc);
-  const int tier = ActiveTier();
-  for (size_t jc = 0; jc < n; jc += kGemmNc) {
-    const size_t nc = std::min(kGemmNc, n - jc);
-    for (size_t k0 = 0; k0 < k; k0 += kGemmKc) {
-      const size_t kc = std::min(kGemmKc, k - k0);
-      // Pack B[k0 .. k0+kc) x [jc .. jc+nc) into a contiguous panel so
-      // the register tile streams dense rows regardless of n.
-      for (size_t kk = 0; kk < kc; ++kk) {
-        std::memcpy(panel.data() + kk * nc, b + (k0 + kk) * n + jc,
-                    nc * sizeof(double));
-      }
-      for (size_t r = 0; r < a_rows; ++r) {
-        const double* arow = a + r * k + k0;
-        double* orow = out + r * n + jc;
-        // Per-panel sparsity check: one scan of the row's coefficient
-        // block decides between the unconditional MulAdd4 fast loop and
-        // the per-coefficient loop that preserves the zero-skip.
-        bool has_zero = false;
-        for (size_t kk = 0; kk < kc; ++kk) {
-          if (arow[kk] == 0.0) {
-            has_zero = true;
-            break;
-          }
-        }
-        size_t kk = 0;
-        if (!has_zero) {
-          for (; kk + 4 <= kc; kk += 4) {
-            const double* p = panel.data() + kk * nc;
-            MulAdd4Tier(tier, arow + kk, p, p + nc, p + 2 * nc, p + 3 * nc, orow,
-                        nc);
-          }
-        }
-        for (; kk < kc; ++kk) {
-          const double av = arow[kk];
-          if (av == 0.0) continue;
-          MulAddTier(tier, av, panel.data() + kk * nc, orow, nc);
-        }
-      }
-    }
-  }
 }
 
 void GemmNT(const double* a, size_t m, size_t lda, const double* b, size_t n,
@@ -1114,28 +913,9 @@ double Dot(const Vec& x, const Vec& y) {
   return simd::Dot(x.data(), y.data(), x.size());
 }
 
-double Dot(const Vec& x, const Vec& y, int parallelism) {
-  RAIN_CHECK(x.size() == y.size()) << "Dot size mismatch";
-  if (parallelism <= 1 || x.size() < kParallelGrain) return Dot(x, y);
-  return ParallelSum(parallelism, x.size(), [&x, &y](size_t begin, size_t end) {
-    return simd::Dot(x.data() + begin, y.data() + begin, end - begin);
-  });
-}
-
 void Axpy(double alpha, const Vec& x, Vec* y) {
   RAIN_CHECK(x.size() == y->size()) << "Axpy size mismatch";
   simd::Axpy(alpha, x.data(), y->data(), x.size());
-}
-
-void Axpy(double alpha, const Vec& x, Vec* y, int parallelism) {
-  RAIN_CHECK(x.size() == y->size()) << "Axpy size mismatch";
-  if (parallelism <= 1 || x.size() < kParallelGrain) {
-    Axpy(alpha, x, y);
-    return;
-  }
-  ParallelFor(parallelism, x.size(), [alpha, &x, y](size_t begin, size_t end, size_t) {
-    simd::Axpy(alpha, x.data() + begin, y->data() + begin, end - begin);
-  });
 }
 
 void Scale(double alpha, Vec* x) {
@@ -1148,15 +928,6 @@ double NormSq(const Vec& x) {
   double acc = 0.0;
   for (double v : x) acc += v * v;
   return acc;
-}
-
-double NormSq(const Vec& x, int parallelism) {
-  if (parallelism <= 1 || x.size() < kParallelGrain) return NormSq(x);
-  return ParallelSum(parallelism, x.size(), [&x](size_t begin, size_t end) {
-    double acc = 0.0;
-    for (size_t i = begin; i < end; ++i) acc += x[i] * x[i];
-    return acc;
-  });
 }
 
 double ParallelAccumulate(

@@ -14,15 +14,11 @@ using Vec = std::vector<double>;
 
 /// BLAS-1 style kernels. All require matching sizes (checked).
 ///
-/// Each reduction kernel has a `parallelism` overload that splits the range
-/// into `parallelism` deterministic chunks on the shared thread pool and
-/// combines partials in chunk order; `parallelism <= 1` takes the exact
-/// sequential code path, so results are a pure function of the knob.
+/// The arithmetic kernels run sequentially. ParallelAccumulate is the one
+/// parallel primitive here: row-parallel work (gradients, HVPs) reduces
+/// through it in chunks derived from the `parallelism` knob, so results
+/// are a pure function of the knob.
 namespace vec {
-
-/// Below this many elements the parallel overloads run sequentially: the
-/// fork/join handshake costs more than the arithmetic it would spread.
-constexpr size_t kParallelGrain = 4096;
 
 /// \brief Below this many gathered elements the dispatched gather kernels
 /// (GatherSum/GatherProd/GatherProdOneMinus/GatherDot/Gather) run the
@@ -37,8 +33,9 @@ constexpr size_t kParallelGrain = 4096;
 constexpr size_t kGatherSimdCutoff = 16;
 
 /// \brief Runtime-dispatched SIMD backend for the innermost range
-/// kernels (Dot/Axpy plus the GEMV/GEMTV/GEMM and gather micro-kernels
-/// behind Matrix, the per-model coefficient passes, and RelaxedPoly).
+/// kernels (Dot/Axpy, the GEMV/GEMM-NT projections and coefficient
+/// passes behind the models, and the gather micro-kernels behind
+/// RelaxedPoly).
 ///
 /// Three tiers, selected once per process from CPUID:
 ///   * `avx512`  — 512-bit AVX-512F/DQ/VL variants. The wider registers
@@ -60,7 +57,7 @@ constexpr size_t kGatherSimdCutoff = 16;
 /// function of (inputs, parallelism knob, backend).
 ///
 /// Determinism taxonomy — each kernel documents which class it is in:
-///  * ELEMENTWISE (MulAdd, MulAdd2, MulAdd4, Mul, Gather, ScatterAxpy):
+///  * ELEMENTWISE (MulAdd, MulAdd2, Mul, Gather, ScatterAxpy):
 ///    every output element is computed with the exact rounding sequence
 ///    of the scalar loop (separate multiply and add roundings, no fusion,
 ///    no cross-lane ops), so every tier is bitwise identical. These carry
@@ -68,8 +65,8 @@ constexpr size_t kGatherSimdCutoff = 16;
 ///    must not depend on the tier.
 ///  * FUSED-ELEMENTWISE (Axpy): one fused rounding per element on the
 ///    SIMD tiers, two roundings on scalar — scalar differs at rounding
-///    level but each tier is chunk-invariant (an element's bits never
-///    depend on which chunk it landed in), and avx512 == avx2-fma.
+///    level but within a tier an element's bits never depend on where in
+///    the range it falls (vector body or tail), and avx512 == avx2-fma.
 ///  * REDUCTION (Dot, Gemv, GemmNT): the SIMD lane accumulators combine
 ///    in a fixed shape — (l0+l1)+(l2+l3), scalar tail folded after — that
 ///    depends only on n, never on alignment or scheduling. Deterministic
@@ -126,15 +123,6 @@ void MulAdd(double alpha, const double* x, double* y, size_t n);
 void MulAdd2(double a0, const double* x0, double a1, const double* x1, double* y,
              size_t n);
 
-/// ELEMENTWISE: four chained multiply-adds per pass over y — y[i]
-/// receives round(y + round(a[0]*b0[i])), then a[1]*b1, a[2]*b2, a[3]*b3:
-/// the identical per-element rounding sequence as four sequential MulAdd
-/// calls, but with one load/store of y instead of four. This is the GEMM
-/// register tile; callers that need the zero-skip must check a[j] != 0
-/// themselves (GemmPacked does).
-void MulAdd4(const double* a, const double* b0, const double* b1,
-             const double* b2, const double* b3, double* y, size_t n);
-
 /// ELEMENTWISE: out[i] = a[i] * b[i] (one rounding per element, bitwise
 /// identical across backends). Used by the reverse-sweep edge-weight
 /// builder to fuse prefix and suffix product arrays.
@@ -150,36 +138,6 @@ double Dot2(const double* a, const double* x, const double* b, const double* y,
 /// row-major rows x cols. Row values are pure functions of (row, x), so
 /// any row partitioning is bitwise-invariant.
 void Gemv(const double* a, size_t rows, size_t cols, const double* x, double* out);
-
-/// ELEMENTWISE (GEMTV): out[c] += sum_r x[r] * a[r][c], accumulated row
-/// by row with MulAdd (rows with x[r] == 0 skipped) — bitwise identical
-/// across backends and to the pre-SIMD scalar loops.
-void GemvT(const double* a, size_t rows, size_t cols, const double* x, double* out);
-
-/// ELEMENTWISE (GEMM): out += a * b for row-major blocks (a is
-/// a_rows x k, b is k x n, out is a_rows x n), k-blocked with MulAdd4
-/// row updates — bitwise identical across backends and to the pre-SIMD
-/// blocked loops. Kept as the unpacked reference for GemmPacked (same
-/// bits, different memory behavior); new callers should prefer
-/// GemmPacked.
-void Gemm(const double* a, size_t a_rows, size_t k, const double* b, size_t n,
-          double* out);
-
-/// \brief ELEMENTWISE (packed cache-blocked GEMM): out += a * b, same
-/// shapes and the exact same bits as Gemm — per output element the
-/// k-terms accumulate in ascending k order with separate multiply and
-/// add roundings — but with an explicit (KC x NC) B-panel packing buffer
-/// so the MulAdd4 register tile streams contiguous panel rows that stay
-/// resident in L1/L2 across every row of `a`.
-///
-/// The zero-skip contract is preserved via a per-panel sparsity check:
-/// each a-row's coefficient block is scanned once per panel; blocks with
-/// no zeros take the unconditional MulAdd4 fast loop, blocks with zeros
-/// drop to the per-coefficient loop that skips them — exactly the terms
-/// the sequential kernel skips, so the bits match it (including the
-/// -0.0 cases skipping preserves).
-void GemmPacked(const double* a, size_t a_rows, size_t k, const double* b,
-                size_t n, double* out);
 
 /// \brief REDUCTION (GEMM-NT): out[i*ldo + j] = dot(a_i, b_j) where a_i
 /// is row i of `a` (m rows, stride lda) and b_j is row j of `b` (n rows,
@@ -239,11 +197,9 @@ Vec Zeros(size_t n);
 
 /// dot(x, y)
 double Dot(const Vec& x, const Vec& y);
-double Dot(const Vec& x, const Vec& y, int parallelism);
 
 /// y += alpha * x
 void Axpy(double alpha, const Vec& x, Vec* y);
-void Axpy(double alpha, const Vec& x, Vec* y, int parallelism);
 
 /// x *= alpha
 void Scale(double alpha, Vec* x);
@@ -253,7 +209,6 @@ double Norm2(const Vec& x);
 
 /// Squared Euclidean norm.
 double NormSq(const Vec& x);
-double NormSq(const Vec& x, int parallelism);
 
 /// Cache-line size the parallel reductions pad their per-chunk buffers to.
 inline constexpr size_t kCacheLineBytes = 64;

@@ -133,7 +133,7 @@ TEST(IlpSolverTest, DecompositionMatchesBnbOptimum) {
     const int coupling = static_cast<int>(p.num_constraints()) - 1;
 
     IlpSolveOptions with_decomp = NoRandom();
-    with_decomp.coupling_constraint = coupling;
+    with_decomp.coupling_constraints = {coupling};
     auto fast = SolveIlp(p, with_decomp);
     ASSERT_TRUE(fast.ok());
     EXPECT_TRUE(fast->used_decomposition);
@@ -158,7 +158,7 @@ TEST(IlpSolverTest, RandomizationSamplesDifferentOptima) {
     IlpSolveOptions opts;
     opts.randomize = true;
     opts.seed = seed;
-    opts.coupling_constraint = 0;
+    opts.coupling_constraints = {0};
     auto sol = SolveIlp(p, opts);
     ASSERT_TRUE(sol.ok());
     EXPECT_DOUBLE_EQ(sol->objective, 3.0);
@@ -352,11 +352,11 @@ TEST_F(TiresiasFixture, CountComplaintEncodesEquationFive) {
   // 4 rows x 2 classes variables + one-hots + complaint constraint.
   EXPECT_EQ(enc->problem.num_vars(), 8u);
   EXPECT_EQ(enc->problem.num_constraints(), 5u);
-  EXPECT_GE(enc->coupling_constraint, 0);
+  ASSERT_EQ(enc->complaint_constraints.size(), 1u);
 
   IlpSolveOptions opts;
   opts.randomize = false;
-  opts.coupling_constraint = enc->coupling_constraint;
+  opts.coupling_constraints = enc->complaint_constraints;
   auto sol = SolveIlp(enc->problem, opts);
   ASSERT_TRUE(sol.ok());
   EXPECT_DOUBLE_EQ(sol->objective, 1.0);  // one flip
@@ -449,7 +449,9 @@ TEST_F(TiresiasFixture, ComplaintConstraintsRecordedAndWarmStartFeasible) {
   auto enc = EncodeTiresias(&arena, preds, {{count, ConstraintSense::kEq, 3.0}});
   ASSERT_TRUE(enc.ok());
   ASSERT_EQ(enc->complaint_constraints.size(), 1u);
-  EXPECT_EQ(enc->complaint_constraints[0], enc->coupling_constraint);
+  // The complaint constraint is lowered after every one-hot.
+  EXPECT_EQ(enc->complaint_constraints[0],
+            static_cast<int>(enc->problem.num_constraints()) - 1);
 
   const std::vector<uint8_t> warm = BuildTiresiasWarmStart(*enc);
   ASSERT_EQ(warm.size(), enc->problem.num_vars());

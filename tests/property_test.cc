@@ -111,7 +111,7 @@ TEST_P(DecompositionAgreementTest, ObjectiveMatchesBnb) {
   IlpSolveOptions fast_opts;
   fast_opts.randomize = true;
   fast_opts.seed = GetParam();
-  fast_opts.coupling_constraint = coupling;
+  fast_opts.coupling_constraints = {coupling};
   auto fast = SolveIlp(p, fast_opts);
 
   IlpSolveOptions slow_opts;

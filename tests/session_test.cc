@@ -428,17 +428,16 @@ TEST_F(SessionFixture, AddComplaintsReopensResolvedSession) {
 
 // -------------------------------------------------- parallelism plumbing
 
-TEST_F(SessionFixture, ParallelismInheritsToTrainInfluenceAndCg) {
+TEST_F(SessionFixture, ParallelismInheritsToTrainAndInfluence) {
   auto session = DebugSessionBuilder(pipeline())
                      .ranker("holistic")
                      .set_execution(ExecutionOptions().set_parallelism(8))
                      .workload({CountComplaint(static_cast<double>(setup_.true_count))})
                      .Build();
   ASSERT_TRUE(session.ok());
-  // One builder call fans out to all three layers.
+  // One builder call fans out to both layers.
   EXPECT_EQ((*session)->config().parallelism, 8);
   EXPECT_EQ((*session)->config().influence.parallelism, 8);
-  EXPECT_EQ((*session)->config().influence.cg.parallelism, 8);
   EXPECT_EQ(pipeline()->train_config().parallelism, 8);
 }
 
@@ -452,8 +451,6 @@ TEST_F(SessionFixture, ExplicitFineGrainedKnobsAreNotOverridden) {
                      .Build();
   ASSERT_TRUE(session.ok());
   EXPECT_EQ((*session)->config().influence.parallelism, 2);
-  // cg was left at default, so it follows the influence-level knob.
-  EXPECT_EQ((*session)->config().influence.cg.parallelism, 2);
   EXPECT_EQ(pipeline()->train_config().parallelism, 8);
 }
 
