@@ -19,11 +19,13 @@
 
 using namespace rain;  // NOLINT
 
-/// Streams the per-iteration progress of the session as it runs.
+/// Streams the per-iteration progress of the session as it runs. Phase
+/// timings go to stderr, so stdout is the same on every run.
 class QuickstartObserver : public DebugObserver {
  public:
   void OnPhaseComplete(int iteration, DebugPhase phase, double seconds) override {
-    std::printf("  iter %d: %-5s %.3fs\n", iteration, DebugPhaseName(phase), seconds);
+    std::fprintf(stderr, "  iter %d: %-5s %.3fs\n", iteration, DebugPhaseName(phase),
+                 seconds);
   }
 };
 

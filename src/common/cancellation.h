@@ -11,10 +11,11 @@ namespace rain {
 ///
 /// A token is a cheap copyable view onto shared state holding a cancel
 /// flag and an optional deadline. Producers (DebugSession, DebugService)
-/// call `Cancel()` / `set_deadline()`; consumers (the L-BFGS training
-/// loop, the CG solver, per-record influence scoring) poll `ShouldStop()`
-/// between chunks of work and wind down early, leaving partial state
-/// their caller is expected to discard or record as interrupted.
+/// call `Cancel()` / `set_deadline()`; consumers (the Newton and L-BFGS
+/// training loops, the CG solver, per-record influence scoring) poll
+/// `ShouldStop()` between chunks of work and wind down early, leaving
+/// partial state their caller is expected to discard or record as
+/// interrupted.
 ///
 /// Tokens form a tree: `MakeChild()` returns a token that stops when it
 /// is cancelled itself OR when any ancestor stops. The debug service

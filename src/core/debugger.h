@@ -28,8 +28,8 @@ struct DebugConfig {
   bool stop_when_resolved = false;
   /// Worker count applied end-to-end across a train-rank-fix iteration:
   /// retraining (pipeline TrainConfig), the batched bind phase
-  /// (`BindWorkload` per-query staging), and influence scoring. The CG and
-  /// L-BFGS vector arithmetic over the parameter dimension and the
+  /// (`BindWorkload` per-query staging), and influence scoring. The CG,
+  /// Newton and L-BFGS arithmetic over the parameter dimension and the
   /// Holistic encode (one seeded reverse sweep plus the q-gradient fold)
   /// are sequential and do not read it. Inheritance is resolved in exactly
   /// one place — `DebugSessionBuilder::Build()`: the pipeline's

@@ -33,6 +33,11 @@ struct RankContext {
   const std::vector<BoundComplaint>* complaints = nullptr;
 
   InfluenceOptions influence;
+  /// Optional Hessian data term at the current parameters over `train`'s
+  /// active rows (a converged Newton retrain's TrainReport::hessian).
+  /// Influence rankers pass it to InfluenceScorer::Prepare /
+  /// SelfInfluenceAll; null means the scorer forms its own.
+  const Matrix* data_hessian = nullptr;
   IlpSolveOptions ilp;
   /// Holistic relaxation rule (ablation knob; default = paper's rule).
   RelaxMode relax_mode = RelaxMode::kIndependent;

@@ -187,7 +187,8 @@ class InfLossRanker : public Ranker {
     RAIN_RETURN_NOT_OK(CheckContext(ctx, /*needs_complaints=*/false));
     Timer timer;
     InfluenceScorer scorer(ctx.model, ctx.train, ctx.influence);
-    RAIN_ASSIGN_OR_RETURN(std::vector<double> self, scorer.SelfInfluenceAll());
+    RAIN_ASSIGN_OR_RETURN(std::vector<double> self,
+                          scorer.SelfInfluenceAll(ctx.data_hessian));
     RankOutput out;
     out.scores.assign(ctx.train->size(), 0.0);
     // self(z) <= 0; the most negative values (largest own-loss increase on
@@ -276,7 +277,7 @@ class HolisticRanker : public Ranker {
 
     Timer rank_timer;
     InfluenceScorer scorer(ctx.model, ctx.train, ctx.influence);
-    RAIN_RETURN_NOT_OK(scorer.Prepare(q_grad));
+    RAIN_RETURN_NOT_OK(scorer.Prepare(q_grad, ctx.data_hessian));
     out.scores = scorer.ScoreAll();
     NoteUnconvergedCg(scorer, &out);
     out.rank_seconds = rank_timer.ElapsedSeconds();
@@ -375,7 +376,7 @@ class TwoStepRanker : public Ranker {
 
     Timer rank_timer;
     InfluenceScorer scorer(ctx.model, ctx.train, ctx.influence);
-    RAIN_RETURN_NOT_OK(scorer.Prepare(q_grad));
+    RAIN_RETURN_NOT_OK(scorer.Prepare(q_grad, ctx.data_hessian));
     out.scores = scorer.ScoreAll();
     NoteUnconvergedCg(scorer, &out);
     out.rank_seconds = rank_timer.ElapsedSeconds();

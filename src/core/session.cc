@@ -89,8 +89,8 @@ DebugSession::DebugSession(Query2Pipeline* pipeline, std::unique_ptr<Ranker> ran
     cancel_token_ = exec.parent_cancel->MakeChild();
   }
   // The session token reaches into every long phase loop: the trainer's
-  // L-BFGS iterations (through Query2Pipeline::Train) and the influence /
-  // CG kernels (through the options the rank context copies).
+  // Newton / L-BFGS iterations (through Query2Pipeline::Train) and the
+  // influence / CG kernels (through the options the rank context copies).
   if (deadline_.has_value()) cancel_token_.set_deadline(*deadline_);
   if (config_.influence.cancel == nullptr) {
     config_.influence.cancel = &cancel_token_;
@@ -378,7 +378,7 @@ Status DebugSession::TrainPhase(IterationStats* stats) {
   if (train_memo_valid_) {
     // Exact skip: the parameters are already a converged optimum for the
     // current training data (nothing changed since the train that set the
-    // memo). Re-running would be a no-op — L-BFGS re-entered at a
+    // memo). Re-running would be a no-op — the optimizer re-entered at a
     // converged point returns the parameters untouched and the prediction
     // refresh recomputes the identical matrix — so skipping is
     // bitwise-neutral, not an approximation.
@@ -389,12 +389,13 @@ Status DebugSession::TrainPhase(IterationStats* stats) {
   RAIN_ASSIGN_OR_RETURN(TrainReport trained, pipeline_->Train(&cancel_token_));
   stats->train_seconds = timer.ElapsedSeconds();
   train_memo_valid_ = trained.converged && !trained.interrupted;
+  train_hessian_ = std::move(trained.hessian);
   if (trained.interrupted) {
     // The boundary check right after this phase turns the partial model
     // into a recorded partial iteration; the note pins down where.
     AppendNote(stats, "train stopped mid-optimization after " +
                           std::to_string(trained.iterations) +
-                          " L-BFGS iterations");
+                          " optimizer iterations");
   }
   return Status::OK();
 }
@@ -652,6 +653,12 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
     // recomputed from the fresh predictions either way — bitwise-neutral).
     ctx.encode_cache = &encode_cache_;
     ctx.arena_generation = arena_generation_;
+  }
+  // The converged retrain's Hessian describes the current parameters and
+  // active rows only while the train memo holds; every data change clears
+  // the memo.
+  if (train_memo_valid_ && train_hessian_.rows() > 0) {
+    ctx.data_hessian = &train_hessian_;
   }
   RAIN_ASSIGN_OR_RETURN(RankOutput ranked, ranker_->Rank(ctx));
   // FixPhase indexes scores by row and orders them: a short vector or a

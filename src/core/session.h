@@ -24,8 +24,9 @@ namespace rain {
 /// The phases of one train-rank-fix iteration (Section 5.1), in execution
 /// order. Cancellation and deadlines are checked at every phase boundary
 /// and additionally polled *inside* the long train / rank loops (one poll
-/// per L-BFGS iteration, per CG Hessian-vector product, and per scored
-/// record), so a stuck solve no longer delays a stop by a whole phase.
+/// per Newton or L-BFGS iteration, per CG Hessian-vector product, and
+/// per scored record), so a stuck solve no longer delays a stop by a
+/// whole phase.
 enum class DebugPhase : uint8_t { kTrain = 0, kBind, kRank, kFix };
 
 /// Human-readable phase name ("train", "bind", "rank", "fix").
@@ -320,7 +321,7 @@ class DebugSession {
   /// path's redebug is bitwise-identical at every worker count (the
   /// standard session discipline). Incremental vs full converge to the
   /// same deletion sequence; their floating-point trajectories may differ
-  /// because warm- and cold-started L-BFGS legitimately take different
+  /// because warm- and cold-started retrains legitimately take different
   /// paths to the same optimum (see docs/architecture.md).
   ///
   /// Reopens a session that finished kResolved when the batch is
@@ -458,10 +459,15 @@ class DebugSession {
   /// Exact train-skip memo: true while the model parameters are a
   /// converged optimum for the CURRENT training data (set by a converged
   /// uninterrupted train, cleared by deletions / data deltas). Skipping
-  /// is bitwise-exact: L-BFGS re-entered at a converged point returns the
-  /// parameters untouched, and the prediction refresh recomputes the
-  /// identical matrix.
+  /// is bitwise-exact: Newton or L-BFGS re-entered at a converged point
+  /// returns the parameters untouched, and the prediction refresh
+  /// recomputes the identical matrix.
   bool train_memo_valid_ = false;
+  /// The last train's TrainReport::hessian: the Hessian data term at the
+  /// current parameters when Newton converged, else empty. The rank phase
+  /// hands it to the scorer only while train_memo_valid_ holds, so every
+  /// invalidation of the memo also retires it.
+  Matrix train_hessian_;
   /// Model parameters at session construction — the cold-start point the
   /// full-recompute path restores.
   Vec initial_params_;

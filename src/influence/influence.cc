@@ -26,6 +26,15 @@ void FoldCgReport(const CgReport& report, CgReport* summary) {
   summary->converged = summary->converged && report.converged;
 }
 
+/// A handed-in Hessian data term must be num_params x num_params.
+Status CheckHessianShape(const Matrix* data_hessian, size_t num_params) {
+  if (data_hessian != nullptr &&
+      (data_hessian->rows() != num_params || data_hessian->cols() != num_params)) {
+    return Status::InvalidArgument("Hessian shape does not match model parameters");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 InfluenceScorer::InfluenceScorer(const Model* model, const Dataset* train,
@@ -41,9 +50,54 @@ void InfluenceScorer::Hvp(const Vec& v, Vec* out) const {
   if (options_.damping != 0.0) vec::Axpy(options_.damping, v, out);
 }
 
-Status InfluenceScorer::Prepare(const Vec& q_grad) {
+const Matrix* InfluenceScorer::HookDataHessian(const Matrix* handed,
+                                               Matrix* formed) const {
+  if (!model_->DenseHessianFits(*train_)) return nullptr;
+  if (handed != nullptr) return handed;
+  double loss = 0.0;
+  Vec grad;
+  return model_->MeanLossGradientHessian(*train_, options_.l2, &loss, &grad, formed)
+             ? formed
+             : nullptr;
+}
+
+Status InfluenceScorer::FactorRegularized(const Matrix& data_hessian,
+                                          Matrix* lower) const {
+  // The diagonal shift in the order the Hessian-vector product applies
+  // it: the regularization first, then the damping.
+  Matrix regularized = data_hessian;
+  for (size_t j = 0; j < regularized.rows(); ++j) {
+    regularized.At(j, j) += 2.0 * options_.l2;
+    if (options_.damping != 0.0) regularized.At(j, j) += options_.damping;
+  }
+  if (!CholeskyFactor(regularized, lower)) {
+    return Status::Internal(
+        "influence Hessian is not positive definite (Cholesky pivot <= 0); "
+        "increase damping");
+  }
+  return Status::OK();
+}
+
+Status InfluenceScorer::Prepare(const Vec& q_grad, const Matrix* data_hessian) {
   if (q_grad.size() != model_->num_params()) {
     return Status::InvalidArgument("q gradient size does not match model parameters");
+  }
+  RAIN_RETURN_NOT_OK(CheckHessianShape(data_hessian, model_->num_params()));
+  Matrix formed;
+  if (const Matrix* h = HookDataHessian(data_hessian, &formed)) {
+    if (options_.cg.cancel != nullptr && options_.cg.cancel->ShouldStop()) {
+      return Status::Cancelled("influence solve interrupted");
+    }
+    Matrix lower;
+    RAIN_RETURN_NOT_OK(FactorRegularized(*h, &lower));
+    s_ = q_grad;
+    ForwardSubstitute(lower, &s_);
+    BackSubstitute(lower, &s_);
+    cg_iterations_ = 0;
+    cg_residual_norm_ = 0.0;
+    cg_converged_ = true;
+    prepared_ = true;
+    return Status::OK();
   }
   LinearOperator op = [this](const Vec& v, Vec* out) { Hvp(v, out); };
   RAIN_ASSIGN_OR_RETURN(CgReport report, ConjugateGradient(op, q_grad, options_.cg));
@@ -101,34 +155,39 @@ std::vector<double> InfluenceScorer::ScoreAll() const {
   return scores;
 }
 
-Result<std::vector<double>> InfluenceScorer::DenseSelfInfluenceAll() const {
+Result<std::vector<double>> InfluenceScorer::DenseSelfInfluenceAll(
+    const Matrix* data_hessian) const {
   const Status cancelled = Status::Cancelled("self-influence scoring interrupted");
-  // H + damping I, one Hessian-vector product per unit vector. Poll
-  // after each one so a stop request costs at most one product.
-  const size_t p = model_->num_params();
-  Matrix hessian(p, p);
-  Vec unit(p, 0.0);
-  Vec column;
-  for (size_t j = 0; j < p; ++j) {
-    unit[j] = 1.0;
-    Hvp(unit, &column);
-    unit[j] = 0.0;
-    if (options_.cancel != nullptr && options_.cancel->ShouldStop()) return cancelled;
-    for (size_t i = 0; i < p; ++i) hessian.At(i, j) = column[i];
-  }
-  // Only the lower triangle is factored; symmetrize it so both halves of
-  // the products count equally.
-  for (size_t j = 0; j < p; ++j) {
-    for (size_t i = j + 1; i < p; ++i) {
-      hessian.At(i, j) = 0.5 * (hessian.At(i, j) + hessian.At(j, i));
+  Matrix formed;
+  const Matrix* h = HookDataHessian(data_hessian, &formed);
+  if (h == nullptr) {
+    // No one-pass hook: the data term from one Hessian-vector product per
+    // unit vector. Poll after each one so a stop request costs at most
+    // one product.
+    const size_t p = model_->num_params();
+    formed = Matrix(p, p);
+    Vec unit(p, 0.0);
+    Vec column;
+    for (size_t j = 0; j < p; ++j) {
+      unit[j] = 1.0;
+      model_->HessianVectorProduct(*train_, unit, /*l2=*/0.0, &column);
+      unit[j] = 0.0;
+      if (options_.cancel != nullptr && options_.cancel->ShouldStop()) return cancelled;
+      for (size_t i = 0; i < p; ++i) formed.At(i, j) = column[i];
     }
+    // Only the lower triangle is factored; symmetrize it so both halves
+    // of the products count equally.
+    for (size_t j = 0; j < p; ++j) {
+      for (size_t i = j + 1; i < p; ++i) {
+        formed.At(i, j) = 0.5 * (formed.At(i, j) + formed.At(j, i));
+      }
+    }
+    h = &formed;
+  } else if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
+    return cancelled;
   }
   Matrix lower;
-  if (!CholeskyFactor(hessian, &lower)) {
-    return Status::Internal(
-        "self-influence Hessian is not positive definite (Cholesky pivot <= 0); "
-        "increase damping");
-  }
+  RAIN_RETURN_NOT_OK(FactorRegularized(*h, &lower));
   // grad^T (L L^T)^{-1} grad = ||L^{-1} grad||^2. The factor is read-only
   // from here on, shared by every worker.
   std::vector<double> scores(train_->size(), 0.0);
@@ -165,13 +224,10 @@ Status InfluenceScorer::SelfInfluenceRange(size_t begin, size_t end,
   return Status::OK();
 }
 
-Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll() {
-  // The fixed size rule: form the Hessian when it is no larger than the
-  // active feature rows the scorer already reads.
-  const size_t p = model_->num_params();
-  if (p * p <= train_->num_active() * train_->num_features()) {
-    return DenseSelfInfluenceAll();
-  }
+Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll(
+    const Matrix* data_hessian) {
+  RAIN_RETURN_NOT_OK(CheckHessianShape(data_hessian, model_->num_params()));
+  if (model_->DenseHessianFits(*train_)) return DenseSelfInfluenceAll(data_hessian);
   std::vector<double> scores(train_->size(), 0.0);
   // One CG solve per active record; solves are independent, so partition
   // records across deterministic chunks. Each chunk owns its CG summary

@@ -38,8 +38,13 @@ struct InfluenceOptions {
 /// Removing a record with a large positive score is predicted to decrease
 /// q the most (i.e., to best address the user complaints). H is the
 /// Hessian of the regularized mean training loss over active records.
-/// Prepare computes H^{-1} v Hessian-free with conjugate gradient;
-/// SelfInfluenceAll factors H densely when it is small (see there).
+///
+/// Dense path: when the model has the one-pass Hessian hook
+/// (Model::MeanLossGradientHessian) and the size rule holds
+/// (Model::DenseHessianFits), Prepare and SelfInfluenceAll Cholesky-factor
+/// H_data + (2 l2 + damping) I once and solve from the factor. Otherwise
+/// Prepare solves Hessian-free with conjugate gradient (see
+/// SelfInfluenceAll for its per-record paths).
 class InfluenceScorer {
  public:
   /// Neither pointer is owned; both must outlive the scorer. `train` rows
@@ -49,7 +54,13 @@ class InfluenceScorer {
 
   /// Solves (H + damping I) s = q_grad once. Must be called before
   /// Score()/ScoreAll(). q_grad is grad_theta q(theta*).
-  Status Prepare(const Vec& q_grad);
+  ///
+  /// `data_hessian`, when given, is the Hessian data term at the model's
+  /// current parameters over the scorer's active rows (a converged Newton
+  /// retrain's TrainReport::hessian); the dense path then factors it
+  /// instead of forming its own. It is ignored off the dense path. A
+  /// factor that is not positive definite fails with Status::Internal.
+  Status Prepare(const Vec& q_grad, const Matrix* data_hessian = nullptr);
 
   /// Removal score of training record i (0 for inactive records).
   double Score(size_t i) const;
@@ -60,7 +71,8 @@ class InfluenceScorer {
   /// CG accounting of the last solving call: Prepare's one solve, or the
   /// per-record solves of a CG-path SelfInfluenceAll (then the largest
   /// iteration count and residual over them, converged only when every
-  /// solve converged). The dense SelfInfluenceAll path runs no CG and
+  /// solve converged). A dense-path Prepare runs no CG: it reads 0
+  /// iterations, residual 0 and converged. The dense SelfInfluenceAll path
   /// leaves these unchanged. A solve that stops at cg.max_iters above
   /// tolerance still returns its iterate; rankers flag it in their note.
   int cg_iterations() const { return cg_iterations_; }
@@ -81,18 +93,20 @@ class InfluenceScorer {
   /// negative value) rank at the top, so the baseline sorts ascending.
   ///
   /// Dense path, taken when num_params^2 <= num_active * num_features
-  /// (the Hessian is no larger than the active feature rows): forms
-  /// H + damping I from num_params Hessian-vector products against unit
-  /// vectors, symmetrizes it, Cholesky-factors it once (L L^T), and scores
-  /// each record as -||L^{-1} grad l(z)||^2 with one forward substitution.
-  /// A Hessian that is not positive definite fails with Status::Internal.
-  /// The factor is read-only while rows are scored, so scores are bitwise
-  /// invariant to the worker count.
+  /// (the Hessian is no larger than the active feature rows): takes the
+  /// Hessian data term from `data_hessian` or the model's one-pass hook
+  /// (for models without the hook, from num_params Hessian-vector products
+  /// against unit vectors, symmetrized), Cholesky-factors it plus
+  /// (2 l2 + damping) I once (L L^T), and scores each record as
+  /// -||L^{-1} grad l(z)||^2 with one forward substitution. A Hessian that
+  /// is not positive definite fails with Status::Internal. The factor is
+  /// read-only while rows are scored, so scores are bitwise invariant to
+  /// the worker count.
   ///
   /// Otherwise (large softmax, the MLP) it runs one CG solve per active
   /// record: the per-record-solve cost the paper reports for InfLoss
   /// (46s/iter vs ~1s) shows only on these models.
-  Result<std::vector<double>> SelfInfluenceAll();
+  Result<std::vector<double>> SelfInfluenceAll(const Matrix* data_hessian = nullptr);
 
  private:
   /// (H + damping I) v.
@@ -108,8 +122,15 @@ class InfluenceScorer {
   /// ScoreRows over rows [begin, end); returns false when interrupted.
   bool ScoreRange(size_t begin, size_t end, const RowScore& row_score,
                   std::vector<double>* scores) const;
+  /// The Hessian data term of the one-pass hook under the size rule:
+  /// `handed` when non-null, else `*formed` filled by the hook. Null when
+  /// the rule fails or the model has no hook.
+  const Matrix* HookDataHessian(const Matrix* handed, Matrix* formed) const;
+  /// Cholesky factor of data_hessian + (2 l2 + damping) I; only the
+  /// lower triangle of `data_hessian` is read.
+  Status FactorRegularized(const Matrix& data_hessian, Matrix* lower) const;
   /// Dense SelfInfluenceAll: one Cholesky factor, a triangular solve per row.
-  Result<std::vector<double>> DenseSelfInfluenceAll() const;
+  Result<std::vector<double>> DenseSelfInfluenceAll(const Matrix* data_hessian) const;
   /// Self-influence scores of rows [begin, end) (one CG solve each) into
   /// `scores`; stops at the first failing solve or stop request. Folds
   /// each solve's iterations/residual/convergence into `summary`.

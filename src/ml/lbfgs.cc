@@ -6,15 +6,6 @@
 #include "common/logging.h"
 
 namespace rain {
-namespace {
-
-double InfNorm(const Vec& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::fabs(x));
-  return m;
-}
-
-}  // namespace
 
 LbfgsResult LbfgsMinimize(const Objective& objective, Vec x0,
                           const LbfgsOptions& options) {
@@ -35,7 +26,7 @@ LbfgsResult LbfgsMinimize(const Objective& objective, Vec x0,
   for (int iter = 0; iter < options.max_iters; ++iter) {
     result.iterations = iter;
     result.fx = fx;
-    result.grad_norm = InfNorm(grad);
+    result.grad_norm = vec::InfNorm(grad);
     if (result.grad_norm <= options.grad_tol) {
       result.converged = true;
       return result;
@@ -118,7 +109,7 @@ LbfgsResult LbfgsMinimize(const Objective& objective, Vec x0,
     fx = fx_new;
   }
   result.fx = fx;
-  result.grad_norm = InfNorm(grad);
+  result.grad_norm = vec::InfNorm(grad);
   result.iterations = options.max_iters;
   return result;
 }

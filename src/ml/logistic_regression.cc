@@ -1,6 +1,8 @@
 #include "ml/logistic_regression.h"
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "common/logging.h"
 #include "tensor/vector_ops.h"
@@ -65,11 +67,10 @@ void LogisticRegression::AddExampleLossGradient(const double* x, int y,
   if (fit_intercept_) (*grad)[d_] += coef;
 }
 
-double LogisticRegression::LossAndGradientAtMargin(double margin, const double* x,
-                                                   int y, Vec* grad) const {
+double LogisticRegression::LossAndGradientAtProb(double p1, const double* x, int y,
+                                                 Vec* grad) const {
   // The statements of ExampleLoss and AddExampleLossGradient, sharing one
   // sigmoid.
-  const double p1 = Sigmoid(margin);
   const double coef = p1 - static_cast<double>(y);
   vec::simd::MulAdd(coef, x, grad->data(), d_);
   if (fit_intercept_) (*grad)[d_] += coef;
@@ -78,16 +79,47 @@ double LogisticRegression::LossAndGradientAtMargin(double margin, const double* 
 
 double LogisticRegression::AddExampleLossAndGradient(const double* x, int y,
                                                      Vec* grad) const {
-  return LossAndGradientAtMargin(Margin(x), x, y, grad);
+  return LossAndGradientAtProb(Sigmoid(Margin(x)), x, y, grad);
 }
 
 double LogisticRegression::AddRangeLossAndGradient(const Dataset& data, size_t begin,
                                                    size_t end, Vec* grad) const {
+  return AddRangeTerms(data, begin, end, grad, nullptr);
+}
+
+double LogisticRegression::AddRangeTerms(const Dataset& data, size_t begin,
+                                         size_t end, Vec* grad,
+                                         double* hessian) const {
   // Runs of consecutive active rows batch their margins into one Gemv, as
   // the HVP body does; every Gemv element is the Dot kernel behind Margin,
   // so each row's loss and gradient keep their bits.
   constexpr size_t kBlock = 64;
   double z_blk[kBlock];
+  // The Hessian scratch: up to kGramBlock active rows' x~, transposed (row
+  // f holds feature f of every buffered row), the same scaled by
+  // p (1 - p), and one output row. Longer buffers than the margin blocks
+  // make fewer, longer Gram dot products.
+  constexpr size_t kGramBlock = 128;
+  const size_t p = theta_.size();
+  std::vector<double> xt, wxt, gram_row;
+  if (hessian != nullptr) {
+    xt.assign(p * kGramBlock, 0.0);
+    wxt.assign(p * kGramBlock, 0.0);
+    gram_row.assign(p, 0.0);
+  }
+  size_t buffered = 0;
+  // Adds the buffered rows' weighted Gram matrix into the upper triangle:
+  // row f is dot(x~ column f, p (1 - p) x~ column g) for g >= f.
+  const auto flush_gram = [&] {
+    for (size_t f = 0; f < p; ++f) {
+      vec::simd::GemmNT(xt.data() + f * kGramBlock, 1, kGramBlock,
+                        wxt.data() + f * kGramBlock, p - f, kGramBlock, buffered,
+                        gram_row.data(), p);
+      double* out = hessian + f * p + f;
+      for (size_t g = 0; g < p - f; ++g) out[g] += gram_row[g];
+    }
+    buffered = 0;
+  };
   double loss = 0.0;
   size_t i = begin;
   while (i < end) {
@@ -101,12 +133,53 @@ double LogisticRegression::AddRangeLossAndGradient(const Dataset& data, size_t b
     const double* xb = data.row(i);
     vec::simd::Gemv(xb, nb, d_, theta_.data(), z_blk);
     for (size_t r = 0; r < nb; ++r) {
+      const double* x = xb + r * d_;
       const double margin = fit_intercept_ ? z_blk[r] + theta_[d_] : z_blk[r];
-      loss += LossAndGradientAtMargin(margin, xb + r * d_, data.label(i + r), grad);
+      const double p1 = Sigmoid(margin);
+      loss += LossAndGradientAtProb(p1, x, data.label(i + r), grad);
+      if (hessian == nullptr) continue;
+      const double w = p1 * (1.0 - p1);
+      for (size_t f = 0; f < d_; ++f) {
+        xt[f * kGramBlock + buffered] = x[f];
+        wxt[f * kGramBlock + buffered] = w * x[f];
+      }
+      if (fit_intercept_) {
+        xt[d_ * kGramBlock + buffered] = 1.0;
+        wxt[d_ * kGramBlock + buffered] = w;
+      }
+      if (++buffered == kGramBlock) flush_gram();
     }
     i = r1;
   }
+  if (buffered > 0) flush_gram();
   return loss;
+}
+
+bool LogisticRegression::MeanLossGradientHessian(const Dataset& data, double l2,
+                                                 double* loss, Vec* grad,
+                                                 Matrix* data_hessian) const {
+  RAIN_CHECK(data.num_active() > 0) << "loss over empty dataset";
+  // One accumulator holds [gradient | Hessian upper triangle]: the chunk
+  // partials of the gradient reduce exactly as MeanLossAndGradient's do.
+  const size_t p = theta_.size();
+  Vec acc(p + p * p, 0.0);
+  const double loss_sum = vec::ParallelAccumulate(
+      RowParallelism(data.size()), data.size(), &acc,
+      [this, &data, p](size_t begin, size_t end, Vec* chunk) {
+        return AddRangeTerms(data, begin, end, chunk, chunk->data() + p);
+      });
+  grad->assign(acc.begin(), acc.begin() + static_cast<ptrdiff_t>(p));
+  *loss = FinishMeanLossAndGradient(data, l2, loss_sum, grad);
+  const double inv_n = 1.0 / static_cast<double>(data.num_active());
+  *data_hessian = Matrix(p, p);
+  for (size_t f = 0; f < p; ++f) {
+    for (size_t g = f; g < p; ++g) {
+      const double h = acc[p + f * p + g] * inv_n;
+      data_hessian->At(f, g) = h;
+      data_hessian->At(g, f) = h;
+    }
+  }
+  return true;
 }
 
 void LogisticRegression::AddProbaGradient(const double* x, const Vec& class_weights,

@@ -31,6 +31,11 @@ class LogisticRegression : public Model {
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
+  /// The data term is (1/n) sum_i p_i (1 - p_i) x~_i x~_i^T with
+  /// x~ = [x; 1] (x~ = x without an intercept), built per block of up to
+  /// 128 active rows as one weighted Gram product.
+  bool MeanLossGradientHessian(const Dataset& data, double l2, double* loss,
+                               Vec* grad, Matrix* data_hessian) const override;
 
   bool fit_intercept() const { return fit_intercept_; }
 
@@ -41,9 +46,13 @@ class LogisticRegression : public Model {
  private:
   /// w . x + b
   double Margin(const double* x) const;
-  /// AddExampleLossAndGradient given the row's margin.
-  double LossAndGradientAtMargin(double margin, const double* x, int y,
-                                 Vec* grad) const;
+  /// AddExampleLossAndGradient given the row's p_1.
+  double LossAndGradientAtProb(double p1, const double* x, int y, Vec* grad) const;
+  /// AddRangeLossAndGradient; when `hessian` is non-null it also adds the
+  /// rows' unscaled Hessian data term into its upper triangle (row-major,
+  /// num_params x num_params).
+  double AddRangeTerms(const Dataset& data, size_t begin, size_t end, Vec* grad,
+                       double* hessian) const;
 
   size_t d_;
   bool fit_intercept_;

@@ -46,17 +46,27 @@ double Model::AddRangeLossAndGradient(const Dataset& data, size_t begin, size_t 
 double Model::MeanLossAndGradient(const Dataset& data, double l2, Vec* grad) const {
   RAIN_CHECK(data.num_active() > 0) << "loss over empty dataset";
   grad->assign(num_params(), 0.0);
-  double loss = vec::ParallelAccumulate(
+  const double loss = vec::ParallelAccumulate(
       RowParallelism(data.size()), data.size(), grad,
       [this, &data](size_t begin, size_t end, Vec* acc) {
         return AddRangeLossAndGradient(data, begin, end, acc);
       });
+  return FinishMeanLossAndGradient(data, l2, loss, grad);
+}
+
+double Model::FinishMeanLossAndGradient(const Dataset& data, double l2,
+                                        double loss_sum, Vec* grad) const {
   const double inv_n = 1.0 / static_cast<double>(data.num_active());
   for (double& g : *grad) g *= inv_n;
   vec::Axpy(2.0 * l2, params(), grad);
-  loss /= static_cast<double>(data.num_active());
+  double loss = loss_sum / static_cast<double>(data.num_active());
   loss += l2 * vec::NormSq(params());
   return loss;
+}
+
+bool Model::MeanLossGradientHessian(const Dataset&, double, double*, Vec*,
+                                    Matrix*) const {
+  return false;
 }
 
 }  // namespace rain

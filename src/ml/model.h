@@ -101,7 +101,35 @@ class Model {
     MeanLossAndGradient(data, l2, grad);
   }
 
+  /// \brief One-pass dense Hessian hook. Writes the regularized mean loss
+  /// and its gradient exactly as MeanLossAndGradient does (same bits),
+  /// plus the data term of the Hessian, (1/n) sum_i d^2 l(z_i)/d theta^2
+  /// over the active rows, as a symmetric num_params x num_params matrix.
+  /// The 2*l2*I term is NOT included: each caller adds its own
+  /// regularization (and damping) to the diagonal.
+  ///
+  /// Returns false, writing nothing, when the model has no one-pass
+  /// Hessian; callers then keep their Hessian-vector-product paths. Like
+  /// MeanLossAndGradient, the result is a pure function of (data, params,
+  /// parallelism).
+  virtual bool MeanLossGradientHessian(const Dataset& data, double l2, double* loss,
+                                       Vec* grad, Matrix* data_hessian) const;
+
+  /// The dense-Hessian size rule: num_params^2 <= num_active *
+  /// num_features, i.e. the Hessian is no larger than the active feature
+  /// rows one pass over `data` reads. Influence solves and training form
+  /// the Hessian only under it.
+  bool DenseHessianFits(const Dataset& data) const {
+    return num_params() * num_params() <= data.num_active() * data.num_features();
+  }
+
  protected:
+  /// The scaling MeanLossAndGradient applies after its pass: turns the
+  /// summed row losses and summed gradient in `grad` into the regularized
+  /// mean loss (returned) and its gradient.
+  double FinishMeanLossAndGradient(const Dataset& data, double l2, double loss_sum,
+                                   Vec* grad) const;
+
   /// grad += the loss gradients of the active rows in [begin, end); returns
   /// the sum of their losses, added in row order. One chunk of
   /// MeanLossAndGradient. The default calls AddExampleLossAndGradient per

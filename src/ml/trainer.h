@@ -20,15 +20,17 @@ struct TrainConfig {
   /// 1 = exact sequential arithmetic.
   int parallelism = 1;
   /// Optional cooperative stop handle (borrowed; must outlive the call),
-  /// forwarded to the L-BFGS loop and polled once per optimizer
-  /// iteration. On a stop request training returns the best iterate so
-  /// far with `TrainReport::interrupted = true` instead of erroring.
+  /// polled once per Newton or L-BFGS iteration. On a stop request
+  /// training returns the last accepted iterate with
+  /// `TrainReport::interrupted = true` instead of erroring.
   const CancellationToken* cancel = nullptr;
 };
 
 struct TrainReport {
+  /// Optimizer iterations: Newton's, plus L-BFGS's when it took over.
   int iterations = 0;
-  /// Objective evaluations (one fused loss-and-gradient data pass each).
+  /// Objective evaluations: one fused data pass each (loss and gradient,
+  /// plus the Hessian on the Newton path), line-search trials included.
   int evaluations = 0;
   double final_loss = 0.0;
   double grad_norm = 0.0;
@@ -36,10 +38,23 @@ struct TrainReport {
   /// Training stopped on a cancellation/deadline; the model holds the
   /// last accepted (partial) parameters.
   bool interrupted = false;
+  /// The Hessian data term (Model::MeanLossGradientHessian) at the
+  /// returned parameters when Newton converged; empty otherwise. Its
+  /// consumer (InfluenceScorer::Prepare) may reuse it only while the
+  /// parameters and the active rows are unchanged.
+  Matrix hessian;
 };
 
 /// \brief Trains `model` on the active rows of `data` by minimizing the
-/// regularized mean cross-entropy with L-BFGS.
+/// regularized mean cross-entropy.
+///
+/// A model with the one-pass Hessian hook under the size rule
+/// (Model::DenseHessianFits) trains by Newton's method: one fused
+/// loss/gradient/Hessian pass per iteration and per line-search trial. It
+/// continues with L-BFGS from the current iterate when the Hessian factor
+/// fails (l2 = 0 on separable data) or the line search stalls. Every
+/// other model trains with L-BFGS. Both stop on the infinity norm of the
+/// gradient (grad_tol).
 ///
 /// The model's current parameters are the starting point, so the
 /// debugger's train-rank-fix loop gets warm-start retraining for free

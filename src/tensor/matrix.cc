@@ -48,4 +48,15 @@ void ForwardSubstitute(const Matrix& lower, Vec* b) {
   }
 }
 
+void BackSubstitute(const Matrix& lower, Vec* b) {
+  RAIN_CHECK(lower.rows() == lower.cols() && b->size() == lower.rows())
+      << "BackSubstitute shape mismatch";
+  Vec& x = *b;
+  for (size_t i = x.size(); i-- > 0;) {
+    double v = x[i];
+    for (size_t k = i + 1; k < x.size(); ++k) v -= lower.At(k, i) * x[k];
+    x[i] = v / lower.At(i, i);
+  }
+}
+
 }  // namespace rain

@@ -54,6 +54,10 @@ bool CholeskyFactor(const Matrix& a, Matrix* lower);
 /// `lower` is a CholeskyFactor output; b.size() must equal its order.
 void ForwardSubstitute(const Matrix& lower, Vec* b);
 
+/// Solves lower^T * x = b by back substitution, overwriting `b` with x.
+/// After ForwardSubstitute, this completes the solve (lower lower^T) x = b.
+void BackSubstitute(const Matrix& lower, Vec* b);
+
 }  // namespace rain
 
 #endif  // RAIN_TENSOR_MATRIX_H_

@@ -930,6 +930,12 @@ double NormSq(const Vec& x) {
   return acc;
 }
 
+double InfNorm(const Vec& x) {
+  double m = 0.0;
+  for (double v : x) m = std::max(m, std::fabs(v));
+  return m;
+}
+
 double ParallelAccumulate(
     int parallelism, size_t n, Vec* out,
     const std::function<double(size_t begin, size_t end, Vec* acc)>& body) {

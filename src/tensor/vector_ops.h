@@ -210,6 +210,9 @@ double Norm2(const Vec& x);
 /// Squared Euclidean norm.
 double NormSq(const Vec& x);
 
+/// Infinity norm: the largest absolute element (0 for an empty vector).
+double InfNorm(const Vec& x);
+
 /// Cache-line size the parallel reductions pad their per-chunk buffers to.
 inline constexpr size_t kCacheLineBytes = 64;
 

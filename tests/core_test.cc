@@ -15,6 +15,7 @@
 #include "data/dblp.h"
 #include "gtest/gtest.h"
 #include "ml/logistic_regression.h"
+#include "ml/mlp.h"
 #include "ml/trainer.h"
 
 namespace rain {
@@ -58,6 +59,12 @@ TEST(MetricsTest, EmptyCorruptions) {
 class CoreFixture : public ::testing::Test {
  protected:
   void SetUp() override {
+    pipeline_ = MakePipeline(std::make_unique<LogisticRegression>(kDblpFeatures));
+  }
+
+  /// A trained pipeline of `model` over the fixture's (seeded, so always
+  /// identical) corrupted DBLP data.
+  std::unique_ptr<Query2Pipeline> MakePipeline(std::unique_ptr<Model> model) {
     DblpConfig cfg;
     cfg.train_size = 400;
     cfg.query_size = 200;
@@ -71,15 +78,15 @@ class CoreFixture : public ::testing::Test {
                                &rng);
 
     Catalog catalog;
-    ASSERT_TRUE(
+    RAIN_CHECK(
         catalog.AddTable("dblp", std::move(dblp.query_table), std::move(dblp.query))
             .ok());
-    auto model = std::make_unique<LogisticRegression>(kDblpFeatures);
     TrainConfig tc;
     tc.l2 = 1e-3;
-    pipeline_ = std::make_unique<Query2Pipeline>(std::move(catalog), std::move(model),
-                                                 std::move(dblp.train), tc);
-    ASSERT_TRUE(pipeline_->Train().ok());
+    auto pipeline = std::make_unique<Query2Pipeline>(
+        std::move(catalog), std::move(model), std::move(dblp.train), tc);
+    RAIN_CHECK(pipeline->Train().ok());
+    return pipeline;
   }
 
   PlanPtr CountQuery() {
@@ -327,17 +334,20 @@ TEST_F(CoreFixture, TwoStepRankerRunsOnCountComplaint) {
 }
 
 TEST_F(CoreFixture, UnconvergedCgIsNotedPerIteration) {
-  // One CG iteration cannot reach tolerance on DBLP's 18-parameter
-  // Hessian: the influence rankers still rank, but say so in the note.
+  // An MLP over DBLP keeps the Hessian-free CG solve (its Hessian is too
+  // large to form), and one CG iteration cannot reach tolerance: the
+  // influence rankers still rank, but say so in the note.
+  auto mlp = MakePipeline(std::make_unique<Mlp>(kDblpFeatures, 8, 2, /*seed=*/7));
   QueryComplaints qc;
   qc.query = CountQuery();
   qc.complaints = {ComplaintSpec::ValueEq("cnt", static_cast<double>(true_count_))};
   InfluenceOptions influence;
   influence.l2 = 1e-3;
+  influence.damping = 0.05;
   influence.cg.max_iters = 1;
   for (const char* method : {"holistic", "twostep"}) {
-    pipeline_->train_data()->ReactivateAll();
-    auto session = DebugSessionBuilder(pipeline_.get())
+    mlp->train_data()->ReactivateAll();
+    auto session = DebugSessionBuilder(mlp.get())
                        .ranker(method)
                        .influence(influence)
                        .top_k_per_iter(10)

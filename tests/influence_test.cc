@@ -379,7 +379,11 @@ TEST(InfluenceTest, CancelDuringDenseSelfInfluenceReturnsCancelled) {
 }
 
 TEST(InfluenceTest, UnconvergedCgIsReported) {
-  TrainedSetup s = MakeTrained(30, 4, 28);
+  // 13 parameters over 10 rows x 12 features: the Hessian is not formed,
+  // so Prepare solves with CG.
+  TrainedSetup s = MakeTrained(10, 12, 28);
+  ASSERT_GT(s.model.num_params() * s.model.num_params(),
+            s.train.num_active() * s.train.num_features());
   InfluenceOptions opts;
   opts.l2 = s.l2;
   opts.cg.max_iters = 1;
@@ -482,14 +486,93 @@ TEST(InfluenceTest, DenseSelfInfluenceBitwiseAcrossWorkers) {
 }
 
 TEST(InfluenceTest, DampingEnablesNonConvexSolves) {
-  TrainedSetup s = MakeTrained(20, 3, 15);
+  // A trained ReLU MLP: 26 parameters over 20 rows x 3 features keep the
+  // Hessian-free CG solve, which damping makes well posed.
+  Dataset train = RandomDataset(20, 3, 2, 15);
+  Mlp model(3, 4, 2, /*seed=*/16);
+  ASSERT_GT(model.num_params() * model.num_params(),
+            train.num_active() * train.num_features());
+  TrainConfig cfg;
+  cfg.l2 = 1e-2;
+  ASSERT_TRUE(TrainModel(&model, train, cfg).ok());
   InfluenceOptions opts;
-  opts.l2 = s.l2;
+  opts.l2 = cfg.l2;
   opts.damping = 0.1;
-  InfluenceScorer scorer(&s.model, &s.train, opts);
-  Vec grad(s.model.num_params(), 1.0);
+  InfluenceScorer scorer(&model, &train, opts);
+  Vec grad(model.num_params(), 1.0);
   EXPECT_TRUE(scorer.Prepare(grad).ok());
   EXPECT_GT(scorer.cg_iterations(), 0);
+}
+
+TEST(InfluenceTest, DensePrepareMatchesTightCg) {
+  // 6 parameters over 120 rows x 5 features: Prepare solves from one
+  // Cholesky factor and reports no CG work.
+  TrainedSetup s = MakeTrained(120, 5, 31);
+  s.train.Deactivate(8);
+  Vec q_grad(s.model.num_params(), 0.0);
+  Rng rng(32);
+  for (double& g : q_grad) g = rng.Gaussian();
+  for (const double damping : {0.0, 0.05}) {
+    InfluenceOptions opts;
+    opts.l2 = s.l2;
+    opts.damping = damping;
+    opts.cg.max_iters = 1;  // unreachable tolerance, were CG to run
+    InfluenceScorer scorer(&s.model, &s.train, opts);
+    ASSERT_TRUE(scorer.Prepare(q_grad).ok());
+    EXPECT_EQ(scorer.cg_iterations(), 0);
+    EXPECT_TRUE(scorer.cg_converged());
+    EXPECT_EQ(scorer.cg_residual_norm(), 0.0);
+
+    CgOptions tight;
+    tight.tol = 1e-12;
+    tight.max_iters = 1000;
+    LinearOperator op = [&](const Vec& v, Vec* out) {
+      s.model.HessianVectorProduct(s.train, v, s.l2, out);
+      if (damping != 0.0) vec::Axpy(damping, v, out);
+    };
+    auto cg = ConjugateGradient(op, q_grad, tight);
+    ASSERT_TRUE(cg.ok());
+    const std::vector<double> dense = scorer.ScoreAll();
+    for (size_t i = 0; i < s.train.size(); ++i) {
+      Vec grad(s.model.num_params(), 0.0);
+      if (s.train.active(i)) {
+        s.model.AddExampleLossGradient(s.train.row(i), s.train.label(i), &grad);
+      }
+      const double want = -vec::Dot(cg->x, grad);
+      EXPECT_NEAR(dense[i], want, 1e-9 * (1.0 + std::fabs(want)))
+          << "damping=" << damping << " i=" << i;
+    }
+  }
+}
+
+TEST(InfluenceTest, HandedHessianReproducesTheScorersOwn) {
+  TrainedSetup s = MakeTrained(150, 4, 33);
+  s.train.Deactivate(2);
+  double loss = 0.0;
+  Vec grad;
+  Matrix data_hessian;
+  ASSERT_TRUE(
+      s.model.MeanLossGradientHessian(s.train, s.l2, &loss, &grad, &data_hessian));
+  Vec q_grad(s.model.num_params(), 0.0);
+  Rng rng(34);
+  for (double& g : q_grad) g = rng.Gaussian();
+  InfluenceOptions opts;
+  opts.l2 = s.l2;
+
+  InfluenceScorer own(&s.model, &s.train, opts);
+  ASSERT_TRUE(own.Prepare(q_grad).ok());
+  InfluenceScorer handed(&s.model, &s.train, opts);
+  ASSERT_TRUE(handed.Prepare(q_grad, &data_hessian).ok());
+  EXPECT_EQ(handed.ScoreAll(), own.ScoreAll());
+
+  auto own_self = own.SelfInfluenceAll();
+  auto handed_self = handed.SelfInfluenceAll(&data_hessian);
+  ASSERT_TRUE(own_self.ok() && handed_self.ok());
+  EXPECT_EQ(*handed_self, *own_self);
+
+  const Matrix wrong(3, 3);
+  EXPECT_TRUE(handed.Prepare(q_grad, &wrong).IsInvalidArgument());
+  EXPECT_TRUE(handed.SelfInfluenceAll(&wrong).status().IsInvalidArgument());
 }
 
 }  // namespace

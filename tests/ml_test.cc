@@ -1,7 +1,10 @@
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 
+#include "common/cancellation.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
@@ -194,6 +197,117 @@ TEST(LogisticTest, HvpRespectsActiveMask) {
   m.HessianVectorProduct(d, v, 0.0, &hv_half);
   // Different training sets -> different Hessians (almost surely).
   EXPECT_GT(vec::MaxAbsDiff(hv_full, hv_half), 1e-9);
+}
+
+/// The Hessian data term assembled column by column from num_params
+/// Hessian-vector products at l2 = 0.
+Matrix HessianFromHvpColumns(const Model& model, const Dataset& data) {
+  const size_t p = model.num_params();
+  Matrix h(p, p);
+  Vec unit(p, 0.0), column;
+  for (size_t j = 0; j < p; ++j) {
+    unit[j] = 1.0;
+    model.HessianVectorProduct(data, unit, /*l2=*/0.0, &column);
+    unit[j] = 0.0;
+    for (size_t i = 0; i < p; ++i) h.At(i, j) = column[i];
+  }
+  return h;
+}
+
+TEST(LogisticTest, HessianHookMatchesHvpColumns) {
+  for (const bool intercept : {true, false}) {
+    Dataset d = RandomDataset(300, 5, 2, 17);
+    for (size_t hole : {0u, 6u, 64u, 65u, 130u, 299u}) d.Deactivate(hole);
+    LogisticRegression m(5, intercept);
+    RandomizeParams(&m, 18);
+    double loss = 0.0;
+    Vec grad;
+    Matrix h;
+    ASSERT_TRUE(m.MeanLossGradientHessian(d, 1e-3, &loss, &grad, &h));
+    const Matrix want = HessianFromHvpColumns(m, d);
+    ASSERT_EQ(h.rows(), m.num_params());
+    ASSERT_EQ(h.cols(), m.num_params());
+    double scale = 0.0;
+    for (double v : want.data()) scale = std::max(scale, std::fabs(v));
+    for (size_t i = 0; i < h.rows(); ++i) {
+      for (size_t j = 0; j < h.cols(); ++j) {
+        EXPECT_NEAR(h.At(i, j), want.At(i, j), 1e-12 * scale)
+            << "intercept=" << intercept << " (" << i << ", " << j << ")";
+        EXPECT_EQ(h.At(i, j), h.At(j, i)) << "the data term is symmetric";
+      }
+    }
+    // The loss and gradient are MeanLossAndGradient's, bit for bit.
+    Vec grad_ref;
+    EXPECT_EQ(loss, m.MeanLossAndGradient(d, 1e-3, &grad_ref));
+    EXPECT_EQ(grad, grad_ref);
+  }
+}
+
+TEST(ModelTest, OnlyLogisticHasTheHessianHook) {
+  Dataset d = RandomDataset(50, 3, 3, 19);
+  SoftmaxRegression softmax(3, 3);
+  Mlp mlp(3, 4, 3, /*seed=*/20);
+  for (const Model* m : {static_cast<const Model*>(&softmax),
+                         static_cast<const Model*>(&mlp)}) {
+    double loss = 0.0;
+    Vec grad;
+    Matrix h;
+    EXPECT_FALSE(m->MeanLossGradientHessian(d, 1e-3, &loss, &grad, &h));
+    EXPECT_TRUE(grad.empty());
+    EXPECT_EQ(h.rows(), 0u);
+  }
+}
+
+/// Runs `fn` while every worker of the global pool is parked on a latch,
+/// so each ParallelFor chunk runs on the calling thread: the result of a
+/// one-thread pool, whatever RAIN_NUM_THREADS sized this one to.
+template <typename Fn>
+void WithPoolWorkersParked(Fn&& fn) {
+  ThreadPool& pool = ThreadPool::Global();
+  std::mutex mu;
+  std::condition_variable cv;
+  int parked = 0;
+  bool release = false;
+  for (int w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      --parked;
+      cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == pool.num_threads(); });
+  }
+  fn();
+  std::unique_lock<std::mutex> lock(mu);
+  release = true;
+  cv.notify_all();
+  cv.wait(lock, [&] { return parked == 0; });
+}
+
+TEST(LogisticTest, HessianHookBitwiseAcrossPoolSizes) {
+  Dataset d = RandomDataset(700, 6, 2, 21);
+  for (size_t hole : {3u, 64u, 200u, 201u, 699u}) d.Deactivate(hole);
+  LogisticRegression m(6);
+  RandomizeParams(&m, 22);
+  for (int knob : {1, 2, 3, 4, 8}) {
+    m.set_parallelism(knob);
+    double loss = 0.0, loss_inline = 0.0;
+    Vec grad, grad_inline;
+    Matrix h, h_inline;
+    ASSERT_TRUE(m.MeanLossGradientHessian(d, 1e-3, &loss, &grad, &h));
+    WithPoolWorkersParked([&] {
+      ASSERT_TRUE(m.MeanLossGradientHessian(d, 1e-3, &loss_inline, &grad_inline,
+                                            &h_inline));
+    });
+    EXPECT_EQ(loss_inline, loss) << "knob=" << knob;
+    EXPECT_EQ(grad_inline, grad) << "knob=" << knob;
+    EXPECT_EQ(h_inline.data(), h.data()) << "knob=" << knob;
+  }
 }
 
 TEST(SoftmaxTest, ProbaSumsToOne) {
@@ -532,6 +646,108 @@ TEST(TrainerTest, OneFusedDataPassPerEvaluation) {
     EXPECT_EQ(m.loss_calls.load(), 0) << "parallelism=" << par;
     EXPECT_EQ(m.gradient_calls.load(), 0) << "parallelism=" << par;
   }
+}
+
+TEST(TrainerTest, NewtonAndLbfgsReachTheSameOptimum) {
+  Dataset d = RandomDataset(300, 5, 2, 85);
+  d.Deactivate(7);
+  TrainConfig cfg;
+  cfg.grad_tol = 1e-9;
+  LogisticRegression newton(5);
+  auto report = TrainModel(&newton, d, cfg);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->converged);
+  EXPECT_LE(report->grad_norm, cfg.grad_tol);
+  // The converged pass's Hessian is the hook's at the returned parameters.
+  double loss = 0.0;
+  Vec grad;
+  Matrix h;
+  ASSERT_TRUE(newton.MeanLossGradientHessian(d, cfg.l2, &loss, &grad, &h));
+  EXPECT_EQ(report->hessian.data(), h.data());
+
+  LogisticRegression lbfgs(5);
+  Objective objective = [&](const Vec& theta, Vec* g) {
+    lbfgs.set_params(theta);
+    return lbfgs.MeanLossAndGradient(d, cfg.l2, g);
+  };
+  LbfgsOptions opts;
+  opts.max_iters = cfg.max_iters;
+  opts.grad_tol = cfg.grad_tol;
+  LbfgsResult res = LbfgsMinimize(objective, lbfgs.params(), opts);
+  ASSERT_TRUE(res.converged);
+  // Both gradients are within grad_tol of zero, and the objective is
+  // strongly convex with modulus 2 * l2, so the optima are that close.
+  EXPECT_LT(vec::MaxAbsDiff(newton.params(), res.x),
+            cfg.grad_tol * std::sqrt(6.0) / (2.0 * cfg.l2));
+  EXPECT_NEAR(report->final_loss, res.fx, 1e-12);
+  EXPECT_LT(report->evaluations, res.evaluations);
+}
+
+/// Logistic regression that counts its one-pass Hessian calls, records
+/// the parameters of the latest one, and cancels `token` on call number
+/// `cancel_at` (0 = never).
+class HookCountingLogistic : public LogisticRegression {
+ public:
+  HookCountingLogistic(size_t features, CancellationToken token, int cancel_at)
+      : LogisticRegression(features), token_(std::move(token)), cancel_at_(cancel_at) {}
+
+  bool MeanLossGradientHessian(const Dataset& data, double l2, double* loss, Vec* grad,
+                               Matrix* data_hessian) const override {
+    if (++calls == cancel_at_) token_.Cancel();
+    last_params = params();
+    return LogisticRegression::MeanLossGradientHessian(data, l2, loss, grad,
+                                                       data_hessian);
+  }
+
+  mutable int calls = 0;
+  mutable Vec last_params;
+
+ private:
+  mutable CancellationToken token_;
+  int cancel_at_;
+};
+
+TEST(TrainerTest, NewtonHonoursCancellation) {
+  Dataset d = RandomDataset(200, 4, 2, 87);
+  CancellationToken token;
+  HookCountingLogistic m(4, token, /*cancel_at=*/2);
+  TrainConfig cfg;
+  cfg.cancel = &token;
+  auto report = TrainModel(&m, d, cfg);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->interrupted);
+  EXPECT_FALSE(report->converged);
+  EXPECT_EQ(report->hessian.rows(), 0u);
+  // The stop lands at the next iteration's poll: the accepted trial of
+  // the first step is the last pass, and its parameters are returned.
+  EXPECT_EQ(report->iterations, 1);
+  EXPECT_EQ(report->evaluations, m.calls);
+  EXPECT_EQ(m.params(), m.last_params);
+  EXPECT_GT(report->grad_norm, cfg.grad_tol);
+}
+
+TEST(TrainerTest, NewtonFallsBackToLbfgsOnASingularHessian) {
+  // Separable data at l2 = 0 with a feature that is zero on every row:
+  // the Hessian is singular, so the first factor fails and L-BFGS trains
+  // from the starting point.
+  Rng rng(88);
+  Matrix x(200, 3);
+  std::vector<int> y(200);
+  for (size_t i = 0; i < 200; ++i) {
+    x.At(i, 0) = rng.Gaussian();
+    x.At(i, 1) = rng.Gaussian();
+    y[i] = x.At(i, 0) + x.At(i, 1) > 0 ? 1 : 0;
+  }
+  Dataset d(std::move(x), std::move(y), 2);
+  HookCountingLogistic m(3, CancellationToken(), /*cancel_at=*/0);
+  TrainConfig cfg;
+  cfg.l2 = 0.0;
+  auto report = TrainModel(&m, d, cfg);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(m.calls, 1) << "Newton stops at its first factor";
+  EXPECT_GT(report->evaluations, m.calls) << "L-BFGS evaluations follow";
+  EXPECT_EQ(report->hessian.rows(), 0u);
+  EXPECT_GT(Evaluate(m, d).accuracy, 0.97);
 }
 
 TEST(DatasetCowTest, CopiesAndViewsShareStorage) {

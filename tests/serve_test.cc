@@ -291,7 +291,23 @@ TEST(DebugServiceTest, RoundRobinTurnsInterleaveSessions) {
 
 // ----------------------------------------------------- deadlines/quotas
 
+/// Sleeps for `nap` in the first OnPhaseComplete it sees.
+class NapOnFirstPhase : public DebugObserver {
+ public:
+  explicit NapOnFirstPhase(std::chrono::milliseconds nap) : nap_(nap) {}
+  void OnPhaseComplete(int, DebugPhase, double) override {
+    if (!napped_.exchange(true)) std::this_thread::sleep_for(nap_);
+  }
+
+ private:
+  std::chrono::milliseconds nap_;
+  std::atomic<bool> napped_{false};
+};
+
 TEST(DebugServiceTest, DeadlineMidPhaseSurfacesAsResourceExhausted) {
+  // The observer outlives the service, which may call it from a driver.
+  constexpr double kTimeoutSeconds = 0.05;
+  NapOnFirstPhase observer(std::chrono::milliseconds(100));
   ServiceOptions options;
   options.admission_capacity = 64;
   DebugService service(options);
@@ -299,10 +315,11 @@ TEST(DebugServiceTest, DeadlineMidPhaseSurfacesAsResourceExhausted) {
 
   SessionSpec spec = SmallSpec(1);
   spec.max_iterations = 10000;
-  // Expires inside the first phases: the whole 5-iteration session takes
-  // a few milliseconds on a current x86 core, so the deadline sits well
-  // below that.
-  spec.exec.set_timeout_seconds(0.001);
+  // The first phase's observer callback sleeps past the deadline, so the
+  // boundary check after it fires mid-session however fast the phases
+  // themselves run.
+  spec.exec.set_timeout_seconds(kTimeoutSeconds);
+  spec.exec.add_observer(&observer);
   auto sid = service.Open(spec);
   ASSERT_TRUE(sid.ok());
 

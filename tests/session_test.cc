@@ -599,6 +599,85 @@ TEST_F(SessionFixture, RankerNonFiniteScoreOnActiveRowIsAnError) {
   EXPECT_EQ(step->status, StepStatus::kIterated);
 }
 
+// ------------------------------------------------------ Hessian handoff
+
+/// What HandoffCheckRanker saw over a session.
+struct HandoffStats {
+  int iterations = 0;
+  int handed = 0;
+  /// Handed Hessians that were not bitwise the one-pass Hessian at the
+  /// model's current parameters and active rows.
+  int stale = 0;
+  /// Largest |handed - fresh| score gap, relative to the largest score.
+  double max_rel_gap = 0.0;
+};
+
+/// Ranks with `method` on the session's context, then again on a copy
+/// without the handed-off Hessian (the scorer forms its own), and records
+/// how the two compare.
+class HandoffCheckRanker : public Ranker {
+ public:
+  HandoffCheckRanker(const std::string& method, HandoffStats* stats)
+      : handed_(MakeRanker(method).ValueOrDie()),
+        fresh_(MakeRanker(method).ValueOrDie()),
+        stats_(stats) {}
+  std::string name() const override { return handed_->name(); }
+  Result<RankOutput> Rank(const RankContext& ctx) override {
+    ++stats_->iterations;
+    if (ctx.data_hessian != nullptr) {
+      ++stats_->handed;
+      double loss = 0.0;
+      Vec grad;
+      Matrix current;
+      RAIN_CHECK(ctx.model->MeanLossGradientHessian(*ctx.train, ctx.influence.l2, &loss,
+                                                    &grad, &current));
+      if (current.data() != ctx.data_hessian->data()) ++stats_->stale;
+    }
+    RAIN_ASSIGN_OR_RETURN(RankOutput out, handed_->Rank(ctx));
+    RankContext fresh_ctx = ctx;
+    fresh_ctx.data_hessian = nullptr;
+    fresh_ctx.encode_cache = nullptr;
+    RAIN_ASSIGN_OR_RETURN(RankOutput fresh, fresh_->Rank(fresh_ctx));
+    RAIN_CHECK(fresh.scores.size() == out.scores.size());
+    double scale = 0.0, gap = 0.0;
+    for (size_t i = 0; i < out.scores.size(); ++i) {
+      scale = std::max(scale, std::fabs(fresh.scores[i]));
+      gap = std::max(gap, std::fabs(out.scores[i] - fresh.scores[i]));
+    }
+    stats_->max_rel_gap = std::max(stats_->max_rel_gap, scale > 0.0 ? gap / scale : gap);
+    return out;
+  }
+
+ private:
+  std::unique_ptr<Ranker> handed_;
+  std::unique_ptr<Ranker> fresh_;
+  HandoffStats* stats_;
+};
+
+TEST(HessianHandoffTest, HandedScoresEqualAFreshScorersOnFig5Workload) {
+  for (const char* method : {"holistic", "twostep", "infloss"}) {
+    DblpSetup setup = MakeCorruptedDblp();
+    HandoffStats stats;
+    auto session =
+        DebugSessionBuilder(setup.pipeline.get())
+            .ranker(std::make_unique<HandoffCheckRanker>(method, &stats))
+            .top_k_per_iter(10)
+            .max_deletions(50)
+            .stop_when_resolved(false)
+            .workload({CountComplaint(static_cast<double>(setup.true_count))})
+            .Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto report = (*session)->RunToCompletion();
+    ASSERT_TRUE(report.ok()) << method << ": " << report.status().ToString();
+    // Every iteration retrains after the previous fix phase's deletions,
+    // converges by Newton and hands its Hessian to the rank phase.
+    EXPECT_EQ(stats.iterations, 5) << method;
+    EXPECT_EQ(stats.handed, stats.iterations) << method;
+    EXPECT_EQ(stats.stale, 0) << method;
+    EXPECT_LE(stats.max_rel_gap, 1e-12) << method;
+  }
+}
+
 // --------------------------------------------------------- batched bind
 
 /// A Section 6.5-style multi-query workload over the DBLP pipeline: two

@@ -195,6 +195,15 @@ TEST(MatrixTest, CholeskyFactorAndForwardSubstitution) {
     for (size_t k = 0; k <= i; ++k) ly += lower.At(i, k) * y[k];
     EXPECT_NEAR(ly, b[i], 1e-12);
   }
+
+  // L^T x = y completes the solve A x = b.
+  Vec x = y;
+  BackSubstitute(lower, &x);
+  for (size_t i = 0; i < n; ++i) {
+    double ax = 0.0;
+    for (size_t k = 0; k < n; ++k) ax += a.At(i, k) * x[k];
+    EXPECT_NEAR(ax, b[i], 1e-10);
+  }
 }
 
 TEST(MatrixTest, CholeskyRejectsIndefiniteAndSingular) {
