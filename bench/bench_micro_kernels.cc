@@ -1,9 +1,8 @@
 /// Microbenchmarks of the vec::simd dispatch layer and the kernels built
-/// on it: scalar-vs-SIMD timings for Dot/Axpy/GEMV, the ml coefficient
-/// passes (logistic/softmax/MLP HVPs, the logistic one-pass Hessian), and
-/// the relaxed polynomial sweeps.
+/// on it: scalar-vs-SIMD timings for Dot/Axpy/GEMV and the ml coefficient
+/// passes (logistic/softmax/MLP HVPs, the logistic one-pass Hessian).
 /// Self-driven (no external benchmark framework): each row times the same
-/// closure under the scalar fallback (ForceScalar(true)) and
+/// closure under the scalar fallback (ForceBackend("scalar")) and
 /// under the dispatched backend, and reports the speedup. A per-backend
 /// sweep re-times the hottest kernels under every tier the CPU supports
 /// (ForceBackend). Rows stream to BENCH_micro.json (baseline under
@@ -12,26 +11,25 @@
 /// are interpretable later.
 ///
 /// `--verify` skips the timings and instead runs the determinism-contract
-/// checks under EVERY available backend tier (fast enough for the CI
-/// scale-smoke leg, which runs it under RAIN_SIMD=scalar and
-/// RAIN_SIMD=avx2 in addition to the unconstrained pass):
-///   * ELEMENTWISE kernels (MulAdd, MulAdd2, Mul, Gather, ScatterAxpy)
-///     must match the scalar fallback BITWISE;
-///   * SHAPED-REDUCTION kernels (Dot2, GatherSum, GatherProd,
-///     GatherProdOneMinus, GatherDot) must match the shaped scalar
-///     fallback BITWISE, including at every n around kGatherSimdCutoff;
+/// checks of the dispatched kernels under EVERY available backend tier
+/// (fast enough for the CI scale-smoke leg, which runs it under
+/// RAIN_SIMD=scalar and RAIN_SIMD=avx2 in addition to the unconstrained
+/// pass):
+///   * ELEMENTWISE kernels (MulAdd, MulAdd2) and the SHAPED-REDUCTION
+///     Dot2 must match the scalar fallback BITWISE;
 ///   * REDUCTION kernels (Dot, GemmNT) must be deterministic per backend
 ///     and within 1e-9 relative of scalar; GemmNT must equal the per-row
 ///     Dot loop BITWISE (Gemv's per-tier contract is tensor_test's);
-///   * RelaxedPoly::SeededGradient — built entirely from ELEMENTWISE and
-///     SHAPED-REDUCTION kernels — must be BITWISE identical across
-///     backends.
+///   * the blocked logistic HVP must stay within 1e-9 relative of scalar.
+/// The relax-layer kernels (gathers, Mul, ScatterAxpy) have one scalar
+/// body and are not dispatched; tensor_test checks them against
+/// reference loops.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -43,8 +41,6 @@
 #include "ml/logistic_regression.h"
 #include "ml/mlp.h"
 #include "ml/softmax_regression.h"
-#include "provenance/poly.h"
-#include "relax/relaxed_poly.h"
 #include "tensor/matrix.h"
 #include "tensor/vector_ops.h"
 
@@ -83,123 +79,44 @@ struct KernelRow {
   std::string backend;
 };
 
-/// Interleaved A/B timing: calibrates the batch size on fa (pass the
-/// slower side there), then alternates fa/fb batches so slow drift on a
-/// shared host — frequency scaling, a noisy neighbour — hits both columns
-/// alike instead of skewing the ratio. Returns {best_a, best_b} per call.
-template <typename FA, typename FB>
-std::pair<double, double> TimePair(FA&& fa, FB&& fb) {
-  int reps = 1;
-  for (;;) {
-    Timer t;
-    for (int i = 0; i < reps; ++i) fa();
-    if (t.ElapsedSeconds() > 0.02 || reps >= (1 << 22)) break;
-    reps *= 4;
-  }
-  double best_a = 1e100, best_b = 1e100;
-  for (int batch = 0; batch < 5; ++batch) {
-    {
-      Timer t;
-      for (int i = 0; i < reps; ++i) fa();
-      best_a = std::min(best_a, t.ElapsedSeconds() / reps);
-    }
-    {
-      Timer t;
-      for (int i = 0; i < reps; ++i) fb();
-      best_b = std::min(best_b, t.ElapsedSeconds() / reps);
-    }
-  }
-  return {best_a, best_b};
-}
-
-/// Times fn() under the scalar fallback and under the dispatched backend,
-/// in interleaved batches (see TimePair).
+/// Times fn() under the scalar fallback and under `tier` (nullptr: the
+/// dispatched backend) with interleaved A/B batches: calibrates the batch
+/// size on the scalar side, then alternates scalar and `tier` batches so
+/// slow drift on a shared host — frequency scaling, a noisy neighbour —
+/// hits both columns alike instead of skewing the ratio. Each column keeps
+/// its best batch. The tier switches once per batch, outside the timed
+/// loop. Leaves the dispatch capped at `tier`.
 template <typename Fn>
-KernelRow TimeKernel(const std::string& kernel, int64_t n, Fn&& fn) {
+KernelRow TimeKernel(const std::string& kernel, int64_t n, Fn&& fn,
+                     const char* tier = nullptr) {
   KernelRow row;
   row.kernel = kernel;
   row.n = n;
-  const bool prev = vec::simd::ForceScalar(false);
-  std::tie(row.scalar_s, row.simd_s) = TimePair(
-      [&] {
-        vec::simd::ForceScalar(true);
-        fn();
-      },
-      [&] {
-        vec::simd::ForceScalar(false);
-        fn();
-      });
-  vec::simd::ForceScalar(prev);
+  vec::simd::ForceBackend("scalar");
+  int reps = 1;
+  for (;;) {
+    Timer t;
+    for (int i = 0; i < reps; ++i) fn();
+    if (t.ElapsedSeconds() > 0.02 || reps >= (1 << 22)) break;
+    reps *= 4;
+  }
+  row.scalar_s = row.simd_s = 1e100;
+  for (int batch = 0; batch < 5; ++batch) {
+    vec::simd::ForceBackend("scalar");
+    {
+      Timer t;
+      for (int i = 0; i < reps; ++i) fn();
+      row.scalar_s = std::min(row.scalar_s, t.ElapsedSeconds() / reps);
+    }
+    vec::simd::ForceBackend(tier);
+    {
+      Timer t;
+      for (int i = 0; i < reps; ++i) fn();
+      row.simd_s = std::min(row.simd_s, t.ElapsedSeconds() / reps);
+    }
+  }
   row.backend = vec::simd::Backend();
   return row;
-}
-
-PolyId MakeCountPoly(PolyArena* arena, size_t rows) {
-  std::vector<PolyId> terms;
-  for (size_t r = 0; r < rows; ++r) {
-    terms.push_back(arena->Var(PredVar{0, static_cast<int64_t>(r), 1}));
-  }
-  return arena->Add(std::move(terms));
-}
-
-PolyId MakeJoinPoly(PolyArena* arena, int side) {
-  // Join-shaped polynomial: sum over pairs of OR_c AND(vl, vr).
-  std::vector<PolyId> pairs;
-  for (int l = 0; l < side; ++l) {
-    for (int r = 0; r < side; ++r) {
-      std::vector<PolyId> ors;
-      for (int c = 0; c < 10; ++c) {
-        ors.push_back(arena->And({arena->Var(PredVar{0, l, c}),
-                                  arena->Var(PredVar{1, r, c})}));
-      }
-      pairs.push_back(arena->Or(std::move(ors)));
-    }
-  }
-  return arena->Add(std::move(pairs));
-}
-
-/// \brief Multi-root workload shaped like a batched complaint set: a pool
-/// of shared high-fan-in AND terms over SHARED var nodes, each AND OR-ed
-/// into many roots.
-///
-/// The 512 var nodes are created once and referenced by every AND that
-/// samples them (PolyArena::Var does not dedupe, so sharing must happen
-/// at construction). That gives the DAG fan-in in both directions: each
-/// AND gathers `arity` shared vars (forward GatherProd runs the SIMD
-/// path) and each var's CSR parent list spans ~pool*arity/512 ANDs, each
-/// AND's list ~half the roots (the seeded reverse sweep's GatherDot
-/// runs the SIMD gathers).
-std::vector<PolyId> MakeSharedComplaints(PolyArena* arena, size_t num_roots,
-                                         size_t pool, size_t per_root,
-                                         size_t arity) {
-  Rng rng(29);
-  constexpr size_t kVars = 512;
-  std::vector<PolyId> vars(kVars);
-  for (size_t v = 0; v < kVars; ++v) {
-    vars[v] = arena->Var(PredVar{0, static_cast<int64_t>(v), 1});
-  }
-  std::vector<PolyId> ands(pool);
-  std::vector<size_t> pick(kVars);
-  for (size_t v = 0; v < kVars; ++v) pick[v] = v;
-  for (size_t t = 0; t < pool; ++t) {
-    // Partial Fisher-Yates: the first `arity` entries of pick become a
-    // distinct random sample, so an AND never repeats a child.
-    std::vector<PolyId> children;
-    for (size_t j = 0; j < arity && j < kVars; ++j) {
-      std::swap(pick[j], pick[j + rng.UniformInt(kVars - j)]);
-      children.push_back(vars[pick[j]]);
-    }
-    ands[t] = arena->And(std::move(children));
-  }
-  std::vector<PolyId> roots(num_roots);
-  for (size_t r = 0; r < num_roots; ++r) {
-    std::vector<PolyId> terms;
-    for (size_t j = 0; j < per_root; ++j) {
-      terms.push_back(ands[(r * 37 + j * 13) % pool]);
-    }
-    roots[r] = arena->Or(std::move(terms));
-  }
-  return roots;
 }
 
 // ---------------------------------------------------------------- timings
@@ -262,26 +179,6 @@ int RunTimings() {
       m.HessianVectorProduct(d, v, 1e-3, &out);
     }));
   }
-  {
-    PolyArena arena;
-    const PolyId root = MakeCountPoly(&arena, 10000);
-    RelaxedPoly poly(&arena, root);
-    const Vec probs(arena.num_vars(), 0.3);
-    rows.push_back(TimeKernel("relax_forward", 10000, [&] {
-      g_sink = poly.Evaluate(probs);
-    }));
-  }
-  {
-    PolyArena arena;
-    const PolyId root = MakeJoinPoly(&arena, 10);
-    RelaxedPoly poly(&arena, root);
-    const Vec probs(arena.num_vars(), 0.1);
-    Vec grad;
-    rows.push_back(TimeKernel("relax_gradient", 100, [&] {
-      g_sink = poly.Gradient(probs, &grad);
-    }));
-  }
-
   // Per-backend sweep: Dot re-timed under every tier the CPU supports, so
   // a recorded baseline shows the whole ladder (and a host where a tier
   // regresses shows up as a row, not a mystery).
@@ -289,21 +186,9 @@ int RunTimings() {
     if (!vec::simd::ForceBackend(tier)) continue;
     const size_t n = 16384;
     const Vec x = RandomVec(n, 1), y = RandomVec(n, 2);
-    KernelRow row;
-    row.kernel = "dot_backend";
-    row.n = static_cast<int64_t>(n);
-    row.backend = vec::simd::Backend();
-    std::tie(row.scalar_s, row.simd_s) = TimePair(
-        [&] {
-          vec::simd::ForceScalar(true);
-          g_sink = vec::simd::Dot(x.data(), y.data(), n);
-        },
-        [&] {
-          vec::simd::ForceScalar(false);
-          g_sink = vec::simd::Dot(x.data(), y.data(), n);
-        });
-    vec::simd::ForceScalar(false);
-    rows.push_back(row);
+    rows.push_back(TimeKernel(
+        "dot_backend", static_cast<int64_t>(n),
+        [&] { g_sink = vec::simd::Dot(x.data(), y.data(), n); }, tier));
   }
   vec::simd::ForceBackend(nullptr);
 
@@ -352,94 +237,62 @@ bool BitwiseEq(const Vec& a, const Vec& b) {
 /// checks below enforce.
 void PrintContractTable() {
   TablePrinter t({"class", "kernels", "cross-backend contract"});
-  t.AddRow({"ELEMENTWISE",
-            "MulAdd MulAdd2 Mul Gather ScatterAxpy",
-            "bitwise identical on every tier"});
+  t.AddRow({"ELEMENTWISE", "MulAdd MulAdd2", "bitwise identical on every tier"});
   t.AddRow({"FUSED-ELEMENTWISE", "Axpy",
             "per-tier deterministic; avx512 == avx2-fma"});
   t.AddRow({"REDUCTION", "Dot GemmNT",
             "per-tier deterministic; avx512 == avx2-fma; scalar 1e-9 rel"});
-  t.AddRow({"SHAPED-REDUCTION",
-            "Dot2 GatherSum GatherProd GatherProdOneMinus GatherDot",
+  t.AddRow({"SHAPED-REDUCTION", "Dot2",
             "bitwise identical on every tier (shaped scalar fallback)"});
-  t.AddRow({"(composites)", "SeededGradient",
-            "bitwise invariant across backends"});
   std::printf("%s\n", t.ToText().c_str());
 }
 
-/// All contract checks under the CURRENT dispatch state. `tier` labels
-/// the printed check lines.
+/// All contract checks under the dispatch capped at `tier` (a Backend()
+/// name), which also labels the printed check lines.
 void RunVerifyOnce(const std::string& tier) {
   const std::string tag = " [" + tier + "]";
   const size_t kN = 1037;  // odd length exercises the scalar tails
   const Vec x = RandomVec(kN, 11), y = RandomVec(kN, 12);
-  std::vector<int32_t> idx(kN);
-  {
-    Rng rng(13);
-    for (size_t i = 0; i < kN; ++i) {
-      idx[i] = static_cast<int32_t>(rng.UniformInt(kN));
-    }
-  }
-  Vec probs = RandomVec(kN, 14);
-  for (double& p : probs) p = 0.5 + 0.4 * std::tanh(p);  // (0.1, 0.9)
+  Dataset d = RandomDataset(256, 17, 2, 18);
+  LogisticRegression m(17);
+  m.set_params(RandomVec(m.num_params(), 19));
+  const Vec v = RandomVec(m.num_params(), 20);
 
-  // ELEMENTWISE: bitwise identical across backends.
-  {
-    Vec a = y, b = y;
-    const bool prev = vec::simd::ForceScalar(true);
-    vec::simd::MulAdd(1.7, x.data(), a.data(), kN);
-    vec::simd::ForceScalar(false);
-    vec::simd::MulAdd(1.7, x.data(), b.data(), kN);
-    vec::simd::ForceScalar(prev);
-    Check(BitwiseEq(a, b), "MulAdd scalar == simd (bitwise)" + tag);
-  }
-  {
-    Vec a = y, b = y;
-    const bool prev = vec::simd::ForceScalar(true);
-    vec::simd::MulAdd2(1.3, x.data(), -0.7, y.data(), a.data(), kN);
-    vec::simd::ForceScalar(false);
-    vec::simd::MulAdd2(1.3, x.data(), -0.7, y.data(), b.data(), kN);
-    vec::simd::ForceScalar(prev);
-    Check(BitwiseEq(a, b), "MulAdd2 scalar == simd (bitwise)" + tag);
-  }
-  {
-    Vec a(kN), b(kN);
-    const bool prev = vec::simd::ForceScalar(true);
-    vec::simd::Mul(x.data(), y.data(), a.data(), kN);
-    vec::simd::ForceScalar(false);
-    vec::simd::Mul(x.data(), y.data(), b.data(), kN);
-    vec::simd::ForceScalar(prev);
-    Check(BitwiseEq(a, b), "Mul scalar == simd (bitwise)" + tag);
-  }
-  {
-    Vec a(kN), b(kN);
-    const bool prev = vec::simd::ForceScalar(true);
-    vec::simd::Gather(probs.data(), idx.data(), a.data(), kN);
-    vec::simd::ForceScalar(false);
-    vec::simd::Gather(probs.data(), idx.data(), b.data(), kN);
-    vec::simd::ForceScalar(prev);
-    Check(BitwiseEq(a, b), "Gather scalar == simd (bitwise)" + tag);
-  }
-  {
-    Vec a = y, b = y;
-    const bool prev = vec::simd::ForceScalar(true);
-    vec::simd::ScatterAxpy(0.9, x.data(), idx.data(), a.data(), kN);
-    vec::simd::ForceScalar(false);
-    vec::simd::ScatterAxpy(0.9, x.data(), idx.data(), b.data(), kN);
-    vec::simd::ForceScalar(prev);
-    Check(BitwiseEq(a, b),
-          "ScatterAxpy scalar == simd (bitwise, dup idx)" + tag);
-  }
+  // Every kernel once under the scalar fallback, then again under `tier`.
+  struct Outputs {
+    Vec muladd, muladd2, hvp;
+    double dot2 = 0.0, dot = 0.0;
+  };
+  auto run = [&] {
+    Outputs o;
+    o.muladd = y;
+    vec::simd::MulAdd(1.7, x.data(), o.muladd.data(), kN);
+    o.muladd2 = y;
+    vec::simd::MulAdd2(1.3, x.data(), -0.7, y.data(), o.muladd2.data(), kN);
+    o.dot2 = vec::simd::Dot2(x.data(), y.data(), y.data(), x.data(), kN);
+    o.dot = vec::simd::Dot(x.data(), y.data(), kN);
+    m.HessianVectorProduct(d, v, 1e-3, &o.hvp);
+    return o;
+  };
+  vec::simd::ForceBackend("scalar");
+  const Outputs s = run();
+  vec::simd::ForceBackend(tier.c_str());
+  const Outputs t = run();
+
+  // ELEMENTWISE and SHAPED-REDUCTION: bitwise identical across backends.
+  Check(BitwiseEq(s.muladd, t.muladd), "MulAdd scalar == simd (bitwise)" + tag);
+  Check(BitwiseEq(s.muladd2, t.muladd2), "MulAdd2 scalar == simd (bitwise)" + tag);
+  Check(s.dot2 == t.dot2, "Dot2 scalar == simd (bitwise)" + tag);
 
   // GemmNT must equal the per-row Dot loop bitwise (it IS the Dot kernel
   // per element — this is what lets the model HVPs batch their
   // projections without changing a bit).
   {
-    const size_t m = 23, n2 = 17, k = 61, lda = 64, ldb = 70;
-    const Vec a = RandomVec(m * lda, 48), b = RandomVec(n2 * ldb, 49);
-    Vec o1(m * n2), o2(m * n2);
-    vec::simd::GemmNT(a.data(), m, lda, b.data(), n2, ldb, k, o1.data(), n2);
-    for (size_t i = 0; i < m; ++i) {
+    const size_t rows = 23, n2 = 17, k = 61, lda = 64, ldb = 70;
+    const Vec a = RandomVec(rows * lda, 48), b = RandomVec(n2 * ldb, 49);
+    Vec o1(rows * n2), o2(rows * n2);
+    vec::simd::GemmNT(a.data(), rows, lda, b.data(), n2, ldb, k, o1.data(), n2);
+    for (size_t i = 0; i < rows; ++i) {
       for (size_t j = 0; j < n2; ++j) {
         o2[i * n2 + j] =
             vec::simd::Dot(a.data() + i * lda, b.data() + j * ldb, k);
@@ -448,120 +301,19 @@ void RunVerifyOnce(const std::string& tier) {
     Check(BitwiseEq(o1, o2), "GemmNT == per-row Dot (bitwise)" + tag);
   }
 
-  // SHAPED-REDUCTION: scalar fallback replicates the lane shape, bitwise.
-  {
-    const bool prev = vec::simd::ForceScalar(true);
-    const double s_dot2 =
-        vec::simd::Dot2(x.data(), y.data(), y.data(), x.data(), kN);
-    const double s_gs = vec::simd::GatherSum(probs.data(), idx.data(), kN);
-    const double s_gp = vec::simd::GatherProd(probs.data(), idx.data(), kN);
-    const double s_gm =
-        vec::simd::GatherProdOneMinus(probs.data(), idx.data(), kN);
-    const double s_gd =
-        vec::simd::GatherDot(probs.data(), idx.data(), x.data(), kN);
-    vec::simd::ForceScalar(false);
-    Check(s_dot2 == vec::simd::Dot2(x.data(), y.data(), y.data(), x.data(), kN),
-          "Dot2 scalar == simd (bitwise)" + tag);
-    Check(s_gs == vec::simd::GatherSum(probs.data(), idx.data(), kN),
-          "GatherSum scalar == simd (bitwise)" + tag);
-    Check(s_gp == vec::simd::GatherProd(probs.data(), idx.data(), kN),
-          "GatherProd scalar == simd (bitwise)" + tag);
-    Check(s_gm == vec::simd::GatherProdOneMinus(probs.data(), idx.data(), kN),
-          "GatherProdOneMinus scalar == simd (bitwise)" + tag);
-    Check(s_gd == vec::simd::GatherDot(probs.data(), idx.data(), x.data(), kN),
-          "GatherDot scalar == simd (bitwise)" + tag);
-    vec::simd::ForceScalar(prev);
-  }
-  // Cutoff boundary: every n around kGatherSimdCutoff must be bitwise
-  // identical on both sides of the dispatch (the cutoff is a pure
-  // performance knob — tensor_test pins the same property per kernel).
-  {
-    bool ok = true;
-    for (size_t n = vec::kGatherSimdCutoff - 3;
-         n <= vec::kGatherSimdCutoff + 3; ++n) {
-      const bool prev = vec::simd::ForceScalar(true);
-      const double gs = vec::simd::GatherSum(probs.data(), idx.data(), n);
-      const double gp = vec::simd::GatherProd(probs.data(), idx.data(), n);
-      const double gd =
-          vec::simd::GatherDot(probs.data(), idx.data(), x.data(), n);
-      vec::simd::ForceScalar(false);
-      ok = ok && gs == vec::simd::GatherSum(probs.data(), idx.data(), n) &&
-           gp == vec::simd::GatherProd(probs.data(), idx.data(), n) &&
-           gd == vec::simd::GatherDot(probs.data(), idx.data(), x.data(), n);
-      vec::simd::ForceScalar(prev);
-    }
-    Check(ok, "gathers bitwise at kGatherSimdCutoff +- 3" + tag);
-  }
-  // PrefixSuffixProducts is scalar on every tier; pin prefix[j]*suffix[j+1]
-  // against the direct leave-one-out products.
-  {
-    const size_t k = 13;
-    Vec pre(k + 1), suf(k + 1);
-    vec::simd::PrefixSuffixProducts(probs.data(), k, pre.data(), suf.data());
-    bool ok = pre[0] == 1.0 && suf[k] == 1.0;
-    for (size_t j = 0; ok && j + 1 <= k; ++j) {
-      ok = pre[j + 1] == pre[j] * probs[j] &&
-           suf[k - 1 - j] == suf[k - j] * probs[k - 1 - j];
-    }
-    Check(ok, "PrefixSuffixProducts running products exact" + tag);
-  }
-
   // REDUCTION: deterministic per backend, 1e-9-relative across backends.
-  {
-    const double d1 = vec::simd::Dot(x.data(), y.data(), kN);
-    const double d2 = vec::simd::Dot(x.data(), y.data(), kN);
-    Check(d1 == d2, "Dot deterministic (same backend, bitwise)" + tag);
-    const bool prev = vec::simd::ForceScalar(true);
-    const double ds = vec::simd::Dot(x.data(), y.data(), kN);
-    vec::simd::ForceScalar(prev);
-    Check(std::fabs(d1 - ds) <= 1e-9 * (1.0 + std::fabs(ds)),
-          "Dot scalar ~= simd (1e-9 relative)" + tag);
-  }
-
-  // The seeded reverse sweep composes only ELEMENTWISE + SHAPED-REDUCTION
-  // kernels, so its gradient is bitwise the scalar fallback's.
-  {
-    PolyArena arena;
-    const std::vector<PolyId> roots =
-        MakeSharedComplaints(&arena, /*num_roots=*/12, /*pool=*/64,
-                             /*per_root=*/40, /*arity=*/20);
-    RelaxedPoly poly(&arena, roots);
-    Vec probs2 = RandomVec(arena.num_vars(), 31);
-    for (double& p : probs2) p = 0.5 + 0.4 * std::tanh(p);
-    const std::vector<double> seeds = RandomVec(roots.size(), 32);
-    auto seeded = [&] {
-      Vec values, grad;
-      poly.EvaluateBatch(probs2, &values);
-      poly.SeededGradient(values, seeds, &grad);
-      return grad;
-    };
-    const Vec g = seeded();
-    const bool prev = vec::simd::ForceScalar(true);
-    const Vec gs = seeded();
-    vec::simd::ForceScalar(prev);
-    Check(BitwiseEq(g, gs), "SeededGradient bitwise vs scalar" + tag);
-  }
+  Check(t.dot == vec::simd::Dot(x.data(), y.data(), kN),
+        "Dot deterministic (same backend, bitwise)" + tag);
+  Check(std::fabs(t.dot - s.dot) <= 1e-9 * (1.0 + std::fabs(s.dot)),
+        "Dot scalar ~= simd (1e-9 relative)" + tag);
 
   // The blocked logistic HVP under the dispatched SIMD backend stays
   // within 1e-9 (relative) of the scalar path.
-  {
-    Dataset d = RandomDataset(256, 17, 2, 18);
-    LogisticRegression m(17);
-    m.set_params(RandomVec(m.num_params(), 19));
-    const Vec v = RandomVec(m.num_params(), 20);
-    Vec direct;
-    m.HessianVectorProduct(d, v, 1e-3, &direct);
-    const bool prev = vec::simd::ForceScalar(true);
-    Vec scalar;
-    m.HessianVectorProduct(d, v, 1e-3, &scalar);
-    vec::simd::ForceScalar(prev);
-    bool close = scalar.size() == direct.size();
-    for (size_t i = 0; close && i < direct.size(); ++i) {
-      close = std::fabs(direct[i] - scalar[i]) <=
-              1e-9 * (1.0 + std::fabs(scalar[i]));
-    }
-    Check(close, "Logistic HVP scalar ~= simd (1e-9 relative)" + tag);
+  bool close = s.hvp.size() == t.hvp.size();
+  for (size_t i = 0; close && i < t.hvp.size(); ++i) {
+    close = std::fabs(t.hvp[i] - s.hvp[i]) <= 1e-9 * (1.0 + std::fabs(s.hvp[i]));
   }
+  Check(close, "Logistic HVP scalar ~= simd (1e-9 relative)" + tag);
 }
 
 int RunVerify() {

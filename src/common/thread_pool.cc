@@ -202,35 +202,6 @@ void ParallelForEach(int parallelism, size_t n,
   });
 }
 
-double ParallelSum(int parallelism, size_t n, size_t min_grain,
-                   const std::function<double(size_t begin, size_t end)>& body) {
-  if (n == 0) return 0.0;
-  const size_t chunks = ParallelChunkCount(parallelism, n, min_grain);
-  if (chunks <= 1) return body(0, n);
-  std::vector<double> partial(chunks, 0.0);
-  ParallelForChunked(chunks, n,
-                     [&body, &partial](size_t begin, size_t end, size_t chunk) {
-                       partial[chunk] = body(begin, end);
-                     });
-  double acc = 0.0;
-  for (double p : partial) acc += p;
-  return acc;
-}
-
-double ParallelSum(int parallelism, size_t n,
-                   const std::function<double(size_t begin, size_t end)>& body) {
-  return ParallelSum(parallelism, n, /*min_grain=*/1, body);
-}
-
-void ParallelForSeeded(
-    int parallelism, size_t n, uint64_t seed,
-    const std::function<void(size_t begin, size_t end, size_t chunk, Rng& rng)>& body) {
-  ParallelFor(parallelism, n, [&body, seed](size_t begin, size_t end, size_t chunk) {
-    Rng rng(SplitSeed(seed, chunk));
-    body(begin, end, chunk, rng);
-  });
-}
-
 AdmissionController::AdmissionController(int capacity)
     : capacity_(capacity < 1 ? 1 : capacity) {}
 

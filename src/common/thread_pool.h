@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "common/rng.h"
 
 namespace rain {
 
@@ -165,38 +164,6 @@ bool ParallelForCancellable(
 bool ParallelForCancellable(
     int parallelism, size_t n, size_t min_grain, const CancellationToken* cancel,
     const std::function<void(size_t begin, size_t end, size_t chunk)>& body);
-
-/// \brief Deterministic parallel sum: each chunk reduces its range with
-/// `body(begin, end)`; partials are added in chunk order, so the result is a
-/// pure function of (parallelism, n, body).
-///
-/// \param parallelism worker count; <= 1 returns body(0, n) — bitwise
-///        identical to a sequential loop. Note that DIFFERENT knob values
-///        group the summation differently and may differ at rounding
-///        level; kernels that must be bitwise-stable across knob values
-///        (the encode phase) use order-fixed reductions instead.
-/// \return the chunk-ordered sum of the partials.
-double ParallelSum(int parallelism, size_t n,
-                   const std::function<double(size_t begin, size_t end)>& body);
-
-/// \brief ParallelSum with a minimum grain. The partial-sum grouping
-/// follows ParallelChunkCount(parallelism, n, min_grain); as with the
-/// parallelism knob itself, DIFFERENT grain values group the summation
-/// differently and may differ at rounding level, so chunk-ordered
-/// reduction call sites keep grain fixed per knob setting (the in-tree
-/// kernels default to 1, preserving their recorded bitwise baselines).
-double ParallelSum(int parallelism, size_t n, size_t min_grain,
-                   const std::function<double(size_t begin, size_t end)>& body);
-
-/// \brief ParallelFor with a deterministic per-chunk RNG.
-///
-/// Chunk c receives an Rng seeded with SplitSeed(seed, c), so stochastic
-/// parallel kernels (minibatch sampling, dropout, corruption injection)
-/// reproduce exactly for a fixed (seed, parallelism) pair regardless of
-/// thread scheduling.
-void ParallelForSeeded(
-    int parallelism, size_t n, uint64_t seed,
-    const std::function<void(size_t begin, size_t end, size_t chunk, Rng& rng)>& body);
 
 }  // namespace rain
 

@@ -42,16 +42,6 @@ struct DebugConfig {
   /// Forwarded to RankContext (ablation knobs).
   RelaxMode relax_mode = RelaxMode::kIndependent;
   bool twostep_encode_all = false;
-  /// Incremental bind/encode caching (docs/architecture.md, "Incremental
-  /// engine"): after the first bind the provenance arena persists across
-  /// iterations; later bind phases re-execute only workload entries a
-  /// delta invalidated and refresh the rest by re-evaluating their cached
-  /// polynomials under the fresh predictions — bitwise-identical values
-  /// (the provenance *structure* of the supported query class is
-  /// prediction-independent; entries with model-dependent Sort/Limit
-  /// plans re-execute every iteration). `false` restores the legacy
-  /// fresh-arena-per-iteration bind.
-  bool bind_cache = true;
 };
 
 /// Per-iteration phase timings and bookkeeping (Figures 5 and 12 report

@@ -566,11 +566,10 @@ Result<std::vector<BoundComplaint>> DebugSession::BindPhase(IterationStats* stat
       arena->num_nodes() >
           kArenaCompactFactor * std::max<size_t>(arena_nodes_after_full_bind_, 1);
 
-  if (!config_.bind_cache || !bind_cache_primed_ || compact) {
+  if (!bind_cache_primed_ || compact) {
     // Full bind: one fresh arena shared by every query so multi-query
-    // complaints combine (Section 6.5). With the cache enabled this
-    // arena then PERSISTS across iterations (primed below); with it
-    // disabled this is the legacy once-per-iteration path.
+    // complaints combine (Section 6.5). The arena then PERSISTS across
+    // iterations (primed below).
     pipeline_->ResetDebugState();
     RAIN_ASSIGN_OR_RETURN(
         std::vector<std::vector<BoundComplaint>> entries,
@@ -583,10 +582,10 @@ Result<std::vector<BoundComplaint>> DebugSession::BindPhase(IterationStats* stat
       e.bound = std::move(entries[i]);
       e.cacheable =
           PlanStructureCacheable(workload_[i].query) && EntryBindable(e.bound);
-      e.valid = config_.bind_cache && e.cacheable;
+      e.valid = e.cacheable;
       bound.insert(bound.end(), e.bound.begin(), e.bound.end());
     }
-    bind_cache_primed_ = config_.bind_cache;
+    bind_cache_primed_ = true;
     arena_nodes_after_full_bind_ = pipeline_->arena()->num_nodes();
     bind_cache_stats_.entries_rebound += workload_.size();
     ++bind_cache_stats_.full_binds;
@@ -646,14 +645,12 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
   ctx.ilp = config_.ilp;
   ctx.relax_mode = config_.relax_mode;
   ctx.twostep_encode_all = config_.twostep_encode_all;
-  if (config_.bind_cache) {
-    // Incremental re-encode: while the arena generation and root set are
-    // unchanged, the ranker replays the cached relaxed-poly batch
-    // structure instead of rebuilding its topological order (values are
-    // recomputed from the fresh predictions either way — bitwise-neutral).
-    ctx.encode_cache = &encode_cache_;
-    ctx.arena_generation = arena_generation_;
-  }
+  // Incremental re-encode: while the arena generation and root set are
+  // unchanged, the ranker replays the cached relaxed-poly batch structure
+  // instead of rebuilding its topological order (values are recomputed
+  // from the fresh predictions either way — bitwise-neutral).
+  ctx.encode_cache = &encode_cache_;
+  ctx.arena_generation = arena_generation_;
   // The converged retrain's Hessian describes the current parameters and
   // active rows only while the train memo holds; every data change clears
   // the memo.

@@ -226,8 +226,7 @@ struct BindCacheStats {
   /// Workload entries served from the cache (concrete values refreshed by
   /// re-evaluating their polynomials, no query execution).
   size_t entries_reused = 0;
-  /// Full rebinds: the initial priming bind, arena compactions, and
-  /// sessions with the cache disabled.
+  /// Full rebinds: the initial priming bind and arena compactions.
   size_t full_binds = 0;
   /// Bound complaints retracted by RemoveQuery / remove_queries deltas
   /// (their arena nodes are tombstoned in place).
@@ -561,12 +560,6 @@ class DebugSessionBuilder {
   /// TwoStep q encoding over every ILP-touched row (ablation knob).
   DebugSessionBuilder& twostep_encode_all(bool v = true) {
     config_.twostep_encode_all = v;
-    return *this;
-  }
-  /// Incremental bind/encode caching (default on); `false` restores the
-  /// legacy fresh-arena-per-iteration bind. See `DebugConfig::bind_cache`.
-  DebugSessionBuilder& bind_cache(bool v) {
-    config_.bind_cache = v;
     return *this;
   }
   /// Bulk import of a whole `DebugConfig` (config-sweeping benches);

@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <cerrno>
+#include <cstdlib>
+
 #include "common/string_util.h"
 #include "sql/lexer.h"
 
@@ -45,7 +48,7 @@ class Parser {
     }
     if (AcceptKeyword("LIMIT")) {
       if (Cur().kind != TokenKind::kInt) return Err("expected integer after LIMIT");
-      stmt.limit = std::stoll(Cur().text);
+      RAIN_ASSIGN_OR_RETURN(stmt.limit, IntLiteral());
       Advance();
     }
     if (Cur().kind != TokenKind::kEnd) {
@@ -67,6 +70,26 @@ class Parser {
     return Status::ParseError(
         StrFormat("%s near offset %zu (token '%s')", msg.c_str(), Cur().offset,
                   Cur().text.c_str()));
+  }
+
+  /// Numeric literals come from untrusted query text: one the lexer accepts
+  /// but a double or int64 cannot hold is an InvalidArgument, not a throw.
+  Status OutOfRange() const {
+    return Status::InvalidArgument(
+        StrFormat("numeric literal out of range near offset %zu (token '%s')",
+                  Cur().offset, Cur().text.c_str()));
+  }
+  Result<int64_t> IntLiteral() const {
+    errno = 0;
+    const long long v = std::strtoll(Cur().text.c_str(), nullptr, 10);
+    if (errno == ERANGE) return OutOfRange();
+    return static_cast<int64_t>(v);
+  }
+  Result<double> FloatLiteral() const {
+    errno = 0;
+    const double v = std::strtod(Cur().text.c_str(), nullptr);
+    if (errno == ERANGE) return OutOfRange();
+    return v;
   }
 
   bool AcceptKeyword(const char* kw) {
@@ -296,12 +319,12 @@ class Parser {
     const Token& t = Cur();
     switch (t.kind) {
       case TokenKind::kInt: {
-        const int64_t v = std::stoll(t.text);
+        RAIN_ASSIGN_OR_RETURN(const int64_t v, IntLiteral());
         Advance();
         return Expr::LitInt(v);
       }
       case TokenKind::kFloat: {
-        const double v = std::stod(t.text);
+        RAIN_ASSIGN_OR_RETURN(const double v, FloatLiteral());
         Advance();
         return Expr::LitDouble(v);
       }

@@ -20,17 +20,16 @@ namespace {
 
 // --------------------------------------------------------------------------
 // Tier selection. Three tiers, ordered; the active tier is the minimum of
-// (best CPU-supported tier, RAIN_SIMD env cap, ForceBackend cap), with
-// ForceScalar trumping everything. All state is relaxed-atomic: the tier
-// is a per-process constant in production (env read once), and the test
-// hooks toggle it only around call sites.
+// (best CPU-supported tier, RAIN_SIMD env cap, ForceBackend cap). All
+// state is relaxed-atomic: the tier is a per-process constant in
+// production (env read once), and the test hook toggles it only around
+// call sites.
 // --------------------------------------------------------------------------
 
 constexpr int kTierScalar = 0;
 constexpr int kTierAvx2 = 1;
 constexpr int kTierAvx512 = 2;
 
-std::atomic<bool> g_force_scalar{false};
 std::atomic<int> g_forced_cap{-1};  // -1 = no ForceBackend cap
 std::atomic<int> g_env_cap{-2};     // -2 = RAIN_SIMD not read yet, -1 = unset
 
@@ -95,7 +94,6 @@ int EnvCap() {
 }
 
 int ActiveTier() {
-  if (g_force_scalar.load(std::memory_order_relaxed)) return kTierScalar;
   int tier = BestTier();
   const int env = EnvCap();
   if (env >= 0 && env < tier) tier = env;
@@ -122,17 +120,13 @@ void MulAddScalar(double alpha, const double* x, double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void MulScalar(const double* a, const double* b, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 // --------------------------------------------------------------------------
-// Scalar fallbacks for the SHAPED-REDUCTION kernels. These replicate the
-// SIMD lane shape exactly — four virtual lane accumulators filled in
-// stride-4 steps, combined as (l0+l1)+(l2+l3) (resp. products), scalar
-// tail folded afterwards — so all backends produce identical bits. (The
-// avx512 tier consumes eight elements per step as two sequential
-// four-lane rounds, which is the same chain.)
+// Scalar fallback for the SHAPED-REDUCTION Dot2. It replicates the SIMD
+// lane shape exactly — four virtual lane accumulators filled in stride-4
+// steps, combined as (l0+l1)+(l2+l3), scalar tail folded afterwards — so
+// all backends produce identical bits. (The avx512 tier consumes eight
+// elements per step as two sequential four-lane rounds, which is the
+// same chain.)
 // --------------------------------------------------------------------------
 
 double Dot2Scalar(const double* a, const double* x, const double* b,
@@ -147,55 +141,6 @@ double Dot2Scalar(const double* a, const double* x, const double* b,
   double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
   for (; i < n; ++i) total += a[i] * x[i] + b[i] * y[i];
   return total;
-}
-
-double GatherSumScalar(const double* v, const int32_t* idx, size_t n) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t j = 0; j < 4; ++j) lane[j] += v[idx[i + j]];
-  }
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += v[idx[i]];
-  return total;
-}
-
-double GatherProdScalar(const double* v, const int32_t* idx, size_t n) {
-  double lane[4] = {1.0, 1.0, 1.0, 1.0};
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t j = 0; j < 4; ++j) lane[j] *= v[idx[i + j]];
-  }
-  double total = (lane[0] * lane[1]) * (lane[2] * lane[3]);
-  for (; i < n; ++i) total *= v[idx[i]];
-  return total;
-}
-
-double GatherProdOneMinusScalar(const double* v, const int32_t* idx, size_t n) {
-  double lane[4] = {1.0, 1.0, 1.0, 1.0};
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t j = 0; j < 4; ++j) lane[j] *= 1.0 - v[idx[i + j]];
-  }
-  double total = (lane[0] * lane[1]) * (lane[2] * lane[3]);
-  for (; i < n; ++i) total *= 1.0 - v[idx[i]];
-  return total;
-}
-
-double GatherDotScalar(const double* v, const int32_t* idx, const double* w,
-                       size_t n) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t j = 0; j < 4; ++j) lane[j] += v[idx[i + j]] * w[i + j];
-  }
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += v[idx[i]] * w[i];
-  return total;
-}
-
-void GatherScalar(const double* v, const int32_t* idx, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = v[idx[i]];
 }
 
 #ifdef RAIN_SIMD_X86
@@ -276,16 +221,6 @@ __attribute__((target("avx2"))) void MulAdd2Avx2(double a0, const double* x0,
   for (; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
 }
 
-__attribute__((target("avx2"))) void MulAvx2(const double* a, const double* b,
-                                             double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
 __attribute__((target("avx2"))) double Dot2Avx2(const double* a, const double* x,
                                                 const double* b, const double* y,
                                                 size_t n) {
@@ -309,91 +244,6 @@ __attribute__((target("avx2,fma"))) void GemvAvx2(const double* a, size_t rows,
                                                   size_t cols, const double* x,
                                                   double* out) {
   for (size_t r = 0; r < rows; ++r) out[r] = DotAvx2(a + r * cols, x, cols);
-}
-
-// The masked gather form (all-ones mask, zero source) is used instead of
-// _mm256_i32gather_pd: the unmasked intrinsic seeds its destination with
-// _mm256_undefined_pd(), which gcc's -Wmaybe-uninitialized flags under
-// -Werror. Semantics are identical — every lane is gathered.
-__attribute__((target("avx2"))) inline __m256d GatherPd(const double* v,
-                                                        __m128i vi) {
-  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), v, vi, all, 8);
-}
-
-__attribute__((target("avx2"))) double GatherSumAvx2(const double* v,
-                                                     const int32_t* idx, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_add_pd(acc, GatherPd(v, vi));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += v[idx[i]];
-  return total;
-}
-
-__attribute__((target("avx2"))) double GatherProdAvx2(const double* v,
-                                                      const int32_t* idx,
-                                                      size_t n) {
-  __m256d acc = _mm256_set1_pd(1.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_mul_pd(acc, GatherPd(v, vi));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] * lane[1]) * (lane[2] * lane[3]);
-  for (; i < n; ++i) total *= v[idx[i]];
-  return total;
-}
-
-__attribute__((target("avx2"))) double GatherProdOneMinusAvx2(const double* v,
-                                                              const int32_t* idx,
-                                                              size_t n) {
-  const __m256d ones = _mm256_set1_pd(1.0);
-  __m256d acc = ones;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_mul_pd(acc, _mm256_sub_pd(ones, GatherPd(v, vi)));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] * lane[1]) * (lane[2] * lane[3]);
-  for (; i < n; ++i) total *= 1.0 - v[idx[i]];
-  return total;
-}
-
-__attribute__((target("avx2"))) double GatherDotAvx2(const double* v,
-                                                     const int32_t* idx,
-                                                     const double* w, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(GatherPd(v, vi), _mm256_loadu_pd(w + i)));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += v[idx[i]] * w[i];
-  return total;
-}
-
-__attribute__((target("avx2"))) void GatherAvx2(const double* v,
-                                                const int32_t* idx, double* out,
-                                                size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    _mm256_storeu_pd(out + i, GatherPd(v, vi));
-  }
-  for (; i < n; ++i) out[i] = v[idx[i]];
 }
 
 // gcc's AVX-512 intrinsic headers seed several destinations with
@@ -431,15 +281,6 @@ Lo256(__m512d v) {
 __attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma"))) inline __m256d
 Hi256(__m512d v) {
   return _mm512_castpd512_pd256(_mm512_shuffle_f64x2(v, v, 0xEE));
-}
-
-// Masked form for the same reason as GatherPd above: the unmasked
-// _mm512_i32gather_pd seeds its destination with an undefined value that
-// gcc's -Wmaybe-uninitialized flags under -Werror. All eight lanes gather.
-__attribute__((target(RAIN_TARGET_AVX512))) inline __m512d Gather8Pd(
-    const double* v, __m256i vi) {
-  return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), static_cast<__mmask8>(0xFF),
-                                  vi, v, 8);
 }
 
 __attribute__((target(RAIN_TARGET_AVX512))) double Dot512(const double* x,
@@ -512,17 +353,6 @@ __attribute__((target(RAIN_TARGET_AVX512))) void MulAdd2_512(
   if (i < n) MulAdd2Avx2(a0, x0 + i, a1, x1 + i, y + i, n - i);
 }
 
-__attribute__((target(RAIN_TARGET_AVX512))) void Mul512(const double* a,
-                                                        const double* b,
-                                                        double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(out + i,
-                     _mm512_mul_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i)));
-  }
-  if (i < n) MulAvx2(a + i, b + i, out + i, n - i);
-}
-
 __attribute__((target(RAIN_TARGET_AVX512))) double Dot2_512(const double* a,
                                                             const double* x,
                                                             const double* b,
@@ -562,106 +392,6 @@ __attribute__((target(RAIN_TARGET_AVX512))) void Gemv512(const double* a,
   for (size_t r = 0; r < rows; ++r) out[r] = Dot512(a + r * cols, x, cols);
 }
 
-__attribute__((target(RAIN_TARGET_AVX512))) double GatherSum512(
-    const double* v, const int32_t* idx, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d g = Gather8Pd(v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i)));
-    acc = _mm256_add_pd(acc, Lo256(g));
-    acc = _mm256_add_pd(acc, Hi256(g));
-  }
-  if (i + 4 <= n) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_add_pd(acc, GatherPd(v, vi));
-    i += 4;
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += v[idx[i]];
-  return total;
-}
-
-__attribute__((target(RAIN_TARGET_AVX512))) double GatherProd512(
-    const double* v, const int32_t* idx, size_t n) {
-  __m256d acc = _mm256_set1_pd(1.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d g = Gather8Pd(v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i)));
-    acc = _mm256_mul_pd(acc, Lo256(g));
-    acc = _mm256_mul_pd(acc, Hi256(g));
-  }
-  if (i + 4 <= n) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_mul_pd(acc, GatherPd(v, vi));
-    i += 4;
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] * lane[1]) * (lane[2] * lane[3]);
-  for (; i < n; ++i) total *= v[idx[i]];
-  return total;
-}
-
-__attribute__((target(RAIN_TARGET_AVX512))) double GatherProdOneMinus512(
-    const double* v, const int32_t* idx, size_t n) {
-  const __m512d ones8 = _mm512_set1_pd(1.0);
-  const __m256d ones4 = _mm256_set1_pd(1.0);
-  __m256d acc = ones4;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d g = Gather8Pd(v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i)));
-    const __m512d t = _mm512_sub_pd(ones8, g);
-    acc = _mm256_mul_pd(acc, Lo256(t));
-    acc = _mm256_mul_pd(acc, Hi256(t));
-  }
-  if (i + 4 <= n) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_mul_pd(acc, _mm256_sub_pd(ones4, GatherPd(v, vi)));
-    i += 4;
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] * lane[1]) * (lane[2] * lane[3]);
-  for (; i < n; ++i) total *= 1.0 - v[idx[i]];
-  return total;
-}
-
-__attribute__((target(RAIN_TARGET_AVX512))) double GatherDot512(
-    const double* v, const int32_t* idx, const double* w, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d g = Gather8Pd(v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i)));
-    const __m512d t = _mm512_mul_pd(g, _mm512_loadu_pd(w + i));
-    acc = _mm256_add_pd(acc, Lo256(t));
-    acc = _mm256_add_pd(acc, Hi256(t));
-  }
-  if (i + 4 <= n) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(GatherPd(v, vi), _mm256_loadu_pd(w + i)));
-    i += 4;
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += v[idx[i]] * w[i];
-  return total;
-}
-
-__attribute__((target(RAIN_TARGET_AVX512))) void Gather512(const double* v,
-                                                           const int32_t* idx,
-                                                           double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(
-        out + i,
-        Gather8Pd(v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i))));
-  }
-  if (i < n) GatherAvx2(v, idx + i, out + i, n - i);
-}
-
 #undef RAIN_TARGET_AVX512
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -683,10 +413,6 @@ const char* Backend() {
     default:
       return "scalar";
   }
-}
-
-bool ForceScalar(bool force) {
-  return g_force_scalar.exchange(force, std::memory_order_relaxed);
 }
 
 bool ForceBackend(const char* tier) {
@@ -762,21 +488,6 @@ void MulAdd2(double a0, const double* x0, double a1, const double* x1, double* y
   for (size_t i = 0; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
 }
 
-void Mul(const double* a, const double* b, double* out, size_t n) {
-#ifdef RAIN_SIMD_X86
-  const int tier = ActiveTier();
-  if (tier >= kTierAvx512) {
-    Mul512(a, b, out, n);
-    return;
-  }
-  if (tier >= kTierAvx2) {
-    MulAvx2(a, b, out, n);
-    return;
-  }
-#endif
-  MulScalar(a, b, out, n);
-}
-
 double Dot2(const double* a, const double* x, const double* b, const double* y,
             size_t n) {
 #ifdef RAIN_SIMD_X86
@@ -818,82 +529,68 @@ void GemmNT(const double* a, size_t m, size_t lda, const double* b, size_t n,
   }
 }
 
+// --------------------------------------------------------------------------
+// Relax-layer kernels: one scalar body each, not dispatched. Keep the
+// reductions' four-lane shape (see the header): the relaxation values,
+// and so the deletion sequences, depend on it.
+// --------------------------------------------------------------------------
+
+void Mul(const double* a, const double* b, double* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+}
+
 double GatherSum(const double* v, const int32_t* idx, size_t n) {
-#ifdef RAIN_SIMD_X86
-  if (n >= kGatherSimdCutoff) {
-    const int tier = ActiveTier();
-    if (tier >= kTierAvx512) return GatherSum512(v, idx, n);
-    if (tier >= kTierAvx2) return GatherSumAvx2(v, idx, n);
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t j = 0; j < 4; ++j) lane[j] += v[idx[i + j]];
   }
-#endif
-  return GatherSumScalar(v, idx, n);
+  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (; i < n; ++i) total += v[idx[i]];
+  return total;
 }
 
 double GatherProd(const double* v, const int32_t* idx, size_t n) {
-#ifdef RAIN_SIMD_X86
-  if (n >= kGatherSimdCutoff) {
-    const int tier = ActiveTier();
-    if (tier >= kTierAvx512) return GatherProd512(v, idx, n);
-    if (tier >= kTierAvx2) return GatherProdAvx2(v, idx, n);
+  double lane[4] = {1.0, 1.0, 1.0, 1.0};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t j = 0; j < 4; ++j) lane[j] *= v[idx[i + j]];
   }
-#endif
-  return GatherProdScalar(v, idx, n);
+  double total = (lane[0] * lane[1]) * (lane[2] * lane[3]);
+  for (; i < n; ++i) total *= v[idx[i]];
+  return total;
 }
 
 double GatherProdOneMinus(const double* v, const int32_t* idx, size_t n) {
-#ifdef RAIN_SIMD_X86
-  if (n >= kGatherSimdCutoff) {
-    const int tier = ActiveTier();
-    if (tier >= kTierAvx512) return GatherProdOneMinus512(v, idx, n);
-    if (tier >= kTierAvx2) return GatherProdOneMinusAvx2(v, idx, n);
+  double lane[4] = {1.0, 1.0, 1.0, 1.0};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t j = 0; j < 4; ++j) lane[j] *= 1.0 - v[idx[i + j]];
   }
-#endif
-  return GatherProdOneMinusScalar(v, idx, n);
+  double total = (lane[0] * lane[1]) * (lane[2] * lane[3]);
+  for (; i < n; ++i) total *= 1.0 - v[idx[i]];
+  return total;
 }
 
 double GatherDot(const double* v, const int32_t* idx, const double* w, size_t n) {
-#ifdef RAIN_SIMD_X86
-  if (n >= kGatherSimdCutoff) {
-    const int tier = ActiveTier();
-    if (tier >= kTierAvx512) return GatherDot512(v, idx, w, n);
-    if (tier >= kTierAvx2) return GatherDotAvx2(v, idx, w, n);
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t j = 0; j < 4; ++j) lane[j] += v[idx[i + j]] * w[i + j];
   }
-#endif
-  return GatherDotScalar(v, idx, w, n);
+  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (; i < n; ++i) total += v[idx[i]] * w[i];
+  return total;
 }
 
 void Gather(const double* v, const int32_t* idx, double* out, size_t n) {
-#ifdef RAIN_SIMD_X86
-  if (n >= kGatherSimdCutoff) {
-    const int tier = ActiveTier();
-    if (tier >= kTierAvx512) {
-      Gather512(v, idx, out, n);
-      return;
-    }
-    if (tier >= kTierAvx2) {
-      GatherAvx2(v, idx, out, n);
-      return;
-    }
-  }
-#endif
-  GatherScalar(v, idx, out, n);
+  for (size_t i = 0; i < n; ++i) out[i] = v[idx[i]];
 }
 
 void ScatterAxpy(double alpha, const double* x, const int32_t* idx, double* y,
                  size_t n) {
-  // The products vectorize; the scatter side stays a scalar loop in
-  // ascending i order so duplicate indices accumulate deterministically.
-  // Each element gets round(y + round(alpha * x)) — the plain scalar
-  // statement's two roundings — on every backend.
-  constexpr size_t kBlock = 128;
-  double prod[kBlock];
-  size_t i = 0;
-  while (i < n) {
-    const size_t len = std::min(kBlock, n - i);
-    for (size_t j = 0; j < len; ++j) prod[j] = alpha * x[i + j];
-    for (size_t j = 0; j < len; ++j) y[idx[i + j]] += prod[j];
-    i += len;
-  }
+  // Ascending i, so duplicate indices accumulate in a fixed order.
+  for (size_t i = 0; i < n; ++i) y[idx[i]] += alpha * x[i];
 }
 
 void PrefixSuffixProducts(const double* c, size_t k, double* prefix,

@@ -20,22 +20,9 @@ using Vec = std::vector<double>;
 /// are a pure function of the knob.
 namespace vec {
 
-/// \brief Below this many gathered elements the dispatched gather kernels
-/// (GatherSum/GatherProd/GatherProdOneMinus/GatherDot/Gather) run the
-/// shaped scalar loop instead of vpgatherdpd: the gather-instruction setup
-/// costs more than it saves on typical small-arity AND/OR nodes.
-///
-/// Shared by the RelaxedPoly forward sweep and the batched adjoint
-/// reverse sweep — one constant, so the two sweeps can never drift apart.
-/// The cutoff cannot affect results: both sides of the boundary produce
-/// the identical fixed lane shape for a given n, so the choice is
-/// invisible bit-for-bit (pinned by tensor_test's cutoff-boundary test).
-constexpr size_t kGatherSimdCutoff = 16;
-
 /// \brief Runtime-dispatched SIMD backend for the innermost range
-/// kernels (Dot/Axpy, the GEMV/GEMM-NT projections and coefficient
-/// passes behind the models, and the gather micro-kernels behind
-/// RelaxedPoly).
+/// kernels behind the models (Dot/Axpy, the GEMV/GEMM-NT projections and
+/// the coefficient passes).
 ///
 /// Three tiers, selected once per process from CPUID:
 ///   * `avx512`  — 512-bit AVX-512F/DQ/VL variants. The wider registers
@@ -56,8 +43,8 @@ constexpr size_t kGatherSimdCutoff = 16;
 /// deterministic-chunk contract is untouched: results remain a pure
 /// function of (inputs, parallelism knob, backend).
 ///
-/// Determinism taxonomy — each kernel documents which class it is in:
-///  * ELEMENTWISE (MulAdd, MulAdd2, Mul, Gather, ScatterAxpy):
+/// Determinism taxonomy — each dispatched kernel documents its class:
+///  * ELEMENTWISE (MulAdd, MulAdd2):
 ///    every output element is computed with the exact rounding sequence
 ///    of the scalar loop (separate multiply and add roundings, no fusion,
 ///    no cross-lane ops), so every tier is bitwise identical. These carry
@@ -73,30 +60,31 @@ constexpr size_t kGatherSimdCutoff = 16;
 ///    per tier and bitwise identical between avx512 and avx2-fma; the
 ///    scalar left-fold differs at rounding level (the same latitude
 ///    chunked reductions already have across knob values).
-///  * SHAPED-REDUCTION (Dot2, GatherSum, GatherProd, GatherProdOneMinus,
-///    GatherDot): the scalar fallback replicates the SIMD lane shape
-///    exactly (four virtual lanes, same combine order; the avx512 tier
-///    processes eight elements per step as two sequential four-lane
-///    rounds), so these reductions are bitwise identical across all
+///  * SHAPED-REDUCTION (Dot2): the scalar fallback replicates the SIMD
+///    lane shape exactly (four virtual lanes, same combine order; the
+///    avx512 tier processes eight elements per step as two sequential
+///    four-lane rounds), so the reduction is bitwise identical across all
 ///    three tiers.
+///
+/// The relax-layer kernels behind the RelaxedPoly sweeps (Mul, GatherSum,
+/// GatherProd, GatherProdOneMinus, GatherDot, Gather, ScatterAxpy,
+/// PrefixSuffixProducts) are not dispatched: each has one scalar body, so
+/// their bits cannot depend on the backend.
 namespace simd {
 /// "avx512", "avx2-fma" or "scalar" — whatever dispatch (plus any
-/// RAIN_SIMD / ForceBackend / ForceScalar override) selects right now.
+/// RAIN_SIMD / ForceBackend override) selects right now.
 const char* Backend();
-
-/// Test hook: true forces the scalar fallback regardless of CPU support.
-/// Returns the previous setting. Not intended for concurrent flipping
-/// while kernels run (tests toggle it around call sites).
-bool ForceScalar(bool force);
 
 /// \brief Test/bench hook: cap the dispatch at the named tier
 /// (`"avx512"`, `"avx2"`, `"scalar"`), or clear the cap with `nullptr`
-/// or `""`.
+/// or `""`. `ForceBackend("scalar")` forces the scalar fallbacks
+/// regardless of CPU support.
 ///
 /// Returns true when the active backend now equals the request (i.e. the
 /// CPU supports it); false when the request was clamped to a lower tier
 /// or the name was not recognized (the cap is cleared in that case).
-/// Like ForceScalar, not intended for concurrent flipping.
+/// Not intended for concurrent flipping while kernels run (tests toggle
+/// it around call sites).
 bool ForceBackend(const char* tier);
 
 /// Re-reads the RAIN_SIMD environment variable (normally read once,
@@ -123,11 +111,6 @@ void MulAdd(double alpha, const double* x, double* y, size_t n);
 void MulAdd2(double a0, const double* x0, double a1, const double* x1, double* y,
              size_t n);
 
-/// ELEMENTWISE: out[i] = a[i] * b[i] (one rounding per element, bitwise
-/// identical across backends). Used by the reverse-sweep edge-weight
-/// builder to fuse prefix and suffix product arrays.
-void Mul(const double* a, const double* b, double* out, size_t n);
-
 /// SHAPED-REDUCTION: returns sum_i (a[i]*x[i] + b[i]*y[i]) with a fixed
 /// four-lane shape replicated bitwise by the scalar fallback. This is the
 /// MLP R-forward two-operand row reduction.
@@ -152,31 +135,36 @@ void Gemv(const double* a, size_t rows, size_t cols, const double* x, double* ou
 void GemmNT(const double* a, size_t m, size_t lda, const double* b, size_t n,
             size_t ldb, size_t k, double* out, size_t ldo);
 
-/// SHAPED-REDUCTION: returns sum_i v[idx[i]].
+// Relax-layer kernels (one scalar body each, not dispatched). The
+// reductions fill four virtual lane accumulators in stride-4 steps,
+// combine them as (l0+l1)+(l2+l3) (resp. products) and fold the tail
+// afterwards, so a value depends only on the element sequence.
+
+/// Returns sum_i v[idx[i]] (four-lane shape).
 double GatherSum(const double* v, const int32_t* idx, size_t n);
-/// SHAPED-REDUCTION: returns prod_i v[idx[i]].
+/// Returns prod_i v[idx[i]] (four-lane shape).
 double GatherProd(const double* v, const int32_t* idx, size_t n);
-/// SHAPED-REDUCTION: returns prod_i (1 - v[idx[i]]).
+/// Returns prod_i (1 - v[idx[i]]) (four-lane shape).
 double GatherProdOneMinus(const double* v, const int32_t* idx, size_t n);
 
-/// SHAPED-REDUCTION: returns sum_i v[idx[i]] * w[i], each term rounded
-/// separately (multiply then lane add, no fusion), four-lane shape. This
-/// is the batched adjoint gather: v = adjoints, idx = CSR parent list,
-/// w = edge weights.
+/// Returns sum_i v[idx[i]] * w[i], each term rounded separately (multiply
+/// then lane add, no fusion), four-lane shape. This is the batched
+/// adjoint gather: v = adjoints, idx = CSR parent list, w = edge weights.
 double GatherDot(const double* v, const int32_t* idx, const double* w, size_t n);
 
-/// ELEMENTWISE (gather-copy): out[i] = v[idx[i]] — a pure permutation
-/// load, bitwise identical across backends by construction.
+/// out[i] = v[idx[i]].
 void Gather(const double* v, const int32_t* idx, double* out, size_t n);
 
-/// \brief ELEMENTWISE (ordered scatter): y[idx[i]] += alpha * x[i] with
-/// separate multiply and add roundings, applied in ascending i order.
+/// out[i] = a[i] * b[i]. Used by the reverse-sweep edge-weight builder to
+/// fuse prefix and suffix product arrays.
+void Mul(const double* a, const double* b, double* out, size_t n);
+
+/// \brief y[idx[i]] += alpha * x[i] with separate multiply and add
+/// roundings, applied in ascending i order.
 ///
 /// Duplicate indices accumulate in order, so the result is a pure
-/// function of the argument arrays on every backend — the scatter side
-/// stays a scalar loop (a vectorized scatter would need conflict
-/// detection to keep duplicate-index order); SIMD tiers vectorize the
-/// alpha*x products. Used for the reverse-sweep variable-grad writeback.
+/// function of the argument arrays. Used for the reverse-sweep
+/// variable-grad writeback.
 void ScatterAxpy(double alpha, const double* x, const int32_t* idx, double* y,
                  size_t n);
 
@@ -184,10 +172,9 @@ void ScatterAxpy(double alpha, const double* x, const int32_t* idx, double* y,
 /// prefix[j] * c[j]; suffix[k] = 1, suffix[j] = suffix[j+1] * c[j].
 /// `prefix` and `suffix` must hold k+1 doubles.
 ///
-/// The scans are inherently sequential (scalar on every backend — one
-/// rounding per step, identical everywhere); combine with Mul to produce
-/// the leave-one-out products d(prod)/d(c_j) = prefix[j] * suffix[j+1]
-/// the reverse sweep uses for MUL/OR nodes.
+/// Combine with Mul to produce the leave-one-out products
+/// d(prod)/d(c_j) = prefix[j] * suffix[j+1] the reverse sweep uses for
+/// MUL/OR nodes.
 void PrefixSuffixProducts(const double* c, size_t k, double* prefix,
                           double* suffix);
 }  // namespace simd
@@ -224,8 +211,8 @@ inline constexpr size_t kCacheLineBytes = 64;
 /// reduction primitive behind every parallel gradient / HVP in src/ml.
 ///
 /// The body also returns a scalar partial (a chunk's loss; bodies with
-/// nothing to sum return 0). The partials are added in chunk order — the
-/// ParallelSum(parallelism, n) grouping — and the sum is returned.
+/// nothing to sum return 0). The partials are added in chunk order and the
+/// sum is returned.
 ///
 /// The chunk buffers are cache-line-private: the acc->data() ranges of any
 /// two chunks are at least kCacheLineBytes apart. Bodies must not resize

@@ -2,7 +2,6 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -408,29 +407,6 @@ TEST(ParallelForGrainTest, DefaultOverloadKeepsLegacyLayout) {
   EXPECT_EQ(layout(true), layout(false));
 }
 
-TEST(ParallelSumGrainTest, DeterministicPerGrainAndCloseToSequential) {
-  const size_t n = 20000;
-  std::vector<double> v(n);
-  Rng rng(11);
-  for (double& x : v) x = rng.Uniform(-1.0, 1.0);
-  auto chunk_sum = [&v](size_t begin, size_t end) {
-    double acc = 0.0;
-    for (size_t i = begin; i < end; ++i) acc += v[i];
-    return acc;
-  };
-  const double seq = ParallelSum(1, n, chunk_sum);
-  for (size_t grain : {size_t{1}, size_t{128}, size_t{4096}, size_t{30000}}) {
-    const double a = ParallelSum(8, n, grain, chunk_sum);
-    const double b = ParallelSum(8, n, grain, chunk_sum);
-    EXPECT_EQ(a, b) << "same (parallelism, grain) must reproduce bitwise";
-    EXPECT_NEAR(a, seq, 1e-9) << "grain=" << grain;
-  }
-  // Grain big enough to collapse to one chunk is bitwise sequential.
-  EXPECT_EQ(ParallelSum(8, n, size_t{30000}, chunk_sum), seq);
-  // Default overload == explicit grain 1 (same partial grouping).
-  EXPECT_EQ(ParallelSum(8, n, size_t{1}, chunk_sum), ParallelSum(8, n, chunk_sum));
-}
-
 TEST(ParallelForCancellableGrainTest, UncancelledRunsEverythingOnce) {
   const size_t n = 501;
   CancellationToken cancel;
@@ -444,47 +420,6 @@ TEST(ParallelForCancellableGrainTest, UncancelledRunsEverythingOnce) {
   cancel.Cancel();
   EXPECT_FALSE(ParallelForCancellable(8, n, size_t{64}, &cancel,
                                       [](size_t, size_t, size_t) {}));
-}
-
-TEST(ParallelSumTest, DeterministicAndCloseToSequential) {
-  const size_t n = 20000;
-  std::vector<double> v(n);
-  Rng rng(5);
-  for (double& x : v) x = rng.Uniform(-1.0, 1.0);
-  auto chunk_sum = [&v](size_t begin, size_t end) {
-    double acc = 0.0;
-    for (size_t i = begin; i < end; ++i) acc += v[i];
-    return acc;
-  };
-  const double seq = ParallelSum(1, n, chunk_sum);
-  EXPECT_DOUBLE_EQ(seq, std::accumulate(v.begin(), v.end(), 0.0));
-  for (int par : {2, 4, 8}) {
-    const double a = ParallelSum(par, n, chunk_sum);
-    const double b = ParallelSum(par, n, chunk_sum);
-    EXPECT_EQ(a, b) << "same knob must reproduce bitwise, parallelism=" << par;
-    EXPECT_NEAR(a, seq, 1e-9);
-  }
-}
-
-TEST(ParallelForSeededTest, ReproducibleForFixedSeedAndParallelism) {
-  const size_t n = 1000;
-  auto draw = [n](int par, uint64_t seed) {
-    std::vector<double> out(n, 0.0);
-    ParallelForSeeded(par, n, seed,
-                      [&out](size_t begin, size_t end, size_t, Rng& rng) {
-                        for (size_t i = begin; i < end; ++i) out[i] = rng.Uniform();
-                      });
-    return out;
-  };
-  EXPECT_EQ(draw(4, 7), draw(4, 7)) << "identical (seed, parallelism) must reproduce";
-  EXPECT_NE(draw(4, 7), draw(4, 8)) << "different seeds must differ";
-  EXPECT_NE(draw(2, 7), draw(4, 7))
-      << "chunk layout is part of the determinism contract";
-  // Chunk c draws from Rng(SplitSeed(seed, c)): verify against a manual
-  // recomputation of the first chunk.
-  std::vector<double> out = draw(4, 7);
-  Rng chunk0(SplitSeed(7, 0));
-  for (size_t i = 0; i < n / 4; ++i) EXPECT_EQ(out[i], chunk0.Uniform());
 }
 
 TEST(StatusCodeNameTest, RoundTripsEveryCode) {

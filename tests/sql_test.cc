@@ -126,6 +126,23 @@ TEST(ParserTest, RejectsBadSyntax) {
   EXPECT_FALSE(ParseSelect("SELECT a FROM T GROUP BY").ok());
 }
 
+TEST(ParserTest, OutOfRangeLiteralsAreInvalidArgument) {
+  // Literals the lexer accepts but an int64 / double cannot hold: an error
+  // status, not an exception out of the parser.
+  const std::string huge_float = std::string(400, '9') + ".5";
+  for (const std::string& q :
+       {std::string("SELECT * FROM T WHERE a > 99999999999999999999"),
+        "SELECT * FROM T WHERE a > " + huge_float,
+        std::string("SELECT * FROM T LIMIT 99999999999999999999")}) {
+    auto stmt = ParseSelect(q);
+    ASSERT_FALSE(stmt.ok()) << q;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument) << q;
+  }
+  // The largest int64 still parses.
+  auto max = ParseSelect("SELECT * FROM T WHERE a > 9223372036854775807");
+  ASSERT_TRUE(max.ok());
+}
+
 /// Planner fixture with two tables, one of them predictable.
 class PlannerFixture : public ::testing::Test {
  protected:
