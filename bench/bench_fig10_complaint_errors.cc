@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   DebugConfig cfg;
   cfg.top_k_per_iter = 10;
   cfg.max_deletions = static_cast<int>(exp.corrupted.size());
-  cfg.ilp.time_limit_s = 5.0;
 
   TablePrinter table({"complaint", "target", "method", "AUCCR"});
   std::vector<MethodRun> holistic;

@@ -19,7 +19,6 @@ int main() {
     DebugConfig cfg;
     cfg.top_k_per_iter = 10;
     cfg.max_deletions = static_cast<int>(exp.corrupted.size());
-    cfg.ilp.time_limit_s = 5.0;
     if (use_mlp) cfg.influence.damping = 0.05;
     for (const std::string m : {"loss", "twostep", "holistic"}) {
       MethodRun run = RunMethod(m, exp.make_pipeline, exp.workload, exp.corrupted, cfg);

@@ -29,7 +29,6 @@ void Sweep(const char* title, bool count_complaint,
     DebugConfig cfg;
     cfg.top_k_per_iter = 10;
     cfg.max_deletions = static_cast<int>(exp.corrupted.size());
-    cfg.ilp.time_limit_s = 5.0;
 
     for (const std::string m : {"loss", "twostep", "holistic"}) {
       MethodRun run = RunMethod(m, exp.make_pipeline, exp.workload, exp.corrupted, cfg);
@@ -72,7 +71,10 @@ int main() {
     DebugConfig cfg;
     cfg.top_k_per_iter = 10;
     cfg.max_deletions = static_cast<int>(exp.corrupted.size());
-    cfg.ilp.time_limit_s = 5.0;  // paper: TwoStep DNF in 30 min
+    // The paper's TwoStep did not finish this ILP in 30 minutes. A node
+    // budget reproduces that at laptop scale (a few seconds per solve on
+    // one core) with the same cells on every host.
+    cfg.ilp.max_nodes = 1'000;
 
     for (const std::string m : {"loss", "twostep", "holistic"}) {
       MethodRun run = RunMethod(m, exp.make_pipeline, exp.workload, exp.corrupted, cfg);

@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
     DebugConfig cfg;
     cfg.top_k_per_iter = 10;
     cfg.max_deletions = static_cast<int>(exp.corrupted.size());
-    cfg.ilp.time_limit_s = 5.0;
 
     runs.emplace_back();
     for (const std::string m : {"loss", "twostep", "holistic"}) {

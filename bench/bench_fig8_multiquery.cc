@@ -36,7 +36,6 @@ int main() {
       DebugConfig cfg;
       cfg.top_k_per_iter = 10;
       cfg.max_deletions = static_cast<int>(exp.corrupted.size());
-      cfg.ilp.time_limit_s = 5.0;
       // One knob reaches the whole iteration; the bind phase batches the
       // multi-query workload through BindWorkload at this worker count.
       cfg.parallelism = threads;

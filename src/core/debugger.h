@@ -54,6 +54,11 @@ struct IterationStats {
   int violated_complaints = 0;
   size_t deletions_after = 0;
   std::string note;
+  /// TwoStep's ILP work, carried from RankOutput (zero/false when no ILP
+  /// ran this iteration).
+  int64_t ilp_nodes = 0;
+  bool ilp_optimal = false;
+  bool ilp_warm_start_used = false;
 };
 
 struct DebugReport {

@@ -74,7 +74,13 @@ struct RankOutput {
   std::vector<double> scores;
   double encode_seconds = 0.0;  // building grad q / solving the ILP
   double rank_seconds = 0.0;    // Hessian-inverse products + scoring
-  std::string note;             // e.g. "ilp timed out; using incumbent"
+  std::string note;             // e.g. "ilp budget exhausted; using incumbent"
+  /// TwoStep's ILP work: branch-and-bound nodes (0 when the decomposition
+  /// solved it), whether the solution is proven optimal, and whether the
+  /// warm start seeded the incumbent. Zero/false when no ILP ran.
+  int64_t ilp_nodes = 0;
+  bool ilp_optimal = false;
+  bool ilp_warm_start_used = false;
 };
 
 /// \brief Strategy interface for ranking training records (Section 6.1.1).

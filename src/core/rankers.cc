@@ -333,6 +333,9 @@ class TwoStepRanker : public Ranker {
       ilp_opts.warm_start = BuildTiresiasWarmStart(enc);
     }
     RAIN_ASSIGN_OR_RETURN(IlpSolution sol, SolveIlp(enc.problem, ilp_opts));
+    out.ilp_nodes = sol.nodes_explored;
+    out.ilp_optimal = sol.optimal;
+    out.ilp_warm_start_used = sol.warm_start_used;
     if (!sol.optimal) out.note = "ilp budget exhausted; using incumbent";
     const std::vector<MarkedPrediction> marked = DecodeMarkedPredictions(enc, sol);
 

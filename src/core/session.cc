@@ -675,6 +675,9 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
   }
   stats->encode_seconds = ranked.encode_seconds;
   stats->rank_seconds = ranked.rank_seconds;
+  stats->ilp_nodes = ranked.ilp_nodes;
+  stats->ilp_optimal = ranked.ilp_optimal;
+  stats->ilp_warm_start_used = ranked.ilp_warm_start_used;
   if (!ranked.note.empty()) AppendNote(stats, ranked.note);
   return ranked;
 }

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/timer.h"
 
 namespace rain {
 namespace {
@@ -287,9 +286,10 @@ struct MultiComp {
   std::vector<MultiOption> options;
 };
 
+// Sets *too_large when it gives up on a component over kMaxComponentVars.
 bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks,
                            const IlpSolveOptions& options, Rng* rng,
-                           IlpSolution* out) {
+                           IlpSolution* out, bool* too_large) {
   const size_t nc = problem.num_constraints();
   const size_t num_couplings = ks.size();
   std::vector<uint8_t> is_coupling(nc, 0);
@@ -350,7 +350,10 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
   std::vector<MultiComp> comps;
   comps.reserve(comp_vars.size());
   for (auto& [root, vars] : comp_vars) {
-    if (vars.size() > kMaxComponentVars) return false;
+    if (vars.size() > kMaxComponentVars) {
+      *too_large = true;
+      return false;
+    }
     MultiComp comp;
     comp.vars = vars;
     const auto& cons = comp_cons[root];
@@ -664,6 +667,22 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
 
 // ---------------------------------------------------------------------------
 // Branch-and-bound with bounds propagation.
+//
+// Rows are the one-hot class choices of an encoding: kEq-1 constraints
+// over unit-coefficient variables whose objective coefficients are
+// non-negative and which share no variable with another row (Tiresias
+// emits one per queried row). The search decides every row first (keep
+// its cheapest variable or give it up), then the remaining
+// objective-carrying variables (a given-up row's class), and only then
+// what propagation left open; Tseitin auxiliaries are functions of the
+// rows, so propagation normally fixes them before that. Each node is
+// bounded by the assigned cost, plus the cheapest open variable of every
+// open row, plus a packing of row-disjoint constraints that the cheapest
+// completion of the open rows violates: each packed constraint needs one
+// of its open rows to move off its cheapest variable. Only constraints
+// whose variables outside the rows are all assigned take part (for a
+// tuple complaint, once propagation has fixed its auxiliaries), which
+// keeps the per-node cost to the constraints that can be violated.
 // ---------------------------------------------------------------------------
 
 class BnbSolver {
@@ -684,6 +703,7 @@ class BnbSolver {
     }
     min_act_.assign(p_.num_constraints(), 0.0);
     max_act_.assign(p_.num_constraints(), 0.0);
+    queued_.assign(p_.num_constraints(), 0);
     for (size_t ci = 0; ci < p_.num_constraints(); ++ci) {
       for (const LinearTerm& t : p_.constraints()[ci].terms) {
         min_act_[ci] += std::min(0.0, t.coef);
@@ -692,16 +712,29 @@ class BnbSolver {
     }
     lb_ = 0.0;
     for (size_t v = 0; v < n; ++v) lb_ += std::min(0.0, p_.objective_coef(v));
-    branch_order_.resize(n);
-    std::iota(branch_order_.begin(), branch_order_.end(), 0);
-    if (opt_.randomize) rng_.Shuffle(&branch_order_);
+    FindRows();
+
+    // Branch order: each row's cheapest variable, then the other
+    // objective-carrying or row variables, then the rest; shuffled within
+    // each tier when randomizing.
+    std::vector<int> tiers[3];
+    for (size_t v = 0; v < n; ++v) {
+      const int r = row_of_[v];
+      const int tier = r >= 0 && rows_[r].vars[0] == static_cast<int>(v) ? 0
+                       : r >= 0 || p_.objective_coef(v) != 0.0   ? 1
+                                                                 : 2;
+      tiers[tier].push_back(static_cast<int>(v));
+    }
+    for (std::vector<int>& tier : tiers) {
+      if (opt_.randomize) rng_.Shuffle(&tier);
+      branch_order_.insert(branch_order_.end(), tier.begin(), tier.end());
+    }
     pos_in_order_.resize(n);
     for (size_t i = 0; i < n; ++i) pos_in_order_[branch_order_[i]] = i;
   }
 
   IlpSolution Solve() {
     IlpSolution sol;
-    Timer timer;
     // Warm start: seed the incumbent from a feasible candidate so bound
     // pruning is active from the first node and a budget exhaust can still
     // return a usable solution.
@@ -713,8 +746,8 @@ class BnbSolver {
       sol.warm_start_used = true;
     }
     std::vector<int> trail;
-    if (!Propagate(&trail)) {
-      sol.optimal = true;  // infeasible, proven
+    if (!Propagate(&trail) || Pruned(sol)) {
+      sol.optimal = true;  // infeasible or the warm start is optimal, proven
       return sol;
     }
     // Iterative DFS.
@@ -737,12 +770,8 @@ class BnbSolver {
       Frame f;
       f.var = v;
       f.next_value = 0;
-      const double c = p_.objective_coef(v);
-      uint8_t first = c > 0 ? 0 : (c < 0 ? 1 : (opt_.randomize && rng_.Bernoulli(0.5)
-                                                    ? 1
-                                                    : 0));
-      f.values[0] = first;
-      f.values[1] = 1 - first;
+      f.values[0] = FirstValue(v);
+      f.values[1] = 1 - f.values[0];
       f.trail_start = trail.size();
       stack.push_back(f);
       return true;
@@ -750,10 +779,8 @@ class BnbSolver {
 
     push_frame();
     while (!stack.empty()) {
-      if (++sol.nodes_explored % 1024 == 0 &&
-          (timer.ElapsedSeconds() > opt_.time_limit_s ||
-           sol.nodes_explored > opt_.max_nodes)) {
-        sol.timed_out = true;
+      if (++sol.nodes_explored > opt_.max_nodes) {
+        sol.budget_exhausted = true;
         break;
       }
       Frame& f = stack.back();
@@ -768,8 +795,7 @@ class BnbSolver {
       // Cheap bound check before the (costlier) propagation pass: lb_ is
       // maintained incrementally by TryAssign.
       if (ok && sol.feasible && lb_ >= sol.objective - kEps) ok = false;
-      if (ok) ok = Propagate(&trail);
-      if (ok && sol.feasible && lb_ >= sol.objective - kEps) ok = false;  // bound
+      if (ok) ok = Propagate(&trail) && !Pruned(sol);
       if (!ok) continue;
       if (!push_frame()) {
         // Found a (complete) solution; keep searching for better ones.
@@ -777,11 +803,151 @@ class BnbSolver {
       }
     }
     UndoTo(root_trail, &trail);
-    if (!sol.timed_out) sol.optimal = true;
+    if (!sol.budget_exhausted) sol.optimal = true;
     return sol;
   }
 
  private:
+  struct Row {
+    std::vector<int> vars;  // cheapest first
+  };
+
+  void FindRows() {
+    row_of_.assign(p_.num_vars(), -1);
+    std::vector<uint8_t> is_row_con(p_.num_constraints(), 0);
+    for (size_t ci = 0; ci < p_.num_constraints(); ++ci) {
+      const LinearConstraint& c = p_.constraints()[ci];
+      if (c.sense != ConstraintSense::kEq || std::fabs(c.rhs - 1.0) > kEps ||
+          c.terms.size() < 2) {
+        continue;
+      }
+      bool one_hot = true;
+      for (const LinearTerm& t : c.terms) {
+        one_hot = one_hot && t.coef == 1.0 && p_.objective_coef(t.var) >= 0.0 &&
+                  row_of_[t.var] < 0;
+      }
+      if (!one_hot) continue;
+      Row row;
+      for (const LinearTerm& t : c.terms) {
+        row_of_[t.var] = static_cast<int>(rows_.size());
+        row.vars.push_back(t.var);
+      }
+      std::stable_sort(row.vars.begin(), row.vars.end(), [&](int a, int b) {
+        return p_.objective_coef(a) < p_.objective_coef(b);
+      });
+      rows_.push_back(std::move(row));
+      is_row_con[ci] = 1;
+    }
+    // The constraints a packing may use: every other one that mentions a
+    // row, with its row terms listed. One is active while every variable
+    // it has outside the rows is assigned; only active ones are packed.
+    open_aux_.assign(p_.num_constraints(), 0);
+    cand_of_con_.assign(p_.num_constraints(), -1);
+    for (size_t ci = 0; ci < p_.num_constraints(); ++ci) {
+      PackCandidate cand;
+      cand.ci = static_cast<int>(ci);
+      for (const LinearTerm& t : p_.constraints()[ci].terms) {
+        if (row_of_[t.var] >= 0) {
+          cand.row_span += std::fabs(t.coef);
+        } else {
+          ++open_aux_[ci];
+        }
+      }
+      if (is_row_con[ci] || cand.row_span == 0.0) continue;
+      cand_of_con_[ci] = static_cast<int>(candidates_.size());
+      if (open_aux_[ci] == 0) active_.push_back(cand_of_con_[ci]);
+      candidates_.push_back(cand);
+    }
+    active_pos_.assign(candidates_.size(), 0);
+    for (size_t i = 0; i < active_.size(); ++i) active_pos_[active_[i]] = i;
+    row_cheapest_.assign(rows_.size(), -1);
+    row_step_.assign(rows_.size(), 0.0);
+    row_packed_.assign(rows_.size(), 0);
+  }
+
+  // Keep a row's cheapest variable first; otherwise prefer the value that
+  // adds no cost, breaking zero-cost ties at random when randomizing.
+  uint8_t FirstValue(int v) {
+    const int r = row_of_[v];
+    if (r >= 0 && rows_[r].vars[0] == v) return 1;
+    const double c = p_.objective_coef(v);
+    if (c > 0) return 0;
+    if (c < 0) return 1;
+    return opt_.randomize && rng_.Bernoulli(0.5) ? 1 : 0;
+  }
+
+  /// True when the node after propagation cannot beat the incumbent.
+  bool Pruned(const IlpSolution& sol) {
+    if (!sol.feasible) return false;
+    const double cutoff = sol.objective - kEps;
+    if (lb_ >= cutoff) return true;
+    double bound = lb_;
+    // Every open row takes one of its open variables; its cheapest one is
+    // the row's default in the completion the packing evaluates.
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      int cheapest = -1;
+      double best = 0.0, second = std::numeric_limits<double>::infinity();
+      for (const int v : rows_[r].vars) {
+        if (assign_[v] == 1) {
+          cheapest = -1;
+          break;
+        }
+        if (assign_[v] != -1) continue;
+        if (cheapest < 0) {
+          cheapest = v;
+          best = p_.objective_coef(v);
+        } else {
+          second = std::min(second, p_.objective_coef(v));
+        }
+      }
+      row_cheapest_[r] = cheapest;
+      if (cheapest < 0) continue;
+      bound += best;
+      row_step_[r] = second - best;
+    }
+    if (bound >= cutoff) return true;
+    ++pack_stamp_;
+    for (const int a : active_) {
+      const PackCandidate& cand = candidates_[a];
+      const LinearConstraint& c = p_.constraints()[cand.ci];
+      double lo = min_act_[cand.ci], hi = max_act_[cand.ci];
+      // Each open row term moves lo up and hi down by at most |coef|.
+      if ((c.sense == ConstraintSense::kGe || lo + cand.row_span <= c.rhs + kEps) &&
+          (c.sense == ConstraintSense::kLe || hi - cand.row_span >= c.rhs - kEps)) {
+        continue;
+      }
+      // An active constraint's variables outside the rows are assigned, so
+      // every open term below belongs to a row.
+      for (const LinearTerm& t : c.terms) {
+        if (assign_[t.var] != -1 || row_cheapest_[row_of_[t.var]] < 0) continue;
+        const double x = row_cheapest_[row_of_[t.var]] == t.var ? t.coef : 0.0;
+        lo += x - std::min(0.0, t.coef);
+        hi += x - std::max(0.0, t.coef);
+      }
+      const bool violated = (c.sense != ConstraintSense::kGe && lo > c.rhs + kEps) ||
+                            (c.sense != ConstraintSense::kLe && hi < c.rhs - kEps);
+      if (!violated) continue;
+      double step = std::numeric_limits<double>::infinity();
+      bool disjoint = true;
+      for (const LinearTerm& t : c.terms) {
+        const int r = row_of_[t.var];
+        if (assign_[t.var] != -1 || row_cheapest_[r] < 0) continue;
+        if (row_packed_[r] == pack_stamp_) {
+          disjoint = false;
+          break;
+        }
+        step = std::min(step, row_step_[r]);
+      }
+      if (!disjoint || !std::isfinite(step)) continue;
+      for (const LinearTerm& t : c.terms) {
+        if (assign_[t.var] == -1) row_packed_[row_of_[t.var]] = pack_stamp_;
+      }
+      bound += step;
+      if (bound >= cutoff) return true;
+    }
+    return false;
+  }
+
   void RecordSolution(IlpSolution* sol) {
     const double obj = lb_;  // all vars assigned -> lb_ is exact objective
     if (!sol->feasible || obj < sol->objective - kEps) {
@@ -810,10 +976,15 @@ class BnbSolver {
     trail->push_back(var);
     const double c_obj = p_.objective_coef(var);
     lb_ += c_obj * val - std::min(0.0, c_obj);
+    const bool aux = row_of_[var] < 0;
     for (const auto& [ci, coef] : var_cons_[var]) {
       min_act_[ci] += coef * val - std::min(0.0, coef);
       max_act_[ci] += coef * val - std::max(0.0, coef);
-      queue_.push_back(ci);
+      Enqueue(ci);
+      if (aux && --open_aux_[ci] == 0 && cand_of_con_[ci] >= 0) {
+        active_pos_[cand_of_con_[ci]] = active_.size();
+        active_.push_back(cand_of_con_[ci]);
+      }
     }
     return true;
   }
@@ -826,25 +997,43 @@ class BnbSolver {
       assign_[var] = -1;
       const double c_obj = p_.objective_coef(var);
       lb_ -= c_obj * val - std::min(0.0, c_obj);
+      const bool aux = row_of_[var] < 0;
       for (const auto& [ci, coef] : var_cons_[var]) {
         min_act_[ci] -= coef * val - std::min(0.0, coef);
         max_act_[ci] -= coef * val - std::max(0.0, coef);
+        if (aux && open_aux_[ci]++ == 0 && cand_of_con_[ci] >= 0) {
+          // Swap-remove from the active list.
+          const int cand = cand_of_con_[ci];
+          const int last = active_.back();
+          active_[active_pos_[cand]] = last;
+          active_pos_[last] = active_pos_[cand];
+          active_.pop_back();
+        }
       }
       // Rewind the branch cursor so this var is branchable again.
       order_cursor_ = std::min(order_cursor_, pos_in_order_[var]);
     }
+    for (const int ci : queue_) queued_[ci] = 0;
     queue_.clear();
+  }
+
+  // Each constraint sits in the queue at most once: a thousand-term
+  // complaint touched by every auxiliary a branch fixes is scanned once
+  // per pass, not once per auxiliary.
+  void Enqueue(int ci) {
+    if (queued_[ci]) return;
+    queued_[ci] = 1;
+    queue_.push_back(ci);
   }
 
   bool Propagate(std::vector<int>* trail) {
     if (queue_.empty()) {
-      for (size_t ci = 0; ci < p_.num_constraints(); ++ci) {
-        queue_.push_back(static_cast<int>(ci));
-      }
+      for (size_t ci = 0; ci < p_.num_constraints(); ++ci) Enqueue(static_cast<int>(ci));
     }
     while (!queue_.empty()) {
       const int ci = queue_.back();
       queue_.pop_back();
+      queued_[ci] = 0;
       const LinearConstraint& c = p_.constraints()[ci];
       const bool need_le = c.sense != ConstraintSense::kGe;  // Le or Eq
       const bool need_ge = c.sense != ConstraintSense::kLe;  // Ge or Eq
@@ -884,10 +1073,28 @@ class BnbSolver {
   std::vector<std::vector<std::pair<int, double>>> var_cons_;
   std::vector<double> min_act_, max_act_;
   std::vector<int> queue_;
+  std::vector<uint8_t> queued_;
   std::vector<int> branch_order_;
   std::vector<size_t> pos_in_order_;
   size_t order_cursor_ = 0;
   double lb_ = 0.0;
+
+  // Rows and the packing bound's per-node scratch.
+  struct PackCandidate {
+    int ci = -1;
+    double row_span = 0.0;  // sum of |coef| over the row terms
+  };
+  std::vector<Row> rows_;
+  std::vector<int> row_of_;  // var -> row, -1 outside every row
+  std::vector<PackCandidate> candidates_;
+  std::vector<int> open_aux_;     // constraint -> unassigned non-row vars
+  std::vector<int> cand_of_con_;  // constraint -> candidate, -1 if none
+  std::vector<int> active_;       // candidates with open_aux_ == 0
+  std::vector<size_t> active_pos_;
+  std::vector<int> row_cheapest_;  // open row -> its cheapest open var, else -1
+  std::vector<double> row_step_;   // open row -> extra cost of leaving it
+  std::vector<uint64_t> row_packed_;
+  uint64_t pack_stamp_ = 0;
 };
 
 }  // namespace
@@ -923,10 +1130,14 @@ Result<IlpSolution> SolveIlp(const IlpProblem& raw_problem,
   if (couplings.size() == 1) {
     decomposed = TryDecomposition(problem, couplings[0], options, &rng, &sol);
   } else if (couplings.size() >= 2) {
-    decomposed = TryDecompositionMulti(problem, couplings, options, &rng, &sol);
+    bool too_large = false;
+    decomposed =
+        TryDecompositionMulti(problem, couplings, options, &rng, &sol, &too_large);
     // If the joint DP is inapplicable (grid too wide, non-conforming
-    // coupling), a single removed coupling may still disconnect the rest.
-    for (size_t i = 0; !decomposed && i < couplings.size(); ++i) {
+    // coupling), a single removed coupling may still disconnect the rest —
+    // unless removing them all left a component too large to enumerate:
+    // keeping any of them only merges components.
+    for (size_t i = 0; !decomposed && !too_large && i < couplings.size(); ++i) {
       decomposed = TryDecomposition(problem, couplings[i], options, &rng, &sol);
     }
   }
@@ -941,7 +1152,7 @@ Result<IlpSolution> SolveIlp(const IlpProblem& raw_problem,
   sol = bnb.Solve();
   if (!sol.feasible) {
     return Status::ResourceExhausted(
-        sol.timed_out ? "ILP budget exhausted with no feasible solution"
+        sol.budget_exhausted ? "ILP budget exhausted with no feasible solution"
                       : "ILP infeasible");
   }
   return sol;

@@ -10,13 +10,13 @@
 namespace rain {
 
 struct IlpSolveOptions {
-  /// Search budget: branch-and-bound nodes and wall-clock seconds. When
-  /// exhausted the solver returns its incumbent (feasible=true,
-  /// optimal=false) or ResourceExhausted if none was found — this is how
-  /// the repo reproduces the paper's "ILP did not finish in 30 minutes"
-  /// behaviour at laptop scale.
+  /// Search budget in branch-and-bound nodes. When exhausted the solver
+  /// returns its incumbent (feasible=true, optimal=false) or
+  /// ResourceExhausted if none was found — this is how the repo
+  /// reproduces the paper's "ILP did not finish in 30 minutes" behaviour
+  /// at laptop scale. A node count, unlike a wall clock, gives the same
+  /// answer on every host.
   int64_t max_nodes = 2'000'000;
-  double time_limit_s = 10.0;
 
   /// Randomizes branching order and value tie-breaks. Among ILPs with
   /// many optima this makes the returned optimum an (approximately)
@@ -47,7 +47,8 @@ struct IlpSolution {
   double objective = 0.0;
   bool feasible = false;
   bool optimal = false;
-  bool timed_out = false;
+  /// The node budget ran out before the search finished.
+  bool budget_exhausted = false;
   int64_t nodes_explored = 0;
   bool used_decomposition = false;
   /// True when a feasible `warm_start` seeded the incumbent (the returned
@@ -63,7 +64,11 @@ struct IlpSolution {
 /// covers the Tiresias encodings of COUNT/SUM complaints over
 /// filter-style queries, where rows are independent). Otherwise a
 /// depth-first branch-and-bound with bounds propagation runs under the
-/// node/time budget.
+/// node budget. It branches on one-hot rows (kEq-1 unit cardinalities
+/// over non-negative-cost variables) before the other objective-carrying
+/// variables, leaves zero-cost auxiliaries to propagation, and bounds
+/// each node by a packing of row-disjoint constraints that the cheapest
+/// completion of the open rows violates.
 Result<IlpSolution> SolveIlp(const IlpProblem& problem, const IlpSolveOptions& options);
 
 }  // namespace rain

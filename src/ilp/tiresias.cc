@@ -235,8 +235,29 @@ class Encoder {
     return Status::Internal("unreachable");
   }
 
+  /// Records z = AND/OR(inputs) for the warm start's evaluation.
+  void RecordAux(const Aff& z, bool is_and, const std::vector<Aff>& inputs) {
+    TiresiasEncoding::Auxiliary aux;
+    aux.var = z.terms[0].var;
+    aux.is_and = is_and;
+    aux.begin = static_cast<uint32_t>(out_->aux_inputs.size());
+    for (const Aff& f : inputs) {
+      RAIN_CHECK(f.is_binary && f.terms.size() <= 1) << "non-boolean Tseitin input";
+      TiresiasEncoding::AuxInput in;
+      in.constant = f.constant;
+      if (!f.terms.empty()) {
+        in.var = f.terms[0].var;
+        in.coef = f.terms[0].coef;
+      }
+      out_->aux_inputs.push_back(in);
+    }
+    aux.end = static_cast<uint32_t>(out_->aux_inputs.size());
+    out_->auxiliaries.push_back(aux);
+  }
+
   Aff TseitinAnd(const std::vector<Aff>& factors) {
     Aff z = NewAux("and");
+    RecordAux(z, /*is_and=*/true, factors);
     // z <= e_i for all i; z >= sum e_i - (n-1).
     for (const Aff& f : factors) AddLe(z, f);
     LinearConstraint lower;  // sum e_i - z <= n-1
@@ -265,6 +286,7 @@ class Encoder {
     if (is_and) return TseitinAnd(children);
     // OR: z >= e_i (e_i - z <= 0); z <= sum e_i.
     Aff z = NewAux("or");
+    RecordAux(z, /*is_and=*/false, children);
     for (const Aff& f : children) AddLe(f, z);
     LinearConstraint upper;  // z - sum e_i <= 0
     upper.sense = ConstraintSense::kLe;
@@ -301,12 +323,11 @@ Result<TiresiasEncoding> EncodeTiresias(PolyArena* arena,
 }
 
 std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
-  // Gate on pure prediction-variable encodings: the repair below only
-  // assigns class vars, so any Tseitin auxiliary (stuck at 0) would make
-  // the candidate bogus.
-  size_t class_vars = 0;
-  for (const auto& rv : enc.rows) class_vars += rv.class_vars.size();
-  if (class_vars != enc.problem.num_vars() || enc.rows.empty()) return {};
+  // Every variable must be a class variable or a recorded auxiliary: the
+  // candidate assigns exactly those.
+  size_t known_vars = enc.auxiliaries.size();
+  for (const auto& rv : enc.rows) known_vars += rv.class_vars.size();
+  if (known_vars != enc.problem.num_vars() || enc.rows.empty()) return {};
 
   const size_t n = enc.problem.num_vars();
   std::vector<uint8_t> x(n, 0);
@@ -321,23 +342,110 @@ std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
     x[rv.class_vars[rv.current_class]] = 1;
   }
 
-  // Dense per-complaint coefficient lookup and running activities.
+  // Auxiliaries as functions of the class assignment, in creation order.
+  // Next to each 0/1 value `x` runs a soft value `sx` that counts how far
+  // an auxiliary is from flipping (AND: mean of its inputs, OR: their
+  // sum), so a flip that makes progress toward a complaint no single flip
+  // can fix (an OR of two tuples that must both go) still registers.
+  const auto& auxes = enc.auxiliaries;
+  std::vector<double> sx(x.begin(), x.end());
+  auto evaluate = [&](const TiresiasEncoding::Auxiliary& a) -> uint8_t {
+    for (uint32_t k = a.begin; k < a.end; ++k) {
+      const auto& in = enc.aux_inputs[k];
+      const bool one = in.constant + (in.var >= 0 && x[in.var] ? in.coef : 0.0) > 0.5;
+      if (a.is_and != one) return a.is_and ? 0 : 1;
+    }
+    return a.is_and ? 1 : 0;
+  };
+  auto soft_evaluate = [&](const TiresiasEncoding::Auxiliary& a) {
+    double sum = 0.0;
+    for (uint32_t k = a.begin; k < a.end; ++k) {
+      const auto& in = enc.aux_inputs[k];
+      sum += in.constant + (in.var >= 0 ? in.coef * sx[in.var] : 0.0);
+    }
+    return a.is_and ? sum / static_cast<double>(a.end - a.begin) : sum;
+  };
+  for (const auto& a : auxes) {
+    x[a.var] = evaluate(a);
+    sx[a.var] = soft_evaluate(a);
+  }
+
+  // The auxiliaries each row feeds, directly or through other
+  // auxiliaries, in creation order.
+  std::vector<std::vector<int>> readers(auxes.empty() ? 0 : n);  // var -> readers
+  for (size_t k = 0; k < auxes.size(); ++k) {
+    for (uint32_t i = auxes[k].begin; i < auxes[k].end; ++i) {
+      const int v = enc.aux_inputs[i].var;
+      if (v >= 0) readers[v].push_back(static_cast<int>(k));
+    }
+  }
+  std::vector<std::vector<int>> row_auxes(enc.rows.size());
+  std::vector<uint8_t> seen(auxes.size(), 0);
+  for (size_t r = 0; r < enc.rows.size() && !auxes.empty(); ++r) {
+    std::vector<int>& fed = row_auxes[r];
+    std::vector<int> frontier(enc.rows[r].class_vars);
+    while (!frontier.empty()) {
+      const int v = frontier.back();
+      frontier.pop_back();
+      for (const int k : readers[v]) {
+        if (seen[k]) continue;
+        seen[k] = 1;
+        fed.push_back(k);
+        frontier.push_back(auxes[k].var);
+      }
+    }
+    std::sort(fed.begin(), fed.end());
+    for (const int k : fed) seen[k] = 0;
+  }
+
+  // Sparse per-variable complaint coefficients and running activities.
   const auto& ccs = enc.complaint_constraints;
   const size_t m = ccs.size();
-  std::vector<std::vector<double>> coef(m, std::vector<double>(n, 0.0));
-  std::vector<double> act(m, 0.0);
+  std::vector<std::vector<std::pair<size_t, double>>> complaint_coefs(n);
+  std::vector<double> act(m, 0.0), soft_act(m, 0.0);
   for (size_t i = 0; i < m; ++i) {
     if (ccs[i] < 0 ||
         static_cast<size_t>(ccs[i]) >= enc.problem.num_constraints()) {
       return {};
     }
     for (const LinearTerm& t : enc.problem.constraints()[ccs[i]].terms) {
-      coef[i][t.var] += t.coef;
-    }
-    for (size_t v = 0; v < n; ++v) {
-      if (x[v]) act[i] += coef[i][v];
+      auto& coefs = complaint_coefs[t.var];
+      if (!coefs.empty() && coefs.back().first == i) {
+        coefs.back().second += t.coef;  // a repeated term
+      } else {
+        coefs.emplace_back(i, t.coef);
+      }
+      if (x[t.var]) act[i] += t.coef;
+      soft_act[i] += t.coef * sx[t.var];
     }
   }
+  // The rows that can move each complaint, ascending: a row whose class
+  // variables or fed auxiliaries the complaint reads.
+  std::vector<std::vector<size_t>> complaint_rows(m);
+  for (size_t r = 0; r < enc.rows.size(); ++r) {
+    auto add = [&](int v) {
+      for (const auto& [i, coef] : complaint_coefs[v]) {
+        if (complaint_rows[i].empty() || complaint_rows[i].back() != r) {
+          complaint_rows[i].push_back(r);
+        }
+      }
+    };
+    for (const int v : enc.rows[r].class_vars) add(v);
+    for (const int k : row_auxes[r]) add(auxes[k].var);
+  }
+  // Coefficient of variable v in complaint j (0 when it does not read v).
+  auto coef_of = [&](int v, size_t j) {
+    for (const auto& [k, coef] : complaint_coefs[v]) {
+      if (k == j) return coef;
+    }
+    return 0.0;
+  };
+  auto reads = [&](int v, size_t j) {
+    for (const auto& entry : complaint_coefs[v]) {
+      if (entry.first == j) return true;
+    }
+    return false;
+  };
   auto violation = [&](size_t i, double a) {
     const LinearConstraint& c = enc.problem.constraints()[ccs[i]];
     switch (c.sense) {
@@ -351,41 +459,131 @@ std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
     return 0.0;
   };
 
+  // apply(r, b) moves row r to class b, re-evaluates every auxiliary the
+  // row feeds, and leaves the complaint activity changes in `delta` and
+  // `soft_delta` (complaints listed in `touched`); revert() restores the
+  // values.
+  std::vector<double> delta(m, 0.0), soft_delta(m, 0.0);
+  std::vector<uint8_t> is_touched(m, 0);
+  std::vector<size_t> touched;
+  struct Change {
+    int var;
+    uint8_t value;
+    double soft;
+  };
+  std::vector<Change> changed;
+  auto set_var = [&](int v, uint8_t value, double soft) {
+    if (x[v] == value && sx[v] == soft) return;
+    changed.push_back({v, x[v], sx[v]});
+    for (const auto& [i, coef] : complaint_coefs[v]) {
+      if (!is_touched[i]) {
+        is_touched[i] = 1;
+        touched.push_back(i);
+      }
+      delta[i] += coef * (static_cast<double>(value) - x[v]);
+      soft_delta[i] += coef * (soft - sx[v]);
+    }
+    x[v] = value;
+    sx[v] = soft;
+  };
+  auto apply = [&](size_t r, int b) {
+    changed.clear();
+    for (const size_t i : touched) {
+      delta[i] = 0.0;
+      soft_delta[i] = 0.0;
+      is_touched[i] = 0;
+    }
+    touched.clear();
+    const auto& rv = enc.rows[r];
+    set_var(rv.class_vars[assigned[r]], 0, 0.0);
+    set_var(rv.class_vars[b], 1, 1.0);
+    for (const int k : row_auxes[r]) {
+      set_var(auxes[k].var, evaluate(auxes[k]), soft_evaluate(auxes[k]));
+    }
+  };
+  auto revert = [&]() {
+    for (size_t c = changed.size(); c-- > 0;) {
+      x[changed[c].var] = changed[c].value;
+      sx[changed[c].var] = changed[c].soft;
+    }
+  };
+
   // Greedy multi-round repair: flip one row's class at a time toward the
   // violated complaint, preferring flips that leave the other complaints
-  // untouched, then flips that cost the least extra objective.
+  // untouched, then flips that cost the least extra objective. A flip that
+  // reduces the complaint's violation beats one that only moves its soft
+  // value (tier 0 before tier 1).
   const size_t max_flips = 8 * enc.rows.size();
   size_t flips = 0;
+  std::vector<double> coef_i(n, 0.0);
   for (int round = 0; round < 4; ++round) {
     bool all_ok = true;
     for (size_t i = 0; i < m; ++i) {
+      // Complaint i's coefficients, dense: the rows that feed no auxiliary
+      // read their gain from here.
+      for (const LinearTerm& t : enc.problem.constraints()[ccs[i]].terms) {
+        coef_i[t.var] = coef_of(t.var, i);
+      }
       while (violation(i, act[i]) > kEps && flips < max_flips) {
+        const double base = violation(i, act[i]);
+        const double soft_base = violation(i, soft_act[i]);
         double best_harm = 0.0, best_cost = 0.0, best_gain = 0.0;
+        int best_tier = 2;
         size_t best_row = 0;
         int best_class = -1;
-        for (size_t r = 0; r < enc.rows.size(); ++r) {
+        for (const size_t r : complaint_rows[i]) {
           const auto& rv = enc.rows[r];
           const int a_cls = assigned[r];
-          const int va = rv.class_vars[a_cls];
           for (int b = 0; b < static_cast<int>(rv.class_vars.size()); ++b) {
             if (b == a_cls) continue;
+            // A row that feeds no auxiliary moves only its two class
+            // variables, whose soft values equal their 0/1 ones: its
+            // activity changes are read off the coefficients directly.
+            const int va = rv.class_vars[a_cls];
             const int vb = rv.class_vars[b];
-            const double gain = violation(i, act[i]) -
-                                violation(i, act[i] + coef[i][vb] - coef[i][va]);
-            if (gain <= kEps) continue;
+            const bool feeds = !row_auxes[r].empty();
+            if (feeds) {
+              apply(r, b);
+              revert();
+            }
+            const double di = feeds ? delta[i] : coef_i[vb] - coef_i[va];
+            const double soft_di = feeds ? soft_delta[i] : di;
+            const double hard_gain = base - violation(i, act[i] + di);
+            // Without auxiliaries on either side the soft gain is the hard one.
+            const bool soft_differs = feeds || soft_act[i] != act[i];
+            const double soft_gain =
+                hard_gain > kEps || !soft_differs
+                    ? 0.0
+                    : soft_base - violation(i, soft_act[i] + soft_di);
+            const int tier = hard_gain > kEps                          ? 0
+                             : hard_gain > -kEps && soft_gain > kEps ? 1
+                                                                     : 2;
+            if (tier > best_tier || tier == 2) continue;
+            const double gain = tier == 0 ? hard_gain : soft_gain;
             double harm = 0.0;
-            for (size_t j = 0; j < m; ++j) {
-              if (j == i) continue;
-              harm += violation(j, act[j] + coef[j][vb] - coef[j][va]) -
-                      violation(j, act[j]);
+            if (feeds) {
+              for (const size_t j : touched) {
+                if (j == i) continue;
+                harm += violation(j, act[j] + delta[j]) - violation(j, act[j]);
+              }
+            } else if (m > 1) {
+              for (const int v : {va, vb}) {
+                for (const auto& [j, coef] : complaint_coefs[v]) {
+                  // Each complaint once: skip vb's entries va also has.
+                  if (j == i || (v == vb && reads(va, j))) continue;
+                  harm += violation(j, act[j] + coef_of(vb, j) - coef_of(va, j)) -
+                          violation(j, act[j]);
+                }
+              }
             }
             const double cost =
                 (b == rv.current_class ? 0.0 : 1.0) -
                 (a_cls == rv.current_class ? 0.0 : 1.0);
-            if (best_class < 0 || harm < best_harm - kEps ||
+            if (tier < best_tier || harm < best_harm - kEps ||
                 (harm < best_harm + kEps &&
                  (cost < best_cost - kEps ||
                   (cost < best_cost + kEps && gain > best_gain + kEps)))) {
+              best_tier = tier;
               best_harm = harm;
               best_cost = cost;
               best_gain = gain;
@@ -395,16 +593,18 @@ std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
           }
         }
         if (best_class < 0) break;  // no improving flip
-        const auto& rv = enc.rows[best_row];
-        const int va = rv.class_vars[assigned[best_row]];
-        const int vb = rv.class_vars[best_class];
-        for (size_t j = 0; j < m; ++j) act[j] += coef[j][vb] - coef[j][va];
-        x[va] = 0;
-        x[vb] = 1;
+        apply(best_row, best_class);
+        for (const size_t j : touched) {
+          act[j] += delta[j];
+          soft_act[j] += soft_delta[j];
+        }
         assigned[best_row] = best_class;
         ++flips;
       }
       if (violation(i, act[i]) > kEps) all_ok = false;
+      for (const LinearTerm& t : enc.problem.constraints()[ccs[i]].terms) {
+        coef_i[t.var] = 0.0;
+      }
     }
     if (all_ok) break;
   }

@@ -1,6 +1,7 @@
 #ifndef RAIN_ILP_TIRESIAS_H_
 #define RAIN_ILP_TIRESIAS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -47,6 +48,27 @@ struct TiresiasEncoding {
   /// order. Feeds IlpSolveOptions::coupling_constraints so the
   /// multi-coupling decomposition can fix all complaint slacks at once.
   std::vector<int> complaint_constraints;
+
+  /// One 0/1-valued input of an auxiliary: `constant + coef * x[var]`, or
+  /// `constant` alone when var is -1 (a boolean expression reads at most
+  /// one variable: a class variable, an auxiliary, or a negation of one).
+  struct AuxInput {
+    int var = -1;
+    double coef = 0.0;
+    double constant = 0.0;
+  };
+  /// A Tseitin AND/OR auxiliary: `var` is the AND (or OR) of
+  /// aux_inputs[begin, end).
+  struct Auxiliary {
+    int var = -1;
+    bool is_and = true;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  /// Every auxiliary in creation order: an auxiliary's inputs only read
+  /// class variables and earlier auxiliaries.
+  std::vector<Auxiliary> auxiliaries;
+  std::vector<AuxInput> aux_inputs;
 };
 
 /// Builds the encoding. `arena` is mutated only through GetOrCreateVar
@@ -71,13 +93,14 @@ std::vector<MarkedPrediction> DecodeMarkedPredictions(const TiresiasEncoding& en
 
 /// \brief Best-effort warm start for the branch-and-bound fallback.
 ///
-/// Starts from the current predictions (one-hot by construction, cost 0)
-/// and greedily repairs the complaint constraints, preferring flips that
+/// Starts from the current predictions (one-hot by construction, cost 0),
+/// evaluates the Tseitin auxiliaries from that class assignment, and
+/// greedily repairs the complaint constraints one row flip at a time
+/// (re-evaluating the auxiliaries the row feeds), preferring flips that
 /// do not disturb other complaints. Returns an assignment suitable for
-/// IlpSolveOptions::warm_start, or an empty vector when no feasible
-/// candidate was found (Tseitin auxiliaries present, or repair failed) —
-/// the solver ignores empty/infeasible warm starts, so callers can pass
-/// the result through unconditionally.
+/// IlpSolveOptions::warm_start, or an empty vector when the repair found
+/// no feasible candidate — the solver ignores empty/infeasible warm
+/// starts, so callers can pass the result through unconditionally.
 std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc);
 
 }  // namespace rain

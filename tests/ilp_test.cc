@@ -1,4 +1,6 @@
+#include <functional>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -465,20 +467,155 @@ TEST_F(TiresiasFixture, ComplaintConstraintsRecordedAndWarmStartFeasible) {
   EXPECT_DOUBLE_EQ(sol->objective, 1.0);
 }
 
-TEST_F(TiresiasFixture, WarmStartEmptyWhenEncodingHasAuxVars) {
-  // An AND introduces a Tseitin auxiliary, which the repair cannot
-  // assign: the builder must decline rather than hand back a bogus
-  // candidate.
-  const PolyId both = arena.And(
-      {arena.Var(PredVar{0, 1, 1}), arena.Var(PredVar{0, 2, 1})});
-  auto enc = EncodeTiresias(&arena, preds, {{both, ConstraintSense::kEq, 0.0}});
+TEST_F(TiresiasFixture, WarmStartEvaluatesAuxiliaries) {
+  // Tuple complaint OR(AND(v1,1, v2,1), AND(v0,0, v3,0)) = 0: both join
+  // tuples exist today. The encoding carries three Tseitin auxiliaries;
+  // the warm start evaluates them from its repaired class assignment, so
+  // it is a complete feasible candidate that seeds the incumbent.
+  const PolyId tuple = arena.Or(
+      {arena.And({arena.Var(PredVar{0, 1, 1}), arena.Var(PredVar{0, 2, 1})}),
+       arena.And({arena.Var(PredVar{0, 0, 0}), arena.Var(PredVar{0, 3, 0})})});
+  auto enc = EncodeTiresias(&arena, preds, {{tuple, ConstraintSense::kEq, 0.0}});
   ASSERT_TRUE(enc.ok());
-  if (enc->problem.num_vars() == 0) GTEST_SKIP();
+  EXPECT_EQ(enc->auxiliaries.size(), 3u);
+
   const std::vector<uint8_t> warm = BuildTiresiasWarmStart(*enc);
-  if (!warm.empty()) {
-    // Acceptable only if the encoding turned out aux-free AND feasible.
-    EXPECT_TRUE(enc->problem.IsFeasible(warm));
+  ASSERT_EQ(warm.size(), enc->problem.num_vars());
+  EXPECT_TRUE(enc->problem.IsFeasible(warm));
+
+  IlpSolveOptions opts = NoRandom();
+  opts.warm_start = warm;
+  auto sol = SolveIlp(enc->problem, opts);
+  ASSERT_TRUE(sol.ok());
+  EXPECT_TRUE(sol->warm_start_used);
+  EXPECT_TRUE(sol->optimal);
+  EXPECT_DOUBLE_EQ(sol->objective, 2.0);  // one row of each tuple
+}
+
+// ---------------------------------------------------------------------------
+// Optimality on two-sided tuple complaints.
+// ---------------------------------------------------------------------------
+
+/// Rows of two tables and the complained join tuples between them, each
+/// an edge (left row, right row) between rows predicted the same class.
+struct TwoSidedInstance {
+  int left = 0;
+  int right = 0;
+  std::vector<std::pair<int, int>> edges;
+};
+
+/// Minimum vertex cover by enumeration (left rows are bits 0..left-1).
+int BruteForceCover(const TwoSidedInstance& inst) {
+  const int n = inst.left + inst.right;
+  int best = n;
+  for (uint32_t s = 0; s < (1u << n); ++s) {
+    const int size = __builtin_popcount(s);
+    if (size >= best) continue;
+    bool covers = true;
+    for (const auto& [l, r] : inst.edges) {
+      if (!((s >> l) & 1u) && !((s >> (inst.left + r)) & 1u)) {
+        covers = false;
+        break;
+      }
+    }
+    if (covers) best = size;
   }
+  return best;
+}
+
+/// Maximum bipartite matching by augmenting paths.
+int MaxMatching(const TwoSidedInstance& inst) {
+  std::vector<std::vector<int>> adj(inst.left);
+  for (const auto& [l, r] : inst.edges) adj[l].push_back(r);
+  std::vector<int> match_of_right(inst.right, -1);
+  std::vector<uint8_t> visited;
+  std::function<bool(int)> augment = [&](int l) {
+    for (const int r : adj[l]) {
+      if (visited[r]) continue;
+      visited[r] = 1;
+      if (match_of_right[r] < 0 || augment(match_of_right[r])) {
+        match_of_right[r] = l;
+        return true;
+      }
+    }
+    return false;
+  };
+  int size = 0;
+  for (int l = 0; l < inst.left; ++l) {
+    visited.assign(inst.right, 0);
+    size += augment(l) ? 1 : 0;
+  }
+  return size;
+}
+
+TEST(IlpOptimalityTest, TwoSidedTupleComplaintsReachMinimumCover) {
+  // Random join complaints over at most 20 rows and three or four
+  // classes: flipping a row removes every complained tuple it is in, and
+  // two flipped neighbours can always take different classes, so the
+  // minimal repair is a minimum vertex cover of the complaint graph —
+  // by Koenig's theorem, the size of a maximum matching.
+  constexpr int kTrials = 40;
+  int solved = 0;
+  for (uint64_t seed = 1; seed <= kTrials; ++seed) {
+    Rng rng(seed);
+    TwoSidedInstance inst;
+    inst.left = 2 + static_cast<int>(rng.UniformInt(9));
+    inst.right = 2 + static_cast<int>(rng.UniformInt(19 - inst.left));
+    const int classes = 3 + static_cast<int>(rng.UniformInt(2));
+    const double density = rng.Uniform(0.2, 0.8);
+
+    PolyArena arena;
+    PredictionStore preds;
+    std::vector<int> cls[2];
+    for (int table = 0; table < 2; ++table) {
+      const int n = table == 0 ? inst.left : inst.right;
+      Matrix probs(n, classes, 0.1 / classes);
+      for (int row = 0; row < n; ++row) {
+        // Two classes only, so most pairs agree and the graph is dense.
+        cls[table].push_back(static_cast<int>(rng.UniformInt(2)));
+        probs.At(row, cls[table].back()) = 0.9;
+      }
+      preds.SetPredictions(table, std::move(probs));
+    }
+    std::vector<IlpComplaint> complaints;
+    for (int l = 0; l < inst.left; ++l) {
+      for (int r = 0; r < inst.right; ++r) {
+        if (cls[0][l] != cls[1][r] || !rng.Bernoulli(density)) continue;
+        inst.edges.emplace_back(l, r);
+        std::vector<PolyId> same_class;
+        for (int c = 0; c < classes; ++c) {
+          same_class.push_back(
+              arena.And({arena.Var(PredVar{0, l, c}), arena.Var(PredVar{1, r, c})}));
+        }
+        complaints.push_back({arena.Or(same_class), ConstraintSense::kEq, 0.0});
+      }
+    }
+    if (complaints.empty()) continue;
+    ++solved;
+    const int cover = BruteForceCover(inst);
+    ASSERT_EQ(cover, MaxMatching(inst)) << "seed " << seed;
+
+    auto enc = EncodeTiresias(&arena, preds, complaints);
+    ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+    // Cold branch-and-bound, then TwoStep's configuration: every complaint
+    // offered as a coupling and the Tiresias warm start.
+    IlpSolveOptions cold;
+    cold.seed = seed;
+    IlpSolveOptions twostep = cold;
+    twostep.coupling_constraints = enc->complaint_constraints;
+    twostep.warm_start = BuildTiresiasWarmStart(*enc);
+    EXPECT_FALSE(twostep.warm_start.empty()) << "seed " << seed;
+    for (const IlpSolveOptions& opts : {cold, twostep}) {
+      auto sol = SolveIlp(enc->problem, opts);
+      ASSERT_TRUE(sol.ok()) << "seed " << seed << ": " << sol.status().ToString();
+      EXPECT_TRUE(sol->optimal) << "seed " << seed;
+      EXPECT_DOUBLE_EQ(sol->objective, cover) << "seed " << seed;
+      EXPECT_TRUE(enc->problem.IsFeasible(sol->values)) << "seed " << seed;
+      EXPECT_EQ(DecodeMarkedPredictions(*enc, *sol).size(), static_cast<size_t>(cover))
+          << "seed " << seed;
+    }
+  }
+  EXPECT_GT(solved, kTrials / 2);
 }
 
 }  // namespace

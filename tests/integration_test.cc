@@ -134,6 +134,29 @@ TEST(IntegrationTest, MnistJoinTupleComplaints) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const double auc = Auccr(report->deletions, corrupted);
   EXPECT_GT(auc, 0.5);
+
+  // TwoStep over the same complaints: each tuple reaches one row per
+  // side, so every repair is a bipartite vertex cover, which the ILP
+  // proves optimal from the warm start's incumbent.
+  pipeline.train_data()->ReactivateAll();
+  auto twostep = DebugSessionBuilder(&pipeline)
+                     .ranker(MakeTwoStepRanker())
+                     .top_k_per_iter(10)
+                     .max_deletions(static_cast<int>(corrupted.size()))
+                     .workload({qc})
+                     .Build();
+  ASSERT_TRUE(twostep.ok());
+  auto twostep_report = (*twostep)->RunToCompletion();
+  ASSERT_TRUE(twostep_report.ok()) << twostep_report.status().ToString();
+  size_t ilp_iterations = 0;
+  for (const IterationStats& it : twostep_report->iterations) {
+    if (it.violated_complaints == 0) continue;
+    ++ilp_iterations;
+    EXPECT_TRUE(it.ilp_optimal) << it.note;
+    EXPECT_TRUE(it.ilp_warm_start_used) << it.note;
+    EXPECT_EQ(it.note.find("budget"), std::string::npos) << it.note;
+  }
+  EXPECT_GT(ilp_iterations, 0u);
 }
 
 /// Adult Q6/Q7-style multi-query complaints (Section 6.5, scaled down).

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -360,12 +362,47 @@ TEST(DebugServiceTest, CancelMidStepFinishesAsCancelled) {
 
 // ------------------------------------------------- complaints and state
 
+/// Once armed, holds the next iteration it sees at its start until
+/// released, so a test can act while a turn is provably in flight.
+class HoldNextIteration : public DebugObserver {
+ public:
+  void Arm() { armed_ = true; }
+  void OnIterationStart(int, const DebugReport&) override {
+    if (!armed_.exchange(false)) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+  /// True once the held iteration has started (false after 30 s).
+  bool WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30), [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
 TEST(DebugServiceTest, ComplainBetweenTurnsReopensButNotInFlight) {
+  // The observer outlives the service, which calls it from a driver.
+  HoldNextIteration hold;
   ServiceOptions options;
   options.admission_capacity = 64;
   DebugService service(options);
   ASSERT_TRUE(service.RegisterDataset(SmallAdult()).ok());
-  auto sid = service.Open(SmallSpec(1));
+  SessionSpec spec = SmallSpec(1);
+  spec.exec.add_observer(&hold);
+  auto sid = service.Open(spec);
   ASSERT_TRUE(sid.ok());
 
   // Between turns: allowed.
@@ -375,12 +412,18 @@ TEST(DebugServiceTest, ComplainBetweenTurnsReopensButNotInFlight) {
   EXPECT_TRUE(service.Complain(*sid, points).ok());
 
   // While a turn is in flight: kInvalidArgument (the unified surface
-  // distinguishes caller mistakes from resource refusals).
+  // distinguishes caller mistakes from resource refusals). The observer
+  // holds the turn's first iteration until both calls have returned, so
+  // the turn cannot finish first however fast it runs.
+  hold.Arm();
   auto future = service.StepAsync(*sid, 50);
+  const bool held = hold.WaitUntilHeld();
   const Status in_flight = service.Complain(*sid, points);
+  const Status report_in_flight = service.Report(*sid).status();
+  hold.Release();
+  EXPECT_TRUE(held);
   EXPECT_FALSE(in_flight.ok());
   EXPECT_EQ(in_flight.code(), StatusCode::kInvalidArgument);
-  const Status report_in_flight = service.Report(*sid).status();
   EXPECT_EQ(report_in_flight.code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(future.Get().ok());
 }
