@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/ranker.h"
@@ -325,13 +326,18 @@ class TwoStepRanker : public Ranker {
     IlpSolveOptions ilp_opts = ctx.ilp;
     // Hand every complaint constraint to the solver so the decomposition
     // can fix all their slacks at once, and seed branch-and-bound with a
-    // greedily repaired warm start in case decomposition is inapplicable.
+    // greedily repaired warm start, built only if decomposition is
+    // inapplicable. The repair breaks its ties from the solver's seed: a
+    // search that closes at the warm start still returns a seeded pick
+    // among optima.
     if (ilp_opts.coupling_constraints.empty()) {
       ilp_opts.coupling_constraints = enc.complaint_constraints;
     }
-    if (ilp_opts.warm_start.empty()) {
-      ilp_opts.warm_start = BuildTiresiasWarmStart(enc);
-    }
+    ilp_opts.build_warm_start = [&enc, seed = ilp_opts.seed,
+                                 randomize = ilp_opts.randomize] {
+      Rng repair_rng(seed);
+      return BuildTiresiasWarmStart(enc, randomize ? &repair_rng : nullptr);
+    };
     RAIN_ASSIGN_OR_RETURN(IlpSolution sol, SolveIlp(enc.problem, ilp_opts));
     out.ilp_nodes = sol.nodes_explored;
     out.ilp_optimal = sol.optimal;

@@ -89,12 +89,14 @@ DebugSession::DebugSession(Query2Pipeline* pipeline, std::unique_ptr<Ranker> ran
     cancel_token_ = exec.parent_cancel->MakeChild();
   }
   // The session token reaches into every long phase loop: the trainer's
-  // Newton / L-BFGS iterations (through Query2Pipeline::Train) and the
-  // influence / CG kernels (through the options the rank context copies).
+  // Newton / L-BFGS iterations (through Query2Pipeline::Train), and the
+  // influence / CG kernels and TwoStep's ILP search (through the options
+  // the rank context copies).
   if (deadline_.has_value()) cancel_token_.set_deadline(*deadline_);
   if (config_.influence.cancel == nullptr) {
     config_.influence.cancel = &cancel_token_;
   }
+  if (config_.ilp.cancel == nullptr) config_.ilp.cancel = &cancel_token_;
   // The cold-start point the full-recompute path of ApplyUpdate restores;
   // captured before any warm retrain mutates the model.
   initial_params_ = pipeline_->model()->params();

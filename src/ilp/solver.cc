@@ -16,6 +16,8 @@ namespace rain {
 namespace {
 
 constexpr double kEps = 1e-6;
+// Branch-and-bound nodes between two polls of IlpSolveOptions::cancel.
+constexpr int64_t kCancelPollNodes = 1024;
 
 bool IsInt(double v) { return std::fabs(v - std::llround(v)) < kEps; }
 
@@ -783,6 +785,11 @@ class BnbSolver {
         sol.budget_exhausted = true;
         break;
       }
+      if (sol.nodes_explored % kCancelPollNodes == 0 && opt_.cancel != nullptr &&
+          opt_.cancel->ShouldStop()) {
+        interrupted_ = true;
+        break;
+      }
       Frame& f = stack.back();
       // Undo to this frame's baseline before trying the next value.
       UndoTo(f.trail_start, &trail);
@@ -803,9 +810,12 @@ class BnbSolver {
       }
     }
     UndoTo(root_trail, &trail);
-    if (!sol.budget_exhausted) sol.optimal = true;
+    if (!sol.budget_exhausted && !interrupted_) sol.optimal = true;
     return sol;
   }
+
+  /// The cancellation token stopped the search before it finished.
+  bool interrupted() const { return interrupted_; }
 
  private:
   struct Row {
@@ -1078,6 +1088,7 @@ class BnbSolver {
   std::vector<size_t> pos_in_order_;
   size_t order_cursor_ = 0;
   double lb_ = 0.0;
+  bool interrupted_ = false;
 
   // Rows and the packing bound's per-node scratch.
   struct PackCandidate {
@@ -1101,6 +1112,9 @@ class BnbSolver {
 
 Result<IlpSolution> SolveIlp(const IlpProblem& raw_problem,
                              const IlpSolveOptions& options) {
+  if (options.cancel != nullptr && options.cancel->ShouldStop()) {
+    return Status::Cancelled("ILP solve interrupted before it started");
+  }
   if (raw_problem.num_vars() == 0) {
     IlpSolution sol;
     sol.optimal = true;
@@ -1148,12 +1162,20 @@ Result<IlpSolution> SolveIlp(const IlpProblem& raw_problem,
     return sol;
   }
 
-  BnbSolver bnb(problem, options);
+  IlpSolveOptions bnb_options = options;
+  if (bnb_options.warm_start.empty() && options.build_warm_start) {
+    bnb_options.warm_start = options.build_warm_start();
+  }
+  BnbSolver bnb(problem, bnb_options);
   sol = bnb.Solve();
+  if (bnb.interrupted()) {
+    return Status::Cancelled("ILP search interrupted after " +
+                             std::to_string(sol.nodes_explored) + " nodes");
+  }
   if (!sol.feasible) {
     return Status::ResourceExhausted(
         sol.budget_exhausted ? "ILP budget exhausted with no feasible solution"
-                      : "ILP infeasible");
+                             : "ILP infeasible");
   }
   return sol;
 }

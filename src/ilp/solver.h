@@ -1,8 +1,10 @@
 #ifndef RAIN_ILP_SOLVER_H_
 #define RAIN_ILP_SOLVER_H_
 
+#include <functional>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "ilp/problem.h"
@@ -15,8 +17,13 @@ struct IlpSolveOptions {
   /// ResourceExhausted if none was found — this is how the repo
   /// reproduces the paper's "ILP did not finish in 30 minutes" behaviour
   /// at laptop scale. A node count, unlike a wall clock, gives the same
-  /// answer on every host.
-  int64_t max_nodes = 2'000'000;
+  /// answer on every host. The default is sized to the per-node cost of
+  /// the largest encodings here (the 90k-variable Fig. 6 mix-rate ILPs,
+  /// up to several milliseconds per node on one core), which it stops
+  /// within about fifteen seconds; every solve in the tests and figures
+  /// that finishes does so in under a thousand nodes. Bound wall time
+  /// with `cancel`.
+  int64_t max_nodes = 2'000;
 
   /// Randomizes branching order and value tie-breaks. Among ILPs with
   /// many optima this makes the returned optimum an (approximately)
@@ -34,12 +41,26 @@ struct IlpSolveOptions {
   /// listed constraint at once and still solves each component exactly.
   std::vector<int> coupling_constraints;
 
+  /// Optional cooperative stop, polled when the solve starts and every
+  /// 1024 branch-and-bound nodes. When it fires SolveIlp returns
+  /// Status::Cancelled, never the incumbent it had, so a solution never
+  /// depends on how far a given host got before the stop. DebugSession
+  /// points it at the session token, so session deadlines and
+  /// cancellation reach TwoStep's search.
+  const CancellationToken* cancel = nullptr;
+
   /// Optional warm start: a candidate assignment (size num_vars). When it
   /// is feasible for the problem, branch-and-bound seeds its incumbent
   /// from it, so bound pruning is active from the first node and the
   /// solver can never return empty-handed on a budget exhaust. Infeasible
   /// or wrong-sized warm starts are ignored.
   std::vector<uint8_t> warm_start;
+
+  /// Optional source of the warm start, called only when `warm_start` is
+  /// empty and branch-and-bound is about to run: a solve that the
+  /// decomposition finishes never reads a warm start, so it should not
+  /// pay for building one.
+  std::function<std::vector<uint8_t>()> build_warm_start;
 };
 
 struct IlpSolution {

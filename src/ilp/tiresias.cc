@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -322,7 +323,7 @@ Result<TiresiasEncoding> EncodeTiresias(PolyArena* arena,
   return enc;
 }
 
-std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
+std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc, Rng* rng) {
   // Every variable must be a class variable or a recorded auxiliary: the
   // candidate assigns exactly those.
   size_t known_vars = enc.auxiliaries.size();
@@ -330,9 +331,10 @@ std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
   if (known_vars != enc.problem.num_vars() || enc.rows.empty()) return {};
 
   const size_t n = enc.problem.num_vars();
+  const size_t num_rows = enc.rows.size();
   std::vector<uint8_t> x(n, 0);
-  std::vector<int> assigned(enc.rows.size());
-  for (size_t r = 0; r < enc.rows.size(); ++r) {
+  std::vector<int> assigned(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
     const auto& rv = enc.rows[r];
     if (rv.current_class < 0 ||
         rv.current_class >= static_cast<int>(rv.class_vars.size())) {
@@ -343,12 +345,7 @@ std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
   }
 
   // Auxiliaries as functions of the class assignment, in creation order.
-  // Next to each 0/1 value `x` runs a soft value `sx` that counts how far
-  // an auxiliary is from flipping (AND: mean of its inputs, OR: their
-  // sum), so a flip that makes progress toward a complaint no single flip
-  // can fix (an OR of two tuples that must both go) still registers.
   const auto& auxes = enc.auxiliaries;
-  std::vector<double> sx(x.begin(), x.end());
   auto evaluate = [&](const TiresiasEncoding::Auxiliary& a) -> uint8_t {
     for (uint32_t k = a.begin; k < a.end; ++k) {
       const auto& in = enc.aux_inputs[k];
@@ -357,95 +354,110 @@ std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
     }
     return a.is_and ? 1 : 0;
   };
-  auto soft_evaluate = [&](const TiresiasEncoding::Auxiliary& a) {
-    double sum = 0.0;
-    for (uint32_t k = a.begin; k < a.end; ++k) {
-      const auto& in = enc.aux_inputs[k];
-      sum += in.constant + (in.var >= 0 ? in.coef * sx[in.var] : 0.0);
-    }
-    return a.is_and ? sum / static_cast<double>(a.end - a.begin) : sum;
-  };
-  for (const auto& a : auxes) {
-    x[a.var] = evaluate(a);
-    sx[a.var] = soft_evaluate(a);
-  }
+  for (const auto& a : auxes) x[a.var] = evaluate(a);
 
-  // The auxiliaries each row feeds, directly or through other
-  // auxiliaries, in creation order.
-  std::vector<std::vector<int>> readers(auxes.empty() ? 0 : n);  // var -> readers
-  for (size_t k = 0; k < auxes.size(); ++k) {
-    for (uint32_t i = auxes[k].begin; i < auxes[k].end; ++i) {
-      const int v = enc.aux_inputs[i].var;
-      if (v >= 0) readers[v].push_back(static_cast<int>(k));
+  // The lists below are flat (one array per relation, indexed by offsets).
+  // The auxiliaries reading each variable:
+  // readers[reader_begin[v], reader_begin[v + 1]).
+  std::vector<uint32_t> reader_begin(n + 1, 0);
+  for (const auto& a : auxes) {
+    for (uint32_t k = a.begin; k < a.end; ++k) {
+      if (enc.aux_inputs[k].var >= 0) ++reader_begin[enc.aux_inputs[k].var + 1];
     }
   }
-  std::vector<std::vector<int>> row_auxes(enc.rows.size());
+  std::partial_sum(reader_begin.begin(), reader_begin.end(), reader_begin.begin());
+  std::vector<int> readers(reader_begin[n]);
+  {
+    std::vector<uint32_t> fill(reader_begin.begin(), reader_begin.end() - 1);
+    for (size_t a = 0; a < auxes.size(); ++a) {
+      for (uint32_t k = auxes[a].begin; k < auxes[a].end; ++k) {
+        const int v = enc.aux_inputs[k].var;
+        if (v >= 0) readers[fill[v]++] = static_cast<int>(a);
+      }
+    }
+  }
+  // The auxiliaries each row feeds, directly or through other
+  // auxiliaries, in creation order: fed[fed_begin[r], fed_begin[r + 1]).
+  std::vector<uint32_t> fed_begin(num_rows + 1, 0);
+  std::vector<int> fed;
   std::vector<uint8_t> seen(auxes.size(), 0);
-  for (size_t r = 0; r < enc.rows.size() && !auxes.empty(); ++r) {
-    std::vector<int>& fed = row_auxes[r];
-    std::vector<int> frontier(enc.rows[r].class_vars);
+  std::vector<int> frontier;
+  for (size_t r = 0; r < num_rows; ++r) {
+    frontier = enc.rows[r].class_vars;
     while (!frontier.empty()) {
       const int v = frontier.back();
       frontier.pop_back();
-      for (const int k : readers[v]) {
-        if (seen[k]) continue;
-        seen[k] = 1;
-        fed.push_back(k);
-        frontier.push_back(auxes[k].var);
+      for (uint32_t k = reader_begin[v]; k < reader_begin[v + 1]; ++k) {
+        const int a = readers[k];
+        if (seen[a]) continue;
+        seen[a] = 1;
+        fed.push_back(a);
+        frontier.push_back(auxes[a].var);
       }
     }
-    std::sort(fed.begin(), fed.end());
-    for (const int k : fed) seen[k] = 0;
+    std::sort(fed.begin() + fed_begin[r], fed.end());
+    fed_begin[r + 1] = static_cast<uint32_t>(fed.size());
+    for (uint32_t k = fed_begin[r]; k < fed_begin[r + 1]; ++k) seen[fed[k]] = 0;
   }
 
-  // Sparse per-variable complaint coefficients and running activities.
+  // Each variable's complaint coefficients, a repeated term folded in:
+  // coefs[coef_begin[v], coef_end[v]), and the complaints' activities.
   const auto& ccs = enc.complaint_constraints;
   const size_t m = ccs.size();
-  std::vector<std::vector<std::pair<size_t, double>>> complaint_coefs(n);
-  std::vector<double> act(m, 0.0), soft_act(m, 0.0);
-  for (size_t i = 0; i < m; ++i) {
-    if (ccs[i] < 0 ||
-        static_cast<size_t>(ccs[i]) >= enc.problem.num_constraints()) {
-      return {};
+  std::vector<uint32_t> coef_begin(n + 1, 0);
+  for (const int ci : ccs) {
+    if (ci < 0 || static_cast<size_t>(ci) >= enc.problem.num_constraints()) return {};
+    for (const LinearTerm& t : enc.problem.constraints()[ci].terms) {
+      ++coef_begin[t.var + 1];
     }
+  }
+  std::partial_sum(coef_begin.begin(), coef_begin.end(), coef_begin.begin());
+  std::vector<uint32_t> coef_end(coef_begin.begin(), coef_begin.end() - 1);
+  std::vector<std::pair<uint32_t, double>> coefs(coef_begin[n]);
+  std::vector<double> act(m, 0.0);
+  for (uint32_t i = 0; i < m; ++i) {
     for (const LinearTerm& t : enc.problem.constraints()[ccs[i]].terms) {
-      auto& coefs = complaint_coefs[t.var];
-      if (!coefs.empty() && coefs.back().first == i) {
-        coefs.back().second += t.coef;  // a repeated term
+      uint32_t& end = coef_end[t.var];
+      if (end > coef_begin[t.var] && coefs[end - 1].first == i) {
+        coefs[end - 1].second += t.coef;
       } else {
-        coefs.emplace_back(i, t.coef);
+        coefs[end++] = {i, t.coef};
       }
       if (x[t.var]) act[i] += t.coef;
-      soft_act[i] += t.coef * sx[t.var];
     }
   }
   // The rows that can move each complaint, ascending: a row whose class
   // variables or fed auxiliaries the complaint reads.
-  std::vector<std::vector<size_t>> complaint_rows(m);
-  for (size_t r = 0; r < enc.rows.size(); ++r) {
-    auto add = [&](int v) {
-      for (const auto& [i, coef] : complaint_coefs[v]) {
-        if (complaint_rows[i].empty() || complaint_rows[i].back() != r) {
-          complaint_rows[i].push_back(r);
+  // movers[mover_begin[i], mover_begin[i + 1]).
+  std::vector<uint32_t> mover_begin(m + 1, 0);
+  std::vector<uint32_t> movers;
+  {
+    std::vector<int64_t> last_row(m, -1);
+    auto for_each_mover = [&](auto&& visit) {
+      std::fill(last_row.begin(), last_row.end(), -1);
+      auto reach = [&](size_t r, int v) {
+        for (uint32_t k = coef_begin[v]; k < coef_end[v]; ++k) {
+          const uint32_t i = coefs[k].first;
+          if (last_row[i] == static_cast<int64_t>(r)) continue;
+          last_row[i] = static_cast<int64_t>(r);
+          visit(i, r);
+        }
+      };
+      for (size_t r = 0; r < num_rows; ++r) {
+        for (const int v : enc.rows[r].class_vars) reach(r, v);
+        for (uint32_t k = fed_begin[r]; k < fed_begin[r + 1]; ++k) {
+          reach(r, auxes[fed[k]].var);
         }
       }
     };
-    for (const int v : enc.rows[r].class_vars) add(v);
-    for (const int k : row_auxes[r]) add(auxes[k].var);
+    for_each_mover([&](uint32_t i, size_t) { ++mover_begin[i + 1]; });
+    std::partial_sum(mover_begin.begin(), mover_begin.end(), mover_begin.begin());
+    movers.resize(mover_begin[m]);
+    std::vector<uint32_t> fill(mover_begin.begin(), mover_begin.end() - 1);
+    for_each_mover([&](uint32_t i, size_t r) {
+      movers[fill[i]++] = static_cast<uint32_t>(r);
+    });
   }
-  // Coefficient of variable v in complaint j (0 when it does not read v).
-  auto coef_of = [&](int v, size_t j) {
-    for (const auto& [k, coef] : complaint_coefs[v]) {
-      if (k == j) return coef;
-    }
-    return 0.0;
-  };
-  auto reads = [&](int v, size_t j) {
-    for (const auto& entry : complaint_coefs[v]) {
-      if (entry.first == j) return true;
-    }
-    return false;
-  };
   auto violation = [&](size_t i, double a) {
     const LinearConstraint& c = enc.problem.constraints()[ccs[i]];
     switch (c.sense) {
@@ -460,151 +472,105 @@ std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc) {
   };
 
   // apply(r, b) moves row r to class b, re-evaluates every auxiliary the
-  // row feeds, and leaves the complaint activity changes in `delta` and
-  // `soft_delta` (complaints listed in `touched`); revert() restores the
-  // values.
-  std::vector<double> delta(m, 0.0), soft_delta(m, 0.0);
+  // row feeds, and leaves the complaint activity changes in `delta`
+  // (complaints listed in `touched`); revert() restores the values.
+  std::vector<double> delta(m, 0.0);
   std::vector<uint8_t> is_touched(m, 0);
-  std::vector<size_t> touched;
-  struct Change {
-    int var;
-    uint8_t value;
-    double soft;
-  };
-  std::vector<Change> changed;
-  auto set_var = [&](int v, uint8_t value, double soft) {
-    if (x[v] == value && sx[v] == soft) return;
-    changed.push_back({v, x[v], sx[v]});
-    for (const auto& [i, coef] : complaint_coefs[v]) {
+  std::vector<uint32_t> touched;
+  std::vector<std::pair<int, uint8_t>> changed;
+  auto set_var = [&](int v, uint8_t value) {
+    if (x[v] == value) return;
+    changed.emplace_back(v, x[v]);
+    for (uint32_t k = coef_begin[v]; k < coef_end[v]; ++k) {
+      const auto& [i, coef] = coefs[k];
       if (!is_touched[i]) {
         is_touched[i] = 1;
         touched.push_back(i);
       }
       delta[i] += coef * (static_cast<double>(value) - x[v]);
-      soft_delta[i] += coef * (soft - sx[v]);
     }
     x[v] = value;
-    sx[v] = soft;
   };
   auto apply = [&](size_t r, int b) {
     changed.clear();
-    for (const size_t i : touched) {
+    for (const uint32_t i : touched) {
       delta[i] = 0.0;
-      soft_delta[i] = 0.0;
       is_touched[i] = 0;
     }
     touched.clear();
     const auto& rv = enc.rows[r];
-    set_var(rv.class_vars[assigned[r]], 0, 0.0);
-    set_var(rv.class_vars[b], 1, 1.0);
-    for (const int k : row_auxes[r]) {
-      set_var(auxes[k].var, evaluate(auxes[k]), soft_evaluate(auxes[k]));
+    set_var(rv.class_vars[assigned[r]], 0);
+    set_var(rv.class_vars[b], 1);
+    for (uint32_t k = fed_begin[r]; k < fed_begin[r + 1]; ++k) {
+      set_var(auxes[fed[k]].var, evaluate(auxes[fed[k]]));
     }
   };
   auto revert = [&]() {
-    for (size_t c = changed.size(); c-- > 0;) {
-      x[changed[c].var] = changed[c].value;
-      sx[changed[c].var] = changed[c].soft;
-    }
+    for (size_t c = changed.size(); c-- > 0;) x[changed[c].first] = changed[c].second;
   };
 
   // Greedy multi-round repair: flip one row's class at a time toward the
   // violated complaint, preferring flips that leave the other complaints
-  // untouched, then flips that cost the least extra objective. A flip that
-  // reduces the complaint's violation beats one that only moves its soft
-  // value (tier 0 before tier 1).
-  const size_t max_flips = 8 * enc.rows.size();
+  // untouched, then flips that cost the least extra objective, then the
+  // largest reduction of the violation. With `rng`, the flip is drawn
+  // uniformly among those tied on all three, so the seed decides which of
+  // several equally cheap repairs (e.g. which row of a join tuple) the
+  // warm start, and a search that closes at it, returns.
+  const size_t max_flips = 8 * num_rows;
   size_t flips = 0;
-  std::vector<double> coef_i(n, 0.0);
   for (int round = 0; round < 4; ++round) {
     bool all_ok = true;
-    for (size_t i = 0; i < m; ++i) {
-      // Complaint i's coefficients, dense: the rows that feed no auxiliary
-      // read their gain from here.
-      for (const LinearTerm& t : enc.problem.constraints()[ccs[i]].terms) {
-        coef_i[t.var] = coef_of(t.var, i);
-      }
+    for (uint32_t i = 0; i < m; ++i) {
       while (violation(i, act[i]) > kEps && flips < max_flips) {
         const double base = violation(i, act[i]);
-        const double soft_base = violation(i, soft_act[i]);
         double best_harm = 0.0, best_cost = 0.0, best_gain = 0.0;
-        int best_tier = 2;
         size_t best_row = 0;
         int best_class = -1;
-        for (const size_t r : complaint_rows[i]) {
+        uint64_t ties = 0;
+        for (uint32_t k = mover_begin[i]; k < mover_begin[i + 1]; ++k) {
+          const size_t r = movers[k];
           const auto& rv = enc.rows[r];
           const int a_cls = assigned[r];
           for (int b = 0; b < static_cast<int>(rv.class_vars.size()); ++b) {
             if (b == a_cls) continue;
-            // A row that feeds no auxiliary moves only its two class
-            // variables, whose soft values equal their 0/1 ones: its
-            // activity changes are read off the coefficients directly.
-            const int va = rv.class_vars[a_cls];
-            const int vb = rv.class_vars[b];
-            const bool feeds = !row_auxes[r].empty();
-            if (feeds) {
-              apply(r, b);
-              revert();
-            }
-            const double di = feeds ? delta[i] : coef_i[vb] - coef_i[va];
-            const double soft_di = feeds ? soft_delta[i] : di;
-            const double hard_gain = base - violation(i, act[i] + di);
-            // Without auxiliaries on either side the soft gain is the hard one.
-            const bool soft_differs = feeds || soft_act[i] != act[i];
-            const double soft_gain =
-                hard_gain > kEps || !soft_differs
-                    ? 0.0
-                    : soft_base - violation(i, soft_act[i] + soft_di);
-            const int tier = hard_gain > kEps                          ? 0
-                             : hard_gain > -kEps && soft_gain > kEps ? 1
-                                                                     : 2;
-            if (tier > best_tier || tier == 2) continue;
-            const double gain = tier == 0 ? hard_gain : soft_gain;
+            apply(r, b);
+            revert();
+            const double gain = base - violation(i, act[i] + delta[i]);
+            if (gain <= kEps) continue;
             double harm = 0.0;
-            if (feeds) {
-              for (const size_t j : touched) {
-                if (j == i) continue;
-                harm += violation(j, act[j] + delta[j]) - violation(j, act[j]);
-              }
-            } else if (m > 1) {
-              for (const int v : {va, vb}) {
-                for (const auto& [j, coef] : complaint_coefs[v]) {
-                  // Each complaint once: skip vb's entries va also has.
-                  if (j == i || (v == vb && reads(va, j))) continue;
-                  harm += violation(j, act[j] + coef_of(vb, j) - coef_of(va, j)) -
-                          violation(j, act[j]);
-                }
-              }
+            for (const uint32_t j : touched) {
+              if (j == i) continue;
+              harm += violation(j, act[j] + delta[j]) - violation(j, act[j]);
             }
             const double cost =
                 (b == rv.current_class ? 0.0 : 1.0) -
                 (a_cls == rv.current_class ? 0.0 : 1.0);
-            if (tier < best_tier || harm < best_harm - kEps ||
+            const bool better =
+                best_class < 0 || harm < best_harm - kEps ||
                 (harm < best_harm + kEps &&
                  (cost < best_cost - kEps ||
-                  (cost < best_cost + kEps && gain > best_gain + kEps)))) {
-              best_tier = tier;
-              best_harm = harm;
-              best_cost = cost;
-              best_gain = gain;
-              best_row = r;
-              best_class = b;
+                  (cost < best_cost + kEps && gain > best_gain + kEps)));
+            if (better) {
+              ties = 1;
+            } else {
+              const bool tie = harm < best_harm + kEps && cost < best_cost + kEps &&
+                               gain > best_gain - kEps;
+              if (!tie || rng == nullptr || rng->UniformInt(++ties) != 0) continue;
             }
+            best_harm = harm;
+            best_cost = cost;
+            best_gain = gain;
+            best_row = r;
+            best_class = b;
           }
         }
         if (best_class < 0) break;  // no improving flip
         apply(best_row, best_class);
-        for (const size_t j : touched) {
-          act[j] += delta[j];
-          soft_act[j] += soft_delta[j];
-        }
+        for (const uint32_t j : touched) act[j] += delta[j];
         assigned[best_row] = best_class;
         ++flips;
       }
       if (violation(i, act[i]) > kEps) all_ok = false;
-      for (const LinearTerm& t : enc.problem.constraints()[ccs[i]].terms) {
-        coef_i[t.var] = 0.0;
-      }
     }
     if (all_ok) break;
   }

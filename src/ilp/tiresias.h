@@ -97,11 +97,16 @@ std::vector<MarkedPrediction> DecodeMarkedPredictions(const TiresiasEncoding& en
 /// evaluates the Tseitin auxiliaries from that class assignment, and
 /// greedily repairs the complaint constraints one row flip at a time
 /// (re-evaluating the auxiliaries the row feeds), preferring flips that
-/// do not disturb other complaints. Returns an assignment suitable for
-/// IlpSolveOptions::warm_start, or an empty vector when the repair found
-/// no feasible candidate — the solver ignores empty/infeasible warm
-/// starts, so callers can pass the result through unconditionally.
-std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc);
+/// do not disturb other complaints. A complaint that no single flip moves
+/// toward its target (an OR of two existing join tuples) is left
+/// unrepaired. With `rng`, ties between equally good flips are broken at
+/// random, so the repair among several minimal ones follows the seed.
+/// Returns an assignment suitable for IlpSolveOptions::warm_start, or an
+/// empty vector when the repair found no feasible candidate — the solver
+/// ignores empty/infeasible warm starts, so callers can pass the result
+/// through unconditionally.
+std::vector<uint8_t> BuildTiresiasWarmStart(const TiresiasEncoding& enc,
+                                            Rng* rng = nullptr);
 
 }  // namespace rain
 

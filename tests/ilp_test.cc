@@ -1,8 +1,13 @@
+#include <chrono>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 #include <utility>
 
+#include "common/cancellation.h"
 #include "common/rng.h"
+#include "common/timer.h"
 #include "gtest/gtest.h"
 #include "ilp/problem.h"
 #include "ilp/solver.h"
@@ -115,6 +120,67 @@ TEST(IlpSolverTest, BudgetExhaustionWithoutSolutionIsError) {
   EXPECT_FALSE(sol.ok());
 }
 
+/// Pigeonhole: `holes + 1` pigeons, each in exactly one of `holes` holes,
+/// at most one per hole. Infeasible, and bounds propagation only finds
+/// that out after trying the hole orderings: an exponentially long search.
+IlpProblem Pigeonhole(int holes) {
+  IlpProblem p;
+  std::vector<std::vector<int>> in(holes + 1);
+  for (int i = 0; i <= holes; ++i) {
+    for (int h = 0; h < holes; ++h) in[i].push_back(p.AddVar(0.0));
+    p.AddCardinality(in[i], ConstraintSense::kEq, 1.0);
+  }
+  for (int h = 0; h < holes; ++h) {
+    std::vector<int> hole;
+    for (int i = 0; i <= holes; ++i) hole.push_back(in[i][h]);
+    p.AddCardinality(hole, ConstraintSense::kLe, 1.0);
+  }
+  return p;
+}
+
+TEST(IlpSolverTest, CancelledTokenStopsEverySolvePath) {
+  CancellationToken token;
+  token.Cancel();
+  // Decomposition path.
+  IlpProblem cover;
+  std::vector<int> vars;
+  for (int i = 0; i < 6; ++i) vars.push_back(cover.AddVar(1.0));
+  cover.AddCardinality(vars, ConstraintSense::kEq, 3.0);
+  IlpSolveOptions opts = NoRandom();
+  opts.coupling_constraints = {0};
+  opts.cancel = &token;
+  auto decomposed = SolveIlp(cover, opts);
+  EXPECT_TRUE(decomposed.status().IsCancelled()) << decomposed.status().ToString();
+  // Branch-and-bound path, with a feasible warm start it could return.
+  opts.coupling_constraints.clear();
+  opts.warm_start = {1, 1, 1, 0, 0, 0};
+  auto searched = SolveIlp(cover, opts);
+  EXPECT_TRUE(searched.status().IsCancelled()) << searched.status().ToString();
+}
+
+TEST(IlpSolverTest, DeadlineInterruptsLongSearch) {
+  // Without a stop this search runs far past any test timeout; the
+  // deadline must end it at a node poll with Cancelled, not with an
+  // incumbent or a budget exhaust.
+  const IlpProblem p = Pigeonhole(12);
+  CancellationToken token;
+  token.set_deadline(std::chrono::steady_clock::now() + std::chrono::milliseconds(50));
+  IlpSolveOptions opts = NoRandom();
+  opts.max_nodes = std::numeric_limits<int64_t>::max();
+  opts.cancel = &token;
+  Timer timer;
+  auto sol = SolveIlp(p, opts);
+  EXPECT_TRUE(sol.status().IsCancelled()) << sol.status().ToString();
+  EXPECT_LT(timer.ElapsedSeconds(), 30.0);
+
+  // The same search under a node budget exhausts it instead.
+  opts.cancel = nullptr;
+  opts.max_nodes = 20'000;
+  auto budgeted = SolveIlp(p, opts);
+  ASSERT_FALSE(budgeted.ok());
+  EXPECT_FALSE(budgeted.status().IsCancelled()) << budgeted.status().ToString();
+}
+
 TEST(IlpSolverTest, DecompositionMatchesBnbOptimum) {
   // Independent per-row one-hots + a coupling cardinality — exactly the
   // Tiresias COUNT shape. The decomposition fast path and plain B&B must
@@ -207,8 +273,8 @@ TEST(IlpSolverTest, WarmStartSameOptimumFewerNodes) {
 
 TEST(IlpSolverTest, WarmStartSurvivesBudgetExhaustion) {
   // 3000 vars, exactly 1500 ones: the cheap-first dive assigns zeros and
-  // cannot reach a leaf before the budget check fires (every 1024 nodes),
-  // so a 1-node budget starves the cold solver.
+  // cannot reach a leaf within one node, so a 1-node budget starves the
+  // cold solver.
   IlpProblem p;
   std::vector<int> vars;
   for (int i = 0; i < 3000; ++i) vars.push_back(p.AddVar(1.0));
@@ -228,6 +294,30 @@ TEST(IlpSolverTest, WarmStartSurvivesBudgetExhaustion) {
   EXPECT_TRUE(warm->warm_start_used);
   EXPECT_FALSE(warm->optimal);
   EXPECT_DOUBLE_EQ(warm->objective, p.ObjectiveValue(opts.warm_start));
+}
+
+TEST(IlpSolverTest, WarmStartBuiltOnlyForBranchAndBound) {
+  IlpProblem p;
+  std::vector<int> vars;
+  for (int i = 0; i < 6; ++i) vars.push_back(p.AddVar(1.0));
+  p.AddCardinality(vars, ConstraintSense::kEq, 3.0);
+  int builds = 0;
+  IlpSolveOptions opts = NoRandom();
+  opts.build_warm_start = [&builds] {
+    ++builds;
+    return std::vector<uint8_t>{1, 1, 1, 0, 0, 0};
+  };
+  opts.coupling_constraints = {0};
+  auto decomposed = SolveIlp(p, opts);
+  ASSERT_TRUE(decomposed.ok());
+  EXPECT_TRUE(decomposed->used_decomposition);
+  EXPECT_EQ(builds, 0);
+
+  opts.coupling_constraints.clear();
+  auto searched = SolveIlp(p, opts);
+  ASSERT_TRUE(searched.ok());
+  EXPECT_EQ(builds, 1);
+  EXPECT_TRUE(searched->warm_start_used);
 }
 
 TEST(IlpSolverTest, InfeasibleOrWrongSizeWarmStartIgnored) {
@@ -467,15 +557,21 @@ TEST_F(TiresiasFixture, ComplaintConstraintsRecordedAndWarmStartFeasible) {
   EXPECT_DOUBLE_EQ(sol->objective, 1.0);
 }
 
+/// Join tuple complaint over rows 1 and 2, both predicted class 1: the
+/// tuple exists while they agree, OR(AND(v1,0, v2,0), AND(v1,1, v2,1)).
+PolyId AgreementTuple(PolyArena* arena) {
+  return arena->Or(
+      {arena->And({arena->Var(PredVar{0, 1, 0}), arena->Var(PredVar{0, 2, 0})}),
+       arena->And({arena->Var(PredVar{0, 1, 1}), arena->Var(PredVar{0, 2, 1})})});
+}
+
 TEST_F(TiresiasFixture, WarmStartEvaluatesAuxiliaries) {
-  // Tuple complaint OR(AND(v1,1, v2,1), AND(v0,0, v3,0)) = 0: both join
-  // tuples exist today. The encoding carries three Tseitin auxiliaries;
-  // the warm start evaluates them from its repaired class assignment, so
-  // it is a complete feasible candidate that seeds the incumbent.
-  const PolyId tuple = arena.Or(
-      {arena.And({arena.Var(PredVar{0, 1, 1}), arena.Var(PredVar{0, 2, 1})}),
-       arena.And({arena.Var(PredVar{0, 0, 0}), arena.Var(PredVar{0, 3, 0})})});
-  auto enc = EncodeTiresias(&arena, preds, {{tuple, ConstraintSense::kEq, 0.0}});
+  // The complaint "this tuple should not exist" reads only the three
+  // Tseitin auxiliaries. The warm start evaluates them from its repaired
+  // class assignment, so it is a complete feasible candidate, and
+  // branch-and-bound proves it optimal without leaving the root.
+  auto enc = EncodeTiresias(&arena, preds,
+                            {{AgreementTuple(&arena), ConstraintSense::kEq, 0.0}});
   ASSERT_TRUE(enc.ok());
   EXPECT_EQ(enc->auxiliaries.size(), 3u);
 
@@ -489,7 +585,33 @@ TEST_F(TiresiasFixture, WarmStartEvaluatesAuxiliaries) {
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol->warm_start_used);
   EXPECT_TRUE(sol->optimal);
-  EXPECT_DOUBLE_EQ(sol->objective, 2.0);  // one row of each tuple
+  EXPECT_EQ(sol->nodes_explored, 0);
+  EXPECT_DOUBLE_EQ(sol->objective, 1.0);  // one row of the tuple
+}
+
+TEST_F(TiresiasFixture, SeedPicksAmongMinimalRepairsThatCloseAtTheRoot) {
+  // Two minimal repairs: flip row 1 or flip row 2. Branch-and-bound closes
+  // at the warm start, so the seeded repair is what the solve returns,
+  // and different seeds must reach both optima.
+  auto enc = EncodeTiresias(&arena, preds,
+                            {{AgreementTuple(&arena), ConstraintSense::kEq, 0.0}});
+  ASSERT_TRUE(enc.ok());
+  std::set<int64_t> flipped;
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    IlpSolveOptions opts;
+    opts.seed = seed;
+    Rng rng(seed);
+    opts.warm_start = BuildTiresiasWarmStart(*enc, &rng);
+    auto sol = SolveIlp(enc->problem, opts);
+    ASSERT_TRUE(sol.ok());
+    EXPECT_TRUE(sol->warm_start_used);
+    EXPECT_TRUE(sol->optimal);
+    EXPECT_DOUBLE_EQ(sol->objective, 1.0);
+    const auto marked = DecodeMarkedPredictions(*enc, *sol);
+    ASSERT_EQ(marked.size(), 1u);
+    flipped.insert(marked[0].row);
+  }
+  EXPECT_EQ(flipped, (std::set<int64_t>{1, 2}));
 }
 
 // ---------------------------------------------------------------------------
@@ -603,7 +725,8 @@ TEST(IlpOptimalityTest, TwoSidedTupleComplaintsReachMinimumCover) {
     cold.seed = seed;
     IlpSolveOptions twostep = cold;
     twostep.coupling_constraints = enc->complaint_constraints;
-    twostep.warm_start = BuildTiresiasWarmStart(*enc);
+    Rng repair_rng(seed);
+    twostep.warm_start = BuildTiresiasWarmStart(*enc, &repair_rng);
     EXPECT_FALSE(twostep.warm_start.empty()) << "seed " << seed;
     for (const IlpSolveOptions& opts : {cold, twostep}) {
       auto sol = SolveIlp(enc->problem, opts);

@@ -6,6 +6,7 @@
 /// sequences (DBLP Fig. 5 and the Adult multi-query workload).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/complaint.h"
@@ -240,6 +242,56 @@ TEST_F(SessionFixture, DeadlineInThePastStopsBeforeAnyWork) {
   auto resumed = (*session)->Step();
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(resumed->status, StepStatus::kIterated);
+}
+
+/// Arms a passed deadline on `quota` (the session's parent token), then
+/// ranks with TwoStep with the influence token cleared, so only the ILP
+/// search can see the deadline. Records what TwoStep returned.
+class DeadlineAtRankRanker : public Ranker {
+ public:
+  DeadlineAtRankRanker(CancellationToken* quota, Status* rank_status)
+      : inner_(MakeRanker("twostep").ValueOrDie()),
+        quota_(quota),
+        rank_status_(rank_status) {}
+  std::string name() const override { return inner_->name(); }
+  Result<RankOutput> Rank(const RankContext& ctx) override {
+    quota_->set_deadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+    RankContext ilp_only = ctx;
+    ilp_only.influence.cancel = nullptr;
+    Result<RankOutput> out = inner_->Rank(ilp_only);
+    *rank_status_ = out.status();
+    return out;
+  }
+
+ private:
+  std::unique_ptr<Ranker> inner_;
+  CancellationToken* quota_;
+  Status* rank_status_;
+};
+
+TEST_F(SessionFixture, DeadlineReachesTwoStepIlpSearch) {
+  CancellationToken quota;
+  Status rank_status;
+  auto session =
+      DebugSessionBuilder(pipeline())
+          .ranker(std::make_unique<DeadlineAtRankRanker>(&quota, &rank_status))
+          .max_deletions(50)
+          .set_execution(ExecutionOptions().set_parent_cancel(&quota))
+          .workload({CountComplaint(static_cast<double>(setup_.true_count))})
+          .Build();
+  ASSERT_TRUE(session.ok());
+  auto step = (*session)->Step();
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_EQ(step->status, StepStatus::kDeadlineExceeded);
+  // The ILP stopped the rank phase itself: without the session token in
+  // its options TwoStep would have finished and the session would stop
+  // after the rank phase instead.
+  EXPECT_TRUE(rank_status.IsCancelled()) << rank_status.ToString();
+  ASSERT_EQ((*session)->report().iterations.size(), 1u);
+  EXPECT_NE((*session)->report().iterations[0].note.find(
+                "deadline-exceeded after bind phase"),
+            std::string::npos)
+      << (*session)->report().iterations[0].note;
 }
 
 // ------------------------------------------------ mid-phase cancellation
