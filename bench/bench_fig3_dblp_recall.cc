@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {m};
       for (const std::string& c : RecallRow(run)) row.push_back(c);
       table.AddRow(row);
-      if (!run.ok) std::printf("  [%s failed: %s]\n", m.c_str(), run.error.c_str());
+      if (!run.ok) std::printf("  [%s failed: %s]\n", m.c_str(), run.status.ToString().c_str());
       runs[i][m] = std::move(run);
     }
     EmitTable(std::string("Fig3 recall, corruption ") + labels[i], table);

@@ -4,14 +4,26 @@
 ///  (mix) overlapping digit sets at mix rate {5,25,35}%: Holistic decays
 ///        gracefully; the TwoStep ILP blows its budget.
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "bench/workloads.h"
+#include "common/status.h"
+#include "common/string_util.h"
 
 using namespace rain;         // NOLINT
 using namespace rain::bench;  // NOLINT
 
 namespace {
+
+/// The AUCCR cell of one run. A failed run shows its status code in the
+/// cell and its message on stderr, labelled with `cell`.
+std::string AuccrCell(const MethodRun& run, const std::string& cell) {
+  if (run.ok) return TablePrinter::Num(run.auccr, 3);
+  std::fprintf(stderr, "%s %s failed: %s\n", cell.c_str(), run.method.c_str(),
+               run.status.ToString().c_str());
+  return std::string("fail (") + StatusCodeName(run.status.code()) + ")";
+}
 
 void Sweep(const char* title, bool count_complaint,
            const std::vector<int>& left_digits, const std::vector<int>& right_digits) {
@@ -34,7 +46,7 @@ void Sweep(const char* title, bool count_complaint,
       MethodRun run = RunMethod(m, exp.make_pipeline, exp.workload, exp.corrupted, cfg);
       table.AddRow({TablePrinter::Num(corruption, 1), m,
                     std::to_string(num_complaints),
-                    run.ok ? TablePrinter::Num(run.auccr, 3) : "fail",
+                    AuccrCell(run, StrFormat("%s corruption %.1f", title, corruption)),
                     run.ok && !run.recall.empty()
                         ? TablePrinter::Num(run.recall.back(), 3)
                         : "-"});
@@ -78,7 +90,7 @@ int main() {
 
     for (const std::string m : {"loss", "twostep", "holistic"}) {
       MethodRun run = RunMethod(m, exp.make_pipeline, exp.workload, exp.corrupted, cfg);
-      std::string auccr = run.ok ? TablePrinter::Num(run.auccr, 3) : "fail";
+      std::string auccr = AuccrCell(run, StrFormat("mix_rate %.2f", mix));
       if (run.ok) {
         for (const auto& it : run.iterations) {
           if (it.note.find("budget") != std::string::npos) auccr += "*";

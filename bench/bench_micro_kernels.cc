@@ -1,6 +1,6 @@
 /// Microbenchmarks of the vec::simd dispatch layer and the kernels built
 /// on it: scalar-vs-SIMD timings for Dot/Axpy/GEMV and the ml coefficient
-/// passes (logistic/softmax/MLP HVPs, the logistic one-pass Hessian).
+/// passes (softmax/MLP HVPs, the logistic one-pass Hessian).
 /// Self-driven (no external benchmark framework): each row times the same
 /// closure under the scalar fallback (ForceBackend("scalar")) and
 /// under the dispatched backend, and reports the speedup. A per-backend
@@ -15,12 +15,11 @@
 /// (fast enough for the CI scale-smoke leg, which runs it under
 /// RAIN_SIMD=scalar and RAIN_SIMD=avx2 in addition to the unconstrained
 /// pass):
-///   * ELEMENTWISE kernels (MulAdd, MulAdd2) and the SHAPED-REDUCTION
-///     Dot2 must match the scalar fallback BITWISE;
+///   * the ELEMENTWISE kernel MulAdd must match the scalar fallback
+///     BITWISE;
 ///   * REDUCTION kernels (Dot, GemmNT) must be deterministic per backend
 ///     and within 1e-9 relative of scalar; GemmNT must equal the per-row
-///     Dot loop BITWISE (Gemv's per-tier contract is tensor_test's);
-///   * the blocked logistic HVP must stay within 1e-9 relative of scalar.
+///     Dot loop BITWISE (Gemv's per-tier contract is tensor_test's).
 /// The relax-layer kernels (gathers, Mul, ScatterAxpy) have one scalar
 /// body and are not dispatched; tensor_test checks them against
 /// reference loops.
@@ -151,12 +150,9 @@ int RunTimings() {
   {
     Dataset d = RandomDataset(2000, 17, 2, 1);
     LogisticRegression m(17);
-    Vec v(m.num_params(), 0.5), out;
-    rows.push_back(TimeKernel("logistic_hvp", 2000, [&] {
-      m.HessianVectorProduct(d, v, 1e-3, &out);
-    }));
-    // The one-pass loss, gradient and Hessian data term over the same
-    // rows: the cost of one Newton evaluation against one CG iteration.
+    // The one-pass loss, gradient and Hessian data term: the cost of one
+    // Newton evaluation.
+    Vec out;
     double loss = 0.0;
     Matrix h;
     rows.push_back(TimeKernel("logistic_hessian", 2000, [&] {
@@ -237,13 +233,11 @@ bool BitwiseEq(const Vec& a, const Vec& b) {
 /// checks below enforce.
 void PrintContractTable() {
   TablePrinter t({"class", "kernels", "cross-backend contract"});
-  t.AddRow({"ELEMENTWISE", "MulAdd MulAdd2", "bitwise identical on every tier"});
+  t.AddRow({"ELEMENTWISE", "MulAdd", "bitwise identical on every tier"});
   t.AddRow({"FUSED-ELEMENTWISE", "Axpy",
             "per-tier deterministic; avx512 == avx2-fma"});
   t.AddRow({"REDUCTION", "Dot GemmNT",
             "per-tier deterministic; avx512 == avx2-fma; scalar 1e-9 rel"});
-  t.AddRow({"SHAPED-REDUCTION", "Dot2",
-            "bitwise identical on every tier (shaped scalar fallback)"});
   std::printf("%s\n", t.ToText().c_str());
 }
 
@@ -253,25 +247,17 @@ void RunVerifyOnce(const std::string& tier) {
   const std::string tag = " [" + tier + "]";
   const size_t kN = 1037;  // odd length exercises the scalar tails
   const Vec x = RandomVec(kN, 11), y = RandomVec(kN, 12);
-  Dataset d = RandomDataset(256, 17, 2, 18);
-  LogisticRegression m(17);
-  m.set_params(RandomVec(m.num_params(), 19));
-  const Vec v = RandomVec(m.num_params(), 20);
 
   // Every kernel once under the scalar fallback, then again under `tier`.
   struct Outputs {
-    Vec muladd, muladd2, hvp;
-    double dot2 = 0.0, dot = 0.0;
+    Vec muladd;
+    double dot = 0.0;
   };
   auto run = [&] {
     Outputs o;
     o.muladd = y;
     vec::simd::MulAdd(1.7, x.data(), o.muladd.data(), kN);
-    o.muladd2 = y;
-    vec::simd::MulAdd2(1.3, x.data(), -0.7, y.data(), o.muladd2.data(), kN);
-    o.dot2 = vec::simd::Dot2(x.data(), y.data(), y.data(), x.data(), kN);
     o.dot = vec::simd::Dot(x.data(), y.data(), kN);
-    m.HessianVectorProduct(d, v, 1e-3, &o.hvp);
     return o;
   };
   vec::simd::ForceBackend("scalar");
@@ -279,10 +265,8 @@ void RunVerifyOnce(const std::string& tier) {
   vec::simd::ForceBackend(tier.c_str());
   const Outputs t = run();
 
-  // ELEMENTWISE and SHAPED-REDUCTION: bitwise identical across backends.
+  // ELEMENTWISE: bitwise identical across backends.
   Check(BitwiseEq(s.muladd, t.muladd), "MulAdd scalar == simd (bitwise)" + tag);
-  Check(BitwiseEq(s.muladd2, t.muladd2), "MulAdd2 scalar == simd (bitwise)" + tag);
-  Check(s.dot2 == t.dot2, "Dot2 scalar == simd (bitwise)" + tag);
 
   // GemmNT must equal the per-row Dot loop bitwise (it IS the Dot kernel
   // per element — this is what lets the model HVPs batch their
@@ -306,14 +290,6 @@ void RunVerifyOnce(const std::string& tier) {
         "Dot deterministic (same backend, bitwise)" + tag);
   Check(std::fabs(t.dot - s.dot) <= 1e-9 * (1.0 + std::fabs(s.dot)),
         "Dot scalar ~= simd (1e-9 relative)" + tag);
-
-  // The blocked logistic HVP under the dispatched SIMD backend stays
-  // within 1e-9 (relative) of the scalar path.
-  bool close = s.hvp.size() == t.hvp.size();
-  for (size_t i = 0; close && i < t.hvp.size(); ++i) {
-    close = std::fabs(t.hvp[i] - s.hvp[i]) <= 1e-9 * (1.0 + std::fabs(s.hvp[i]));
-  }
-  Check(close, "Logistic HVP scalar ~= simd (1e-9 relative)" + tag);
 }
 
 int RunVerify() {

@@ -89,12 +89,12 @@ MethodRun RunMethod(
   }
   auto session = builder.Build();
   if (!session.ok()) {
-    run.error = session.status().ToString();
+    run.status = session.status();
     return run;
   }
   auto report = (*session)->RunToCompletion();
   if (!report.ok()) {
-    run.error = report.status().ToString();
+    run.status = report.status();
     return run;
   }
   run.ok = true;

@@ -63,11 +63,12 @@ bool OneCoreMachine();
 const char* SimdBackend();
 
 /// One debugger run of one method. `ok == false` records solver/budget
-/// failures (e.g. the TwoStep ILP timing out, Section 6.3).
+/// failures (e.g. the TwoStep ILP exhausting its node budget, Section
+/// 6.3); `status` then says which.
 struct MethodRun {
   std::string method;
   bool ok = false;
-  std::string error;
+  Status status;
   std::vector<size_t> deletions;
   std::vector<IterationStats> iterations;
   std::vector<double> recall;  // vs the experiment's corruption set

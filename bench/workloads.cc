@@ -342,13 +342,12 @@ Experiment AdultMultiQuery(const std::string& which, double corruption,
   return exp;
 }
 
-namespace {
-
-/// Wraps a generated scale-N workload into an Experiment: every catalog
-/// table (with or without predict() features) is registered, and the
-/// factory hands out pipelines over shared copies of the corrupted
-/// training set — same start state for every method, as elsewhere.
-Experiment ScaledExperiment(scale::ScaledWorkload workload, TrainConfig tc) {
+/// Every catalog table (with or without predict() features) is
+/// registered, and the factory hands out pipelines over shared copies of
+/// the corrupted training set — same start state for every method, as
+/// elsewhere.
+Experiment ScaledAdultExperiment(const scale::ScaleConfig& config, TrainConfig tc) {
+  scale::ScaledWorkload workload = scale::ScaledAdult(config);
   Experiment exp;
   exp.corrupted = std::move(workload.corrupted);
   exp.workload = std::move(workload.workload);
@@ -366,17 +365,6 @@ Experiment ScaledExperiment(scale::ScaledWorkload workload, TrainConfig tc) {
                                             *shared_train, tc);
   };
   return exp;
-}
-
-}  // namespace
-
-Experiment ScaledAdultExperiment(const scale::ScaleConfig& config, TrainConfig tc) {
-  return ScaledExperiment(scale::ScaledAdult(config), tc);
-}
-
-Experiment ScaledDblpJoinExperiment(const scale::ScaleConfig& config,
-                                    TrainConfig tc) {
-  return ScaledExperiment(scale::ScaledDblpJoin(config), tc);
 }
 
 }  // namespace bench

@@ -83,17 +83,14 @@ Experiment AdultMultiQuery(const std::string& which, double corruption,
                            size_t train_size = 3000, size_t query_size = 1500,
                            uint64_t seed = 13);
 
-/// Scale-N synthetic experiments (src/data/scale_gen.h; bench_scale).
-/// The generated workload already carries complaints with analytically
-/// derived targets, so the adapter only wraps the tables + corrupted
-/// training set into a pipeline factory (clean_value/corrupted_value
-/// stay 0 — there is no clean-pipeline run at generation time). `tc`
-/// bounds training cost; bench drivers cap max_iters so a sweep spends
-/// its time in the phases under test, not in L-BFGS tails.
+/// Scale-N synthetic Adult experiment (src/data/scale_gen.h; bench_e2e's
+/// adult_1e5). The generated workload already carries complaints with
+/// analytically derived targets, so the adapter only wraps the tables +
+/// corrupted training set into a pipeline factory (clean_value /
+/// corrupted_value stay 0 — there is no clean-pipeline run at generation
+/// time). `tc` is the pipelines' training configuration.
 Experiment ScaledAdultExperiment(const scale::ScaleConfig& config,
                                  TrainConfig tc = TrainConfig());
-Experiment ScaledDblpJoinExperiment(const scale::ScaleConfig& config,
-                                    TrainConfig tc = TrainConfig());
 
 }  // namespace bench
 }  // namespace rain

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "data/adult.h"
-#include "data/dblp.h"
 #include "ml/logistic_regression.h"
 
 namespace rain {
@@ -180,22 +178,10 @@ ScaleDims DimsFor(double scale) {
   // tiny test scales trainable (enough rows per class/group).
   dims.adult_train = Scaled(1e5, scale, /*floor_rows=*/512);
   dims.adult_query = Scaled(2e4, scale, /*floor_rows=*/256);
-  dims.dblp_train = Scaled(4e4, scale, /*floor_rows=*/512);
-  dims.dblp_query = Scaled(2e4, scale, /*floor_rows=*/256);
   const double points = std::round(256.0 * scale);
   dims.point_complaints = static_cast<size_t>(
       std::min(4096.0, std::max(8.0, points)));
   return dims;
-}
-
-double ScaleFromEnv(double fallback) {
-  const char* env = std::getenv("RAIN_BENCH_SCALE");
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  RAIN_CHECK(end != env && *end == '\0' && v > 0.0)
-      << "RAIN_BENCH_SCALE must be a positive number, got \"" << env << "\"";
-  return v;
 }
 
 ScaledWorkload ScaledAdult(const ScaleConfig& config) {
@@ -325,119 +311,6 @@ ScaledWorkload ScaledAdult(const ScaleConfig& config) {
       qc.complaints.push_back(ComplaintSpec::Point(
           kTable, static_cast<int64_t>(row),
           AdultCleanDecision(query.attrs[row])));
-    }
-    out.workload.push_back(std::move(qc));
-  }
-  return out;
-}
-
-ScaledWorkload ScaledDblpJoin(const ScaleConfig& config) {
-  const ScaleDims dims = DimsFor(config.scale);
-  ScaledWorkload out;
-  const char* kPairs = "pairs_scaled";
-  const char* kPubs = "pubs_scaled";
-  constexpr size_t kNumPubs = 16;
-  constexpr double kMatchRate = 0.30;
-
-  // Candidate-pair similarity rows: match pairs draw high-mode Betas,
-  // non-matches low-mode, last 4 features near-uninformative — the
-  // MakeDblp calibration (src/data/dblp.cc), drawn per block.
-  auto generate = [&](size_t n, uint64_t section_seed) {
-    std::pair<Matrix, std::vector<int>> split{Matrix(n, kDblpFeatures),
-                                              std::vector<int>(n)};
-    ForEachBlockSeeded(config.workers, n, section_seed,
-                       [&split](size_t begin, size_t end, Rng& rng) {
-                         for (size_t i = begin; i < end; ++i) {
-                           const bool match = rng.Bernoulli(kMatchRate);
-                           split.second[i] = match ? 1 : 0;
-                           for (size_t f = 0; f < kDblpFeatures; ++f) {
-                             const bool noisy = f >= 13;
-                             double v;
-                             if (noisy) {
-                               v = rng.Beta(2.0, 2.0);
-                             } else if (match) {
-                               v = rng.Beta(6.0, 2.0);
-                             } else {
-                               v = rng.Beta(2.0, 6.0);
-                             }
-                             split.first.At(i, f) = v;
-                           }
-                         }
-                       });
-    return split;
-  };
-
-  auto [train_x, train_y] = generate(dims.dblp_train,
-                                     SplitSeed(config.seed, kTrainTag));
-  auto [query_x, query_y] = generate(dims.dblp_query,
-                                     SplitSeed(config.seed, kQueryTag));
-
-  // Corruption: true matches mislabeled as non-matches (missed-match
-  // labeling errors), `corruption` fraction of them.
-  out.clean_labels = train_y;
-  std::vector<size_t> candidates;
-  for (size_t i = 0; i < dims.dblp_train; ++i) {
-    if (train_y[i] == 1) candidates.push_back(i);
-  }
-  out.corrupted = FlipLabels(&train_y, candidates, dims.corruption,
-                             /*to_label=*/0,
-                             SplitSeed(config.seed, kCorruptionTag));
-  out.train = Dataset(std::move(train_x), std::move(train_y), 2);
-
-  // Pairs relation (id, left_id, truth); left_id fans each pair out to
-  // one publication row, so the join is key-foreign-key.
-  Schema pairs_schema({Field{"id", DataType::kInt64, ""},
-                       Field{"left_id", DataType::kInt64, ""},
-                       Field{"truth", DataType::kInt64, ""}});
-  Table pairs_table(pairs_schema);
-  double venue_truth[kNumPubs] = {0.0};
-  for (size_t i = 0; i < dims.dblp_query; ++i) {
-    const int64_t left_id = static_cast<int64_t>(i % kNumPubs);
-    pairs_table.AppendRowUnchecked({Value(static_cast<int64_t>(i)),
-                                    Value(left_id),
-                                    Value(static_cast<int64_t>(query_y[i]))});
-    venue_truth[left_id] += query_y[i];
-  }
-  Schema pubs_schema({Field{"pub_id", DataType::kInt64, ""},
-                      Field{"venue", DataType::kString, ""}});
-  Table pubs_table(pubs_schema);
-  for (size_t p = 0; p < kNumPubs; ++p) {
-    pubs_table.AppendRowUnchecked(
-        {Value(static_cast<int64_t>(p)),
-         Value(std::string("venue") + std::to_string(p))});
-  }
-
-  Dataset pairs_features(std::move(query_x), std::vector<int>(query_y), 2);
-  out.tables.push_back(ScaledTable{kPairs, std::move(pairs_table),
-                                   std::move(pairs_features)});
-  out.tables.push_back(ScaledTable{kPubs, std::move(pubs_table), std::nullopt});
-
-  // Entry 1: per-venue match counts through the join, one COUNT
-  // complaint per venue with the true-label count as target.
-  {
-    QueryComplaints qc;
-    PlanPtr join = PlanNode::Join(
-        PlanNode::Scan(kPairs), PlanNode::Scan(kPubs),
-        Expr::Eq(Expr::Column("left_id"), Expr::Column("pub_id")));
-    PlanPtr matches = PlanNode::Filter(
-        join, Expr::Eq(Expr::Predict(kPairs), Expr::LitInt(1)));
-    qc.query = PlanNode::Aggregate(matches, {Expr::Column("venue")}, {"venue"},
-                                   {AggSpec{AggFunc::kCount, nullptr, "cnt"}});
-    for (size_t p = 0; p < kNumPubs; ++p) {
-      qc.complaints.push_back(ComplaintSpec::ValueEq(
-          "cnt", venue_truth[p],
-          {Value(std::string("venue") + std::to_string(p))}));
-    }
-    out.workload.push_back(std::move(qc));
-  }
-
-  // Entry 2: point complaints on sampled pairs (true class assertions).
-  {
-    QueryComplaints qc;
-    for (int64_t row : SamplePointRows(dims.point_complaints, dims.dblp_query,
-                                       SplitSeed(config.seed, kComplaintsTag))) {
-      qc.complaints.push_back(
-          ComplaintSpec::Point(kPairs, row, query_y[static_cast<size_t>(row)]));
     }
     out.workload.push_back(std::move(qc));
   }

@@ -16,8 +16,8 @@ namespace scale {
 ///
 /// One knob dials every workload dimension from laptop-scale (0.1) to
 /// paper-scale (1.0, 10^5 synthetic Adult training rows) to 100x
-/// paper-scale (10^7 rows): training/query set sizes, join widths, and
-/// the number of concurrent complaints all follow `scale`.
+/// paper-scale (10^7 rows): training/query set sizes and the number of
+/// concurrent complaints follow `scale`.
 ///
 /// Determinism contract: a generated workload is a pure function of
 /// (seed, scale). The `workers` knob only changes how fast generation
@@ -39,8 +39,6 @@ struct ScaleConfig {
 struct ScaleDims {
   size_t adult_train = 0;
   size_t adult_query = 0;
-  size_t dblp_train = 0;
-  size_t dblp_query = 0;
   /// Concurrent point complaints in the many-complaints workload entry.
   size_t point_complaints = 0;
   /// Fraction of corruption candidates whose labels are flipped.
@@ -48,11 +46,6 @@ struct ScaleDims {
 };
 
 ScaleDims DimsFor(double scale);
-
-/// Reads the RAIN_BENCH_SCALE environment variable; `fallback` when it
-/// is unset. Aborts on an unparseable or non-positive value — a silently
-/// ignored knob would record baselines at the wrong scale.
-double ScaleFromEnv(double fallback = 1.0);
 
 /// One query-side catalog entry: a relational table, plus the feature
 /// dataset backing predict() over it (nullopt for plain side tables that
@@ -77,11 +70,10 @@ struct ScaledWorkload {
   /// Query-side catalog entries (first entry carries the features).
   std::vector<ScaledTable> tables;
   /// Complaints with analytically derived targets (no clean-model
-  /// training pass — generation stays O(rows)). Adult targets are the
+  /// training pass — generation stays O(rows)). The targets are the
   /// per-profile Bayes decisions (what a perfectly trained clean model
   /// predicts on the query table), so they carry no label-sampling
-  /// noise; DBLP targets are true-label counts (the features separate
-  /// the classes nearly perfectly, so Bayes error is negligible there).
+  /// noise.
   std::vector<QueryComplaints> workload;
 };
 
@@ -90,12 +82,6 @@ struct ScaledWorkload {
 /// complaint, per-decade AVG complaints, and dims.point_complaints
 /// concurrent point complaints. Table name: "adult_scaled".
 ScaledWorkload ScaledAdult(const ScaleConfig& config);
-
-/// DBLP-style entity-resolution join workload: candidate pairs (17
-/// similarity features) joined against a venue side table, with
-/// per-venue COUNT complaints over predict() = 1 plus point complaints.
-/// Table names: "pairs_scaled" (features) and "pubs_scaled".
-ScaledWorkload ScaledDblpJoin(const ScaleConfig& config);
 
 }  // namespace scale
 }  // namespace rain

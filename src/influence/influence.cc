@@ -156,38 +156,11 @@ std::vector<double> InfluenceScorer::ScoreAll() const {
 }
 
 Result<std::vector<double>> InfluenceScorer::DenseSelfInfluenceAll(
-    const Matrix* data_hessian) const {
+    const Matrix& data_hessian) const {
   const Status cancelled = Status::Cancelled("self-influence scoring interrupted");
-  Matrix formed;
-  const Matrix* h = HookDataHessian(data_hessian, &formed);
-  if (h == nullptr) {
-    // No one-pass hook: the data term from one Hessian-vector product per
-    // unit vector. Poll after each one so a stop request costs at most
-    // one product.
-    const size_t p = model_->num_params();
-    formed = Matrix(p, p);
-    Vec unit(p, 0.0);
-    Vec column;
-    for (size_t j = 0; j < p; ++j) {
-      unit[j] = 1.0;
-      model_->HessianVectorProduct(*train_, unit, /*l2=*/0.0, &column);
-      unit[j] = 0.0;
-      if (options_.cancel != nullptr && options_.cancel->ShouldStop()) return cancelled;
-      for (size_t i = 0; i < p; ++i) formed.At(i, j) = column[i];
-    }
-    // Only the lower triangle is factored; symmetrize it so both halves
-    // of the products count equally.
-    for (size_t j = 0; j < p; ++j) {
-      for (size_t i = j + 1; i < p; ++i) {
-        formed.At(i, j) = 0.5 * (formed.At(i, j) + formed.At(j, i));
-      }
-    }
-    h = &formed;
-  } else if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
-    return cancelled;
-  }
+  if (options_.cancel != nullptr && options_.cancel->ShouldStop()) return cancelled;
   Matrix lower;
-  RAIN_RETURN_NOT_OK(FactorRegularized(*h, &lower));
+  RAIN_RETURN_NOT_OK(FactorRegularized(data_hessian, &lower));
   // grad^T (L L^T)^{-1} grad = ||L^{-1} grad||^2. The factor is read-only
   // from here on, shared by every worker.
   std::vector<double> scores(train_->size(), 0.0);
@@ -227,7 +200,10 @@ Status InfluenceScorer::SelfInfluenceRange(size_t begin, size_t end,
 Result<std::vector<double>> InfluenceScorer::SelfInfluenceAll(
     const Matrix* data_hessian) {
   RAIN_RETURN_NOT_OK(CheckHessianShape(data_hessian, model_->num_params()));
-  if (model_->DenseHessianFits(*train_)) return DenseSelfInfluenceAll(data_hessian);
+  Matrix formed;
+  if (const Matrix* h = HookDataHessian(data_hessian, &formed)) {
+    return DenseSelfInfluenceAll(*h);
+  }
   std::vector<double> scores(train_->size(), 0.0);
   // One CG solve per active record; solves are independent, so partition
   // records across deterministic chunks. Each chunk owns its CG summary

@@ -43,8 +43,8 @@ struct InfluenceOptions {
 /// (Model::MeanLossGradientHessian) and the size rule holds
 /// (Model::DenseHessianFits), Prepare and SelfInfluenceAll Cholesky-factor
 /// H_data + (2 l2 + damping) I once and solve from the factor. Otherwise
-/// Prepare solves Hessian-free with conjugate gradient (see
-/// SelfInfluenceAll for its per-record paths).
+/// both solve Hessian-free with conjugate gradient. The two calls pick
+/// their path by the same rule, HookDataHessian.
 class InfluenceScorer {
  public:
   /// Neither pointer is owned; both must outlive the scorer. `train` rows
@@ -80,32 +80,24 @@ class InfluenceScorer {
   /// Final absolute residual norm ||b - A x||.
   double cg_residual_norm() const { return cg_residual_norm_; }
 
-  /// Adjusts the scoring worker count after construction (benchmarks sweep
-  /// this; the prepared CG solution s is unaffected).
-  void set_parallelism(int parallelism) {
-    options_.parallelism = parallelism < 1 ? 1 : parallelism;
-  }
-  int parallelism() const { return options_.parallelism; }
-
   /// \brief Self-influence scores for the InfLoss baseline [35]:
   ///     self(z) = -grad l(z)^T H^{-1} grad l(z)   (always <= 0).
   /// Records whose removal *increases their own loss* the most (largest
   /// negative value) rank at the top, so the baseline sorts ascending.
   ///
-  /// Dense path, taken when num_params^2 <= num_active * num_features
-  /// (the Hessian is no larger than the active feature rows): takes the
-  /// Hessian data term from `data_hessian` or the model's one-pass hook
-  /// (for models without the hook, from num_params Hessian-vector products
-  /// against unit vectors, symmetrized), Cholesky-factors it plus
+  /// Dense path, taken by the rule Prepare uses (the one-pass hook under
+  /// num_params^2 <= num_active * num_features): takes the Hessian data
+  /// term from `data_hessian` or the hook, Cholesky-factors it plus
   /// (2 l2 + damping) I once (L L^T), and scores each record as
   /// -||L^{-1} grad l(z)||^2 with one forward substitution. A Hessian that
   /// is not positive definite fails with Status::Internal. The factor is
   /// read-only while rows are scored, so scores are bitwise invariant to
   /// the worker count.
   ///
-  /// Otherwise (large softmax, the MLP) it runs one CG solve per active
-  /// record: the per-record-solve cost the paper reports for InfLoss
-  /// (46s/iter vs ~1s) shows only on these models.
+  /// Otherwise (softmax, the MLP, a logistic model over the size rule) it
+  /// runs one CG solve per active record: the per-record-solve cost the
+  /// paper reports for InfLoss (46s/iter vs ~1s) shows only on these
+  /// models.
   Result<std::vector<double>> SelfInfluenceAll(const Matrix* data_hessian = nullptr);
 
  private:
@@ -129,8 +121,9 @@ class InfluenceScorer {
   /// Cholesky factor of data_hessian + (2 l2 + damping) I; only the
   /// lower triangle of `data_hessian` is read.
   Status FactorRegularized(const Matrix& data_hessian, Matrix* lower) const;
-  /// Dense SelfInfluenceAll: one Cholesky factor, a triangular solve per row.
-  Result<std::vector<double>> DenseSelfInfluenceAll(const Matrix* data_hessian) const;
+  /// Dense SelfInfluenceAll over the Hessian data term `data_hessian`:
+  /// one Cholesky factor, a triangular solve per row.
+  Result<std::vector<double>> DenseSelfInfluenceAll(const Matrix& data_hessian) const;
   /// Self-influence scores of rows [begin, end) (one CG solve each) into
   /// `scores`; stops at the first failing solve or stop request. Folds
   /// each solve's iterations/residual/convergence into `summary`.

@@ -90,9 +90,10 @@ double LogisticRegression::AddRangeLossAndGradient(const Dataset& data, size_t b
 double LogisticRegression::AddRangeTerms(const Dataset& data, size_t begin,
                                          size_t end, Vec* grad,
                                          double* hessian) const {
-  // Runs of consecutive active rows batch their margins into one Gemv, as
-  // the HVP body does; every Gemv element is the Dot kernel behind Margin,
-  // so each row's loss and gradient keep their bits.
+  // Runs of consecutive active rows batch their margins into one Gemv;
+  // every Gemv element is the Dot kernel behind Margin (operands
+  // commuted, so each product rounds the same), so each row's loss and
+  // gradient keep their bits.
   constexpr size_t kBlock = 64;
   double z_blk[kBlock];
   // The Hessian scratch: up to kGramBlock active rows' x~, transposed (row
@@ -203,39 +204,16 @@ void LogisticRegression::HessianVectorProduct(const Dataset& data, const Vec& v,
   vec::ParallelAccumulate(
       RowParallelism(data.size()), data.size(), out,
       [this, &data, &v](size_t begin, size_t end, Vec* acc) {
-        // Runs of consecutive active rows form contiguous feature blocks,
-        // so the two per-row dots batch into Gemv calls over the run.
-        // Every Gemv element is the Dot kernel (with the operand order
-        // commuted — per-element products are rounding-identical), so the
-        // bits match the former per-row Margin / dot calls exactly.
-        constexpr size_t kHvpBlock = 64;
-        double z_blk[kHvpBlock];
-        double xv_blk[kHvpBlock];
-        size_t i = begin;
-        while (i < end) {
-          if (!data.active(i)) {
-            ++i;
-            continue;
-          }
-          size_t r1 = i;
-          while (r1 < end && r1 - i < kHvpBlock && data.active(r1)) ++r1;
-          const size_t nb = r1 - i;
-          const double* xb = data.row(i);
-          vec::simd::Gemv(xb, nb, d_, theta_.data(), z_blk);
-          vec::simd::Gemv(xb, nb, d_, v.data(), xv_blk);
-          for (size_t r = 0; r < nb; ++r) {
-            const double* x = xb + r * d_;
-            const double margin =
-                fit_intercept_ ? z_blk[r] + theta_[d_] : z_blk[r];
-            const double p1 = Sigmoid(margin);
-            const double s = p1 * (1.0 - p1);
-            double xv = xv_blk[r];
-            if (fit_intercept_) xv += v[d_];
-            const double coef = s * xv;
-            vec::simd::MulAdd(coef, x, acc->data(), d_);
-            if (fit_intercept_) (*acc)[d_] += coef;
-          }
-          i = r1;
+        for (size_t i = begin; i < end; ++i) {
+          if (!data.active(i)) continue;
+          const double* x = data.row(i);
+          const double p1 = Sigmoid(Margin(x));
+          const double s = p1 * (1.0 - p1);
+          double xv = vec::simd::Dot(x, v.data(), d_);
+          if (fit_intercept_) xv += v[d_];
+          const double coef = s * xv;
+          vec::simd::MulAdd(coef, x, acc->data(), d_);
+          if (fit_intercept_) (*acc)[d_] += coef;
         }
         return 0.0;
       });

@@ -8,6 +8,36 @@
 
 namespace rain {
 
+namespace {
+
+// The two R-pass row kernels of HessianVectorProduct. Plain loops: the
+// build's -ffp-contract=off keeps every multiply and add its own rounding.
+
+/// y[i] += a0 * x0[i] + a1 * x1[i]: the R-backward rank-2 update.
+void MulAdd2(double a0, const double* x0, double a1, const double* x1, double* y,
+             size_t n) {
+  for (size_t i = 0; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
+}
+
+/// sum_i (a[i] * x[i] + b[i] * y[i]) over four lane accumulators filled in
+/// stride-4 steps, combined as (l0 + l1) + (l2 + l3), tail folded after:
+/// the R-forward two-operand row reduction.
+double Dot2(const double* a, const double* x, const double* b, const double* y,
+            size_t n) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t j = 0; j < 4; ++j) {
+      lane[j] += a[i + j] * x[i + j] + b[i + j] * y[i + j];
+    }
+  }
+  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (; i < n; ++i) total += a[i] * x[i] + b[i] * y[i];
+  return total;
+}
+
+}  // namespace
+
 Mlp::Mlp(size_t num_features, size_t hidden_units, int num_classes, uint64_t seed)
     : d_(num_features),
       h_(hidden_units),
@@ -201,7 +231,7 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
             for (int k = 0; k < c_; ++k) {
               const double* vrow = v_w2 + static_cast<size_t>(k) * h_;
               const double* wrow = w2 + static_cast<size_t>(k) * h_;
-              rz2[k] = v_b2[k] + vec::simd::Dot2(vrow, a1, wrow, ra1, h_);
+              rz2[k] = v_b2[k] + Dot2(vrow, a1, wrow, ra1, h_);
             }
 
             // dz2 = p - e_y; R{dz2} = R{p} = (diag(p) - p p^T) rz2.
@@ -224,10 +254,8 @@ void Mlp::HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
               double* orow = o_w2 + static_cast<size_t>(k) * h_;
               const double* wrow = w2 + static_cast<size_t>(k) * h_;
               const double* vrow = v_w2 + static_cast<size_t>(k) * h_;
-              // ELEMENTWISE MulAdd2 keeps each element's rounding identical
-              // to the former interleaved two-term statements.
-              vec::simd::MulAdd2(rdz2[k], a1, dz2[k], ra1, orow, h_);
-              vec::simd::MulAdd2(rdz2[k], wrow, dz2[k], vrow, rda1.data(), h_);
+              MulAdd2(rdz2[k], a1, dz2[k], ra1, orow, h_);
+              MulAdd2(rdz2[k], wrow, dz2[k], vrow, rda1.data(), h_);
             }
             // R{dz1} = R{da1} .* relu'(z1); relu'' = 0 a.e.
             for (size_t i = 0; i < h_; ++i) {

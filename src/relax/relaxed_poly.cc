@@ -116,8 +116,8 @@ void RelaxedPoly::Forward(const Vec& var_values, Vec* values) const {
   const size_t m = tape_op_.size();
   values->resize(m);
   double* vals = values->data();
-  // The n-ary ops (AND/MUL/OR/ADD) run through the SHAPED-REDUCTION
-  // gather kernels: the result depends only on the child-value sequence,
+  // The n-ary ops (AND/MUL/OR/ADD) run through the four-lane gather
+  // kernels: the result depends only on the child-value sequence,
   // never on the sweep order or backend, so batch entries stay bitwise
   // identical to single-root sweeps.
   for (size_t i = 0; i < m; ++i) {

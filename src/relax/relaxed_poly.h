@@ -88,8 +88,8 @@ class RelaxedPoly {
   /// writes the var-node adjoints into `var_grad` (resized dense to
   /// arena->num_vars(); zero for unreached variables) by Gather +
   /// ScatterAxpy. Zero seeds add nothing, and all-zero or empty seeds
-  /// yield an all-zero gradient. Every kernel on the path is ELEMENTWISE
-  /// or SHAPED-REDUCTION, so the bits are the same on every SIMD tier.
+  /// yield an all-zero gradient. Every kernel on the path has one scalar
+  /// body, so the bits are the same on every SIMD tier.
   void SeededGradient(const Vec& node_values, const std::vector<double>& seeds,
                       Vec* var_grad) const;
 
@@ -130,7 +130,7 @@ class RelaxedPoly {
   /// Flattened execution tape over `order_`: per-node op plus payload
   /// (kConst value / kVar id) and a contiguous int32 child-index array,
   /// so the sweeps never chase arena pointers and the n-ary ops can run
-  /// through the vec::simd gather kernels (SHAPED-REDUCTION class:
+  /// through the vec::simd gather kernels (one four-lane scalar body:
   /// bitwise identical across backends for a given child sequence).
   std::vector<uint8_t> tape_op_;
   std::vector<double> tape_const_;

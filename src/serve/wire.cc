@@ -162,6 +162,18 @@ size_t FindValueStart(std::string_view json, std::string_view key) {
   return at + needle.size();
 }
 
+/// The byte of a `XXXX` hex code point below 0x80 at the start of
+/// `hex`; nullopt for anything else.
+std::optional<char> DecodeAsciiEscape(std::string_view hex) {
+  if (hex.size() < 4) return std::nullopt;
+  for (size_t k = 0; k < 4; ++k) {
+    if (!std::isxdigit(static_cast<unsigned char>(hex[k]))) return std::nullopt;
+  }
+  const long value = std::strtol(std::string(hex.substr(0, 4)).c_str(), nullptr, 16);
+  if (value >= 0x80) return std::nullopt;
+  return static_cast<char>(value);
+}
+
 }  // namespace
 
 std::optional<std::string> JsonGetString(std::string_view json,
@@ -185,6 +197,17 @@ std::optional<std::string> JsonGetString(std::string_view json,
         case 't':
           out += '\t';
           break;
+        case 'u': {
+          // JsonEscape writes the other control bytes as \u00XX.
+          const std::optional<char> byte = DecodeAsciiEscape(json.substr(i + 1));
+          if (byte.has_value()) {
+            out += *byte;
+            i += 4;
+          } else {
+            out += 'u';
+          }
+          break;
+        }
         default:
           out += json[i];  // \" \\ \/ — and unknown escapes pass through
       }
@@ -199,11 +222,14 @@ std::optional<std::string> JsonGetString(std::string_view json,
 std::optional<int64_t> JsonGetInt(std::string_view json, std::string_view key) {
   const size_t i = FindValueStart(json, key);
   if (i == std::string_view::npos || i >= json.size()) return std::nullopt;
-  const char c = json[i];
-  if (c != '-' && !std::isdigit(static_cast<unsigned char>(c))) {
-    return std::nullopt;
+  const size_t first_digit = json[i] == '-' ? i + 1 : i;
+  size_t end = first_digit;
+  while (end < json.size() && std::isdigit(static_cast<unsigned char>(json[end]))) {
+    ++end;
   }
-  return std::strtoll(json.data() + i, nullptr, 10);
+  if (end == first_digit) return std::nullopt;
+  // strtoll reads to a terminator, which a string_view need not have.
+  return std::strtoll(std::string(json.substr(i, end - i)).c_str(), nullptr, 10);
 }
 
 std::optional<bool> JsonGetBool(std::string_view json, std::string_view key) {

@@ -203,8 +203,25 @@ class Parser {
     }
   }
 
+  /// Parentheses, NOT and unary minus nested deeper than this are a
+  /// ParseError: every level costs several frames of recursive descent,
+  /// and SQL text must not be able to overflow the stack.
+  static constexpr int kMaxNesting = 256;
+
+  /// parse() one nesting level down.
+  template <typename Parse>
+  Result<ExprPtr> Nested(Parse parse) {
+    if (nesting_ == kMaxNesting) return Err("expression nested too deeply");
+    ++nesting_;
+    Result<ExprPtr> e = parse();
+    --nesting_;
+    return e;
+  }
+
   // Expression grammar: or > and > not > comparison/LIKE > add > mul > unary.
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    return Nested([this] { return ParseOr(); });
+  }
 
   Result<ExprPtr> ParseOr() {
     RAIN_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
@@ -226,7 +243,7 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (AcceptKeyword("NOT")) {
-      RAIN_ASSIGN_OR_RETURN(ExprPtr c, ParseNot());
+      RAIN_ASSIGN_OR_RETURN(ExprPtr c, Nested([this] { return ParseNot(); }));
       return Expr::Not(std::move(c));
     }
     return ParseComparison();
@@ -289,7 +306,7 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (AcceptSymbol("-")) {
-      RAIN_ASSIGN_OR_RETURN(ExprPtr c, ParseUnary());
+      RAIN_ASSIGN_OR_RETURN(ExprPtr c, Nested([this] { return ParseUnary(); }));
       return Expr::Arith(ArithOp::kSub, Expr::LitInt(0), std::move(c));
     }
     return ParsePrimary();
@@ -383,6 +400,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int nesting_ = 0;
 };
 
 }  // namespace

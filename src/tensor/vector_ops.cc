@@ -120,29 +120,6 @@ void MulAddScalar(double alpha, const double* x, double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-// --------------------------------------------------------------------------
-// Scalar fallback for the SHAPED-REDUCTION Dot2. It replicates the SIMD
-// lane shape exactly — four virtual lane accumulators filled in stride-4
-// steps, combined as (l0+l1)+(l2+l3), scalar tail folded afterwards — so
-// all backends produce identical bits. (The avx512 tier consumes eight
-// elements per step as two sequential four-lane rounds, which is the
-// same chain.)
-// --------------------------------------------------------------------------
-
-double Dot2Scalar(const double* a, const double* x, const double* b,
-                  const double* y, size_t n) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t j = 0; j < 4; ++j) {
-      lane[j] += a[i + j] * x[i + j] + b[i + j] * y[i + j];
-    }
-  }
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += a[i] * x[i] + b[i] * y[i];
-  return total;
-}
-
 #ifdef RAIN_SIMD_X86
 
 // ==========================================================================
@@ -207,39 +184,6 @@ __attribute__((target("avx2"))) void MulAddAvx2(double alpha, const double* x,
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-__attribute__((target("avx2"))) void MulAdd2Avx2(double a0, const double* x0,
-                                                 double a1, const double* x1,
-                                                 double* y, size_t n) {
-  const __m256d va0 = _mm256_set1_pd(a0);
-  const __m256d va1 = _mm256_set1_pd(a1);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t = _mm256_add_pd(_mm256_mul_pd(va0, _mm256_loadu_pd(x0 + i)),
-                                    _mm256_mul_pd(va1, _mm256_loadu_pd(x1 + i)));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), t));
-  }
-  for (; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
-}
-
-__attribute__((target("avx2"))) double Dot2Avx2(const double* a, const double* x,
-                                                const double* b, const double* y,
-                                                size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                                  _mm256_loadu_pd(x + i)),
-                                    _mm256_mul_pd(_mm256_loadu_pd(b + i),
-                                                  _mm256_loadu_pd(y + i)));
-    acc = _mm256_add_pd(acc, t);
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += a[i] * x[i] + b[i] * y[i];
-  return total;
-}
-
 __attribute__((target("avx2,fma"))) void GemvAvx2(const double* a, size_t rows,
                                                   size_t cols, const double* x,
                                                   double* out) {
@@ -261,9 +205,8 @@ __attribute__((target("avx2,fma"))) void GemvAvx2(const double* a, size_t rows,
 // AVX-512 tier. Every kernel here is constructed to be BITWISE IDENTICAL
 // to its avx2-fma counterpart: a 512-bit accumulator is treated as the
 // avx2 tier's two 256-bit accumulators side by side (same per-lane
-// chains), shaped reductions consume eight elements per step as two
-// sequential four-lane rounds (same chain as two avx2 rounds), and
-// elementwise kernels keep the separate mul/add roundings. The wider
+// chains), and elementwise kernels keep the separate mul/add roundings.
+// The wider
 // registers buy instruction count, never different bits — so a host
 // upgrade (or RAIN_SIMD forcing) can never change results vs avx2-fma.
 // ==========================================================================
@@ -337,52 +280,6 @@ __attribute__((target(RAIN_TARGET_AVX512))) void MulAdd512(double alpha,
   // Remainder (< 8) through the avx2 kernel: same separate-rounding
   // elementwise contract, and its tail cannot contract (no FMA target).
   if (i < n) MulAddAvx2(alpha, x + i, y + i, n - i);
-}
-
-__attribute__((target(RAIN_TARGET_AVX512))) void MulAdd2_512(
-    double a0, const double* x0, double a1, const double* x1, double* y,
-    size_t n) {
-  const __m512d va0 = _mm512_set1_pd(a0);
-  const __m512d va1 = _mm512_set1_pd(a1);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d t = _mm512_add_pd(_mm512_mul_pd(va0, _mm512_loadu_pd(x0 + i)),
-                                    _mm512_mul_pd(va1, _mm512_loadu_pd(x1 + i)));
-    _mm512_storeu_pd(y + i, _mm512_add_pd(_mm512_loadu_pd(y + i), t));
-  }
-  if (i < n) MulAdd2Avx2(a0, x0 + i, a1, x1 + i, y + i, n - i);
-}
-
-__attribute__((target(RAIN_TARGET_AVX512))) double Dot2_512(const double* a,
-                                                            const double* x,
-                                                            const double* b,
-                                                            const double* y,
-                                                            size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d t = _mm512_add_pd(_mm512_mul_pd(_mm512_loadu_pd(a + i),
-                                                  _mm512_loadu_pd(x + i)),
-                                    _mm512_mul_pd(_mm512_loadu_pd(b + i),
-                                                  _mm512_loadu_pd(y + i)));
-    // Two sequential four-lane rounds — the same chain as two avx2
-    // iterations over i and i+4.
-    acc = _mm256_add_pd(acc, Lo256(t));
-    acc = _mm256_add_pd(acc, Hi256(t));
-  }
-  if (i + 4 <= n) {
-    const __m256d t = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                                  _mm256_loadu_pd(x + i)),
-                                    _mm256_mul_pd(_mm256_loadu_pd(b + i),
-                                                  _mm256_loadu_pd(y + i)));
-    acc = _mm256_add_pd(acc, t);
-    i += 4;
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) total += a[i] * x[i] + b[i] * y[i];
-  return total;
 }
 
 __attribute__((target(RAIN_TARGET_AVX512))) void Gemv512(const double* a,
@@ -470,32 +367,6 @@ void MulAdd(double alpha, const double* x, double* y, size_t n) {
   }
 #endif
   MulAddScalar(alpha, x, y, n);
-}
-
-void MulAdd2(double a0, const double* x0, double a1, const double* x1, double* y,
-             size_t n) {
-#ifdef RAIN_SIMD_X86
-  const int tier = ActiveTier();
-  if (tier >= kTierAvx512) {
-    MulAdd2_512(a0, x0, a1, x1, y, n);
-    return;
-  }
-  if (tier >= kTierAvx2) {
-    MulAdd2Avx2(a0, x0, a1, x1, y, n);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
-}
-
-double Dot2(const double* a, const double* x, const double* b, const double* y,
-            size_t n) {
-#ifdef RAIN_SIMD_X86
-  const int tier = ActiveTier();
-  if (tier >= kTierAvx512) return Dot2_512(a, x, b, y, n);
-  if (tier >= kTierAvx2) return Dot2Avx2(a, x, b, y, n);
-#endif
-  return Dot2Scalar(a, x, b, y, n);
 }
 
 void Gemv(const double* a, size_t rows, size_t cols, const double* x, double* out) {

@@ -32,7 +32,7 @@ namespace vec {
 ///     to the avx2-fma tier — upgrading a host never changes results.
 ///   * `avx2-fma` — 256-bit AVX2+FMA variants.
 ///   * `scalar`  — plain loops; bit-compatible with the SIMD tiers for
-///     the ELEMENTWISE and SHAPED-REDUCTION classes below.
+///     the ELEMENTWISE class below.
 ///
 /// The `RAIN_SIMD` environment variable (`avx512|avx2|scalar`) caps the
 /// tier, e.g. `RAIN_SIMD=avx2` forces the avx2-fma kernels on an AVX-512
@@ -44,7 +44,7 @@ namespace vec {
 /// function of (inputs, parallelism knob, backend).
 ///
 /// Determinism taxonomy — each dispatched kernel documents its class:
-///  * ELEMENTWISE (MulAdd, MulAdd2):
+///  * ELEMENTWISE (MulAdd):
 ///    every output element is computed with the exact rounding sequence
 ///    of the scalar loop (separate multiply and add roundings, no fusion,
 ///    no cross-lane ops), so every tier is bitwise identical. These carry
@@ -60,11 +60,6 @@ namespace vec {
 ///    per tier and bitwise identical between avx512 and avx2-fma; the
 ///    scalar left-fold differs at rounding level (the same latitude
 ///    chunked reductions already have across knob values).
-///  * SHAPED-REDUCTION (Dot2): the scalar fallback replicates the SIMD
-///    lane shape exactly (four virtual lanes, same combine order; the
-///    avx512 tier processes eight elements per step as two sequential
-///    four-lane rounds), so the reduction is bitwise identical across all
-///    three tiers.
 ///
 /// The relax-layer kernels behind the RelaxedPoly sweeps (Mul, GatherSum,
 /// GatherProd, GatherProdOneMinus, GatherDot, Gather, ScatterAxpy,
@@ -103,19 +98,6 @@ void Axpy(double alpha, const double* x, double* y, size_t n);
 /// passes whose per-row addends must replay exactly (gradients, HVP
 /// coefficient applies, chunk partials that are later reduced in order).
 void MulAdd(double alpha, const double* x, double* y, size_t n);
-
-/// ELEMENTWISE: y[i] += a0 * x0[i] + a1 * x1[i], evaluated per element as
-/// round(y + round(round(a0*x0) + round(a1*x1))) — the exact sequence of
-/// the scalar statement `y[i] += a0*x0[i] + a1*x1[i]`. Bitwise identical
-/// across backends. This is the MLP R-backward rank-2 update.
-void MulAdd2(double a0, const double* x0, double a1, const double* x1, double* y,
-             size_t n);
-
-/// SHAPED-REDUCTION: returns sum_i (a[i]*x[i] + b[i]*y[i]) with a fixed
-/// four-lane shape replicated bitwise by the scalar fallback. This is the
-/// MLP R-forward two-operand row reduction.
-double Dot2(const double* a, const double* x, const double* b, const double* y,
-            size_t n);
 
 /// REDUCTION (GEMV): out[r] = dot(a_row_r, x) for r in [0, rows); `a` is
 /// row-major rows x cols. Row values are pure functions of (row, x), so

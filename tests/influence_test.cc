@@ -183,19 +183,21 @@ TEST(InfluenceTest, ParallelScoreAllIsBitwiseIdenticalToSequential) {
   TrainedSetup s = MakeTrained(200, 4, 17);
   s.train.Deactivate(3);
   s.train.Deactivate(77);
-  InfluenceOptions opts;
-  opts.l2 = s.l2;
-  InfluenceScorer scorer(&s.model, &s.train, opts);
   Vec q_grad(s.model.num_params(), 0.0);
   Rng rng(18);
   for (double& g : q_grad) g = rng.Gaussian();
-  ASSERT_TRUE(scorer.Prepare(q_grad).ok());
+  InfluenceOptions opts;
+  opts.l2 = s.l2;
+  auto score_all = [&](int parallelism) {
+    opts.parallelism = parallelism;
+    InfluenceScorer scorer(&s.model, &s.train, opts);
+    EXPECT_TRUE(scorer.Prepare(q_grad).ok());
+    return scorer.ScoreAll();
+  };
 
-  scorer.set_parallelism(1);
-  const std::vector<double> sequential = scorer.ScoreAll();
+  const std::vector<double> sequential = score_all(1);
   for (int par : {2, 4, 8}) {
-    scorer.set_parallelism(par);
-    const std::vector<double> parallel = scorer.ScoreAll();
+    const std::vector<double> parallel = score_all(par);
     ASSERT_EQ(parallel.size(), sequential.size());
     for (size_t i = 0; i < sequential.size(); ++i) {
       // Per-record scores involve no cross-record reduction, so the
@@ -287,50 +289,81 @@ TEST(InfluenceTest, DenseSelfInfluenceMatchesTightCgOnLogistic) {
                        1e-9);
 }
 
-TEST(InfluenceTest, DenseSelfInfluenceMatchesTightCgOnSoftmax) {
+/// A small softmax model: under the size rule, but without the one-pass
+/// Hessian hook.
+struct SoftmaxSetup {
   Dataset train = RandomDataset(90, 3, 3, 24);
-  SoftmaxRegression model(3, 3);
-  const double l2 = 1e-2;
+  SoftmaxRegression model{3, 3};
+  double l2 = 1e-2;
+};
+
+SoftmaxSetup MakeTrainedSoftmax() {
+  SoftmaxSetup s;
   TrainConfig cfg;
-  cfg.l2 = l2;
+  cfg.l2 = s.l2;
   cfg.max_iters = 100;
-  ASSERT_TRUE(TrainModel(&model, train, cfg).ok());
-  ASSERT_LE(model.num_params() * model.num_params(),
-            train.num_active() * train.num_features());
-
-  InfluenceOptions opts;
-  opts.l2 = l2;
-  opts.damping = 0.01;
-  InfluenceScorer scorer(&model, &train, opts);
-  auto dense = scorer.SelfInfluenceAll();
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-
-  CgOptions tight;
-  tight.tol = 1e-12;
-  tight.max_iters = 1000;
-  ExpectRelativelyNear(*dense, CgSelfInfluence(model, train, l2, 0.01, tight), 1e-9);
+  RAIN_CHECK(TrainModel(&s.model, s.train, cfg).ok());
+  return s;
 }
 
-TEST(InfluenceTest, LargeHessianKeepsPerRecordCg) {
-  // 13 parameters over 10 rows x 12 features: 169 > 120, so the Hessian
-  // is not formed and every row takes the CG solve it always took.
-  TrainedSetup s = MakeTrained(10, 12, 25);
-  ASSERT_GT(s.model.num_params() * s.model.num_params(),
-            s.train.num_active() * s.train.num_features());
-  InfluenceOptions opts;
-  opts.l2 = s.l2;
-  InfluenceScorer scorer(&s.model, &s.train, opts);
-  auto self = scorer.SelfInfluenceAll();
-  ASSERT_TRUE(self.ok()) << self.status().ToString();
-  EXPECT_EQ(*self, CgSelfInfluence(s.model, s.train, s.l2, 0.0, CgOptions()));
-  EXPECT_TRUE(scorer.cg_converged());
-  EXPECT_GT(scorer.cg_iterations(), 0);
+TEST(InfluenceTest, ModelsOffTheDensePathKeepPerRecordCg) {
+  // A logistic model with 13 parameters over 10 rows x 12 features
+  // (169 > 120, so the size rule fails), and a softmax model that passes
+  // the size rule but has no one-pass hook: every row takes a CG solve.
+  TrainedSetup wide = MakeTrained(10, 12, 25);
+  ASSERT_GT(wide.model.num_params() * wide.model.num_params(),
+            wide.train.num_active() * wide.train.num_features());
+  SoftmaxSetup small = MakeTrainedSoftmax();
+  ASSERT_LE(small.model.num_params() * small.model.num_params(),
+            small.train.num_active() * small.train.num_features());
+  struct Input {
+    const Model* model;
+    const Dataset* train;
+    double l2;
+    double damping;
+  };
+  for (const Input& in : {Input{&wide.model, &wide.train, wide.l2, 0.0},
+                          Input{&small.model, &small.train, small.l2, 0.01}}) {
+    SCOPED_TRACE(in.model->num_params());
+    InfluenceOptions opts;
+    opts.l2 = in.l2;
+    opts.damping = in.damping;
+    InfluenceScorer scorer(in.model, in.train, opts);
+    auto self = scorer.SelfInfluenceAll();
+    ASSERT_TRUE(self.ok()) << self.status().ToString();
+    EXPECT_EQ(*self, CgSelfInfluence(*in.model, *in.train, in.l2, in.damping,
+                                     CgOptions()));
+    EXPECT_TRUE(scorer.cg_converged());
+    EXPECT_GT(scorer.cg_iterations(), 0);
+  }
 }
 
-TEST(InfluenceTest, IndefiniteDenseHessianIsAnErrorNotAnAbort) {
+TEST(InfluenceTest, PrepareAndSelfInfluenceShareThePathRule) {
+  // Without the hook both calls solve by CG; with it, neither does.
+  SoftmaxSetup hookless = MakeTrainedSoftmax();
+  TrainedSetup hooked = MakeTrained(120, 5, 31);
+  for (const bool hook : {false, true}) {
+    SCOPED_TRACE(hook);
+    const Model& model = hook ? static_cast<const Model&>(hooked.model)
+                              : static_cast<const Model&>(hookless.model);
+    const Dataset& train = hook ? hooked.train : hookless.train;
+    InfluenceOptions opts;
+    opts.l2 = hook ? hooked.l2 : hookless.l2;
+    opts.damping = 0.01;
+    InfluenceScorer prepared(&model, &train, opts);
+    ASSERT_TRUE(prepared.Prepare(Vec(model.num_params(), 1.0)).ok());
+    InfluenceScorer self(&model, &train, opts);
+    ASSERT_TRUE(self.SelfInfluenceAll().ok());
+    EXPECT_EQ(prepared.cg_iterations() > 0, !hook);
+    EXPECT_EQ(self.cg_iterations() > 0, !hook);
+  }
+}
+
+TEST(InfluenceTest, IndefiniteHessianIsAnErrorNotAnAbort) {
   // An untrained, undamped, unregularized ReLU MLP: its exact Hessian has
-  // negative curvature. 17 parameters over 200 rows x 2 features take
-  // the dense path, whose Cholesky factorization must refuse.
+  // negative curvature. The MLP has no one-pass hook, so its 17
+  // parameters over 200 rows x 2 features take the per-record CG solves,
+  // which must refuse rather than abort.
   Dataset train = RandomDataset(200, 2, 2, 26);
   Mlp model(2, 3, 2, /*seed=*/5);
   ASSERT_LE(model.num_params() * model.num_params(),

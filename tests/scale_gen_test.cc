@@ -3,8 +3,6 @@
 /// bitwise-identical output at any generator worker count, different
 /// seeds must corrupt different rows, and the corruption ground truth
 /// must be exactly recoverable.
-#include <cstdlib>
-
 #include "data/scale_gen.h"
 #include "gtest/gtest.h"
 
@@ -67,14 +65,6 @@ TEST(ScaleGenTest, AdultWorkerCountNeverChangesOutput) {
   }
 }
 
-TEST(ScaleGenTest, DblpJoinWorkerCountNeverChangesOutput) {
-  const ScaledWorkload ref = ScaledDblpJoin(SmallConfig(1));
-  for (int workers : {2, 8}) {
-    SCOPED_TRACE(workers);
-    ExpectIdentical(ref, ScaledDblpJoin(SmallConfig(workers)));
-  }
-}
-
 TEST(ScaleGenTest, MultiBlockScaleIsWorkerInvariant) {
   // Scale 0.15 = 15000 training rows = two generation blocks: the
   // cross-block boundary must also be layout-independent.
@@ -99,31 +89,29 @@ TEST(ScaleGenTest, DifferentSeedsCorruptDifferentRows) {
 }
 
 TEST(ScaleGenTest, CorruptionGroundTruthExactlyRecoverable) {
-  for (const ScaledWorkload& w :
-       {ScaledAdult(SmallConfig(1)), ScaledDblpJoin(SmallConfig(1))}) {
-    ASSERT_EQ(w.clean_labels.size(), w.train.size());
-    ASSERT_FALSE(w.corrupted.empty());
-    // Corrupted rows differ from ground truth; everything else matches.
-    std::vector<bool> is_corrupted(w.train.size(), false);
-    for (size_t i : w.corrupted) {
-      ASSERT_LT(i, w.train.size());
-      is_corrupted[i] = true;
+  const ScaledWorkload w = ScaledAdult(SmallConfig(1));
+  ASSERT_EQ(w.clean_labels.size(), w.train.size());
+  ASSERT_FALSE(w.corrupted.empty());
+  // Corrupted rows differ from ground truth; everything else matches.
+  std::vector<bool> is_corrupted(w.train.size(), false);
+  for (size_t i : w.corrupted) {
+    ASSERT_LT(i, w.train.size());
+    is_corrupted[i] = true;
+  }
+  for (size_t i = 0; i < w.train.size(); ++i) {
+    if (is_corrupted[i]) {
+      EXPECT_NE(w.train.label(i), w.clean_labels[i]) << "row " << i;
+    } else {
+      EXPECT_EQ(w.train.label(i), w.clean_labels[i]) << "row " << i;
     }
-    for (size_t i = 0; i < w.train.size(); ++i) {
-      if (is_corrupted[i]) {
-        EXPECT_NE(w.train.label(i), w.clean_labels[i]) << "row " << i;
-      } else {
-        EXPECT_EQ(w.train.label(i), w.clean_labels[i]) << "row " << i;
-      }
-    }
-    // Flip-back restores the clean label vector exactly.
-    Dataset restored = w.train;
-    for (size_t i : w.corrupted) restored.set_label(i, w.clean_labels[i]);
-    EXPECT_EQ(restored.labels(), w.clean_labels);
-    // Ascending and duplicate-free, as documented.
-    for (size_t k = 1; k < w.corrupted.size(); ++k) {
-      EXPECT_LT(w.corrupted[k - 1], w.corrupted[k]);
-    }
+  }
+  // Flip-back restores the clean label vector exactly.
+  Dataset restored = w.train;
+  for (size_t i : w.corrupted) restored.set_label(i, w.clean_labels[i]);
+  EXPECT_EQ(restored.labels(), w.clean_labels);
+  // Ascending and duplicate-free, as documented.
+  for (size_t k = 1; k < w.corrupted.size(); ++k) {
+    EXPECT_LT(w.corrupted[k - 1], w.corrupted[k]);
   }
 }
 
@@ -134,8 +122,8 @@ TEST(ScaleGenTest, DimsScaleMonotonically) {
   EXPECT_EQ(paper.adult_train, size_t{100000});
   EXPECT_EQ(big.adult_train, size_t{10000000});
   EXPECT_LT(small.adult_train, paper.adult_train);
-  EXPECT_LT(small.dblp_train, paper.dblp_train);
-  EXPECT_LT(paper.dblp_train, big.dblp_train);
+  EXPECT_LT(small.adult_query, paper.adult_query);
+  EXPECT_LT(paper.adult_query, big.adult_query);
   EXPECT_LE(small.point_complaints, paper.point_complaints);
   EXPECT_GE(small.point_complaints, size_t{8});
   EXPECT_LE(big.point_complaints, size_t{4096});
@@ -157,24 +145,6 @@ TEST(ScaleGenTest, WorkloadShapeFollowsDims) {
   for (const ComplaintSpec& c : adult.workload[2].complaints) {
     EXPECT_EQ(c.kind, ComplaintSpec::Kind::kPoint);
   }
-
-  const ScaledWorkload dblp = ScaledDblpJoin(config);
-  EXPECT_EQ(dblp.train.size(), dims.dblp_train);
-  ASSERT_EQ(dblp.tables.size(), 2u);
-  EXPECT_TRUE(dblp.tables[0].features.has_value());
-  EXPECT_FALSE(dblp.tables[1].features.has_value());
-  ASSERT_EQ(dblp.workload.size(), 2u);
-  EXPECT_EQ(dblp.workload[1].complaints.size(), dims.point_complaints);
-}
-
-TEST(ScaleGenTest, ScaleFromEnvReadsAndValidates) {
-  unsetenv("RAIN_BENCH_SCALE");
-  EXPECT_EQ(ScaleFromEnv(2.5), 2.5);
-  setenv("RAIN_BENCH_SCALE", "0.75", 1);
-  EXPECT_EQ(ScaleFromEnv(2.5), 0.75);
-  setenv("RAIN_BENCH_SCALE", "", 1);
-  EXPECT_EQ(ScaleFromEnv(1.5), 1.5);
-  unsetenv("RAIN_BENCH_SCALE");
 }
 
 }  // namespace

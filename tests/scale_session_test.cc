@@ -3,12 +3,15 @@
 /// debugger's deletion sequence must be identical to the 1-worker
 /// reference at every worker count. This is the session-level pin for the
 /// fixed-cost work (grain-size control, scratch reuse): none of it may
-/// move a single deletion.
+/// move a single deletion. A second check pins the batched bind of the
+/// workload's many point complaints: the Holistic scores after it are
+/// bitwise those after a 1-worker bind.
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "core/ranker.h"
 #include "core/session.h"
 #include "data/scale_gen.h"
 #include "gtest/gtest.h"
@@ -88,6 +91,34 @@ TEST_F(ScaleSessionTest, SyncDeletionSequenceInvariantAcrossWorkers) {
   for (int workers : {2, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     EXPECT_EQ(RunOnce(workers), Reference());
+  }
+}
+
+TEST(ScaleBindTest, HolisticScoresBitwiseAcrossBindWorkers) {
+  const scale::ScaledWorkload& w = Workload();
+  auto pipeline = MakePipeline(w);
+  ASSERT_TRUE(pipeline->Train().ok());
+  auto holistic = MakeHolisticRanker();
+  auto scores_after_bind = [&](int threads) {
+    pipeline->ResetDebugState();
+    auto bound = BindWorkload(pipeline.get(), w.workload, threads);
+    RAIN_CHECK(bound.ok()) << bound.status().ToString();
+    RankContext ctx;
+    ctx.model = pipeline->model();
+    ctx.train = pipeline->train_data();
+    ctx.catalog = &pipeline->catalog();
+    ctx.arena = pipeline->arena();
+    ctx.predictions = &pipeline->predictions();
+    ctx.complaints = &*bound;
+    ctx.influence.l2 = pipeline->train_config().l2;
+    auto out = holistic->Rank(ctx);
+    RAIN_CHECK(out.ok()) << out.status().ToString();
+    return out->scores;
+  };
+  const std::vector<double> ref = scores_after_bind(1);
+  ASSERT_EQ(ref.size(), w.train.size());
+  for (int threads : {2, 8}) {
+    EXPECT_EQ(scores_after_bind(threads), ref) << "threads=" << threads;
   }
 }
 

@@ -126,6 +126,29 @@ TEST(ParserTest, RejectsBadSyntax) {
   EXPECT_FALSE(ParseSelect("SELECT a FROM T GROUP BY").ok());
 }
 
+TEST(ParserTest, DeepNestingIsAParseErrorNotAStackOverflow) {
+  // Each nesting level costs several frames of recursive descent, so
+  // 10^5 unbounded levels would overflow the stack.
+  const int kDeep = 100000;
+  std::string not_chain = "SELECT * FROM T WHERE ";
+  std::string minus_chain = "SELECT * FROM T WHERE a = ";
+  for (int i = 0; i < kDeep; ++i) {
+    not_chain += "NOT ";
+    minus_chain += "-";
+  }
+  not_chain += "a = 1";
+  minus_chain += "1";
+  for (const std::string& q :
+       {"SELECT " + std::string(kDeep, '(') + "1" + std::string(kDeep, ')') + " FROM T",
+        not_chain, minus_chain}) {
+    auto stmt = ParseSelect(q);
+    ASSERT_FALSE(stmt.ok());
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+  }
+  // Ordinary nesting still parses.
+  EXPECT_TRUE(ParseSelect("SELECT ((((a)))) FROM T WHERE NOT NOT -(-(a)) = 1").ok());
+}
+
 TEST(ParserTest, OutOfRangeLiteralsAreInvalidArgument) {
   // Literals the lexer accepts but an int64 / double cannot hold: an error
   // status, not an exception out of the parser.
