@@ -8,13 +8,20 @@
 /// Theorem C.1: as the number of parallel corrupted training records
 /// grows, their loss and self-influence collapse to zero, pushing them
 /// to the bottom of loss-based rankings.
+///
+/// `--check` adds the quality gate for Theorem A.1: each measured
+/// p_nonzero is within three binomial standard errors of the analytic
+/// p_hit, and it falls from the smallest querying set to the largest.
+/// Exits 1 when a check fails.
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "bench/bench_util.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "ilp/solver.h"
 #include "ilp/tiresias.h"
 #include "influence/influence.h"
@@ -32,10 +39,18 @@ namespace {
 /// of predict=0 rows to be k (currently 0): any k rows satisfy the ILP,
 /// but only flips among the m noise-axis rows give the noise record a
 /// non-zero score.
-void TheoremA1() {
+struct A1Row {
+  int n = 0;
+  double measured = 0.0;
+  double analytic = 0.0;
+};
+constexpr int kA1Trials = 400;
+
+std::vector<A1Row> TheoremA1() {
   std::printf("\nTheorem A.1: P[TwoStep scores the noise record != 0] vs n\n");
   TablePrinter table({"n", "m", "k", "p_nonzero(measured)", "p_hit(analytic)"});
-  const int m = 4, k = 3, trials = 40;
+  const int m = 4, k = 3, trials = kA1Trials;
+  std::vector<A1Row> rows;
   for (int n : {40, 80, 160, 320}) {
     Rng data_rng(7);
     const size_t d = 6;
@@ -101,11 +116,13 @@ void TheoremA1() {
     for (int i = 0; i < k; ++i) {
       keep *= static_cast<double>(n - m - i) / static_cast<double>(n - i);
     }
+    rows.push_back(A1Row{n, static_cast<double>(nonzero) / trials, 1.0 - keep});
     table.AddRow({std::to_string(n), std::to_string(m), std::to_string(k),
-                  TablePrinter::Num(static_cast<double>(nonzero) / trials, 3),
-                  TablePrinter::Num(1.0 - keep, 3)});
+                  TablePrinter::Num(rows.back().measured, 3),
+                  TablePrinter::Num(rows.back().analytic, 3)});
   }
   bench::EmitTable("Theorem A.1 ambiguity", table);
+  return rows;
 }
 
 /// Theorem C.1 setup: K parallel corrupted records; loss and
@@ -165,9 +182,24 @@ void TheoremC1() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool check = bench::QualityGate::Requested(argc, argv);
   std::printf("Appendix theory validations\n");
-  TheoremA1();
+  const std::vector<A1Row> a1 = TheoremA1();
   TheoremC1();
-  return 0;
+  if (!check) return 0;
+
+  std::printf("\n");
+  bench::QualityGate gate;
+  for (const A1Row& r : a1) {
+    const double se = std::sqrt(r.analytic * (1.0 - r.analytic) / kA1Trials);
+    gate.Expect(std::fabs(r.measured - r.analytic) <= 3.0 * se,
+                StrFormat("Theorem A.1 n=%d p_nonzero %.3f within 3 SE (%.3f) of p_hit %.3f",
+                          r.n, r.measured, se, r.analytic));
+  }
+  gate.Expect(a1.back().measured < a1.front().measured,
+              StrFormat("Theorem A.1 p_nonzero falls from %.3f at n=%d to %.3f at n=%d",
+                        a1.front().measured, a1.front().n, a1.back().measured,
+                        a1.back().n));
+  return gate.ExitCode();
 }

@@ -24,9 +24,16 @@ constexpr int kNumRows = 3;
 /// AUCCR per row and kMethods column, as recorded when the gate was
 /// added. A change that moves a cell past kTolerance must re-record it
 /// here and say why.
+///
+/// TwoStep on DBLP (0.8931) and '%http%' (0.9683) were re-recorded when
+/// the single-complaint ILP moved to the grouped decomposition DP: it
+/// picks a different one among the equally minimal repairs, so the
+/// deletion sequence changes through tie-breaks alone. Over 36 ILP seeds
+/// per row the mean TwoStep AUCCR went 0.901 -> 0.930 (DBLP), 0.903 ->
+/// 0.910 ('%http%') and 0.990 -> 0.989 ('%deal%').
 constexpr double kCommitted[kNumRows][kNumMethods] = {
-    {0.0339, 0.0268, 0.8931, 1.0081},  // DBLP (50%)
-    {0.9909, 0.9501, 0.9683, 1.0204},  // ENRON '%http%'
+    {0.0339, 0.0268, 0.9357, 1.0081},  // DBLP (50%)
+    {0.9909, 0.9501, 0.9218, 1.0204},  // ENRON '%http%'
     {0.6375, 0.5924, 0.9968, 0.9906},  // ENRON '%deal%'
 };
 constexpr double kTolerance = 0.02;

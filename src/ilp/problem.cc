@@ -5,9 +5,8 @@
 
 namespace rain {
 
-int IlpProblem::AddVar(double objective_coef, std::string name) {
+int IlpProblem::AddVar(double objective_coef) {
   objective_.push_back(objective_coef);
-  names_.push_back(std::move(name));
   return static_cast<int>(objective_.size() - 1);
 }
 
@@ -32,7 +31,6 @@ double IlpProblem::ObjectiveValue(const std::vector<uint8_t>& x) const {
 IlpProblem IlpProblem::Canonicalized() const {
   IlpProblem out;
   out.objective_ = objective_;
-  out.names_ = names_;
   out.constraints_.reserve(constraints_.size());
   std::unordered_map<int, double> merged;
   for (const LinearConstraint& c : constraints_) {

@@ -1,7 +1,8 @@
 #ifndef RAIN_ILP_PROBLEM_H_
 #define RAIN_ILP_PROBLEM_H_
 
-#include <string>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -33,7 +34,7 @@ struct LinearConstraint {
 class IlpProblem {
  public:
   /// Adds a binary variable with the given objective coefficient.
-  int AddVar(double objective_coef, std::string name = "");
+  int AddVar(double objective_coef);
 
   void AddConstraint(LinearConstraint c) { constraints_.push_back(std::move(c)); }
 
@@ -45,7 +46,6 @@ class IlpProblem {
   double objective_coef(int v) const { return objective_[v]; }
   const std::vector<double>& objective() const { return objective_; }
   const std::vector<LinearConstraint>& constraints() const { return constraints_; }
-  const std::string& var_name(int v) const { return names_[v]; }
 
   /// Objective value of a full assignment.
   double ObjectiveValue(const std::vector<uint8_t>& x) const;
@@ -60,7 +60,6 @@ class IlpProblem {
 
  private:
   std::vector<double> objective_;
-  std::vector<std::string> names_;
   std::vector<LinearConstraint> constraints_;
 };
 

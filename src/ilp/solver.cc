@@ -22,8 +22,12 @@ constexpr int64_t kCancelPollNodes = 1024;
 bool IsInt(double v) { return std::fabs(v - std::llround(v)) < kEps; }
 
 // ---------------------------------------------------------------------------
-// Decomposition fast path: remove one coupling constraint, enumerate the
-// resulting independent components, and run a DP over their contributions.
+// Decomposition fast path: remove a set of coupling constraints (one
+// complaint cardinality, or several overlapping ones), enumerate the
+// resulting independent components, group exchangeable components, and DP
+// over the joint contribution grid. A COUNT complaint over n rows has two
+// groups of interchangeable rows (currently in the counted class or not),
+// so the DP runs two stages, not n.
 // ---------------------------------------------------------------------------
 
 struct ComponentChoice {
@@ -31,246 +35,8 @@ struct ComponentChoice {
   std::vector<uint8_t> assignment;
 };
 
-struct ContributionEntry {
-  double min_cost = std::numeric_limits<double>::infinity();
-  // Reservoir of min-cost assignments for randomized tie-breaking.
-  std::vector<ComponentChoice> reservoir;
-  size_t min_cost_count = 0;
-};
-
 constexpr size_t kMaxComponentVars = 14;
 constexpr size_t kReservoirSize = 4;
-
-bool TryDecomposition(const IlpProblem& problem, int k,
-                      const IlpSolveOptions& options, Rng* rng,
-                      IlpSolution* out) {
-  if (k < 0 || static_cast<size_t>(k) >= problem.num_constraints()) return false;
-  const LinearConstraint& coupling = problem.constraints()[k];
-  // kGe couplings would need saturating-DP backtracking that can land on
-  // unreachable predecessor cells; Rain only emits kEq/kLe couplings.
-  if (coupling.sense == ConstraintSense::kGe) return false;
-  if (!IsInt(coupling.rhs) || coupling.rhs < 0) return false;
-  for (const LinearTerm& t : coupling.terms) {
-    if (t.coef < 0 || !IsInt(t.coef)) return false;
-  }
-  const int64_t target = std::llround(coupling.rhs);
-
-  // Union-find over variables connected by non-coupling constraints.
-  const size_t n = problem.num_vars();
-  std::vector<int> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (size_t ci = 0; ci < problem.num_constraints(); ++ci) {
-    if (static_cast<int>(ci) == k) continue;
-    const auto& terms = problem.constraints()[ci].terms;
-    for (size_t i = 1; i < terms.size(); ++i) {
-      parent[find(terms[i - 1].var)] = find(terms[i].var);
-    }
-  }
-  std::unordered_map<int, std::vector<int>> comp_vars;
-  for (size_t v = 0; v < n; ++v) comp_vars[find(static_cast<int>(v))].push_back(v);
-
-  // Constraints per component (each non-coupling constraint lives fully
-  // inside one component by construction).
-  std::unordered_map<int, std::vector<int>> comp_cons;
-  for (size_t ci = 0; ci < problem.num_constraints(); ++ci) {
-    if (static_cast<int>(ci) == k) continue;
-    const auto& terms = problem.constraints()[ci].terms;
-    if (terms.empty()) continue;
-    comp_cons[find(terms[0].var)].push_back(static_cast<int>(ci));
-  }
-  std::vector<double> coupling_coef(n, 0.0);
-  for (const LinearTerm& t : coupling.terms) coupling_coef[t.var] = t.coef;
-
-  // Enumerate each component.
-  struct CompTable {
-    std::vector<int> vars;
-    // contribution value -> entry
-    std::unordered_map<int64_t, ContributionEntry> by_contrib;
-  };
-  std::vector<CompTable> tables;
-  int64_t max_total_contrib = 0;
-  for (auto& [root, vars] : comp_vars) {
-    if (vars.size() > kMaxComponentVars) return false;
-    CompTable table;
-    table.vars = vars;
-    const auto& cons = comp_cons[root];
-    const size_t m = vars.size();
-    std::vector<uint8_t> assign(m);
-    for (uint64_t mask = 0; mask < (1ULL << m); ++mask) {
-      for (size_t i = 0; i < m; ++i) assign[i] = (mask >> i) & 1;
-      // Check component constraints.
-      bool ok = true;
-      for (int ci : cons) {
-        const LinearConstraint& c = problem.constraints()[ci];
-        double act = 0.0;
-        for (const LinearTerm& t : c.terms) {
-          // Position of t.var within vars (components are small; linear scan).
-          for (size_t i = 0; i < m; ++i) {
-            if (table.vars[i] == t.var) {
-              if (assign[i]) act += t.coef;
-              break;
-            }
-          }
-        }
-        if (c.sense == ConstraintSense::kLe && act > c.rhs + kEps) ok = false;
-        if (c.sense == ConstraintSense::kGe && act < c.rhs - kEps) ok = false;
-        if (c.sense == ConstraintSense::kEq && std::fabs(act - c.rhs) > kEps) ok = false;
-        if (!ok) break;
-      }
-      if (!ok) continue;
-      double cost = 0.0;
-      double contrib = 0.0;
-      for (size_t i = 0; i < m; ++i) {
-        if (!assign[i]) continue;
-        cost += problem.objective_coef(table.vars[i]);
-        contrib += coupling_coef[table.vars[i]];
-      }
-      if (!IsInt(contrib)) return false;
-      const int64_t ic = std::llround(contrib);
-      ContributionEntry& entry = table.by_contrib[ic];
-      if (cost < entry.min_cost - kEps) {
-        entry.min_cost = cost;
-        entry.reservoir.clear();
-        entry.min_cost_count = 0;
-      }
-      if (cost < entry.min_cost + kEps) {
-        ++entry.min_cost_count;
-        if (entry.reservoir.size() < kReservoirSize) {
-          entry.reservoir.push_back(ComponentChoice{assign});
-        } else if (rng != nullptr &&
-                   rng->UniformInt(entry.min_cost_count) < kReservoirSize) {
-          entry.reservoir[rng->UniformInt(kReservoirSize)] = ComponentChoice{assign};
-        }
-      }
-    }
-    if (table.by_contrib.empty()) {
-      // Component infeasible on its own: whole problem infeasible.
-      out->feasible = false;
-      out->optimal = true;
-      out->used_decomposition = true;
-      return true;
-    }
-    int64_t best_c = 0;
-    for (const auto& [c, e] : table.by_contrib) best_c = std::max(best_c, c);
-    max_total_contrib += best_c;
-    tables.push_back(std::move(table));
-  }
-
-  // DP over contribution totals in [0, cap].
-  const int64_t cap = coupling.sense == ConstraintSense::kLe
-                          ? target
-                          : std::min<int64_t>(target, max_total_contrib);
-  if (cap < 0) return false;
-  const size_t width = static_cast<size_t>(cap) + 1;
-  if (tables.size() * width > 80'000'000 / sizeof(float)) return false;  // memory cap
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // dp[t]: min cost to reach contribution total t after processing i comps.
-  std::vector<double> dp(width, kInf);
-  std::vector<double> next(width, kInf);
-  // choice[i][t]: contribution chosen by component i to reach t.
-  std::vector<std::vector<int32_t>> choice(tables.size(),
-                                           std::vector<int32_t>(width, -1));
-  // Randomize component order to randomize tie-breaking.
-  std::vector<size_t> order(tables.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  if (options.randomize && rng != nullptr) rng->Shuffle(&order);
-
-  dp[0] = 0.0;
-  for (size_t oi = 0; oi < order.size(); ++oi) {
-    const CompTable& table = tables[order[oi]];
-    std::fill(next.begin(), next.end(), kInf);
-    auto& ch = choice[oi];
-    // Iterate contributions in randomized order so equal-cost predecessor
-    // choices are broken randomly.
-    std::vector<std::pair<int64_t, const ContributionEntry*>> entries;
-    entries.reserve(table.by_contrib.size());
-    for (const auto& [c, e] : table.by_contrib) entries.emplace_back(c, &e);
-    if (options.randomize && rng != nullptr) {
-      for (size_t i = entries.size(); i > 1; --i) {
-        std::swap(entries[i - 1], entries[rng->UniformInt(i)]);
-      }
-    }
-    for (size_t t = 0; t < width; ++t) {
-      if (dp[t] == kInf) continue;
-      for (const auto& [c, e] : entries) {
-        const int64_t nt = static_cast<int64_t>(t) + c;
-        if (nt >= static_cast<int64_t>(width)) continue;
-        const double cost = dp[t] + e->min_cost;
-        if (cost < next[nt] - kEps ||
-            (cost < next[nt] + kEps && options.randomize && rng != nullptr &&
-             rng->Bernoulli(0.5))) {
-          if (cost < next[nt] + kEps) {
-            next[nt] = std::min(next[nt], cost);
-            ch[nt] = static_cast<int32_t>(c);
-          }
-        }
-      }
-    }
-    dp.swap(next);
-  }
-
-  // Final target cell.
-  int64_t final_t = -1;
-  double best_cost = kInf;
-  if (coupling.sense == ConstraintSense::kEq) {
-    if (target < static_cast<int64_t>(width) && dp[target] < kInf) {
-      final_t = target;
-      best_cost = dp[target];
-    }
-  } else {  // kLe
-    for (int64_t t = 0; t <= cap; ++t) {
-      if (dp[t] < best_cost - kEps) {
-        best_cost = dp[t];
-        final_t = t;
-      }
-    }
-  }
-  out->used_decomposition = true;
-  if (final_t < 0) {
-    out->feasible = false;
-    out->optimal = true;
-    return true;
-  }
-
-  // Backtrack: recompute DP forward is complex; instead replay using
-  // stored choices.
-  out->values.assign(n, 0);
-  int64_t t = final_t;
-  for (size_t oi = order.size(); oi-- > 0;) {
-    const CompTable& table = tables[order[oi]];
-    const int32_t c = choice[oi][t];
-    RAIN_CHECK(c >= 0) << "DP backtrack inconsistency";
-    const ContributionEntry& e = table.by_contrib.at(c);
-    const ComponentChoice& pick =
-        e.reservoir[rng != nullptr && e.reservoir.size() > 1
-                        ? rng->UniformInt(e.reservoir.size())
-                        : 0];
-    for (size_t i = 0; i < table.vars.size(); ++i) {
-      out->values[table.vars[i]] = pick.assignment[i];
-    }
-    t -= c;
-  }
-  out->objective = problem.ObjectiveValue(out->values);
-  out->feasible = true;
-  out->optimal = true;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-coupling decomposition: remove a SET of coupling constraints (e.g.
-// two overlapping complaint cardinalities), enumerate the resulting
-// independent components, group exchangeable components, and DP over the
-// joint contribution grid. Fixing every coupling's slack at once lets the
-// exact component method apply where the single-coupling path cannot.
-// ---------------------------------------------------------------------------
 
 // One feasible component assignment class: its contribution to each
 // coupling plus the minimum cost achieving it (reservoir for tie-breaks).
@@ -300,8 +66,9 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
     const int k = ks[j];
     if (k < 0 || static_cast<size_t>(k) >= nc || is_coupling[k]) return false;
     const LinearConstraint& c = problem.constraints()[k];
-    // Same conformance rules as the single-coupling path: kGe would need
-    // saturating backtracking; coefficients must be small non-negative ints.
+    // kGe couplings would need saturating-DP backtracking that can land on
+    // unreachable predecessor cells (Rain only emits kEq/kLe couplings);
+    // coefficients must be small non-negative ints.
     if (c.sense == ConstraintSense::kGe) return false;
     if (!IsInt(c.rhs) || c.rhs < 0) return false;
     for (const LinearTerm& t : c.terms) {
@@ -338,12 +105,12 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
     if (terms.empty()) continue;
     comp_cons[find(terms[0].var)].push_back(static_cast<int>(ci));
   }
-  // coupling_coef[j][var]
-  std::vector<std::vector<double>> coupling_coef(num_couplings,
-                                                 std::vector<double>(n, 0.0));
+  // coupling_coef[j][var], integral by the conformance check above.
+  std::vector<std::vector<int64_t>> coupling_coef(num_couplings,
+                                                  std::vector<int64_t>(n, 0));
   for (size_t j = 0; j < num_couplings; ++j) {
     for (const LinearTerm& t : problem.constraints()[ks[j]].terms) {
-      coupling_coef[j][t.var] = t.coef;
+      coupling_coef[j][t.var] = std::llround(t.coef);
     }
   }
 
@@ -388,9 +155,7 @@ bool TryDecompositionMulti(const IlpProblem& problem, const std::vector<int>& ks
         if (!assign[i]) continue;
         cost += problem.objective_coef(comp.vars[i]);
         for (size_t j = 0; j < num_couplings; ++j) {
-          const double cc = coupling_coef[j][comp.vars[i]];
-          if (!IsInt(cc)) return false;
-          contrib[j] += std::llround(cc);
+          contrib[j] += coupling_coef[j][comp.vars[i]];
         }
       }
       MultiOption* opt = nullptr;
@@ -1141,9 +906,7 @@ Result<IlpSolution> SolveIlp(const IlpProblem& raw_problem,
   }
 
   bool decomposed = false;
-  if (couplings.size() == 1) {
-    decomposed = TryDecomposition(problem, couplings[0], options, &rng, &sol);
-  } else if (couplings.size() >= 2) {
+  if (!couplings.empty()) {
     bool too_large = false;
     decomposed =
         TryDecompositionMulti(problem, couplings, options, &rng, &sol, &too_large);
@@ -1151,8 +914,12 @@ Result<IlpSolution> SolveIlp(const IlpProblem& raw_problem,
     // coupling), a single removed coupling may still disconnect the rest —
     // unless removing them all left a component too large to enumerate:
     // keeping any of them only merges components.
-    for (size_t i = 0; !decomposed && !too_large && i < couplings.size(); ++i) {
-      decomposed = TryDecomposition(problem, couplings[i], options, &rng, &sol);
+    if (couplings.size() > 1 && !too_large) {
+      for (size_t i = 0; !decomposed && i < couplings.size(); ++i) {
+        bool retry_too_large = false;
+        decomposed = TryDecompositionMulti(problem, {couplings[i]}, options, &rng, &sol,
+                                           &retry_too_large);
+      }
     }
   }
   if (decomposed) {

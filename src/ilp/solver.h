@@ -35,10 +35,10 @@ struct IlpSolveOptions {
   /// Indices of the "coupling" constraints (e.g. the complaint
   /// cardinality constraints) that the decomposition fast path may remove
   /// to split the problem into independent components; empty disables.
-  /// With one entry the single-coupling decomposition runs (kEq/kLe
-  /// couplings only); with several (e.g. two overlapping complaint
-  /// cardinalities) the grouped multi-coupling DP fixes the slack of every
-  /// listed constraint at once and still solves each component exactly.
+  /// The grouped DP fixes the slack of every listed constraint at once
+  /// (kEq/kLe couplings only) and solves each component exactly; when
+  /// several are listed and the joint grid is too wide, it retries with
+  /// each one alone.
   std::vector<int> coupling_constraints;
 
   /// Optional cooperative stop, polled when the solve starts and every

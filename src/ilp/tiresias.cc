@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace rain {
 namespace {
@@ -53,9 +52,7 @@ class Encoder {
       std::vector<int> one_hot;
       for (int c = 0; c < num_classes; ++c) {
         const double cost = c == rv.current_class ? 0.0 : 1.0;
-        const int var = out_->problem.AddVar(
-            cost, StrFormat("t[%d,%lld]=%d", key.first,
-                            static_cast<long long>(key.second), c));
+        const int var = out_->problem.AddVar(cost);
         rv.class_vars.push_back(var);
         one_hot.push_back(var);
         // Remember the mapping for arena variables of this (row, class).
@@ -111,9 +108,9 @@ class Encoder {
   }
 
   /// Fresh Tseitin auxiliary (objective 0).
-  Aff NewAux(const char* tag) {
+  Aff NewAux() {
     Aff a;
-    a.terms.push_back(LinearTerm{out_->problem.AddVar(0.0, tag), 1.0});
+    a.terms.push_back(LinearTerm{out_->problem.AddVar(0.0), 1.0});
     a.is_binary = true;
     return a;
   }
@@ -257,7 +254,7 @@ class Encoder {
   }
 
   Aff TseitinAnd(const std::vector<Aff>& factors) {
-    Aff z = NewAux("and");
+    Aff z = NewAux();
     RecordAux(z, /*is_and=*/true, factors);
     // z <= e_i for all i; z >= sum e_i - (n-1).
     for (const Aff& f : factors) AddLe(z, f);
@@ -286,7 +283,7 @@ class Encoder {
     if (children.size() == 1) return children[0];
     if (is_and) return TseitinAnd(children);
     // OR: z >= e_i (e_i - z <= 0); z <= sum e_i.
-    Aff z = NewAux("or");
+    Aff z = NewAux();
     RecordAux(z, /*is_and=*/false, children);
     for (const Aff& f : children) AddLe(f, z);
     LinearConstraint upper;  // z - sum e_i <= 0

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -203,9 +204,12 @@ class Parser {
     }
   }
 
-  /// Parentheses, NOT and unary minus nested deeper than this are a
-  /// ParseError: every level costs several frames of recursive descent,
-  /// and SQL text must not be able to overflow the stack.
+  /// Expressions nested deeper than this are a ParseError. Parentheses,
+  /// NOT and unary minus each count one level, and so does each operator
+  /// of a chain such as `1+1+…+1`, which builds a tree as deep as the
+  /// chain. Every level costs several frames of recursive descent or of
+  /// the tree's recursive walks, and SQL text must not be able to
+  /// overflow the stack.
   static constexpr int kMaxNesting = 256;
 
   /// parse() one nesting level down.
@@ -213,10 +217,48 @@ class Parser {
   Result<ExprPtr> Nested(Parse parse) {
     if (nesting_ == kMaxNesting) return Err("expression nested too deeply");
     ++nesting_;
+    peak_ = std::max(peak_, nesting_);
     Result<ExprPtr> e = parse();
     --nesting_;
     return e;
   }
+
+  /// Measures a left-deep operator chain `x op y op z …`. Each operand is
+  /// parsed at the chain's own nesting level, and peak_ tells how deep it
+  /// went; the chain's depth is then max(left, right) + 1 per operator,
+  /// which must stay within kMaxNesting. On exit the chain leaves its
+  /// depth in peak_ for whatever encloses it.
+  class Chain {
+   public:
+    explicit Chain(Parser* p) : p_(p), base_(p->nesting_), saved_peak_(p->peak_) {}
+    ~Chain() { p_->peak_ = std::max(saved_peak_, base_ + depth_); }
+
+    template <typename Parse>
+    Result<ExprPtr> First(Parse parse) {
+      p_->peak_ = base_;
+      Result<ExprPtr> e = parse();
+      depth_ = p_->peak_ - base_;
+      return e;
+    }
+
+    /// The operand after one more operator.
+    template <typename Parse>
+    Result<ExprPtr> Next(Parse parse) {
+      p_->peak_ = base_;
+      Result<ExprPtr> e = parse();
+      depth_ = std::max(depth_, p_->peak_ - base_) + 1;
+      if (e.ok() && base_ + depth_ > kMaxNesting) {
+        return p_->Err("expression nested too deeply");
+      }
+      return e;
+    }
+
+   private:
+    Parser* p_;
+    int base_;
+    int saved_peak_;
+    int depth_ = 0;
+  };
 
   // Expression grammar: or > and > not > comparison/LIKE > add > mul > unary.
   Result<ExprPtr> ParseExpr() {
@@ -224,18 +266,22 @@ class Parser {
   }
 
   Result<ExprPtr> ParseOr() {
-    RAIN_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
+    Chain chain(this);
+    auto operand = [this] { return ParseAnd(); };
+    RAIN_ASSIGN_OR_RETURN(ExprPtr left, chain.First(operand));
     while (AcceptKeyword("OR")) {
-      RAIN_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
+      RAIN_ASSIGN_OR_RETURN(ExprPtr right, chain.Next(operand));
       left = Expr::Or(std::move(left), std::move(right));
     }
     return left;
   }
 
   Result<ExprPtr> ParseAnd() {
-    RAIN_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
+    Chain chain(this);
+    auto operand = [this] { return ParseNot(); };
+    RAIN_ASSIGN_OR_RETURN(ExprPtr left, chain.First(operand));
     while (AcceptKeyword("AND")) {
-      RAIN_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
+      RAIN_ASSIGN_OR_RETURN(ExprPtr right, chain.Next(operand));
       left = Expr::And(std::move(left), std::move(right));
     }
     return left;
@@ -275,13 +321,15 @@ class Parser {
   }
 
   Result<ExprPtr> ParseAdditive() {
-    RAIN_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
+    Chain chain(this);
+    auto operand = [this] { return ParseMultiplicative(); };
+    RAIN_ASSIGN_OR_RETURN(ExprPtr left, chain.First(operand));
     for (;;) {
       if (AcceptSymbol("+")) {
-        RAIN_ASSIGN_OR_RETURN(ExprPtr r, ParseMultiplicative());
+        RAIN_ASSIGN_OR_RETURN(ExprPtr r, chain.Next(operand));
         left = Expr::Arith(ArithOp::kAdd, std::move(left), std::move(r));
       } else if (AcceptSymbol("-")) {
-        RAIN_ASSIGN_OR_RETURN(ExprPtr r, ParseMultiplicative());
+        RAIN_ASSIGN_OR_RETURN(ExprPtr r, chain.Next(operand));
         left = Expr::Arith(ArithOp::kSub, std::move(left), std::move(r));
       } else {
         return left;
@@ -290,13 +338,15 @@ class Parser {
   }
 
   Result<ExprPtr> ParseMultiplicative() {
-    RAIN_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
+    Chain chain(this);
+    auto operand = [this] { return ParseUnary(); };
+    RAIN_ASSIGN_OR_RETURN(ExprPtr left, chain.First(operand));
     for (;;) {
       if (AcceptSymbol("*")) {
-        RAIN_ASSIGN_OR_RETURN(ExprPtr r, ParseUnary());
+        RAIN_ASSIGN_OR_RETURN(ExprPtr r, chain.Next(operand));
         left = Expr::Arith(ArithOp::kMul, std::move(left), std::move(r));
       } else if (AcceptSymbol("/")) {
-        RAIN_ASSIGN_OR_RETURN(ExprPtr r, ParseUnary());
+        RAIN_ASSIGN_OR_RETURN(ExprPtr r, chain.Next(operand));
         left = Expr::Arith(ArithOp::kDiv, std::move(left), std::move(r));
       } else {
         return left;
@@ -401,6 +451,8 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int nesting_ = 0;
+  /// Deepest nesting level reached since the innermost Chain last reset it.
+  int peak_ = 0;
 };
 
 }  // namespace

@@ -194,6 +194,16 @@ TEST(FuzzTest, EveryStatusMessageSurvivesTheWire) {
   }
 }
 
+/// An operator chain inside parentheses, a few levels below the parser's
+/// depth limit, so that inserting or duplicating a few parentheses or
+/// minus signs crosses it.
+std::string NearDepthLimitChain() {
+  constexpr size_t kParens = 12;
+  std::string q = "SELECT * FROM T WHERE a = " + std::string(kParens, '(') + "1";
+  while (q.size() + 2 + kParens <= kMaxLength) q += "+1";
+  return q + std::string(kParens, ')');
+}
+
 TEST(FuzzTest, SqlLexerAndParser) {
   Mutator mutator(
       {"SELECT COUNT(*) FROM R WHERE predict(*) = 1",
@@ -202,7 +212,8 @@ TEST(FuzzTest, SqlLexerAndParser) {
        "SELECT * FROM A JOIN B ON A.x = B.y WHERE A.z <> 3.5",
        "SELECT a + b * 2 AS v FROM T WHERE a = 1 OR b = 2 AND NOT c >= -4",
        "SELECT COUNT(*) FROM Enron WHERE text LIKE '%http%' AND x != 'it''s'",
-       "SELECT SUM(x), MIN(y), MAX(z) FROM T, S WHERE T.k = S.k GROUP BY T.g"},
+       "SELECT SUM(x), MIN(y), MAX(z) FROM T, S WHERE T.k = S.k GROUP BY T.g",
+       NearDepthLimitChain()},
       {"SELECT", "FROM", "WHERE", "GROUP BY", "JOIN", "ON", "AS", "AND", "OR",
        "NOT", "LIKE", "predict", "(", ")", "(*)", ",", ".", "*", "'", "''", "<>",
        "<=", "=", "-", "1e999", "99999999999999999999", "0.", ".5", " "});

@@ -1,4 +1,5 @@
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -26,8 +27,8 @@ IlpSolveOptions NoRandom() {
 
 TEST(IlpProblemTest, ObjectiveAndFeasibility) {
   IlpProblem p;
-  const int a = p.AddVar(1.0, "a");
-  const int b = p.AddVar(2.0, "b");
+  const int a = p.AddVar(1.0);
+  const int b = p.AddVar(2.0);
   p.AddCardinality({a, b}, ConstraintSense::kGe, 1.0);
   EXPECT_EQ(p.num_vars(), 2u);
   EXPECT_DOUBLE_EQ(p.ObjectiveValue({1, 1}), 3.0);
@@ -233,6 +234,74 @@ TEST(IlpSolverTest, RandomizationSamplesDifferentOptima) {
     seen.insert(sol->values);
   }
   EXPECT_GT(seen.size(), 1u) << "randomized solver must sample distinct optima";
+}
+
+/// Tiresias COUNT shape: `g` rows predicted class 0 and `h` predicted
+/// class 1, one-hot over {class 0, class 1}, and the count of class-1 rows
+/// pinned to h + k, so an optimal repair flips exactly k of the g rows.
+/// Returns the coupling constraint's index; (*flip_vars)[i] is row i's
+/// class-1 variable.
+int CountShape(int g, int h, int k, IlpProblem* p, std::vector<int>* flip_vars) {
+  std::vector<int> class1;
+  for (int r = 0; r < g + h; ++r) {
+    const bool counted = r >= g;
+    const int v0 = p->AddVar(counted ? 1.0 : 0.0);
+    const int v1 = p->AddVar(counted ? 0.0 : 1.0);
+    p->AddCardinality({v0, v1}, ConstraintSense::kEq, 1.0);
+    class1.push_back(v1);
+    if (!counted) flip_vars->push_back(v1);
+  }
+  p->AddCardinality(class1, ConstraintSense::kEq, static_cast<double>(h + k));
+  return static_cast<int>(p->num_constraints()) - 1;
+}
+
+TEST(IlpSolverTest, SingleCouplingDecompositionFlipsUniformly) {
+  // Every k-subset of the g interchangeable rows is an optimal repair;
+  // the decomposition should pick each row with probability k/g.
+  constexpr int kG = 12, kH = 3, kK = 4, kTrials = 400;
+  IlpProblem p;
+  std::vector<int> flip_vars;
+  const int coupling = CountShape(kG, kH, kK, &p, &flip_vars);
+  std::vector<int> flips(kG, 0);
+  IlpSolveOptions opts;
+  opts.coupling_constraints.push_back(coupling);
+  for (uint64_t seed = 0; seed < kTrials; ++seed) {
+    opts.seed = seed;
+    auto sol = SolveIlp(p, opts);
+    ASSERT_TRUE(sol.ok());
+    ASSERT_TRUE(sol->used_decomposition);
+    ASSERT_TRUE(sol->optimal);
+    ASSERT_DOUBLE_EQ(sol->objective, kK);
+    ASSERT_TRUE(p.IsFeasible(sol->values));
+    for (int i = 0; i < kG; ++i) flips[i] += sol->values[flip_vars[i]];
+  }
+  const double q = static_cast<double>(kK) / kG;
+  const double mean = kTrials * q;
+  const double sd = std::sqrt(kTrials * q * (1.0 - q));
+  for (int i = 0; i < kG; ++i) {
+    EXPECT_NEAR(flips[i], mean, 4.0 * sd) << "row " << i;
+  }
+}
+
+TEST(IlpSolverTest, SingleCouplingDecompositionReachesEveryOptimum) {
+  // g = 5, k = 2: all C(5, 2) = 10 optimal repairs appear.
+  IlpProblem p;
+  std::vector<int> flip_vars;
+  const int coupling = CountShape(5, 2, 2, &p, &flip_vars);
+  std::set<std::vector<uint8_t>> subsets;
+  IlpSolveOptions opts;
+  opts.coupling_constraints.push_back(coupling);
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    opts.seed = seed;
+    auto sol = SolveIlp(p, opts);
+    ASSERT_TRUE(sol.ok());
+    ASSERT_TRUE(sol->used_decomposition);
+    ASSERT_DOUBLE_EQ(sol->objective, 2.0);
+    std::vector<uint8_t> subset;
+    for (int v : flip_vars) subset.push_back(sol->values[v]);
+    subsets.insert(subset);
+  }
+  EXPECT_EQ(subsets.size(), 10u);
 }
 
 // ---------------------------------------------------------------------------

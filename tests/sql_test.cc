@@ -1,3 +1,5 @@
+#include <string>
+
 #include "gtest/gtest.h"
 #include "provenance/prediction_store.h"
 #include "relational/catalog.h"
@@ -147,6 +149,36 @@ TEST(ParserTest, DeepNestingIsAParseErrorNotAStackOverflow) {
   }
   // Ordinary nesting still parses.
   EXPECT_TRUE(ParseSelect("SELECT ((((a)))) FROM T WHERE NOT NOT -(-(a)) = 1").ok());
+}
+
+TEST(ParserTest, LongOperatorChainIsAParseErrorNotAStackOverflow) {
+  // `1+1+…+1` builds a left-deep tree as deep as the chain, and the tree
+  // is walked and destroyed recursively: 10^6 terms must be refused.
+  const int kTerms = 1000000;
+  std::string plus = "SELECT * FROM T WHERE a = 1";
+  std::string conj = "SELECT * FROM T WHERE a = 1";
+  for (int i = 1; i < kTerms; ++i) {
+    plus += "+1";
+    conj += " AND a = 1";
+  }
+  for (const std::string& q : {plus, conj}) {
+    auto stmt = ParseSelect(q);
+    ASSERT_FALSE(stmt.ok());
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+  }
+  // Depth adds up across parentheses: a 200-term chain inside another.
+  std::string inner = "(1";
+  for (int i = 1; i < 200; ++i) inner += "*1";
+  inner += ")";
+  std::string outer = "SELECT * FROM T WHERE a = " + inner;
+  for (int i = 1; i < 200; ++i) outer += "-1";
+  auto nested = ParseSelect(outer);
+  ASSERT_FALSE(nested.ok());
+  EXPECT_EQ(nested.status().code(), StatusCode::kParseError);
+  // Ordinary chains still parse.
+  std::string ok = "SELECT * FROM T WHERE a = 1";
+  for (int i = 1; i < 100; ++i) ok += " OR a = " + std::to_string(i) + "+1*2-3/4";
+  EXPECT_TRUE(ParseSelect(ok).ok());
 }
 
 TEST(ParserTest, OutOfRangeLiteralsAreInvalidArgument) {
