@@ -51,6 +51,10 @@ struct IterationStats {
   double query_seconds = 0.0;   // debug-mode provenance capture
   double encode_seconds = 0.0;  // grad q construction / ILP solve
   double rank_seconds = 0.0;    // Hessian solve + scoring
+  /// The retrain's TrainReport::iterations and ::evaluations (full data
+  /// passes); zero when the train phase was skipped on a converged memo.
+  int train_iterations = 0;
+  int train_evaluations = 0;
   int violated_complaints = 0;
   size_t deletions_after = 0;
   std::string note;

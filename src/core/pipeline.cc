@@ -15,10 +15,12 @@ Query2Pipeline::Query2Pipeline(Catalog catalog, std::unique_ptr<Model> model,
   RAIN_CHECK(model_ != nullptr);
 }
 
-Result<TrainReport> Query2Pipeline::Train(const CancellationToken* cancel) {
+Result<TrainReport> Query2Pipeline::Train(const CancellationToken* cancel,
+                                          const NewtonStart* start) {
   TrainConfig config = train_config_;
   config.cancel = cancel;
-  RAIN_ASSIGN_OR_RETURN(TrainReport report, TrainModel(model_.get(), train_, config));
+  RAIN_ASSIGN_OR_RETURN(TrainReport report,
+                        TrainModel(model_.get(), train_, config, start));
   // Partial parameters are never published to the prediction views; the
   // interrupted session records the iteration as cut short instead.
   if (!report.interrupted) RefreshPredictions();

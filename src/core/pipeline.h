@@ -35,7 +35,11 @@ class Query2Pipeline {
   /// once per optimizer iteration; an interrupted run returns OK with
   /// `TrainReport::interrupted = true` and skips the prediction refresh —
   /// the caller is expected to stop at its next interruption check.
-  Result<TrainReport> Train(const CancellationToken* cancel = nullptr);
+  /// `start` (borrowed, may be null) is handed to TrainModel: the last
+  /// converged pass and the data changes since, from which a Newton
+  /// retrain starts instead of a full pass.
+  Result<TrainReport> Train(const CancellationToken* cancel = nullptr,
+                            const NewtonStart* start = nullptr);
 
   /// Recomputes prediction views from the current model without training.
   void RefreshPredictions();

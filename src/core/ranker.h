@@ -34,7 +34,8 @@ struct RankContext {
 
   InfluenceOptions influence;
   /// Optional Hessian data term at the current parameters over `train`'s
-  /// active rows (a converged Newton retrain's TrainReport::hessian).
+  /// active rows (a converged Newton retrain's
+  /// TrainReport::pass.DataHessian()).
   /// Influence rankers pass it to InfluenceScorer::Prepare /
   /// SelfInfluenceAll; null means the scorer forms its own.
   const Matrix* data_hessian = nullptr;

@@ -234,9 +234,18 @@ Result<UpdateReport> DebugSession::ApplyUpdate(const UpdateBatch& batch,
 
   // --- Data deltas. Label edits detach the COW storage on first write
   // (sibling tenants sharing it are unaffected).
-  for (const LabelEdit& e : batch.label_edits) train->set_label(e.row, e.new_label);
-  for (size_t r : batch.deactivate_rows) train->Deactivate(r);
-  for (size_t r : batch.reactivate_rows) train->Reactivate(r);
+  for (const LabelEdit& e : batch.label_edits) {
+    if (train->label(e.row) != e.new_label) newton_start_.RecordRelabel(e.row);
+    train->set_label(e.row, e.new_label);
+  }
+  for (size_t r : batch.deactivate_rows) {
+    if (train->active(r)) newton_start_.RecordFlip(r);
+    train->Deactivate(r);
+  }
+  for (size_t r : batch.reactivate_rows) {
+    if (!train->active(r)) newton_start_.RecordFlip(r);
+    train->Reactivate(r);
+  }
   if (batch.touches_data()) train_memo_valid_ = false;
 
   // --- Workload deltas. Data deltas never invalidate bind-cache entries:
@@ -265,6 +274,7 @@ Result<UpdateReport> DebugSession::ApplyUpdate(const UpdateBatch& batch,
     ++arena_generation_;
     pipeline_->AdoptModelParams(initial_params_);
     train_memo_valid_ = false;
+    newton_start_.Reset();
     rep.note = "full recompute: caches dropped, cold parameters restored";
   }
 
@@ -388,10 +398,13 @@ Status DebugSession::TrainPhase(IterationStats* stats) {
     return Status::OK();
   }
   Timer timer;
-  RAIN_ASSIGN_OR_RETURN(TrainReport trained, pipeline_->Train(&cancel_token_));
+  RAIN_ASSIGN_OR_RETURN(TrainReport trained,
+                        pipeline_->Train(&cancel_token_, &newton_start_));
   stats->train_seconds = timer.ElapsedSeconds();
+  stats->train_iterations = trained.iterations;
+  stats->train_evaluations = trained.evaluations;
   train_memo_valid_ = trained.converged && !trained.interrupted;
-  train_hessian_ = std::move(trained.hessian);
+  newton_start_.Reset(std::move(trained.pass));
   if (trained.interrupted) {
     // The boundary check right after this phase turns the partial model
     // into a recorded partial iteration; the note pins down where.
@@ -653,11 +666,13 @@ Result<RankOutput> DebugSession::RankPhase(const std::vector<BoundComplaint>& bo
   // from the fresh predictions either way — bitwise-neutral).
   ctx.encode_cache = &encode_cache_;
   ctx.arena_generation = arena_generation_;
-  // The converged retrain's Hessian describes the current parameters and
+  // The converged retrain's pass describes the current parameters and
   // active rows only while the train memo holds; every data change clears
   // the memo.
-  if (train_memo_valid_ && train_hessian_.rows() > 0) {
-    ctx.data_hessian = &train_hessian_;
+  Matrix data_hessian;
+  if (train_memo_valid_ && !newton_start_.pass.empty()) {
+    data_hessian = newton_start_.pass.DataHessian();
+    ctx.data_hessian = &data_hessian;
   }
   RAIN_ASSIGN_OR_RETURN(RankOutput ranked, ranker_->Rank(ctx));
   // FixPhase indexes scores by row and orders them: a short vector or a
@@ -708,6 +723,7 @@ int DebugSession::FixPhase(const RankOutput& ranked, int iteration,
   int removed = 0;
   for (size_t idx : order) {
     train->Deactivate(idx);
+    newton_start_.RecordFlip(idx);
     report_.deletions.push_back(idx);
     result->new_deletions.push_back(idx);
     ++removed;

@@ -462,11 +462,12 @@ class DebugSession {
   /// returns the parameters untouched, and the prediction refresh
   /// recomputes the identical matrix.
   bool train_memo_valid_ = false;
-  /// The last train's TrainReport::hessian: the Hessian data term at the
-  /// current parameters when Newton converged, else empty. The rank phase
-  /// hands it to the scorer only while train_memo_valid_ holds, so every
-  /// invalidation of the memo also retires it.
-  Matrix train_hessian_;
+  /// The last train's converged pass (TrainReport::pass, empty unless
+  /// Newton converged) and the rows FixPhase and ApplyUpdate flipped or
+  /// relabelled since: the next retrain starts from it. While
+  /// train_memo_valid_ holds nothing changed since the pass, and the rank
+  /// phase hands its Hessian data term to the scorer.
+  NewtonStart newton_start_;
   /// Model parameters at session construction — the cold-start point the
   /// full-recompute path restores.
   Vec initial_params_;

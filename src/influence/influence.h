@@ -57,9 +57,10 @@ class InfluenceScorer {
   ///
   /// `data_hessian`, when given, is the Hessian data term at the model's
   /// current parameters over the scorer's active rows (a converged Newton
-  /// retrain's TrainReport::hessian); the dense path then factors it
-  /// instead of forming its own. It is ignored off the dense path. A
-  /// factor that is not positive definite fails with Status::Internal.
+  /// retrain's TrainReport::pass.DataHessian()); the dense path then
+  /// factors it instead of forming its own. It is ignored off the dense
+  /// path. A factor that is not positive definite fails with
+  /// Status::Internal.
   Status Prepare(const Vec& q_grad, const Matrix* data_hessian = nullptr);
 
   /// Removal score of training record i (0 for inactive records).

@@ -1,5 +1,6 @@
 #include "ml/logistic_regression.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -87,19 +88,19 @@ double LogisticRegression::AddRangeLossAndGradient(const Dataset& data, size_t b
   return AddRangeTerms(data, begin, end, grad, nullptr);
 }
 
-double LogisticRegression::AddRangeTerms(const Dataset& data, size_t begin,
-                                         size_t end, Vec* grad,
-                                         double* hessian) const {
-  // Runs of consecutive active rows batch their margins into one Gemv;
-  // every Gemv element is the Dot kernel behind Margin (operands
-  // commuted, so each product rounds the same), so each row's loss and
-  // gradient keep their bits.
+template <typename NextRun>
+double LogisticRegression::AddRunTerms(const Dataset& data, NextRun next_run,
+                                       Vec* grad, double* hessian) const {
+  // Each run batches its margins into Gemvs of up to kBlock rows; every
+  // Gemv element is the Dot kernel behind Margin (operands commuted, so
+  // each product rounds the same), so each row's loss and gradient keep
+  // their bits however the rows are grouped.
   constexpr size_t kBlock = 64;
   double z_blk[kBlock];
-  // The Hessian scratch: up to kGramBlock active rows' x~, transposed (row
-  // f holds feature f of every buffered row), the same scaled by
-  // p (1 - p), and one output row. Longer buffers than the margin blocks
-  // make fewer, longer Gram dot products.
+  // The Hessian scratch: up to kGramBlock rows' x~, transposed (row f
+  // holds feature f of every buffered row), the same scaled by p (1 - p),
+  // and one output row. Longer buffers than the margin blocks make fewer,
+  // longer Gram dot products.
   constexpr size_t kGramBlock = 128;
   const size_t p = theta_.size();
   std::vector<double> xt, wxt, gram_row;
@@ -122,64 +123,81 @@ double LogisticRegression::AddRangeTerms(const Dataset& data, size_t begin,
     buffered = 0;
   };
   double loss = 0.0;
-  size_t i = begin;
-  while (i < end) {
-    if (!data.active(i)) {
-      ++i;
-      continue;
-    }
-    size_t r1 = i;
-    while (r1 < end && r1 - i < kBlock && data.active(r1)) ++r1;
-    const size_t nb = r1 - i;
-    const double* xb = data.row(i);
-    vec::simd::Gemv(xb, nb, d_, theta_.data(), z_blk);
-    for (size_t r = 0; r < nb; ++r) {
-      const double* x = xb + r * d_;
-      const double margin = fit_intercept_ ? z_blk[r] + theta_[d_] : z_blk[r];
-      const double p1 = Sigmoid(margin);
-      loss += LossAndGradientAtProb(p1, x, data.label(i + r), grad);
-      if (hessian == nullptr) continue;
-      const double w = p1 * (1.0 - p1);
-      for (size_t f = 0; f < d_; ++f) {
-        xt[f * kGramBlock + buffered] = x[f];
-        wxt[f * kGramBlock + buffered] = w * x[f];
+  size_t r0 = 0, r1 = 0;
+  while (next_run(&r0, &r1)) {
+    for (size_t i = r0; i < r1; i += kBlock) {
+      const size_t nb = std::min(kBlock, r1 - i);
+      const double* xb = data.row(i);
+      vec::simd::Gemv(xb, nb, d_, theta_.data(), z_blk);
+      for (size_t r = 0; r < nb; ++r) {
+        const double* x = xb + r * d_;
+        const double margin = fit_intercept_ ? z_blk[r] + theta_[d_] : z_blk[r];
+        const double p1 = Sigmoid(margin);
+        loss += LossAndGradientAtProb(p1, x, data.label(i + r), grad);
+        if (hessian == nullptr) continue;
+        const double w = p1 * (1.0 - p1);
+        for (size_t f = 0; f < d_; ++f) {
+          xt[f * kGramBlock + buffered] = x[f];
+          wxt[f * kGramBlock + buffered] = w * x[f];
+        }
+        if (fit_intercept_) {
+          xt[d_ * kGramBlock + buffered] = 1.0;
+          wxt[d_ * kGramBlock + buffered] = w;
+        }
+        if (++buffered == kGramBlock) flush_gram();
       }
-      if (fit_intercept_) {
-        xt[d_ * kGramBlock + buffered] = 1.0;
-        wxt[d_ * kGramBlock + buffered] = w;
-      }
-      if (++buffered == kGramBlock) flush_gram();
     }
-    i = r1;
   }
   if (buffered > 0) flush_gram();
   return loss;
 }
 
-bool LogisticRegression::MeanLossGradientHessian(const Dataset& data, double l2,
-                                                 double* loss, Vec* grad,
-                                                 Matrix* data_hessian) const {
+double LogisticRegression::AddRangeTerms(const Dataset& data, size_t begin,
+                                         size_t end, Vec* grad,
+                                         double* hessian) const {
+  size_t i = begin;
+  const auto next_active_run = [&data, &i, end](size_t* r0, size_t* r1) {
+    while (i < end && !data.active(i)) ++i;
+    if (i == end) return false;
+    *r0 = i;
+    while (i < end && data.active(i)) ++i;
+    *r1 = i;
+    return true;
+  };
+  return AddRunTerms(data, next_active_run, grad, hessian);
+}
+
+bool LogisticRegression::SumLossGradientHessian(const Dataset& data,
+                                                HessianPass* pass) const {
   RAIN_CHECK(data.num_active() > 0) << "loss over empty dataset";
   // One accumulator holds [gradient | Hessian upper triangle]: the chunk
   // partials of the gradient reduce exactly as MeanLossAndGradient's do.
   const size_t p = theta_.size();
-  Vec acc(p + p * p, 0.0);
-  const double loss_sum = vec::ParallelAccumulate(
-      RowParallelism(data.size()), data.size(), &acc,
+  pass->theta = theta_;
+  pass->num_rows = data.num_active();
+  pass->sums.assign(p + p * p, 0.0);
+  pass->loss = vec::ParallelAccumulate(
+      RowParallelism(data.size()), data.size(), &pass->sums,
       [this, &data, p](size_t begin, size_t end, Vec* chunk) {
         return AddRangeTerms(data, begin, end, chunk, chunk->data() + p);
       });
-  grad->assign(acc.begin(), acc.begin() + static_cast<ptrdiff_t>(p));
-  *loss = FinishMeanLossAndGradient(data, l2, loss_sum, grad);
-  const double inv_n = 1.0 / static_cast<double>(data.num_active());
-  *data_hessian = Matrix(p, p);
-  for (size_t f = 0; f < p; ++f) {
-    for (size_t g = f; g < p; ++g) {
-      const double h = acc[p + f * p + g] * inv_n;
-      data_hessian->At(f, g) = h;
-      data_hessian->At(g, f) = h;
-    }
-  }
+  return true;
+}
+
+bool LogisticRegression::AddRowTerms(const Dataset& data,
+                                     const std::vector<size_t>& rows,
+                                     HessianPass* pass) const {
+  const size_t p = theta_.size();
+  RAIN_CHECK(pass->sums.size() == p + p * p) << "pass size mismatch";
+  size_t k = 0;
+  const auto next_listed_run = [&rows, &k](size_t* r0, size_t* r1) {
+    if (k == rows.size()) return false;
+    *r0 = rows[k];
+    *r1 = rows[k] + 1;
+    while (++k < rows.size() && rows[k] == *r1) ++*r1;
+    return true;
+  };
+  pass->loss += AddRunTerms(data, next_listed_run, &pass->sums, pass->sums.data() + p);
   return true;
 }
 

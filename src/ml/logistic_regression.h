@@ -2,6 +2,7 @@
 #define RAIN_ML_LOGISTIC_REGRESSION_H_
 
 #include <memory>
+#include <vector>
 
 #include "ml/model.h"
 
@@ -31,11 +32,12 @@ class LogisticRegression : public Model {
                         Vec* grad) const override;
   void HessianVectorProduct(const Dataset& data, const Vec& v, double l2,
                             Vec* out) const override;
-  /// The data term is (1/n) sum_i p_i (1 - p_i) x~_i x~_i^T with
-  /// x~ = [x; 1] (x~ = x without an intercept), built per block of up to
-  /// 128 active rows as one weighted Gram product.
-  bool MeanLossGradientHessian(const Dataset& data, double l2, double* loss,
-                               Vec* grad, Matrix* data_hessian) const override;
+  /// A row's Hessian data term is p (1 - p) x~ x~^T with x~ = [x; 1]
+  /// (x~ = x without an intercept), summed per block of up to 128 rows as
+  /// one weighted Gram product.
+  bool SumLossGradientHessian(const Dataset& data, HessianPass* pass) const override;
+  bool AddRowTerms(const Dataset& data, const std::vector<size_t>& rows,
+                   HessianPass* pass) const override;
 
   bool fit_intercept() const { return fit_intercept_; }
 
@@ -48,9 +50,17 @@ class LogisticRegression : public Model {
   double Margin(const double* x) const;
   /// AddExampleLossAndGradient given the row's p_1.
   double LossAndGradientAtProb(double p1, const double* x, int y, Vec* grad) const;
-  /// AddRangeLossAndGradient; when `hessian` is non-null it also adds the
-  /// rows' unscaled Hessian data term into its upper triangle (row-major,
-  /// num_params x num_params).
+  /// Adds the loss gradients of the rows `next_run` yields to `grad` and
+  /// returns the sum of their losses, added in row order; when `hessian`
+  /// is non-null it also adds the rows' unscaled Hessian data term into
+  /// its upper triangle (row-major, num_params x num_params). `next_run`
+  /// writes the next run of consecutive rows [*r0, *r1) in ascending order
+  /// and returns false after the last. The one per-row body behind the
+  /// fused training pass, the Hessian pass and AddRowTerms.
+  template <typename NextRun>
+  double AddRunTerms(const Dataset& data, NextRun next_run, Vec* grad,
+                     double* hessian) const;
+  /// AddRunTerms over the active rows in [begin, end).
   double AddRangeTerms(const Dataset& data, size_t begin, size_t end, Vec* grad,
                        double* hessian) const;
 

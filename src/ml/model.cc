@@ -1,9 +1,49 @@
 #include "ml/model.h"
 
+#include <cstddef>
+
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace rain {
+namespace {
+
+/// The scaling MeanLossAndGradient applies after its pass: turns the
+/// summed losses of `num_rows` rows and their summed gradient in `grad`
+/// into the regularized mean loss at `theta` (returned) and its gradient.
+double FinishMeanLoss(size_t num_rows, const Vec& theta, double l2, double loss_sum,
+                      Vec* grad) {
+  const double inv_n = 1.0 / static_cast<double>(num_rows);
+  for (double& g : *grad) g *= inv_n;
+  vec::Axpy(2.0 * l2, theta, grad);
+  double loss = loss_sum / static_cast<double>(num_rows);
+  loss += l2 * vec::NormSq(theta);
+  return loss;
+}
+
+}  // namespace
+
+void HessianPass::Finish(double l2, double* mean_loss, Vec* grad,
+                         Matrix* data_hessian) const {
+  const size_t p = theta.size();
+  grad->assign(sums.begin(), sums.begin() + static_cast<ptrdiff_t>(p));
+  *mean_loss = FinishMeanLoss(num_rows, theta, l2, loss, grad);
+  *data_hessian = DataHessian();
+}
+
+Matrix HessianPass::DataHessian() const {
+  const size_t p = theta.size();
+  const double inv_n = 1.0 / static_cast<double>(num_rows);
+  Matrix h(p, p);
+  for (size_t f = 0; f < p; ++f) {
+    for (size_t g = f; g < p; ++g) {
+      const double v = sums[p + f * p + g] * inv_n;
+      h.At(f, g) = v;
+      h.At(g, f) = v;
+    }
+  }
+  return h;
+}
 
 int Model::PredictClass(const double* x) const {
   const int c = num_classes();
@@ -51,21 +91,20 @@ double Model::MeanLossAndGradient(const Dataset& data, double l2, Vec* grad) con
       [this, &data](size_t begin, size_t end, Vec* acc) {
         return AddRangeLossAndGradient(data, begin, end, acc);
       });
-  return FinishMeanLossAndGradient(data, l2, loss, grad);
+  return FinishMeanLoss(data.num_active(), params(), l2, loss, grad);
 }
 
-double Model::FinishMeanLossAndGradient(const Dataset& data, double l2,
-                                        double loss_sum, Vec* grad) const {
-  const double inv_n = 1.0 / static_cast<double>(data.num_active());
-  for (double& g : *grad) g *= inv_n;
-  vec::Axpy(2.0 * l2, params(), grad);
-  double loss = loss_sum / static_cast<double>(data.num_active());
-  loss += l2 * vec::NormSq(params());
-  return loss;
+bool Model::MeanLossGradientHessian(const Dataset& data, double l2, double* loss,
+                                    Vec* grad, Matrix* data_hessian) const {
+  HessianPass pass;
+  if (!SumLossGradientHessian(data, &pass)) return false;
+  pass.Finish(l2, loss, grad, data_hessian);
+  return true;
 }
 
-bool Model::MeanLossGradientHessian(const Dataset&, double, double*, Vec*,
-                                    Matrix*) const {
+bool Model::SumLossGradientHessian(const Dataset&, HessianPass*) const { return false; }
+
+bool Model::AddRowTerms(const Dataset&, const std::vector<size_t>&, HessianPass*) const {
   return false;
 }
 

@@ -9,6 +9,34 @@
 
 namespace rain {
 
+/// \brief The raw sums one Hessian-hook pass leaves over a set of rows at
+/// parameters `theta`: the summed losses, gradients and Hessian data terms,
+/// unscaled and unregularized. Model::MeanLossGradientHessian is a pass
+/// over the active rows normalized by Finish; a warm Newton retrain
+/// (TrainModel) moves a kept pass to new active rows by subtracting and
+/// adding the terms of the rows that changed (Model::AddRowTerms).
+struct HessianPass {
+  /// The parameters every term was evaluated at.
+  Vec theta;
+  /// Rows summed.
+  size_t num_rows = 0;
+  /// Sum of the rows' losses.
+  double loss = 0.0;
+  /// [sum of gradients (num_params) | sum of Hessian data terms, upper
+  /// triangle of the row-major num_params x num_params matrix]; the
+  /// strict lower triangle stays zero. Empty: no pass.
+  Vec sums;
+
+  bool empty() const { return sums.empty(); }
+  /// The regularized mean loss and its gradient, and the Hessian data term
+  /// divided by num_rows as a symmetric matrix: exactly the outputs of
+  /// Model::MeanLossGradientHessian for the same rows and parameters.
+  void Finish(double l2, double* mean_loss, Vec* grad, Matrix* data_hessian) const;
+  /// The data_hessian output of Finish alone.
+  Matrix DataHessian() const;
+};
+
+
 /// \brief Differentiable classification model.
 ///
 /// This is the contract the influence-function machinery (Section 4.1 of
@@ -101,19 +129,34 @@ class Model {
     MeanLossAndGradient(data, l2, grad);
   }
 
-  /// \brief One-pass dense Hessian hook. Writes the regularized mean loss
+  /// \brief Dense Hessian in one pass. Writes the regularized mean loss
   /// and its gradient exactly as MeanLossAndGradient does (same bits),
   /// plus the data term of the Hessian, (1/n) sum_i d^2 l(z_i)/d theta^2
   /// over the active rows, as a symmetric num_params x num_params matrix.
   /// The 2*l2*I term is NOT included: each caller adds its own
   /// regularization (and damping) to the diagonal.
   ///
-  /// Returns false, writing nothing, when the model has no one-pass
-  /// Hessian; callers then keep their Hessian-vector-product paths. Like
+  /// SumLossGradientHessian followed by HessianPass::Finish. Returns
+  /// false, writing nothing, when the model has no one-pass Hessian;
+  /// callers then keep their Hessian-vector-product paths. Like
   /// MeanLossAndGradient, the result is a pure function of (data, params,
   /// parallelism).
-  virtual bool MeanLossGradientHessian(const Dataset& data, double l2, double* loss,
-                                       Vec* grad, Matrix* data_hessian) const;
+  bool MeanLossGradientHessian(const Dataset& data, double l2, double* loss,
+                               Vec* grad, Matrix* data_hessian) const;
+
+  /// \brief The one-pass Hessian hook: overwrites `pass` with the raw sums
+  /// over the active rows of `data` at params(), accumulated in one chunked
+  /// pass (the gradient part reduces exactly as MeanLossAndGradient's
+  /// does). Returns false, writing nothing, when the model has none.
+  virtual bool SumLossGradientHessian(const Dataset& data, HessianPass* pass) const;
+
+  /// \brief Adds the terms of `rows` (ascending, distinct, active or not)
+  /// at params() to pass->loss and pass->sums (sized num_params +
+  /// num_params^2); the per-row arithmetic is SumLossGradientHessian's.
+  /// Returns false, adding nothing, when the model has no one-pass
+  /// Hessian.
+  virtual bool AddRowTerms(const Dataset& data, const std::vector<size_t>& rows,
+                           HessianPass* pass) const;
 
   /// The dense-Hessian size rule: num_params^2 <= num_active *
   /// num_features, i.e. the Hessian is no larger than the active feature
@@ -124,12 +167,6 @@ class Model {
   }
 
  protected:
-  /// The scaling MeanLossAndGradient applies after its pass: turns the
-  /// summed row losses and summed gradient in `grad` into the regularized
-  /// mean loss (returned) and its gradient.
-  double FinishMeanLossAndGradient(const Dataset& data, double l2, double loss_sum,
-                                   Vec* grad) const;
-
   /// grad += the loss gradients of the active rows in [begin, end); returns
   /// the sum of their losses, added in row order. One chunk of
   /// MeanLossAndGradient. The default calls AddExampleLossAndGradient per

@@ -1,6 +1,9 @@
 #ifndef RAIN_ML_TRAINER_H_
 #define RAIN_ML_TRAINER_H_
 
+#include <utility>
+#include <vector>
+
 #include "common/result.h"
 #include "ml/lbfgs.h"
 #include "ml/model.h"
@@ -38,12 +41,55 @@ struct TrainReport {
   /// Training stopped on a cancellation/deadline; the model holds the
   /// last accepted (partial) parameters.
   bool interrupted = false;
-  /// The Hessian data term (Model::MeanLossGradientHessian) at the
-  /// returned parameters when Newton converged; empty otherwise. Its
-  /// consumer (InfluenceScorer::Prepare) may reuse it only while the
-  /// parameters and the active rows are unchanged.
-  Matrix hessian;
+  /// The full pass that confirmed convergence when Newton converged: the
+  /// raw sums over the active rows at the returned parameters; empty
+  /// otherwise. `pass.DataHessian()` is bitwise the Hessian data term
+  /// Model::MeanLossGradientHessian returns there, which InfluenceScorer
+  /// may reuse while the parameters and the active rows are unchanged;
+  /// a NewtonStart holding the pass starts the next retrain.
+  HessianPass pass;
 };
+
+/// \brief Where a warm Newton retrain starts instead of its first full
+/// pass: the last converged pass and the training-data changes since it
+/// ran. TrainModel moves the pass to the current active rows by
+/// subtracting the terms of rows that became inactive and adding those of
+/// rows that became active (DowndatePass).
+struct NewtonStart {
+  /// TrainReport::pass of the last converged train; empty = no start.
+  HessianPass pass;
+  /// Every row whose active flag flipped since `pass` ran, once per flip
+  /// in any order (a row flipped twice is back where it was).
+  std::vector<size_t> flipped;
+  /// Every row whose label was overwritten since `pass` ran.
+  std::vector<size_t> relabelled;
+
+  /// Starts over from `converged` (empty: no start).
+  void Reset(HessianPass converged = HessianPass()) {
+    pass = std::move(converged);
+    flipped.clear();
+    relabelled.clear();
+  }
+  /// Records a change while a pass is held; without one there is nothing
+  /// to downdate.
+  void RecordFlip(size_t row) {
+    if (!pass.empty()) flipped.push_back(row);
+  }
+  void RecordRelabel(size_t row) {
+    if (!pass.empty()) relabelled.push_back(row);
+  }
+};
+
+/// \brief Writes into `pass` the start's pass moved to the active rows of
+/// `data`: minus the terms of rows that became inactive since, plus the
+/// terms of rows that became active (Model::AddRowTerms). Returns false
+/// when a full pass has to run instead: the start is empty or its
+/// parameters are not bitwise the model's, a relabelled row was active in
+/// the pass (its old term is unknown), the changed rows are not fewer than
+/// the active rows, the pass's row count plus the recorded changes does
+/// not give the active count, or the model has no one-pass Hessian.
+bool DowndatePass(const Model& model, const Dataset& data, const NewtonStart& start,
+                  HessianPass* pass);
 
 /// \brief Trains `model` on the active rows of `data` by minimizing the
 /// regularized mean cross-entropy.
@@ -58,9 +104,19 @@ struct TrainReport {
 ///
 /// The model's current parameters are the starting point, so the
 /// debugger's train-rank-fix loop gets warm-start retraining for free
-/// (Appendix D notes the paper does the same).
+/// (Appendix D notes the paper does the same). Given a `start` that
+/// DowndatePass accepts, Newton's first iteration runs on the downdated
+/// pass instead of a full one; convergence is still accepted only on a
+/// full pass, so TrainReport::pass is always a fresh one.
+///
+/// Newton also stops, unconverged and without L-BFGS, when a line-search
+/// step's predicted decrease falls below the rounding level of the loss:
+/// past that point the loss is flat to working precision (the clamped
+/// loss on separable data at l2 = 0) and neither method can make
+/// measurable progress.
 Result<TrainReport> TrainModel(Model* model, const Dataset& data,
-                               const TrainConfig& config = TrainConfig());
+                               const TrainConfig& config = TrainConfig(),
+                               const NewtonStart* start = nullptr);
 
 }  // namespace rain
 

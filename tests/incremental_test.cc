@@ -2,8 +2,8 @@
 /// delta application, auto/incremental/full policy, incremental-vs-full
 /// deletion-sequence equivalence on DBLP and Adult, worker invariance
 /// of the incremental path, delta-proportional bind work, exact train-skip
-/// memoization, tombstoning, COW label-edit isolation, and validation
-/// atomicity.
+/// memoization, warm Newton starts across updates, tombstoning, COW
+/// label-edit isolation, and validation atomicity.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -328,6 +328,60 @@ TEST(TrainMemo, DataDeltaInvalidatesTheMemo) {
   ASSERT_TRUE(second.ok());
   // The labels changed, so the warm retrain actually ran.
   EXPECT_GT(second->stats.train_seconds, 0.0);
+}
+
+// ------------------------------------------------- warm Newton start
+
+TEST(WarmNewtonStart, IncrementalUpdateRetrainsLikeAStatelessTrain) {
+  DblpSetup a = MakeCorruptedDblp();
+  DblpSetup b = MakeCorruptedDblp();
+  const double target = static_cast<double>(a.true_count);
+  auto session = BuildSession(a.pipeline.get(), target, 200);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(session->Step().ok());
+  const std::vector<size_t> deleted = session->report().deletions;
+  Dataset* twin = b.pipeline->train_data();
+  for (size_t row : deleted) twin->Deactivate(row);
+
+  // Relabel two deleted rows and bring them back, delete one more: the
+  // pass is downdated by all three, the relabelled rows under their new
+  // labels.
+  size_t extra = 0;
+  while (!twin->active(extra)) ++extra;
+  UpdateBatch batch;
+  for (size_t row : {deleted[0], deleted[1]}) {
+    batch.label_edits.push_back(LabelEdit{row, 1 - twin->label(row)});
+    batch.reactivate_rows.push_back(row);
+  }
+  batch.deactivate_rows.push_back(extra);
+  UpdateOptions incremental;
+  incremental.policy = UpdatePolicy::kIncremental;
+  ASSERT_TRUE(session->ApplyUpdate(batch, incremental).ok());
+  for (const LabelEdit& e : batch.label_edits) twin->set_label(e.row, e.new_label);
+  for (size_t row : batch.reactivate_rows) twin->Reactivate(row);
+  twin->Deactivate(extra);
+
+  // A fresh session on the twin holds no pass: a stateless retrain from
+  // the same parameters on the same rows.
+  b.pipeline->AdoptModelParams(a.pipeline->model()->params());
+  auto step = session->Step();
+  auto stateless = BuildSession(b.pipeline.get(), target, 200)->Step();
+  ASSERT_TRUE(step.ok());
+  ASSERT_TRUE(stateless.ok());
+  EXPECT_LT(vec::MaxAbsDiff(a.pipeline->model()->params(), b.pipeline->model()->params()),
+            1e-10);
+  EXPECT_EQ(step->new_deletions, stateless->new_deletions);
+  EXPECT_EQ(step->stats.train_evaluations, step->stats.train_iterations);
+  EXPECT_EQ(step->stats.train_evaluations + 1, stateless->stats.train_evaluations);
+
+  // A label edit on an active row drops the start: a full first pass.
+  UpdateBatch relabel;
+  relabel.label_edits.push_back(LabelEdit{extra + 1, 1 - twin->label(extra + 1)});
+  ASSERT_TRUE(a.pipeline->train_data()->active(extra + 1));
+  ASSERT_TRUE(session->ApplyUpdate(relabel, incremental).ok());
+  auto relabelled = session->Step();
+  ASSERT_TRUE(relabelled.ok());
+  EXPECT_EQ(relabelled->stats.train_evaluations,
+            relabelled->stats.train_iterations + 1);
 }
 
 // ------------------------------------------------- policy + delta log

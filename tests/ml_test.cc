@@ -255,6 +255,9 @@ TEST(ModelTest, OnlyLogisticHasTheHessianHook) {
     EXPECT_FALSE(m->MeanLossGradientHessian(d, 1e-3, &loss, &grad, &h));
     EXPECT_TRUE(grad.empty());
     EXPECT_EQ(h.rows(), 0u);
+    HessianPass pass;
+    EXPECT_FALSE(m->AddRowTerms(d, {0, 1}, &pass));
+    EXPECT_TRUE(pass.empty());
   }
 }
 
@@ -663,7 +666,7 @@ TEST(TrainerTest, NewtonAndLbfgsReachTheSameOptimum) {
   Vec grad;
   Matrix h;
   ASSERT_TRUE(newton.MeanLossGradientHessian(d, cfg.l2, &loss, &grad, &h));
-  EXPECT_EQ(report->hessian.data(), h.data());
+  EXPECT_EQ(report->pass.DataHessian().data(), h.data());
 
   LogisticRegression lbfgs(5);
   Objective objective = [&](const Vec& theta, Vec* g) {
@@ -691,12 +694,10 @@ class HookCountingLogistic : public LogisticRegression {
   HookCountingLogistic(size_t features, CancellationToken token, int cancel_at)
       : LogisticRegression(features), token_(std::move(token)), cancel_at_(cancel_at) {}
 
-  bool MeanLossGradientHessian(const Dataset& data, double l2, double* loss, Vec* grad,
-                               Matrix* data_hessian) const override {
+  bool SumLossGradientHessian(const Dataset& data, HessianPass* pass) const override {
     if (++calls == cancel_at_) token_.Cancel();
     last_params = params();
-    return LogisticRegression::MeanLossGradientHessian(data, l2, loss, grad,
-                                                       data_hessian);
+    return LogisticRegression::SumLossGradientHessian(data, pass);
   }
 
   mutable int calls = 0;
@@ -717,7 +718,7 @@ TEST(TrainerTest, NewtonHonoursCancellation) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->interrupted);
   EXPECT_FALSE(report->converged);
-  EXPECT_EQ(report->hessian.rows(), 0u);
+  EXPECT_TRUE(report->pass.empty());
   // The stop lands at the next iteration's poll: the accepted trial of
   // the first step is the last pass, and its parameters are returned.
   EXPECT_EQ(report->iterations, 1);
@@ -746,8 +747,189 @@ TEST(TrainerTest, NewtonFallsBackToLbfgsOnASingularHessian) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(m.calls, 1) << "Newton stops at its first factor";
   EXPECT_GT(report->evaluations, m.calls) << "L-BFGS evaluations follow";
-  EXPECT_EQ(report->hessian.rows(), 0u);
+  EXPECT_TRUE(report->pass.empty());
   EXPECT_GT(Evaluate(m, d).accuracy, 0.97);
+}
+
+/// Largest |a - b| over the largest |b|.
+double RelativeGap(const std::vector<double>& a, const std::vector<double>& b) {
+  double scale = 0.0, gap = 0.0;
+  for (size_t i = 0; i < b.size(); ++i) {
+    scale = std::max(scale, std::fabs(b[i]));
+    gap = std::max(gap, std::fabs(a[i] - b[i]));
+  }
+  return gap / scale;
+}
+
+TEST(WarmNewtonTest, DowndatedPassMatchesAFreshOne) {
+  const double l2 = 1e-3;
+  for (int par : {1, 4}) {
+    Dataset d = RandomDataset(400, 5, 2, 91);
+    for (size_t hole : {2u, 90u, 91u, 300u}) d.Deactivate(hole);
+    LogisticRegression m(5);
+    m.set_parallelism(par);
+    RandomizeParams(&m, 92);
+    NewtonStart start;
+    ASSERT_TRUE(m.SumLossGradientHessian(d, &start.pass));
+    // Deletions (a run of consecutive rows among them), reactivations of
+    // rows inactive in the pass, a row flipped twice, and a relabelled row
+    // that was inactive in the pass and is active now.
+    for (size_t row : {7u, 8u, 9u, 10u, 150u, 399u, 33u}) {
+      d.Deactivate(row);
+      start.RecordFlip(row);
+    }
+    for (size_t row : {90u, 300u, 33u}) {
+      d.Reactivate(row);
+      start.RecordFlip(row);
+    }
+    d.set_label(90, 1 - d.label(90));
+    start.RecordRelabel(90);
+
+    HessianPass downdated;
+    ASSERT_TRUE(DowndatePass(m, d, start, &downdated)) << "parallelism=" << par;
+    EXPECT_EQ(downdated.num_rows, d.num_active());
+    double loss = 0.0, fresh_loss = 0.0;
+    Vec grad, fresh_grad;
+    Matrix h, fresh_h;
+    downdated.Finish(l2, &loss, &grad, &h);
+    ASSERT_TRUE(m.MeanLossGradientHessian(d, l2, &fresh_loss, &fresh_grad, &fresh_h));
+    EXPECT_LE(std::fabs(loss - fresh_loss), 1e-12 * std::fabs(fresh_loss));
+    EXPECT_LE(RelativeGap(grad, fresh_grad), 1e-12) << "parallelism=" << par;
+    EXPECT_LE(RelativeGap(h.data(), fresh_h.data()), 1e-12) << "parallelism=" << par;
+  }
+}
+
+TEST(WarmNewtonTest, FullPassWhenTheStartCannotBeDowndated) {
+  Dataset d = RandomDataset(200, 4, 2, 93);
+  d.Deactivate(7);
+  LogisticRegression m(4);
+  RandomizeParams(&m, 94);
+  NewtonStart start;
+  ASSERT_TRUE(m.SumLossGradientHessian(d, &start.pass));
+  d.Deactivate(5);
+  start.RecordFlip(5);
+  HessianPass pass;
+  ASSERT_TRUE(DowndatePass(m, d, start, &pass));
+
+  // A label edit on a row active in the pass: its old term is unknown.
+  NewtonStart relabelled = start;
+  d.set_label(6, 1 - d.label(6));
+  relabelled.RecordRelabel(6);
+  EXPECT_FALSE(DowndatePass(m, d, relabelled, &pass));
+  // So on one deleted since: the pass summed it under the old label.
+  NewtonStart deleted_relabelled = start;
+  d.set_label(5, 1 - d.label(5));
+  deleted_relabelled.RecordRelabel(5);
+  EXPECT_FALSE(DowndatePass(m, d, deleted_relabelled, &pass));
+  // A row inactive in the pass may be relabelled, and reactivated: its
+  // term is added under the new label.
+  NewtonStart inactive_relabelled = start;
+  d.set_label(7, 1 - d.label(7));
+  inactive_relabelled.RecordRelabel(7);
+  EXPECT_TRUE(DowndatePass(m, d, inactive_relabelled, &pass));
+  d.Reactivate(7);
+  inactive_relabelled.RecordFlip(7);
+  EXPECT_TRUE(DowndatePass(m, d, inactive_relabelled, &pass));
+  d.Deactivate(7);
+
+  // Parameters that are not bitwise the pass's.
+  Vec theta = m.params();
+  theta[0] = std::nextafter(theta[0], 1.0);
+  LogisticRegression moved(4);
+  moved.set_params(theta);
+  EXPECT_FALSE(DowndatePass(moved, d, start, &pass));
+
+  // More changed rows than active rows, then one fewer.
+  NewtonStart many = start;
+  for (size_t row = 101; row < 200; ++row) {
+    d.Deactivate(row);
+    many.RecordFlip(row);
+  }
+  ASSERT_EQ(d.num_active(), 99u);
+  EXPECT_FALSE(DowndatePass(m, d, many, &pass)) << "100 changed, 99 active";
+  d.Reactivate(199);
+  many.RecordFlip(199);
+  EXPECT_TRUE(DowndatePass(m, d, many, &pass)) << "99 changed, 100 active";
+
+  // An empty start.
+  EXPECT_FALSE(DowndatePass(m, d, NewtonStart(), &pass));
+}
+
+TEST(WarmNewtonTest, WarmRetrainSkipsTheFirstPassAndConvergesOnAFreshOne) {
+  Dataset d = RandomDataset(2000, 5, 2, 95);
+  TrainConfig cfg;
+  LogisticRegression m(5);
+  auto first = TrainModel(&m, d, cfg);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->converged);
+  NewtonStart start;
+  start.Reset(std::move(first->pass));
+  for (size_t row : {11u, 12u, 500u, 1999u}) {
+    d.Deactivate(row);
+    start.RecordFlip(row);
+  }
+
+  HookCountingLogistic cold(5, CancellationToken(), /*cancel_at=*/0);
+  cold.set_params(m.params());
+  auto stateless = TrainModel(&cold, d, cfg);
+  HookCountingLogistic warm(5, CancellationToken(), /*cancel_at=*/0);
+  warm.set_params(m.params());
+  auto downdated = TrainModel(&warm, d, cfg, &start);
+  ASSERT_TRUE(stateless.ok());
+  ASSERT_TRUE(downdated.ok());
+  ASSERT_TRUE(downdated->converged);
+  EXPECT_EQ(downdated->evaluations + 1, stateless->evaluations);
+  EXPECT_EQ(downdated->evaluations, warm.calls);
+  EXPECT_EQ(downdated->iterations, stateless->iterations);
+  EXPECT_LT(vec::MaxAbsDiff(warm.params(), cold.params()), 1e-12);
+  // The handed pass is a fresh full pass at the returned parameters.
+  HessianPass fresh;
+  ASSERT_TRUE(warm.SumLossGradientHessian(d, &fresh));
+  EXPECT_EQ(downdated->pass.sums, fresh.sums);
+  EXPECT_EQ(downdated->pass.loss, fresh.loss);
+  EXPECT_EQ(downdated->pass.theta, warm.params());
+
+  // A start that already meets grad_tol is confirmed by a full pass at
+  // the same parameters, which then converges.
+  NewtonStart converged;
+  converged.Reset(downdated->pass);
+  auto confirmed = TrainModel(&warm, d, cfg, &converged);
+  ASSERT_TRUE(confirmed.ok());
+  EXPECT_TRUE(confirmed->converged);
+  EXPECT_EQ(confirmed->evaluations, 1);
+  EXPECT_EQ(confirmed->iterations, 0);
+  EXPECT_EQ(confirmed->pass.sums, fresh.sums);
+}
+
+TEST(TrainerTest, NewtonStopsUnconvergedOnAFlatLoss) {
+  // Separable data at l2 = 0 and grad_tol = 0: the loss clamped at the
+  // probability floor goes flat while the gradient stays nonzero. Newton
+  // stops once a step's predicted decrease is below the loss's rounding;
+  // without that stop it ran all 300 iterations at about 30 line-search
+  // trials each (8,947 passes on this data), and it hands over to no
+  // L-BFGS, which stalls the same way.
+  Rng rng(88);
+  Matrix x(200, 3);
+  std::vector<int> y(200);
+  for (size_t i = 0; i < 200; ++i) {
+    for (size_t f = 0; f < 3; ++f) x.At(i, f) = rng.Gaussian();
+    y[i] = x.At(i, 0) + x.At(i, 1) > 0 ? 1 : 0;
+  }
+  Dataset d(std::move(x), std::move(y), 2);
+  HookCountingLogistic m(3, CancellationToken(), /*cancel_at=*/0);
+  TrainConfig cfg;
+  cfg.l2 = 0.0;
+  cfg.grad_tol = 0.0;
+  auto report = TrainModel(&m, d, cfg);
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->converged);
+  EXPECT_FALSE(report->interrupted);
+  EXPECT_TRUE(report->pass.empty());
+  EXPECT_EQ(report->evaluations, m.calls) << "every pass is Newton's";
+  EXPECT_LE(report->evaluations, 100) << "72 measured";
+  EXPECT_LT(report->iterations, cfg.max_iters);
+  EXPECT_EQ(Evaluate(m, d).accuracy, 1.0);
+  EXPECT_LT(report->final_loss, 1e-11);
 }
 
 TEST(DatasetCowTest, CopiesAndViewsShareStorage) {

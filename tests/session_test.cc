@@ -26,7 +26,9 @@
 #include "data/corruption.h"
 #include "data/dblp.h"
 #include "gtest/gtest.h"
+#include "incremental/update.h"
 #include "ml/logistic_regression.h"
+#include "ml/trainer.h"
 #include "sql/planner.h"
 
 namespace rain {
@@ -728,6 +730,92 @@ TEST(HessianHandoffTest, HandedScoresEqualAFreshScorersOnFig5Workload) {
     EXPECT_EQ(stats.stale, 0) << method;
     EXPECT_LE(stats.max_rel_gap, 1e-12) << method;
   }
+}
+
+// ---------------------------------------------------- warm Newton starts
+
+std::unique_ptr<DebugSession> BuildFig5Session(const DblpSetup& setup,
+                                               int max_deletions) {
+  auto session = DebugSessionBuilder(setup.pipeline.get())
+                     .ranker("holistic")
+                     .top_k_per_iter(10)
+                     .max_deletions(max_deletions)
+                     .stop_when_resolved(false)
+                     .workload({CountComplaint(static_cast<double>(setup.true_count))})
+                     .Build();
+  RAIN_CHECK(session.ok()) << session.status().ToString();
+  return std::move(*session);
+}
+
+TEST(WarmNewtonTest, RetrainsMatchStatelessTrainsOnFig5Workload) {
+  // Each step of the session retrains from the pass its previous train
+  // left, downdated by the rows its fix phase deleted. A fresh session on
+  // a twin pipeline, put at the same parameters, has no such pass and
+  // trains from a full one: the same retrain without the warm start.
+  DblpSetup setup = MakeCorruptedDblp();
+  DblpSetup twin = MakeCorruptedDblp();
+  auto session = BuildFig5Session(setup, 60);
+  for (int iteration = 0; iteration < 6; ++iteration) {
+    twin.pipeline->AdoptModelParams(setup.pipeline->model()->params());
+    auto step = session->Step();
+    ASSERT_TRUE(step.ok()) << step.status().ToString();
+    auto stateless = BuildFig5Session(twin, 60)->Step();
+    ASSERT_TRUE(stateless.ok()) << stateless.status().ToString();
+    EXPECT_LT(vec::MaxAbsDiff(setup.pipeline->model()->params(),
+                              twin.pipeline->model()->params()),
+              1e-10)
+        << "iteration " << iteration;
+    ASSERT_EQ(step->new_deletions, stateless->new_deletions) << "iteration " << iteration;
+    if (iteration > 0) {
+      // The deletion batch is downdated instead of re-summed: one full pass
+      // fewer than the stateless retrain.
+      EXPECT_EQ(step->stats.train_evaluations + 1, stateless->stats.train_evaluations)
+          << "iteration " << iteration;
+    }
+  }
+}
+
+TEST(WarmNewtonTest, WarmRetrainsMakeNoFirstPassUntilAFullRecompute) {
+  DblpSetup setup = MakeCorruptedDblp();
+  auto session = BuildFig5Session(setup, 100);
+  ASSERT_TRUE(session->RunToCompletion(StopAfterIterations(5)).ok());
+  const std::vector<IterationStats>& iterations = session->report().iterations;
+  ASSERT_EQ(iterations.size(), 5u);
+  // The session's first train has no pass to start from and confirms the
+  // pipeline's optimum in one full pass. Every retrain after a deletion
+  // batch starts from the downdated pass: its full passes are exactly the
+  // Newton steps' trials, one per step, with no first pass before them.
+  EXPECT_EQ(iterations[0].train_evaluations, 1);
+  EXPECT_EQ(iterations[0].train_iterations, 0);
+  for (size_t i = 1; i < iterations.size(); ++i) {
+    EXPECT_GE(iterations[i].train_iterations, 1) << "iteration " << i;
+    EXPECT_EQ(iterations[i].train_evaluations, iterations[i].train_iterations)
+        << "iteration " << i;
+  }
+
+  // A full-recompute update restores the cold parameters and drops the
+  // pass: the next retrain makes exactly the passes of a stateless train
+  // from those parameters on the same rows.
+  DblpSetup cold = MakeCorruptedDblp();
+  UpdateBatch batch;
+  batch.reactivate_rows = {session->report().deletions[0]};
+  UpdateOptions full;
+  full.policy = UpdatePolicy::kFull;
+  ASSERT_TRUE(session->ApplyUpdate(batch, full).ok());
+  for (size_t row : session->report().deletions) {
+    if (!setup.pipeline->train_data()->active(row)) {
+      cold.pipeline->train_data()->Deactivate(row);
+    }
+  }
+  LogisticRegression reference(kDblpFeatures);
+  reference.set_params(cold.pipeline->model()->params());
+  auto stateless = TrainModel(&reference, *cold.pipeline->train_data(),
+                              setup.pipeline->train_config());
+  ASSERT_TRUE(stateless.ok());
+  auto step = session->Step();
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_GT(stateless->evaluations, 1);
+  EXPECT_EQ(step->stats.train_evaluations, stateless->evaluations);
 }
 
 // --------------------------------------------------------- batched bind
