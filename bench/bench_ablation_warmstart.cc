@@ -1,7 +1,11 @@
 /// Ablation (Appendix D / DESIGN.md §4): warm-start retraining in the
 /// train-rank-fix loop vs cold restarts. Warm starts re-use the previous
-/// optimum as the L-BFGS starting point and should converge in far fewer
-/// iterations after each small deletion batch. Rows are also written to
+/// optimum as the starting point and should converge in far fewer
+/// iterations after each small deletion batch. The warm side retrains the
+/// way a DebugSession does: a NewtonStart holds the last converged pass
+/// and the deleted rows, so a Newton retrain downdates that pass instead
+/// of making its first full one (L-BFGS models hand over no pass and
+/// start from the parameters alone). Rows are also written to
 /// BENCH_warmstart.json; the recorded baseline lives in
 /// bench/baselines/BENCH_warmstart.json (see docs/benchmarks.md).
 #include <cstdio>
@@ -27,18 +31,23 @@ template <typename ModelT, typename MakeCold>
 void RunSweep(const char* model_name, Dataset train, ModelT* warm,
               const MakeCold& make_cold, const TrainConfig& tc,
               TablePrinter* table, std::FILE* json, bool* first_row) {
-  RAIN_CHECK(TrainModel(warm, train, tc).ok());
+  auto first = TrainModel(warm, train, tc);
+  RAIN_CHECK(first.ok());
+  NewtonStart start;
+  start.Reset(std::move(first->pass));
   Rng delete_rng(17);
   for (int step = 1; step <= 5; ++step) {
     // Delete 10 random active records (stand-in for a debugger batch).
     auto active = train.ActiveIndices();
     for (size_t p : delete_rng.SampleWithoutReplacement(active.size(), 10)) {
       train.Deactivate(active[p]);
+      start.RecordFlip(active[p]);
     }
     Timer wt;
-    auto wr = TrainModel(warm, train, tc);
+    auto wr = TrainModel(warm, train, tc, &start);
     const double warm_s = wt.ElapsedSeconds();
     RAIN_CHECK(wr.ok());
+    start.Reset(std::move(wr->pass));
 
     auto cold = make_cold();
     Timer ct;
@@ -49,18 +58,22 @@ void RunSweep(const char* model_name, Dataset train, ModelT* warm,
     // For convex models both reach the optimum; iterations tell the
     // story. For the non-convex MLP under a fixed iteration budget the
     // final loss tells it instead.
+    // Evaluations are full data passes: the downdated start saves one per
+    // warm Newton retrain.
     table->AddRow({model_name, std::to_string(step), std::to_string(wr->iterations),
-                   TablePrinter::Num(warm_s, 4), TablePrinter::Num(wr->final_loss, 4),
-                   std::to_string(cr->iterations), TablePrinter::Num(cold_s, 4),
+                   std::to_string(wr->evaluations), TablePrinter::Num(warm_s, 4),
+                   TablePrinter::Num(wr->final_loss, 4), std::to_string(cr->iterations),
+                   std::to_string(cr->evaluations), TablePrinter::Num(cold_s, 4),
                    TablePrinter::Num(cr->final_loss, 4)});
     if (json != nullptr) {
       std::fprintf(json,
                    "%s  {\"model\": \"%s\", \"step\": %d, \"warm_iters\": %d, "
-                   "\"warm_s\": %.6f, \"warm_loss\": %.6f, \"cold_iters\": %d, "
-                   "\"cold_s\": %.6f, \"cold_loss\": %.6f}",
+                   "\"warm_evals\": %d, \"warm_s\": %.6f, \"warm_loss\": %.6f, "
+                   "\"cold_iters\": %d, \"cold_evals\": %d, \"cold_s\": %.6f, "
+                   "\"cold_loss\": %.6f}",
                    *first_row ? "" : ",\n", model_name, step, wr->iterations,
-                   warm_s, wr->final_loss, cr->iterations, cold_s,
-                   cr->final_loss);
+                   wr->evaluations, warm_s, wr->final_loss, cr->iterations,
+                   cr->evaluations, cold_s, cr->final_loss);
       *first_row = false;
     }
   }
@@ -70,8 +83,8 @@ void RunSweep(const char* model_name, Dataset train, ModelT* warm,
 
 int main() {
   std::printf("Ablation: warm-start vs cold-restart retraining\n");
-  TablePrinter table({"model", "step", "warm_iters", "warm_s", "warm_loss",
-                      "cold_iters", "cold_s", "cold_loss"});
+  TablePrinter table({"model", "step", "warm_iters", "warm_evals", "warm_s",
+                      "warm_loss", "cold_iters", "cold_evals", "cold_s", "cold_loss"});
   std::FILE* json = std::fopen("BENCH_warmstart.json", "w");
   if (json != nullptr) std::fprintf(json, "[\n");
   bool first_row = true;

@@ -23,8 +23,9 @@ namespace rain {
 /// stops just that session, while cancelling the service root token
 /// stops every session.
 ///
-/// Polling is two relaxed atomic loads (plus a clock read only when a
-/// deadline is armed), so it is cheap enough for per-record loops.
+/// Polling is two acquire loads per token in the chain, plus a clock read
+/// only when a deadline is armed, so it is cheap enough for per-record
+/// loops.
 class CancellationToken {
  public:
   /// A fresh, un-cancelled token with no deadline.
@@ -48,13 +49,17 @@ class CancellationToken {
   }
   void clear_deadline() { state_->deadline_ns.store(0, std::memory_order_release); }
 
+  /// Loads every deadline up the parent chain first and reads the clock
+  /// only when one of them is armed, so per-record polls of a token with
+  /// no deadline cost no clock read.
   bool deadline_passed() const {
-    const auto now = std::chrono::steady_clock::now().time_since_epoch().count();
+    int64_t earliest = 0;
     for (const State* s = state_.get(); s != nullptr; s = s->parent.get()) {
       const int64_t d = s->deadline_ns.load(std::memory_order_acquire);
-      if (d != 0 && now >= d) return true;
+      if (d != 0 && (earliest == 0 || d < earliest)) earliest = d;
     }
-    return false;
+    if (earliest == 0) return false;
+    return std::chrono::steady_clock::now().time_since_epoch().count() >= earliest;
   }
 
   /// The single predicate consumers poll: cancelled or past a deadline,

@@ -55,6 +55,10 @@ struct IterationStats {
   /// passes); zero when the train phase was skipped on a converged memo.
   int train_iterations = 0;
   int train_evaluations = 0;
+  /// The retrain's TrainReport::converged and ::grad_norm. A train phase
+  /// skipped on a converged memo reports converged with norm 0.
+  bool train_converged = false;
+  double train_grad_norm = 0.0;
   int violated_complaints = 0;
   size_t deletions_after = 0;
   std::string note;

@@ -395,6 +395,8 @@ Status DebugSession::TrainPhase(IterationStats* stats) {
     // refresh recomputes the identical matrix — so skipping is
     // bitwise-neutral, not an approximation.
     stats->train_seconds = 0.0;
+    stats->train_converged = true;
+    stats->train_grad_norm = 0.0;
     return Status::OK();
   }
   Timer timer;
@@ -403,6 +405,8 @@ Status DebugSession::TrainPhase(IterationStats* stats) {
   stats->train_seconds = timer.ElapsedSeconds();
   stats->train_iterations = trained.iterations;
   stats->train_evaluations = trained.evaluations;
+  stats->train_converged = trained.converged;
+  stats->train_grad_norm = trained.grad_norm;
   train_memo_valid_ = trained.converged && !trained.interrupted;
   newton_start_.Reset(std::move(trained.pass));
   if (trained.interrupted) {
@@ -555,18 +559,23 @@ void DebugSession::InvalidateBindCache() {
 }
 
 void DebugSession::RefreshCachedComplaints() {
-  // One concrete assignment over the persistent arena, shared by every
-  // cached complaint: current = Evaluate(poly) reproduces the executor's
-  // concrete cell bitwise (the evaluator mirrors the executor's
-  // summation order and zero-denominator guard), and violated re-derives
-  // through the binder's own predicate.
-  const Vec assign = pipeline_->predictions().ConcreteAssignment(*pipeline_->arena());
+  // One concrete assignment and one ascending pass over the persistent
+  // arena, shared by every cached complaint: current = values[poly]
+  // reproduces the executor's concrete cell bitwise (the pass mirrors the
+  // executor's summation order and zero-denominator guard), and violated
+  // re-derives through the binder's own predicate.
+  if (std::none_of(bind_cache_.begin(), bind_cache_.end(),
+                   [](const BindCacheEntry& e) { return e.valid; })) {
+    return;
+  }
   const PolyArena* arena = pipeline_->arena();
+  const Vec values =
+      arena->EvaluateAll(pipeline_->predictions().ConcreteAssignment(*arena));
   for (BindCacheEntry& e : bind_cache_) {
     if (!e.valid) continue;
     for (BoundComplaint& c : e.bound) {
       if (c.poly == kInvalidPoly) continue;
-      c.current = arena->Evaluate(c.poly, assign);
+      c.current = values[c.poly];
       c.violated = ComplaintViolated(c.op, c.current, c.target);
     }
   }
@@ -706,20 +715,28 @@ int DebugSession::FixPhase(const RankOutput& ranked, int iteration,
       std::min(config_.top_k_per_iter,
                config_.max_deletions - static_cast<int>(report_.deletions.size()));
   // The `budget` best active rows by (score desc, index asc) — the order a
-  // stable descending sort of every row visits them in — selected in
-  // O(n + k log k).
-  std::vector<size_t> order = train->ActiveIndices();
+  // stable descending sort of every row visits them in — kept in a bounded
+  // heap whose top is the worst survivor, in one scan: O(n log k).
   const auto before = [&ranked](size_t a, size_t b) {
     const double sa = ranked.scores[a];
     const double sb = ranked.scores[b];
     return sa > sb || (sa == sb && a < b);
   };
-  const size_t k = std::min(order.size(), static_cast<size_t>(std::max(budget, 0)));
-  if (k < order.size()) {
-    std::nth_element(order.begin(), order.begin() + k, order.end(), before);
-    order.resize(k);
+  const size_t k = static_cast<size_t>(std::max(budget, 0));
+  std::vector<size_t> order;
+  order.reserve(std::min(k, train->num_active()));
+  for (size_t i = 0; k > 0 && i < train->size(); ++i) {
+    if (!train->active(i)) continue;
+    if (order.size() < k) {
+      order.push_back(i);
+      std::push_heap(order.begin(), order.end(), before);
+    } else if (before(i, order.front())) {
+      std::pop_heap(order.begin(), order.end(), before);
+      order.back() = i;
+      std::push_heap(order.begin(), order.end(), before);
+    }
   }
-  std::sort(order.begin(), order.end(), before);
+  std::sort_heap(order.begin(), order.end(), before);
   int removed = 0;
   for (size_t idx : order) {
     train->Deactivate(idx);

@@ -1,5 +1,6 @@
 #include "data/csv_io.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -67,6 +68,10 @@ Result<double> ParseDouble(const std::string& s) {
 }  // namespace
 
 Result<Dataset> ReadDatasetCsv(const std::string& path, int num_classes) {
+  if (num_classes < 2) {
+    return Status::InvalidArgument(
+        StrFormat("a dataset needs at least two classes, got %d", num_classes));
+  }
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open '" + path + "'");
   std::string line;
@@ -92,12 +97,13 @@ Result<Dataset> ReadDatasetCsv(const std::string& path, int num_classes) {
     for (size_t i = 0; i < fields.size(); ++i) {
       RAIN_ASSIGN_OR_RETURN(const double v, ParseDouble(fields[i]));
       if (static_cast<int>(i) == label_col) {
-        const int y = static_cast<int>(v);
-        if (y < 0 || y >= num_classes || static_cast<double>(y) != v) {
+        // Range-check before the cast: converting a double outside int's
+        // range (or NaN) is undefined.
+        if (!(v >= 0.0 && v < static_cast<double>(num_classes)) || v != std::floor(v)) {
           return Status::OutOfRange(StrFormat("label %g out of [0, %d)", v,
                                               num_classes));
         }
-        labels.push_back(y);
+        labels.push_back(static_cast<int>(v));
       } else {
         values.push_back(v);
       }
@@ -161,6 +167,11 @@ Result<Table> ReadTableCsv(const std::string& path) {
       switch (schema.field(c).type) {
         case DataType::kInt64: {
           RAIN_ASSIGN_OR_RETURN(const double v, ParseDouble(fields[c]));
+          // [-2^63, 2^63): converting a double outside it (or NaN) is
+          // undefined.
+          if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0)) {
+            return Status::ParseError("INT64 value out of range: '" + fields[c] + "'");
+          }
           values.push_back(Value(static_cast<int64_t>(v)));
           break;
         }

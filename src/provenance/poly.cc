@@ -34,6 +34,11 @@ PolyArena::PolyArena() {
 }
 
 PolyId PolyArena::Append(PolyNode node) {
+  // EvaluateAll's single ascending pass depends on this order.
+  for (PolyId c : node.children) {
+    RAIN_DCHECK(c >= 0 && static_cast<size_t>(c) < nodes_.size())
+        << "child " << c << " does not precede its parent";
+  }
   nodes_.push_back(std::move(node));
   return static_cast<PolyId>(nodes_.size() - 1);
 }
@@ -197,66 +202,55 @@ PolyArena::SpliceMap PolyArena::Splice(const PolyArena& staging) {
   return map;
 }
 
-double PolyArena::Evaluate(PolyId root, const Vec& var_values) const {
-  RAIN_CHECK(root >= 0 && static_cast<size_t>(root) < nodes_.size());
+Vec PolyArena::EvaluateAll(const Vec& var_values) const {
   RAIN_CHECK(var_values.size() >= vars_.size()) << "missing variable assignments";
-  // Iterative post-order with memoization over reachable nodes.
-  std::unordered_map<PolyId, double> memo;
-  std::vector<std::pair<PolyId, bool>> stack;
-  stack.emplace_back(root, false);
-  while (!stack.empty()) {
-    auto [id, expanded] = stack.back();
-    stack.pop_back();
-    if (memo.count(id) != 0) continue;
+  // One ascending pass: Append guarantees children precede parents, so
+  // every child's value is final when its parent is reached. Children are
+  // folded in their stored order, which is the executor's summation order.
+  Vec values(nodes_.size());
+  for (size_t id = 0; id < nodes_.size(); ++id) {
     const PolyNode& n = nodes_[id];
-    if (n.op == PolyOp::kConst) {
-      memo[id] = n.value;
-      continue;
-    }
-    if (n.op == PolyOp::kVar) {
-      memo[id] = var_values[n.var];
-      continue;
-    }
-    if (!expanded) {
-      stack.emplace_back(id, true);
-      for (PolyId c : n.children) {
-        if (memo.count(c) == 0) stack.emplace_back(c, false);
-      }
-      continue;
-    }
     double v = 0.0;
     switch (n.op) {
+      case PolyOp::kConst:
+        v = n.value;
+        break;
+      case PolyOp::kVar:
+        v = var_values[n.var];
+        break;
       case PolyOp::kAnd:
       case PolyOp::kMul: {
         v = 1.0;
-        for (PolyId c : n.children) v *= memo[c];
+        for (PolyId c : n.children) v *= values[c];
         break;
       }
       case PolyOp::kOr: {
         double prod = 1.0;
-        for (PolyId c : n.children) prod *= (1.0 - memo[c]);
+        for (PolyId c : n.children) prod *= (1.0 - values[c]);
         v = 1.0 - prod;
         break;
       }
       case PolyOp::kNot:
-        v = 1.0 - memo[n.children[0]];
+        v = 1.0 - values[n.children[0]];
         break;
       case PolyOp::kAdd: {
-        for (PolyId c : n.children) v += memo[c];
+        for (PolyId c : n.children) v += values[c];
         break;
       }
       case PolyOp::kDiv: {
-        const double den = memo[n.children[1]];
-        v = den == 0.0 ? 0.0 : memo[n.children[0]] / den;
+        const double den = values[n.children[1]];
+        v = den == 0.0 ? 0.0 : values[n.children[0]] / den;
         break;
       }
-      case PolyOp::kConst:
-      case PolyOp::kVar:
-        break;
     }
-    memo[id] = v;
+    values[id] = v;
   }
-  return memo[root];
+  return values;
+}
+
+double PolyArena::Evaluate(PolyId root, const Vec& var_values) const {
+  RAIN_CHECK(root >= 0 && static_cast<size_t>(root) < nodes_.size());
+  return EvaluateAll(var_values)[root];
 }
 
 std::vector<VarId> PolyArena::ReachableVars(PolyId root) const {

@@ -126,10 +126,18 @@ class PolyArena {
   bool IsConst(PolyId id) const { return nodes_[id].op == PolyOp::kConst; }
   double ConstValue(PolyId id) const { return nodes_[id].value; }
 
-  /// \brief Evaluates the DAG rooted at `root` with the given per-variable
-  /// assignment (size num_vars()). With 0/1 assignments this computes the
-  /// exact Boolean/arithmetic semantics; with probabilities it computes
-  /// the Section 5.3.1 relaxation.
+  /// \brief Evaluates every node of the arena under the given per-variable
+  /// assignment (size num_vars()) in one ascending pass; `result[id]` is
+  /// node `id`'s value. With 0/1 assignments this computes the exact
+  /// Boolean/arithmetic semantics, folding children in their stored order
+  /// (the order the executor visits a group's members in); with
+  /// probabilities it computes the Section 5.3.1 relaxation. The arena is
+  /// append-only and children always precede their parents, so one pass
+  /// over the node array suffices.
+  Vec EvaluateAll(const Vec& var_values) const;
+
+  /// The value of one node: `EvaluateAll(var_values)[root]`. Callers
+  /// reading several nodes under one assignment call EvaluateAll once.
   double Evaluate(PolyId root, const Vec& var_values) const;
 
   /// Collects the distinct variables reachable from `root`.

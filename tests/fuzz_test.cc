@@ -1,12 +1,13 @@
 /// Seeded mutation fuzzing of the parsers that read untrusted text: the
-/// wire request line, the flat-JSON response readers, and the SQL lexer
-/// and parser. Every mutated input must come back as a value or a
+/// wire request line, the flat-JSON response readers, the SQL lexer and
+/// parser, and the CSV dataset and table readers. Every mutated input must come back as a value or a
 /// Status: never an abort, an exception or, in the ASan/UBSan build, a
 /// sanitizer report. The seed and the mutation count are fixed, so a
 /// failure reproduces exactly, and the failing input is printed.
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -14,6 +15,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "data/csv_io.h"
 #include "gtest/gtest.h"
 #include "serve/wire.h"
 #include "sql/lexer.h"
@@ -233,6 +235,52 @@ TEST(FuzzTest, SqlLexerAndParser) {
     }
     if (stmt.ok()) {
       EXPECT_FALSE(stmt->from.empty());
+    }
+  }
+}
+
+/// Writes `text` to one test temp file, reused across inputs.
+std::string WriteCsvFile(const std::string& text) {
+  const std::string path = ::testing::TempDir() + "rain_fuzz_input.csv";
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  return path;
+}
+
+TEST(FuzzTest, CsvDatasetAndTableReaders) {
+  Mutator mutator(
+      {"f0,f1,label\n0.5,-1.25,1\n3,4e-3,0\n",
+       "label,x\n1,2.5\n0,\"7\"\n\n1,1e300\n",
+       "id:INT64,score:DOUBLE,name:STRING,flag:BOOL\n1,0.5,\"a,\"\"b\"\"\",true\n"
+       "-2,3,plain,0\n",
+       "k:int64,s:string\n9223372036854775807,\"multi\r\nline\"\n"},
+      {",", "\"", "\"\"", "\n", "\r\n", "\r", "label", ":INT64", ":DOUBLE",
+       ":STRING", ":BOOL", ":", "1e999", "-1e999", "nan", "inf", "-1", "2",
+       "99999999999999999999", "9223372036854775808", "0x1p3", "1.5", "true", " ",
+       std::string(1, '\0'), "\xff"});
+  // Every input costs a file write, so this target runs a quarter of the
+  // mutations.
+  for (int n = 0; n < kMutations / 4; ++n) {
+    const std::string input = mutator.Next();
+    SCOPED_TRACE(Printable(input));
+    const std::string path = WriteCsvFile(input);
+    const Result<Dataset> dataset = ReadDatasetCsv(path, /*num_classes=*/2);
+    if (dataset.ok()) {
+      for (size_t i = 0; i < dataset->size(); ++i) {
+        ASSERT_TRUE(dataset->label(i) == 0 || dataset->label(i) == 1);
+      }
+    } else {
+      EXPECT_FALSE(dataset.status().message().empty());
+    }
+    const Result<Table> table = ReadTableCsv(path);
+    if (table.ok()) {
+      for (size_t r = 0; r < table->num_rows(); ++r) {
+        for (size_t c = 0; c < table->num_columns(); ++c) {
+          ASSERT_EQ(table->Get(r, c).type(), table->schema().field(c).type);
+        }
+      }
+    } else {
+      EXPECT_FALSE(table.status().message().empty());
     }
   }
 }

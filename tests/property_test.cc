@@ -2,6 +2,8 @@
 /// brute-force oracles and internal-consistency invariants.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "common/rng.h"
 #include "core/ranker.h"
@@ -129,9 +131,200 @@ INSTANTIATE_TEST_SUITE_P(RandomCardinality, DecompositionAgreementTest,
                          ::testing::Range(uint64_t{1}, uint64_t{21}));
 
 // ---------------------------------------------------------------------------
+// One-pass evaluation: PolyArena::EvaluateAll against a depth-first
+// reference, on random DAGs, spliced arenas and zero denominators.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// Depth-first evaluation of one node with a per-call memo: the arithmetic
+/// the node operators document, children folded in stored order.
+double ReferenceValue(const PolyArena& a, PolyId id, const Vec& vars,
+                      std::vector<std::optional<double>>* memo) {
+  if ((*memo)[id].has_value()) return *(*memo)[id];
+  const PolyNode& n = a.node(id);
+  auto child = [&](size_t k) { return ReferenceValue(a, n.children[k], vars, memo); };
+  double v = 0.0;
+  switch (n.op) {
+    case PolyOp::kConst:
+      v = n.value;
+      break;
+    case PolyOp::kVar:
+      v = vars[n.var];
+      break;
+    case PolyOp::kAnd:
+    case PolyOp::kMul:
+      v = 1.0;
+      for (size_t k = 0; k < n.children.size(); ++k) v *= child(k);
+      break;
+    case PolyOp::kOr: {
+      double prod = 1.0;
+      for (size_t k = 0; k < n.children.size(); ++k) prod *= 1.0 - child(k);
+      v = 1.0 - prod;
+      break;
+    }
+    case PolyOp::kNot:
+      v = 1.0 - child(0);
+      break;
+    case PolyOp::kAdd:
+      for (size_t k = 0; k < n.children.size(); ++k) v += child(k);
+      break;
+    case PolyOp::kDiv: {
+      const double den = child(1);
+      v = den == 0.0 ? 0.0 : child(0) / den;
+      break;
+    }
+  }
+  (*memo)[id] = v;
+  return v;
+}
+
+/// Appends `steps` random nodes over `num_vars` variables of table
+/// `table_id`, every operator included, with explicit zero denominators.
+void BuildRandomDag(PolyArena* a, Rng* rng, int table_id, int num_vars, int steps) {
+  std::vector<PolyId> pool = {a->True(), a->False()};
+  for (int v = 0; v < num_vars; ++v) {
+    pool.push_back(a->Var(PredVar{table_id, v, static_cast<int32_t>(v % 3)}));
+  }
+  auto pick = [&] { return pool[rng->UniformInt(pool.size())]; };
+  auto picks = [&] {
+    std::vector<PolyId> c(1 + rng->UniformInt(4));
+    for (PolyId& id : c) id = pick();
+    return c;
+  };
+  for (int step = 0; step < steps; ++step) {
+    switch (rng->UniformInt(9)) {
+      case 0:
+        pool.push_back(a->And(picks()));
+        break;
+      case 1:
+        pool.push_back(a->Or(picks()));
+        break;
+      case 2:
+        pool.push_back(a->Not(pick()));
+        break;
+      case 3:
+        pool.push_back(a->Add(picks()));
+        break;
+      case 4:
+        pool.push_back(a->Mul(picks()));
+        break;
+      case 5:
+        pool.push_back(a->Div(pick(), pick()));
+        break;
+      case 6:
+        pool.push_back(a->Div(pick(), a->False()));  // constant zero denominator
+        break;
+      case 7:
+        pool.push_back(a->Const(rng->Uniform(-3.0, 3.0)));
+        break;
+      default:
+        pool.push_back(a->Var(PredVar{table_id, static_cast<int64_t>(rng->UniformInt(
+                                                    num_vars + 2)),
+                                      1}));
+        break;
+    }
+  }
+}
+
+/// 0/1 indicators, probabilities and exact zeros (zero denominators).
+Vec RandomAssignment(size_t num_vars, Rng* rng) {
+  Vec vals(num_vars);
+  for (double& v : vals) {
+    switch (rng->UniformInt(3)) {
+      case 0:
+        v = static_cast<double>(rng->UniformInt(2));
+        break;
+      case 1:
+        v = rng->Uniform();
+        break;
+      default:
+        v = 0.0;
+        break;
+    }
+  }
+  return vals;
+}
+
+void ExpectMatchesReference(const PolyArena& a, const Vec& vars) {
+  const Vec values = a.EvaluateAll(vars);
+  ASSERT_EQ(values.size(), a.num_nodes());
+  std::vector<std::optional<double>> memo(a.num_nodes());
+  for (size_t id = 0; id < a.num_nodes(); ++id) {
+    const PolyId pid = static_cast<PolyId>(id);
+    ASSERT_EQ(Bits(values[id]), Bits(ReferenceValue(a, pid, vars, &memo))) << "node " << id;
+    ASSERT_EQ(Bits(a.Evaluate(pid, vars)), Bits(values[id])) << "node " << id;
+  }
+}
+
+class OnePassEvaluationTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OnePassEvaluationTest, RandomDagsMatchTheReferenceBitwise) {
+  Rng rng(GetParam());
+  PolyArena a;
+  BuildRandomDag(&a, &rng, 0, 6, 80);
+  for (int trial = 0; trial < 8; ++trial) {
+    ExpectMatchesReference(a, RandomAssignment(a.num_vars(), &rng));
+  }
+}
+
+TEST_P(OnePassEvaluationTest, SplicedArenasKeepEveryStagingValueBitwise) {
+  Rng rng(GetParam() + 1000);
+  PolyArena merged;
+  BuildRandomDag(&merged, &rng, 0, 4, 20);  // nodes already in place
+  std::vector<PolyArena> staging(3);
+  std::vector<PolyArena::SpliceMap> maps;
+  for (size_t s = 0; s < staging.size(); ++s) {
+    // Table 0 variables are shared with the merged arena, table s + 1's
+    // are new to it.
+    BuildRandomDag(&staging[s], &rng, static_cast<int>(s % 2 == 0 ? 0 : s + 1), 5, 40);
+    maps.push_back(merged.Splice(staging[s]));
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    const Vec merged_vars = RandomAssignment(merged.num_vars(), &rng);
+    ExpectMatchesReference(merged, merged_vars);
+    const Vec merged_values = merged.EvaluateAll(merged_vars);
+    for (size_t s = 0; s < staging.size(); ++s) {
+      Vec staging_vars(staging[s].num_vars());
+      for (size_t v = 0; v < staging_vars.size(); ++v) {
+        staging_vars[v] = merged_vars[maps[s].var_map[v]];
+      }
+      const Vec staging_values = staging[s].EvaluateAll(staging_vars);
+      for (size_t id = 0; id < staging_values.size(); ++id) {
+        ASSERT_EQ(Bits(merged_values[maps[s].node_map[id]]), Bits(staging_values[id]))
+            << "staging " << s << " node " << id;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomArenas, OnePassEvaluationTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{13}));
+
+TEST(OnePassDivisionTest, ZeroDenominatorsEvaluateToZero) {
+  PolyArena a;
+  const PolyId x = a.Var(PredVar{0, 0, 1});
+  const PolyId y = a.Var(PredVar{0, 1, 1});
+  const PolyId by_const = a.Div(a.Const(3.0), a.False());
+  const PolyId by_var = a.Div(x, y);
+  const PolyId by_sum = a.Div(x, a.Add({y, a.Not(x)}));
+  ASSERT_EQ(a.node(by_const).op, PolyOp::kDiv);
+  const Vec values = a.EvaluateAll({1.0, 0.0});
+  EXPECT_EQ(Bits(values[by_const]), Bits(0.0));
+  EXPECT_EQ(Bits(values[by_var]), Bits(0.0));
+  EXPECT_EQ(Bits(values[by_sum]), Bits(0.0));  // y + (1 - x) = 0
+  EXPECT_EQ(a.EvaluateAll({0.5, 0.25})[by_var], 2.0);
+}
+
+// ---------------------------------------------------------------------------
 // Executor invariant: the concrete rows of a debug-mode run equal the
-// non-debug output, and every row condition evaluates (under the current
-// predictions) to its concrete bit.
+// non-debug output, and in one EvaluateAll pass under the current
+// predictions every row condition is its concrete bit and every aggregate
+// polynomial its concrete cell, bitwise.
 // ---------------------------------------------------------------------------
 
 class DebugConsistencyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -205,30 +398,25 @@ TEST_P(DebugConsistencyTest, ConcreteRowsMatchAndCondsAgree) {
     EXPECT_EQ(stringify(debug_run->table, true), stringify(plain_run->table, true))
         << q;
 
-    // Row conditions evaluate to the concrete bit under the concrete
-    // prediction assignment.
-    const Vec assignment = preds.ConcreteAssignment(arena);
+    // Under the concrete prediction assignment, the one-pass values of
+    // the row conditions are the concrete bits, and those of the
+    // aggregate polynomials are the concrete cells, bitwise.
+    const Vec values = arena.EvaluateAll(preds.ConcreteAssignment(arena));
     for (size_t r = 0; r < debug_run->table.num_rows(); ++r) {
       const PolyId cond = debug_run->table.cond[r];
       if (cond == kInvalidPoly) continue;
-      const double v = arena.Evaluate(cond, assignment);
-      EXPECT_DOUBLE_EQ(v, debug_run->table.concrete[r] ? 1.0 : 0.0)
+      EXPECT_EQ(Bits(values[cond]), Bits(debug_run->table.concrete[r] ? 1.0 : 0.0))
           << q << " row " << r;
     }
-    // Aggregate polynomials evaluate to the concrete cell values.
     if (debug_run->is_aggregate) {
       for (size_t r = 0; r < debug_run->table.num_rows(); ++r) {
         if (!debug_run->table.concrete[r]) continue;
-        for (size_t a = 0; a < debug_run->agg_polys.size() && a < 1; ++a) {
-          // (checked per row below)
-        }
         for (size_t a = 0; a < debug_run->agg_polys[r].size(); ++a) {
-          const double poly_val =
-              arena.Evaluate(debug_run->agg_polys[r][a], assignment);
           const double cell = *debug_run->table.rows[r]
                                    [debug_run->num_group_cols + a]
                                        .ToNumeric();
-          EXPECT_NEAR(poly_val, cell, 1e-9) << q << " row " << r << " agg " << a;
+          EXPECT_EQ(Bits(values[debug_run->agg_polys[r][a]]), Bits(cell))
+              << q << " row " << r << " agg " << a;
         }
       }
     }

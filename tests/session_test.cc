@@ -480,6 +480,40 @@ TEST_F(SessionFixture, AddComplaintsReopensResolvedSession) {
   EXPECT_EQ((*session)->workload().size(), 1u);
 }
 
+TEST_F(SessionFixture, TrainMetricsReportConvergenceAndMemoSkips) {
+  // A satisfied complaint resolves in the first iteration, after a full
+  // train; a violated one added next reopens the session with the train
+  // memo intact, so its first iteration skips training.
+  QueryComplaints satisfied = CountComplaint(0);
+  satisfied.complaints[0].op = ComplaintOp::kGe;
+  auto session = DebugSessionBuilder(pipeline())
+                     .ranker("holistic")
+                     .top_k_per_iter(10)
+                     .max_deletions(30)
+                     .stop_when_resolved()
+                     .workload({satisfied})
+                     .Build();
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)->RunToCompletion().ok());
+  (*session)->AddComplaints(CountComplaint(1e6));
+  auto report = (*session)->RunToCompletion();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::vector<IterationStats>& iterations = report->iterations;
+  ASSERT_EQ(iterations.size(), 4u);  // resolved, then 10 + 10 + 10 deletions
+
+  const double grad_tol = TrainConfig().grad_tol;
+  for (size_t i : {size_t{0}, size_t{2}, size_t{3}}) {
+    EXPECT_TRUE(iterations[i].train_converged) << "iteration " << i;
+    EXPECT_GE(iterations[i].train_evaluations, 1) << "iteration " << i;
+    EXPECT_LE(iterations[i].train_grad_norm, grad_tol) << "iteration " << i;
+  }
+  // The memo hit: no train ran, which reports converged with norm 0.
+  EXPECT_EQ(iterations[1].train_seconds, 0.0);
+  EXPECT_EQ(iterations[1].train_evaluations, 0);
+  EXPECT_TRUE(iterations[1].train_converged);
+  EXPECT_EQ(iterations[1].train_grad_norm, 0.0);
+}
+
 // -------------------------------------------------- parallelism plumbing
 
 TEST_F(SessionFixture, ParallelismInheritsToTrainAndInfluence) {
@@ -552,20 +586,50 @@ class StubRanker : public Ranker {
   std::function<std::vector<double>(const RankContext&)> scores_for_;
 };
 
-TEST_F(SessionFixture, FixPhaseMatchesStableSortWithTiesAndInactiveRows) {
-  Dataset* train = pipeline()->train_data();
-  const size_t n = train->size();
-  // Eleven distinct values, so every score is tied with ~n/11 others; the
-  // zeros alternate sign. Rows deleted in earlier iterations keep their
-  // (high) scores, and a few rows are inactive before the session starts.
+/// A full stable sort of every row by score descending, skipping inactive
+/// rows: the first `count` rows it visits are what the fix phase must
+/// pick, in that order.
+std::vector<size_t> StableSortPick(const std::vector<double>& scores,
+                                   const std::vector<uint8_t>& active, size_t count) {
+  std::vector<size_t> order(scores.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return scores[a] > scores[b]; });
+  std::vector<size_t> picked;
+  for (size_t idx : order) {
+    if (active[idx] && picked.size() < count) picked.push_back(idx);
+  }
+  return picked;
+}
+
+std::vector<uint8_t> ActiveFlags(const Dataset& train) {
+  std::vector<uint8_t> active(train.size());
+  for (size_t i = 0; i < train.size(); ++i) active[i] = train.active(i) ? 1 : 0;
+  return active;
+}
+
+/// Eleven distinct values, so every score is tied with ~n/11 others; the
+/// zeros alternate sign (-0.0 == 0.0 ties too).
+std::vector<double> TiedScores(size_t n) {
   std::vector<double> scores(n);
   for (size_t i = 0; i < n; ++i) {
     scores[i] = static_cast<double>((i * 37) % 11) - 3.0;
     if (scores[i] == 0.0 && i % 2 == 0) scores[i] = -0.0;
   }
-  for (size_t i : {0u, 11u, 22u, 121u, 242u}) train->Deactivate(i);
-  std::vector<uint8_t> active(n);
-  for (size_t i = 0; i < n; ++i) active[i] = train->active(i) ? 1 : 0;
+  return scores;
+}
+
+TEST_F(SessionFixture, FixPhaseMatchesStableSortWithTiesAndInactiveRows) {
+  Dataset* train = pipeline()->train_data();
+  std::vector<double> scores = TiedScores(train->size());
+  // A few rows are inactive before the session starts and carry the
+  // highest scores of all; rows deleted in earlier iterations keep their
+  // (high) scores too.
+  for (size_t i : {0u, 11u, 22u, 121u, 242u}) {
+    train->Deactivate(i);
+    scores[i] = 100.0 + static_cast<double>(i);
+  }
+  const std::vector<uint8_t> active = ActiveFlags(*train);
 
   const int max_deletions = 40;
   auto session =
@@ -581,19 +645,59 @@ TEST_F(SessionFixture, FixPhaseMatchesStableSortWithTiesAndInactiveRows) {
   auto report = (*session)->RunToCompletion();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  // Reference: the former full stable sort, skipping inactive rows.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return scores[a] > scores[b]; });
-  std::vector<size_t> expected;
-  for (size_t idx : order) {
-    if (active[idx] && static_cast<int>(expected.size()) < max_deletions) {
-      expected.push_back(idx);
-    }
-  }
-  EXPECT_EQ(report->deletions, expected);
+  EXPECT_EQ(report->deletions, StableSortPick(scores, active, max_deletions));
   EXPECT_EQ(report->iterations.size(), 4u);  // 13 + 13 + 13 + 1
+}
+
+TEST_F(SessionFixture, FixPhaseBudgetAboveActiveRowsTakesEveryActiveRow) {
+  Dataset* train = pipeline()->train_data();
+  std::vector<double> scores(train->size());
+  for (size_t i = 0; i < scores.size(); ++i) scores[i] = i % 3 == 0 ? 2.0 : 1.0;
+  // Seven active rows left, in two tie groups; the budget is 13.
+  for (size_t i = 0; i < train->size(); ++i) {
+    if (i % 53 != 1 || i == 1) train->Deactivate(i);
+  }
+  ASSERT_EQ(train->num_active(), 7u);
+  const std::vector<uint8_t> active = ActiveFlags(*train);
+
+  auto session =
+      DebugSessionBuilder(pipeline())
+          .ranker(std::make_unique<StubRanker>(
+              [&scores](const RankContext&) { return scores; }))
+          .top_k_per_iter(13)
+          .max_deletions(40)
+          .stop_when_resolved(false)
+          .workload({CountComplaint(static_cast<double>(setup_.true_count))})
+          .Build();
+  ASSERT_TRUE(session.ok());
+  auto step = (*session)->Step();
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_EQ(step->status, StepStatus::kIterated);
+  EXPECT_EQ(step->new_deletions, StableSortPick(scores, active, 13));
+  EXPECT_EQ(step->new_deletions.size(), 7u);
+  EXPECT_EQ(train->num_active(), 0u);
+}
+
+TEST_F(SessionFixture, FixPhaseZeroBudgetEndsWithNoProgress) {
+  const std::vector<double> scores = TiedScores(pipeline()->train_data()->size());
+  auto session =
+      DebugSessionBuilder(pipeline())
+          .ranker(std::make_unique<StubRanker>(
+              [&scores](const RankContext&) { return scores; }))
+          .top_k_per_iter(0)
+          .max_deletions(40)
+          .stop_when_resolved(false)
+          .workload({CountComplaint(static_cast<double>(setup_.true_count))})
+          .Build();
+  ASSERT_TRUE(session.ok());
+  auto step = (*session)->Step();
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_EQ(step->status, StepStatus::kNoProgress);
+  EXPECT_TRUE(step->new_deletions.empty());
+  EXPECT_TRUE((*session)->finished());
+  EXPECT_EQ((*session)->finish_status(), StepStatus::kNoProgress);
+  EXPECT_TRUE((*session)->report().deletions.empty());
+  EXPECT_EQ(pipeline()->train_data()->num_active(), pipeline()->train_data()->size());
 }
 
 TEST_F(SessionFixture, RankerScoreCountMismatchIsAnError) {
